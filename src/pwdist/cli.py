@@ -84,8 +84,14 @@ def _finish(args, command: str, parameters: dict, inputs: list[Path], outputs: l
 
 
 def _out_dir(args) -> Path:
+    """Create ``--out-dir`` and drop any manifest an earlier run left there.
+
+    The manifest is written last, so an out-dir holding one is complete;
+    deleting it first keeps a rerun that fails from looking complete.
+    """
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / MANIFEST_NAME).unlink(missing_ok=True)
     return out
 
 
@@ -341,7 +347,7 @@ def cmd_mhsim(args) -> None:
     backend = setting("backend", str, mh_uniform.BACKEND_EXACT)
     width = setting("width", int, mh_uniform.DEFAULT_SKETCH_WIDTH)
     depth = setting("depth", int, mh_uniform.DEFAULT_SKETCH_DEPTH)
-    seed = args.seed if args.seed != DEFAULT_SEED else setting("seed", int, DEFAULT_SEED)
+    seed = setting("seed", int, DEFAULT_SEED)
     retry_cap = setting("retry_cap", int, mh_uniform.DEFAULT_RETRY_CAP)
     ban_file = setting("ban_file", str, None)
 
@@ -488,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--retry-cap", dest="retry_cap", type=int, default=None)
     p.add_argument("--ban-file", dest="ban_file", default=None)
-    p.set_defaults(func=cmd_mhsim)
+    # No flag default, so that a config file's seed applies unless --seed is given.
+    p.set_defaults(func=cmd_mhsim, seed=None)
 
     return parser
 

@@ -7,7 +7,8 @@ password bytes, finished with the splitmix64 avalanche, so independent
 implementations interoperate bit for bit. The cracking loop buckets
 entries per salt and hashes each fresh guess once per salt that still has
 uncracked entries, which is exactly why real salted corpora cost thousands
-of hash calls per guess.
+of hash calls per guess. Hashing is batched: a block of fresh guesses is
+hashed against every live salt as one ``(guesses x salts)`` array.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .crossguess import GuessCurve, GuessOrdering, METRIC_DISTINCT, METRIC_USERS, curve_from_increments
 from .ingest import CredentialRecord
@@ -28,16 +31,48 @@ CRYPT_SALT_ALPHABET = b"./0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqr
 
 HASHES_HEADER = b"user\tsalt-hex\tdigest-hex"
 
+# Fresh guesses hashed per replay block. A block's digests take
+# GUESS_BLOCK x live salts x 8 bytes: 128 KB at 64 salts, small enough that
+# the block arrays do not raise the stage's peak memory.
+GUESS_BLOCK = 256
+
+HashMany = Callable[[Sequence[bytes], Sequence[bytes]], np.ndarray]
+
+
+def _hash_many_scalar(hash_fn: Callable[[bytes, bytes], bytes]) -> HashMany:
+    """A ``hash_many`` that calls the scalar ``hash_fn`` once per pair."""
+
+    def hash_many(salts: Sequence[bytes], passwords: Sequence[bytes]) -> np.ndarray:
+        digests = np.fromiter(
+            (int.from_bytes(hash_fn(salt, pw), "big") for pw in passwords for salt in salts),
+            dtype=np.uint64,
+            count=len(passwords) * len(salts),
+        )
+        return digests.reshape(len(passwords), len(salts))
+
+    return hash_many
+
 
 @dataclass(frozen=True)
 class HashScheme:
-    """Deterministic salted hash plus its truncation and salt conventions."""
+    """Deterministic salted hash plus its truncation and salt conventions.
+
+    ``hash(salt, password)`` returns an 8-byte digest. ``hash_many(salts,
+    passwords)`` returns the same digests for every pair at once, as
+    big-endian ``uint64`` values in a ``(len(passwords), len(salts))``
+    array; left out, it calls ``hash`` once per pair.
+    """
 
     name: str
     truncate_len: int | None
     hash: Callable[[bytes, bytes], bytes]
     salt_len: int = 2
     salt_alphabet: bytes = CRYPT_SALT_ALPHABET
+    hash_many: HashMany | None = None
+
+    def __post_init__(self):
+        if self.hash_many is None:
+            object.__setattr__(self, "hash_many", _hash_many_scalar(self.hash))
 
     def truncate(self, password: bytes) -> bytes:
         if self.truncate_len is None:
@@ -70,14 +105,43 @@ def _avalanche64(z: int) -> int:
 
 
 def _trunc8_mix64(salt: bytes, password: bytes) -> bytes:
+    """Reference implementation of ``trunc8-mix64`` for one pair."""
     h = _fnv1a64(password[:8], _fnv1a64(salt))
     return _avalanche64(h).to_bytes(8, "big")
+
+
+def _trunc8_mix64_many(salts: Sequence[bytes], passwords: Sequence[bytes]) -> np.ndarray:
+    """``trunc8-mix64`` of every (password, salt) pair as a uint64 array.
+
+    The FNV state after each salt is computed once; the at most 8 password
+    bytes are then folded into a ``(passwords, salts)`` array of states, a
+    length mask leaving a state alone once its password has run out.
+    uint64 multiplication wraps, which is the ``& _MASK64`` of the scalar code.
+    """
+    n = len(passwords)
+    state = np.array([_fnv1a64(salt) for salt in salts], dtype=np.uint64)
+    head = b"".join(pw[:8].ljust(8, b"\0") for pw in passwords)
+    pw_bytes = np.frombuffer(head, dtype=np.uint8).reshape(n, 8).astype(np.uint64)
+    lengths = np.fromiter((len(pw) for pw in passwords), dtype=np.int64, count=n)
+    h = np.broadcast_to(state, (n, len(state))).copy()
+    prime = np.uint64(_FNV_PRIME)
+    for k in range(8):
+        folded = (h ^ pw_bytes[:, k, None]) * prime
+        h = np.where((lengths > k)[:, None], folded, h)
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(27)
+    h *= np.uint64(0x94D049BB133111EB)
+    h ^= h >> np.uint64(31)
+    return h
 
 
 def builtin_scheme(tag: str) -> HashScheme:
     """Look up a built-in scheme by tag; only ``trunc8-mix64`` exists."""
     if tag == "trunc8-mix64":
-        return HashScheme(name="trunc8-mix64", truncate_len=8, hash=_trunc8_mix64)
+        return HashScheme(
+            name="trunc8-mix64", truncate_len=8, hash=_trunc8_mix64, hash_many=_trunc8_mix64_many
+        )
     raise ValueError(f"unknown hash scheme {tag!r}")
 
 
@@ -105,15 +169,24 @@ def hash_corpus(
     salt_seed: int,
     salt_count: int,
 ) -> list[HashedEntry]:
-    """Hash each record under a salt drawn uniformly from a seeded salt set."""
+    """Hash each record under a salt drawn uniformly from a seeded salt set.
+
+    Records are grouped by their drawn salt and each group is hashed with
+    one ``hash_many`` call.
+    """
     salts = generate_salts(scheme, salt_seed, salt_count)
     rng = random.Random((salt_seed ^ 0x5A17) & _MASK64)
-    entries: list[HashedEntry] = []
-    for rec in records:
-        salt = salts[rng.randrange(salt_count)]
-        digest = scheme.hash(salt, scheme.truncate(rec.password))
-        entries.append(HashedEntry(user=rec.user, salt=salt, digest=digest))
-    return entries
+    salt_of = np.array([rng.randrange(salt_count) for _ in records], dtype=np.int64)
+    digests = np.empty(len(records), dtype=">u8")
+    for j, salt in enumerate(salts):
+        rows = np.flatnonzero(salt_of == j)
+        passwords = [scheme.truncate(records[i].password) for i in rows.tolist()]
+        digests[rows] = scheme.hash_many([salt], passwords)[:, 0]
+    raw = digests.tobytes()
+    return [
+        HashedEntry(user=rec.user, salt=salts[j], digest=raw[8 * i : 8 * i + 8])
+        for i, (rec, j) in enumerate(zip(records, salt_of.tolist()))
+    ]
 
 
 @dataclass
@@ -136,32 +209,53 @@ def crack(entries: Sequence[HashedEntry], ordering: GuessOrdering, scheme: HashS
 
     Guesses are truncated per scheme before hashing; a guess that repeats
     an earlier one after truncation advances the curve without hashing, so
-    each (salt, guess) pair costs at most one hash evaluation. Matched
-    entries leave the working set, and a salt with no entries left stops
-    being hashed at all.
+    each (salt, guess) pair costs at most one hash evaluation. Fresh
+    guesses are hashed in blocks of ``GUESS_BLOCK`` against every salt that
+    still has uncracked entries; a salt left with none retires before the
+    next block. Hits are resolved guess by guess, and within a guess in
+    the order salts first appear in ``entries``, so an entry goes to the
+    first guess that matches it and ``cracked`` has the same order in
+    every process.
     """
     buckets: dict[bytes, dict[bytes, list[str]]] = {}
     for entry in entries:
         buckets.setdefault(entry.salt, {}).setdefault(entry.digest, []).append(entry.user)
-    live = set(buckets)
+    # Every digest a guess could match, for a vectorised pre-filter; a hit
+    # is confirmed and popped through its salt's bucket.
+    outstanding = np.sort(
+        np.fromiter(
+            (int.from_bytes(e.digest, "big") for e in entries if len(e.digest) == 8),
+            dtype=np.uint64,
+        )
+    )
+    fresh: list[bytes] = []
+    fresh_at: list[int] = []
     tried: set[bytes] = set()
-    users_inc: list[int] = []
-    distinct_inc: list[int] = []
-    cracked: list[tuple[str, bytes]] = []
-    for guess in ordering.guesses:
+    for i, guess in enumerate(ordering.guesses):
         truncated = scheme.truncate(guess)
-        got = 0
         if truncated not in tried:
             tried.add(truncated)
-            for salt in list(live):
-                users = buckets[salt].pop(scheme.hash(salt, truncated), None)
-                if users:
-                    got += len(users)
-                    cracked.extend((u, truncated) for u in users)
-                    if not buckets[salt]:
-                        live.discard(salt)
-        users_inc.append(got)
-        distinct_inc.append(1 if got else 0)
+            fresh.append(truncated)
+            fresh_at.append(i)
+    live = list(buckets)
+    users_inc = [0] * len(ordering.guesses)
+    cracked: list[tuple[str, bytes]] = []
+    for start in range(0, len(fresh), GUESS_BLOCK):
+        if not live:
+            break
+        block = fresh[start : start + GUESS_BLOCK]
+        digests = scheme.hash_many(live, block)
+        pos = np.searchsorted(outstanding, digests)
+        hit = pos < len(outstanding)
+        hit[hit] = outstanding[pos[hit]] == digests[hit]
+        rows, cols = np.nonzero(hit)
+        for g, s, d in zip(rows.tolist(), cols.tolist(), digests[rows, cols].tolist()):
+            users = buckets[live[s]].pop(d.to_bytes(8, "big"), None)
+            if users:
+                users_inc[fresh_at[start + g]] += len(users)
+                cracked.extend((u, block[g]) for u in users)
+        live = [salt for salt in live if buckets[salt]]
+    distinct_inc = [1 if got else 0 for got in users_inc]
     distinct_recovered = sum(distinct_inc)
     uncracked = len(entries) - len(cracked)
     return CrackReport(

@@ -316,9 +316,12 @@ def read_table_tsv(path) -> RankFrequencyTable:
             if len(parts) != 3:
                 raise CorpusError(f"malformed table row: {line!r}")
             rank, count, pw = parts
-            if int(rank) != len(entries) + 1:
-                raise CorpusError(f"table ranks are not consecutive at row {rank!r}")
-            entries.append((unescape_field(pw), int(count)))
+            try:
+                if int(rank) != len(entries) + 1:
+                    raise CorpusError(f"table ranks are not consecutive at row {rank!r}")
+                entries.append((unescape_field(pw), int(count)))
+            except ValueError as exc:
+                raise CorpusError(f"malformed table row {line!r}: {exc}") from exc
     table = RankFrequencyTable(entries=entries, total_users=sum(c for _, c in entries))
     table.validate()
     return table

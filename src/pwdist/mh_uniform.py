@@ -52,9 +52,12 @@ class ExactFrequencyStore:
         self._counts: Counter[bytes] = Counter()
         self.totals = 0
 
-    def increment(self, key: bytes) -> None:
-        self._counts[key] += 1
+    def increment(self, key: bytes) -> int:
+        """Count one more ``key``; returns the count from before."""
+        count = self._counts[key]
+        self._counts[key] = count + 1
         self.totals += 1
+        return count
 
     def query(self, key: bytes) -> int:
         return self._counts[key]
@@ -94,24 +97,37 @@ class CountMinStore:
         self.width = width
         self.depth = depth
         self.seeds = tuple(int(s) for s in seeds)
-        self._row_keys = [s.to_bytes(8, "big") for s in self.seeds]
-        self._rows = np.zeros((depth, width), dtype=np.int64)
+        # Row r's counters are _flat[r * width : (r + 1) * width]; each row
+        # keeps a keyed blake2b that a key's hash is copied from.
+        self._rows = [
+            (row * width, hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "big")))
+            for row, seed in enumerate(self.seeds)
+        ]
+        self._flat = np.zeros(depth * width, dtype=np.int64)
         self.totals = 0
 
-    def _indices(self, key: bytes) -> list[int]:
-        return [
-            int.from_bytes(hashlib.blake2b(key, digest_size=8, key=rk).digest(), "big")
-            % self.width
-            for rk in self._row_keys
-        ]
+    def _offsets(self, key: bytes) -> list[int]:
+        """Each row's counter for ``key``, as an offset into the flat counters."""
+        offsets = []
+        for base, row_hash in self._rows:
+            h = row_hash.copy()
+            h.update(key)
+            offsets.append(base + int.from_bytes(h.digest(), "big") % self.width)
+        return offsets
 
-    def increment(self, key: bytes) -> None:
-        for row, idx in enumerate(self._indices(key)):
-            self._rows[row, idx] += 1
+    def increment(self, key: bytes) -> int:
+        """Count one more ``key``; returns the estimate from before."""
+        flat = self._flat
+        offsets = self._offsets(key)
+        estimate = min([flat[o] for o in offsets])
+        for o in offsets:
+            flat[o] += 1
         self.totals += 1
+        return int(estimate)
 
     def query(self, key: bytes) -> int:
-        return int(min(self._rows[row, idx] for row, idx in enumerate(self._indices(key))))
+        flat = self._flat
+        return int(min([flat[o] for o in self._offsets(key)]))
 
 
 def cms_increment(store: CountMinStore, key: bytes) -> None:
@@ -242,9 +258,8 @@ def mh_session(
     asks = 0
     for proposal in proposals:
         asks += 1
-        f_prop = store.query(proposal)
+        f_prop = store.increment(proposal)
         seen.record(proposal)
-        store.increment(proposal)
         w_prop = weights.weight(proposal)
         if w_prop > 0.0:
             u = rng.random() * f_prop

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pwdist
 from pwdist.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -49,6 +54,27 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "bad_row", [b"1\tmany\tpw", b"x\t3\tpw", b"1\t3\tbad\\q", b"1\t3\tdangling\\"]
+    )
+    def test_malformed_table_is_input_error(self, tmp_path, capsys, bad_row):
+        table = tmp_path / "table.tsv"
+        table.write_bytes(b"rank\tcount\tpassword\n" + bad_row + b"\n")
+        code = main(["stats", "--table", str(table), "--out-dir", str(tmp_path / "s")])
+        assert code == EXIT_INPUT
+        assert "pwdist-error\tinput\t" in capsys.readouterr().err
+
+
+class TestOutDir:
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, corpus):
+        out = tmp_path / "out"
+        assert main(["ingest", str(corpus), "--out-dir", str(out)]) == EXIT_OK
+        assert (out / "manifest.json").exists()
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        assert main(["ingest", str(empty), "--out-dir", str(out)]) == EXIT_INPUT
+        assert not (out / "manifest.json").exists()
 
 
 class TestIngest:
@@ -181,6 +207,25 @@ class TestCrack:
         cracked = (attack / "cracked.tsv").read_bytes().splitlines()
         assert len(cracked) - 1 == 25  # every user recovered
 
+    def test_cracked_rows_do_not_depend_on_hash_seed(self, tmp_path):
+        corpus = tmp_path / "users.txt"
+        corpus.write_bytes(b"123456\n" * 60 + b"qwerty\n" * 30 + b"dragon\n")
+        table = ingest_table(tmp_path, corpus)
+        src = str(Path(pwdist.__file__).resolve().parents[1])
+        cracked = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"crack-{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "pwdist.cli", "crack", "--corpus", str(corpus),
+                 "--salt-count", "16", "--ordering", str(table), "--out-dir", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            cracked.append((out / "cracked.tsv").read_bytes())
+        assert len(cracked[0].splitlines()) == 1 + 91
+        assert cracked[0] == cracked[1]
+
     def test_crack_without_inputs_is_usage_error(self, tmp_path):
         assert main(["crack", "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
@@ -216,6 +261,29 @@ class TestMhSim:
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["n_users"] == 300
+
+    def test_config_seed_applies_without_flag(self, tmp_path):
+        accepted = []
+        for seed in (7, 8):
+            config = tmp_path / f"sim{seed}.cfg"
+            config.write_text(
+                f"source = zipf\ns = 0.9\nn-ranks = 200\nn-users = 1500\nseed = {seed}\n"
+            )
+            out = tmp_path / f"sim{seed}"
+            assert main(["mh-sim", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+            assert json.loads((out / "manifest.json").read_text())["parameters"]["seed"] == seed
+            accepted.append((out / "accepted.tsv").read_bytes())
+        assert accepted[0] != accepted[1]
+
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        config = tmp_path / "sim.cfg"
+        config.write_text("source = zipf\nn-ranks = 100\nn-users = 300\nseed = 7\n")
+        for flag in ("0", "9"):
+            out = tmp_path / f"sim{flag}"
+            code = main(["mh-sim", "--config", str(config), "--seed", flag, "--out-dir", str(out)])
+            assert code == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["parameters"]["seed"] == int(flag)
 
     def test_ban_file(self, tmp_path):
         ban = tmp_path / "banned.txt"

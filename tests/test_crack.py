@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pwdist import crack as crack_mod
 from pwdist.crack import (
     CRYPT_SALT_ALPHABET,
+    HashScheme,
     HashedEntry,
+    _trunc8_mix64,
+    _trunc8_mix64_many,
     builtin_scheme,
     crack,
     generate_salts,
@@ -26,6 +31,8 @@ EMPTY_DIGEST = bytes.fromhex("f52a15e9a9b5e89b")
 AB_XY_DIGEST = bytes.fromhex("3f5cac1ec3588869")
 
 SCHEME = builtin_scheme("trunc8-mix64")
+# The same scheme without the numpy kernel: hash_many calls hash per pair.
+SCALAR_SCHEME = HashScheme(name=SCHEME.name, truncate_len=SCHEME.truncate_len, hash=SCHEME.hash)
 
 
 class TestBuiltinScheme:
@@ -46,6 +53,31 @@ class TestBuiltinScheme:
 
     def test_salt_changes_digest(self):
         assert SCHEME.hash(b"aa", b"pw") != SCHEME.hash(b"ab", b"pw")
+
+    def test_batch_kernel_frozen_vectors(self):
+        digests = SCHEME.hash_many([b"", b"ab"], [b"", b"xy"])
+        assert digests.shape == (2, 2) and digests.dtype == np.uint64
+        assert int(digests[0, 0]).to_bytes(8, "big") == EMPTY_DIGEST
+        assert int(digests[1, 1]).to_bytes(8, "big") == AB_XY_DIGEST
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        salts=st.lists(st.binary(max_size=4), min_size=1, max_size=5),
+        passwords=st.lists(st.binary(max_size=16), max_size=12),
+    )
+    def test_batch_kernel_equals_scalar_reference(self, salts, passwords):
+        digests = _trunc8_mix64_many(salts, passwords)
+        assert digests.shape == (len(passwords), len(salts))
+        for i, pw in enumerate(passwords):
+            for j, salt in enumerate(salts):
+                assert int(digests[i, j]).to_bytes(8, "big") == _trunc8_mix64(salt, pw)
+
+    def test_default_hash_many_loops_over_scalar_hash(self):
+        salts, passwords = [b"s1", b"s2", b"s3"], [b"a", b"longer than eight", b""]
+        assert np.array_equal(
+            SCALAR_SCHEME.hash_many(salts, passwords), SCHEME.hash_many(salts, passwords)
+        )
+        assert SCALAR_SCHEME.hash_many(salts, []).shape == (0, 3)
 
 
 class TestHashCorpus:
@@ -149,6 +181,47 @@ class TestCrack:
         ordering = GuessOrdering(guesses=[b"pw0", b"pw1", b"pw0XXXXXXXX", b"pw2"])
         crack(entries, ordering, counting)
         assert len(calls) == len(set(calls))
+
+    def test_block_size_does_not_change_report(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        pool = [b"pw%02d" % i for i in range(40)] + [b"longpassword%02d" % i for i in range(5)]
+        records = records_from(
+            [("u%d" % i, pool[int(rng.integers(0, len(pool)))]) for i in range(300)]
+        )
+        entries = hash_corpus(records, SCHEME, salt_seed=6, salt_count=12)
+        ordering = GuessOrdering(guesses=[p for p in pool if p != b"pw07"] + [b"pw07"])
+        whole = crack(entries, ordering, SCHEME)
+        monkeypatch.setattr(crack_mod, "GUESS_BLOCK", 4)
+        blocked = crack(entries, ordering, SCHEME)
+        assert blocked == whole
+        assert whole.uncracked_count == 0
+
+    def test_rows_within_a_guess_follow_first_seen_salt_order(self):
+        records = records_from([("u%d" % i, b"same") for i in range(40)])
+        entries = hash_corpus(records, SCHEME, salt_seed=2, salt_count=16)
+        report = crack(entries, GuessOrdering(guesses=[b"same"]), SCHEME)
+        salt_of = {e.user: e.salt for e in entries}
+        first_seen = list(dict.fromkeys(e.salt for e in entries))
+        order = [first_seen.index(salt_of[u]) for u, _ in report.cracked]
+        assert order == sorted(order) and len(set(order)) == len(first_seen) > 1
+
+
+class TestCrackBatchKernelProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        passwords=st.lists(st.sampled_from([b"a", b"b", b"abcdefgh1", b"abcdefgh2", b"\x80\xff", b""]),
+                           max_size=25),
+        guesses=st.lists(st.binary(max_size=10) | st.sampled_from([b"a", b"abcdefgh", b""]),
+                         max_size=15, unique=True),
+        salt_count=st.integers(1, 6),
+        salt_seed=st.integers(0, 1000),
+    )
+    def test_default_hash_many_gives_same_report(self, passwords, guesses, salt_count, salt_seed):
+        records = records_from([("u%d" % i, pw) for i, pw in enumerate(passwords)])
+        entries = hash_corpus(records, SCHEME, salt_seed=salt_seed, salt_count=salt_count)
+        assert hash_corpus(records, SCALAR_SCHEME, salt_seed, salt_count) == entries
+        ordering = GuessOrdering(guesses=guesses)
+        assert crack(entries, ordering, SCALAR_SCHEME) == crack(entries, ordering, SCHEME)
 
 
 class TestHashesTsv:

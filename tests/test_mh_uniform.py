@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwdist.mh_uniform import (
     BACKEND_COUNT_MIN,
@@ -101,6 +103,40 @@ class TestCountMin:
             CountMinStore(width=0, depth=1)
         with pytest.raises(ValueError):
             CountMinStore(width=8, depth=2, seeds=[1])
+
+
+class TestIncrementReturnsPriorEstimate:
+    keys = st.lists(st.sampled_from([b"", b"a", b"b", b"pw1", b"\xff\x00", b"x" * 20]), max_size=60)
+
+    @settings(max_examples=50, deadline=None)
+    @given(keys=keys)
+    def test_exact_store(self, keys):
+        store = ExactFrequencyStore()
+        for key in keys:
+            before = store.query(key)
+            assert store.increment(key) == before
+            assert store.query(key) == before + 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        keys=keys, width=st.integers(1, 8), depth=st.integers(1, 4), seed=st.integers(0, 2**64 - 1)
+    )
+    def test_count_min_store(self, keys, width, depth, seed):
+        store = CountMinStore(width=width, depth=depth, master_seed=seed)
+        for key in keys:
+            before = store.query(key)
+            assert store.increment(key) == before
+            assert store.query(key) >= before + 1
+        assert store.totals == len(keys)
+
+    def test_count_min_layout_is_keyed_blake2b_per_row(self):
+        store = CountMinStore(width=1000, depth=3, master_seed=5)
+        store.increment(b"key")
+        for row, seed in enumerate(store.seeds):
+            digest = hashlib.blake2b(b"key", digest_size=8, key=seed.to_bytes(8, "big")).digest()
+            col = int.from_bytes(digest, "big") % store.width
+            assert store._flat[row * store.width + col] == 1
+        assert int(store._flat.sum()) == store.depth
 
 
 class TestTargetWeight:
