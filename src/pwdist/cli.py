@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +52,7 @@ class RunManifest:
     parameters: dict
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)
     version: str = __version__
 
     def to_json(self) -> str:
@@ -61,6 +63,8 @@ class RunManifest:
             "inputs": self.inputs,
             "outputs": self.outputs,
         }
+        if self.counters:
+            payload["counters"] = self.counters
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -72,12 +76,20 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _finish(args, command: str, parameters: dict, inputs: list[Path], outputs: list[Path]) -> None:
+def _finish(
+    args,
+    command: str,
+    parameters: dict,
+    inputs: list[Path],
+    outputs: list[Path],
+    counters: dict | None = None,
+) -> None:
     manifest = RunManifest(
         command=command,
         parameters=parameters,
         inputs={p.name: _sha256(p) for p in inputs},
         outputs={p.name: _sha256(p) for p in outputs},
+        counters=counters or {},
     )
     out_dir = Path(args.out_dir)
     (out_dir / MANIFEST_NAME).write_text(manifest.to_json())
@@ -308,6 +320,11 @@ def cmd_crack(args) -> None:
     )
 
 
+# Every key cmd_mhsim reads, after "-" -> "_" and aliasing.
+_CONFIG_KEYS = frozenset(
+    {"source", "s", "n_ranks", "table", "n_users", "backend", "width", "depth", "seed",
+     "retry_cap", "ban_file"}
+)
 _CONFIG_ALIASES = {"w": "width", "d": "depth", "ban_list": "ban_file"}
 
 
@@ -319,9 +336,12 @@ def _load_sim_config(path: Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line (want key=value): {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        config[_CONFIG_ALIASES.get(key, key)] = value.strip()
+        raw_key, value = line.split("=", 1)
+        key = raw_key.strip().replace("-", "_")
+        key = _CONFIG_ALIASES.get(key, key)
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {raw_key.strip()!r} in {path.name}")
+        config[key] = value.strip()
     return config
 
 
@@ -392,6 +412,13 @@ def cmd_mhsim(args) -> None:
     ingest.write_table_tsv(report.accepted_table, accepted_path)
     ingest.write_table_tsv(report.free_table, free_path)
     mh_uniform.write_summary_tsv(report, summary_path)
+    counters = {
+        "asks": report.rejected_total + n_users,
+        "rejected": report.rejected_total,
+        "hash_evaluations": store.hash_evaluations,
+    }
+    if backend == mh_uniform.BACKEND_COUNT_MIN:
+        counters["sketch_error_bound"] = math.e * store.totals / store.width
     print(
         f"simulated {n_users} users: mean asks {report.mean_asks:.3f}, "
         f"max accepted frequency {report.accepted_table.entries[0][1]}, "
@@ -411,6 +438,7 @@ def cmd_mhsim(args) -> None:
         },
         inputs,
         [accepted_path, free_path, summary_path],
+        counters,
     )
 
 

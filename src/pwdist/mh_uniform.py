@@ -9,7 +9,10 @@ comparison frequency they sit, and the accepted passwords spread toward a
 uniform distribution without any banned-word list.
 
 Two frequency backends implement the same interface: an exact counter and
-a count-min sketch, which never undercounts and needs fixed memory.
+a count-min sketch, which never undercounts and keeps its counters in fixed
+memory. ``simulate`` runs its sessions over model rank indices; ``mh_session``
+is the same rule over password bytes, one session at a time, and is the
+reference that ``simulate`` must reproduce draw for draw.
 Target weights generalise the rule to banned (weight 0) and soft-banned
 (weight below 1) passwords via the usual acceptance ratio; with the
 default all-ones weights the rule reduces exactly to u <= F(x).
@@ -20,7 +23,6 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,12 +33,11 @@ from .stats import ProbabilityModel
 BACKEND_EXACT = "exact"
 BACKEND_COUNT_MIN = "count-min"
 
-COMPARISON_DISTINCT = "distinct"
-COMPARISON_MULTISET = "multiset"
-
 DEFAULT_SKETCH_WIDTH = 1 << 18
 DEFAULT_SKETCH_DEPTH = 4
 DEFAULT_RETRY_CAP = 100
+# Proposal draws taken from the generator at a time.
+PROPOSAL_BATCH = 8192
 
 
 class BannedExhaustionError(Exception):
@@ -47,6 +48,7 @@ class ExactFrequencyStore:
     """Exact proposal-frequency counts."""
 
     backend = BACKEND_EXACT
+    hash_evaluations = 0
 
     def __init__(self):
         self._counts: Counter[bytes] = Counter()
@@ -105,9 +107,12 @@ class CountMinStore:
         ]
         self._flat = np.zeros(depth * width, dtype=np.int64)
         self.totals = 0
+        # Keyed row hashes computed so far, ``depth`` per key hashed.
+        self.hash_evaluations = 0
 
     def _offsets(self, key: bytes) -> list[int]:
         """Each row's counter for ``key``, as an offset into the flat counters."""
+        self.hash_evaluations += self.depth
         offsets = []
         for base, row_hash in self._rows:
             h = row_hash.copy()
@@ -128,18 +133,6 @@ class CountMinStore:
     def query(self, key: bytes) -> int:
         flat = self._flat
         return int(min([flat[o] for o in self._offsets(key)]))
-
-
-def cms_increment(store: CountMinStore, key: bytes) -> None:
-    if store.backend != BACKEND_COUNT_MIN:
-        raise ValueError("store is not a count-min sketch")
-    store.increment(key)
-
-
-def cms_query(store: CountMinStore, key: bytes) -> int:
-    if store.backend != BACKEND_COUNT_MIN:
-        raise ValueError("store is not a count-min sketch")
-    return store.query(key)
 
 
 @dataclass
@@ -172,44 +165,30 @@ class TargetWeight:
 
 
 class ProposalLog:
-    """Every proposal ever submitted: an interned pool of distinct
-    passwords plus the multiset log of submissions (as pool indices)."""
+    """Every distinct password ever proposed, in first-seen order."""
 
     def __init__(self):
         self._pool: list[bytes] = []
-        self._index: dict[bytes, int] = {}
-        self._log: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._log)
+        self._members: set[bytes] = set()
 
     @property
     def distinct_count(self) -> int:
         return len(self._pool)
 
     def record(self, password: bytes) -> None:
-        idx = self._index.get(password)
-        if idx is None:
-            idx = len(self._pool)
-            self._index[password] = idx
+        if password not in self._members:
+            self._members.add(password)
             self._pool.append(password)
-        self._log.append(idx)
-
-    def sample_seen(self, rng: np.random.Generator) -> bytes | None:
-        """Uniform over the submission multiset; None before any proposal."""
-        if not self._log:
-            return None
-        return self._pool[self._log[int(rng.integers(0, len(self._log)))]]
 
     def sample_distinct(self, rng: np.random.Generator) -> bytes | None:
         """Uniform over distinct seen passwords; None before any proposal.
 
-        This is the draw the sessions use: uniform over the seen support
-        is a draw from the target distribution itself, which is what lets
-        the scheme skip a burn-in period and is what reproduces the
-        two-orders-of-magnitude flattening. Sampling the multiset instead
-        (``sample_seen``) weights the comparison by proposal popularity
-        and only caps, rather than flattens, the head of the distribution.
+        Uniform over the seen support is a draw from the target
+        distribution itself, which is what lets the scheme skip a burn-in
+        period and is what reproduces the two-orders-of-magnitude
+        flattening. Weighting the comparison by proposal popularity
+        instead would only cap, rather than flatten, the head of the
+        distribution.
         """
         if not self._pool:
             return None
@@ -230,7 +209,6 @@ def mh_session(
     *,
     weights: TargetWeight | None = None,
     retry_cap: int = DEFAULT_RETRY_CAP,
-    comparison: str = COMPARISON_DISTINCT,
 ) -> SessionOutcome:
     """Run one user's enrolment until a proposal is accepted.
 
@@ -247,12 +225,7 @@ def mh_session(
     """
     if weights is None:
         weights = TargetWeight()
-    if comparison == COMPARISON_DISTINCT:
-        x = seen.sample_distinct(rng)
-    elif comparison == COMPARISON_MULTISET:
-        x = seen.sample_seen(rng)
-    else:
-        raise ValueError(f"unknown comparison mode {comparison!r}")
+    x = seen.sample_distinct(rng)
     fx = store.query(x) if x is not None else 0
     wx = weights.weight(x) if x is not None else 1.0
     asks = 0
@@ -271,36 +244,53 @@ def mh_session(
 
 
 class _ProposalSampler:
-    """Batched i.i.d. draws from a finite distribution, shared by sessions."""
+    """Batched i.i.d. rank draws from a finite distribution, shared by sessions.
+
+    ``canon``, if given, maps each rank to the rank a draw is reported as.
+    """
 
     def __init__(
-        self,
-        probs: np.ndarray,
-        passwords: Sequence[bytes],
-        rng: np.random.Generator,
-        batch: int = 8192,
+        self, probs: np.ndarray, rng: np.random.Generator, canon: np.ndarray | None, batch: int
     ):
         self._cum = np.cumsum(np.asarray(probs, dtype=np.float64))
         self._cum[-1] = 1.0
-        self._passwords = list(passwords)
         self._rng = rng
+        self._canon = canon
         self._batch = batch
-        self._buf: np.ndarray | None = None
+        self._buf: list[int] = []
         self._pos = 0
 
-    def take(self) -> bytes:
-        if self._buf is None or self._pos >= len(self._buf):
-            self._buf = np.searchsorted(self._cum, self._rng.random(self._batch), side="right")
+    def take(self) -> int:
+        if self._pos >= len(self._buf):
+            ranks = np.searchsorted(self._cum, self._rng.random(self._batch), side="right")
+            if self._canon is not None:
+                ranks = self._canon[ranks]
+            self._buf = ranks.tolist()
             self._pos = 0
-        password = self._passwords[int(self._buf[self._pos])]
+        rank = self._buf[self._pos]
         self._pos += 1
-        return password
+        return rank
 
-    def __iter__(self):
-        return self
 
-    def __next__(self) -> bytes:
-        return self.take()
+def _first_ranks(passwords: Sequence[bytes]) -> np.ndarray | None:
+    """Map each rank to the first rank with an equal label; None if all differ.
+
+    Labels are grouped by sorting their hashes, and only labels whose hash
+    collides are compared, so no set of every label is built.
+    """
+    hashes = np.fromiter(map(hash, passwords), dtype=np.int64, count=len(passwords))
+    order = np.argsort(hashes, kind="stable")
+    sorted_hashes = hashes[order]
+    clash = np.flatnonzero(sorted_hashes[1:] == sorted_hashes[:-1])
+    canon = None
+    first: dict[bytes, int] = {}
+    for rank in np.union1d(order[clash], order[clash + 1]).tolist():
+        label_rank = first.setdefault(passwords[rank], rank)
+        if label_rank != rank:
+            if canon is None:
+                canon = np.arange(len(passwords))
+            canon[rank] = label_rank
+    return canon
 
 
 @dataclass
@@ -323,7 +313,6 @@ def simulate(
     weights: TargetWeight | None = None,
     seed: int = 0,
     retry_cap: int = DEFAULT_RETRY_CAP,
-    comparison: str = COMPARISON_DISTINCT,
 ) -> SimulationReport:
     """Simulate n_users enrolments with i.i.d. proposals from a model.
 
@@ -332,44 +321,128 @@ def simulate(
     counts every user's first proposal, i.e. what would be in use with no
     gate, and shares the seeded tie-break so reports are reproducible
     byte for byte.
+
+    Sessions follow ``mh_session`` draw for draw but run over rank
+    indices: a rank stands for its label, and ranks whose labels repeat
+    count as the first of them. A count-min store hashes each rank's key
+    once, on its first proposal, and its counters are then read and
+    written in place by offset; an exact store's counts are kept per rank
+    and written back to it at the end.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
+    if retry_cap < 1:
+        raise ValueError("retry_cap must be >= 1")
     if len(passwords) != model.n_ranks:
         raise ValueError("need exactly one password label per model rank")
-    rng = np.random.default_rng(seed)
     if store is None:
         store = ExactFrequencyStore()
-    seen = ProposalLog()
-    sampler = _ProposalSampler(model.probs, passwords, rng)
-    accepted: Counter[bytes] = Counter()
-    free: Counter[bytes] = Counter()
-    asks_total = 0
-    asks_sq = 0
-    for _ in range(n_users):
-        first = sampler.take()
-        free[first] += 1
-        outcome = mh_session(
-            store,
-            seen,
-            chain((first,), sampler),
-            rng,
-            weights=weights,
-            retry_cap=retry_cap,
-            comparison=comparison,
-        )
-        accepted[outcome.accepted_password] += 1
-        asks_total += outcome.asks
-        asks_sq += outcome.asks * outcome.asks
+    accepted, free, asks_total, asks_sq = _run_sessions(
+        model, passwords, n_users, store, weights, seed, retry_cap
+    )
     mean = asks_total / n_users
     var = asks_sq / n_users - mean * mean
     return SimulationReport(
-        accepted_table=table_from_counter(accepted, tie_break_seed=seed),
-        free_table=table_from_counter(free, tie_break_seed=seed),
+        accepted_table=_table(accepted, passwords, seed),
+        free_table=_table(free, passwords, seed),
         mean_asks=mean,
         var_asks=max(var, 0.0),
         rejected_total=asks_total - n_users,
     )
+
+
+def _run_sessions(
+    model: ProbabilityModel,
+    passwords: Sequence[bytes],
+    n_users: int,
+    store,
+    weights: TargetWeight | None,
+    seed: int,
+    retry_cap: int,
+) -> tuple[list[int], list[int], int, int]:
+    """The sessions of ``simulate``: per-rank accepted and free counts, and
+    the sum and the sum of squares of the asks per user.
+
+    The per-rank session state is freed on return, before the output
+    tables are sorted, which is what sets the peak memory of a run.
+    """
+    n_ranks = model.n_ranks
+    sketch = store.backend == BACKEND_COUNT_MIN
+    weight = None if weights is None else weights.weight
+    rng = np.random.default_rng(seed)
+    take = _ProposalSampler(model.probs, rng, _first_ranks(passwords), PROPOSAL_BATCH).take
+    seen: list[int] = []
+    is_seen = bytearray(n_ranks)
+    if sketch:
+        depth = store.depth
+        offset_type = np.int32 if store._flat.size <= 2**31 else np.int64
+        # Rank r's row offsets are offsets[r * depth : (r + 1) * depth], filled
+        # on its first proposal.
+        offsets_np = np.zeros(n_ranks * depth, dtype=offset_type)
+        offsets = memoryview(offsets_np)
+        counters = memoryview(store._flat)
+        read_counter = counters.__getitem__
+    elif store._counts:
+        counts = [store._counts[pw] for pw in passwords]
+    else:
+        counts = [0] * n_ranks
+    accepted = [0] * n_ranks
+    free = [0] * n_ranks
+    asks_total = 0
+    asks_sq = 0
+    try:
+        for _ in range(n_users):
+            rank = take()
+            free[rank] += 1
+            if seen:
+                x = seen[int(rng.integers(0, len(seen)))]
+                if sketch:
+                    fx = min(map(read_counter, offsets[x * depth : (x + 1) * depth]))
+                else:
+                    fx = counts[x]
+                wx = 1.0 if weight is None else weight(passwords[x])
+            else:
+                fx = 0
+                wx = 1.0
+            asks = 0
+            while True:
+                asks += 1
+                if not is_seen[rank]:
+                    is_seen[rank] = 1
+                    seen.append(rank)
+                    if sketch:
+                        offsets_np[rank * depth : (rank + 1) * depth] = store._offsets(passwords[rank])
+                if sketch:
+                    row_offsets = offsets[rank * depth : (rank + 1) * depth].tolist()
+                    f_prop = min(map(read_counter, row_offsets))
+                    for o in row_offsets:
+                        counters[o] += 1
+                else:
+                    f_prop = counts[rank]
+                    counts[rank] = f_prop + 1
+                w_prop = 1.0 if weight is None else weight(passwords[rank])
+                if w_prop > 0.0 and rng.random() * f_prop * wx <= fx * w_prop:
+                    break
+                if asks >= retry_cap:
+                    raise BannedExhaustionError(f"no acceptable proposal after {retry_cap} asks")
+                rank = take()
+            accepted[rank] += 1
+            asks_total += asks
+            asks_sq += asks * asks
+    except BannedExhaustionError:
+        asks_total += asks
+        raise
+    finally:
+        store.totals += asks_total
+        if not sketch:
+            for rank in seen:
+                store._counts[passwords[rank]] = counts[rank]
+    return accepted, free, asks_total, asks_sq
+
+
+def _table(rank_counts: list[int], passwords: Sequence[bytes], seed: int) -> RankFrequencyTable:
+    counter = {passwords[rank]: c for rank, c in enumerate(rank_counts) if c}
+    return table_from_counter(counter, tie_break_seed=seed)
 
 
 def write_summary_tsv(report: SimulationReport, path) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -303,3 +304,51 @@ class TestMhSim:
         )
         assert code == EXIT_OK
         assert b"\tp00000001" not in (out / "accepted.tsv").read_bytes()
+
+    def test_retry_cap_below_one_is_usage_error(self, tmp_path, capsys):
+        args = ["mh-sim", "--source", "zipf", "--s", "1.0", "--n-ranks", "50", "--n-users", "800"]
+        assert main(args + ["--retry-cap", "0", "--out-dir", str(tmp_path / "sim")]) == EXIT_USAGE
+        assert "pwdist-error\tusage\tretry_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["bogus-key = 3", "n-user = 100000"])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, line):
+        config = tmp_path / "sim.cfg"
+        config.write_text(f"source = zipf\nn-ranks = 100\n{line}\n")
+        code = main(["mh-sim", "--config", str(config), "--out-dir", str(tmp_path / "sim")])
+        assert code == EXIT_USAGE
+        assert repr(line.split(" =")[0]) in capsys.readouterr().err
+
+    def test_config_aliases_accepted(self, tmp_path):
+        ban = tmp_path / "banned.txt"
+        ban.write_bytes(b"p00000001\n")
+        config = tmp_path / "sim.cfg"
+        config.write_text(
+            "source = zipf\nn-ranks = 100\nn-users = 200\nbackend = count-min\n"
+            f"w = 64\nd = 2\nban-list = {ban}\n"
+        )
+        out = tmp_path / "sim"
+        assert main(["mh-sim", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["parameters"]["width"], manifest["parameters"]["depth"]) == (64, 2)
+        assert "banned.txt" in manifest["inputs"]
+
+    def test_manifest_counters(self, tmp_path):
+        args = ["mh-sim", "--source", "zipf", "--s", "0.9", "--n-ranks", "300", "--n-users", "2000"]
+        manifests = {}
+        for backend, run in (("count-min", "a"), ("count-min", "b"), ("exact", "c")):
+            out = tmp_path / run
+            sketch = ["--backend", backend, "--width", "512", "--depth", "3"]
+            assert main(args + sketch + ["--out-dir", str(out)]) == EXIT_OK
+            manifests[run] = json.loads((out / "manifest.json").read_text())
+        counters = manifests["a"]["counters"]
+        assert counters == manifests["b"]["counters"]
+        summary = (tmp_path / "a" / "summary.tsv").read_text().splitlines()[1].split("\t")
+        assert counters["rejected"] == int(summary[2])
+        assert counters["asks"] == 2000 + counters["rejected"]
+        assert counters["sketch_error_bound"] == math.e * counters["asks"] / 512
+        # one row hash per depth for each distinct proposed rank, at most 300 of them
+        assert counters["hash_evaluations"] % 3 == 0
+        assert 0 < counters["hash_evaluations"] <= 3 * 300
+        exact = manifests["c"]["counters"]
+        assert exact["hash_evaluations"] == 0
+        assert "sketch_error_bound" not in exact

@@ -4,21 +4,23 @@ import hashlib
 import math
 from collections import Counter
 from itertools import chain
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pwdist import mh_uniform
+from pwdist.ingest import table_from_counter
 from pwdist.mh_uniform import (
-    BACKEND_COUNT_MIN,
+    DEFAULT_RETRY_CAP,
+    PROPOSAL_BATCH,
     BannedExhaustionError,
-    COMPARISON_MULTISET,
     CountMinStore,
     ExactFrequencyStore,
     ProposalLog,
+    SimulationReport,
     TargetWeight,
-    cms_increment,
-    cms_query,
     mh_session,
     simulate,
 )
@@ -63,15 +65,17 @@ class TestCountMin:
             store.increment(b"solo")
         assert store.query(b"solo") == 5
 
-    def test_module_ops_require_sketch(self):
-        exact = ExactFrequencyStore()
-        with pytest.raises(ValueError):
-            cms_increment(exact, b"k")
-        with pytest.raises(ValueError):
-            cms_query(exact, b"k")
+    def test_increment_then_query(self):
         sketch = CountMinStore(width=32, depth=2, master_seed=0)
-        cms_increment(sketch, b"k")
-        assert cms_query(sketch, b"k") == 1
+        sketch.increment(b"k")
+        assert sketch.query(b"k") == 1
+
+    def test_hash_evaluations_count_row_hashes(self):
+        sketch = CountMinStore(width=32, depth=3, master_seed=0)
+        sketch.increment(b"k")
+        sketch.query(b"k")
+        assert sketch.hash_evaluations == 6
+        assert ExactFrequencyStore().hash_evaluations == 0
 
     def test_never_underestimates_and_bounded_overestimate(self):
         rng = np.random.default_rng(12)
@@ -158,34 +162,19 @@ class TestProposalLog:
     def test_empty_history_yields_none(self):
         log = ProposalLog()
         rng = np.random.default_rng(0)
-        assert log.sample_seen(rng) is None
         assert log.sample_distinct(rng) is None
 
     def test_single_element_always_returned(self):
         log = ProposalLog()
         log.record(b"only")
         rng = np.random.default_rng(0)
-        assert all(log.sample_seen(rng) == b"only" for _ in range(10))
-
-    def test_multiset_sampling_ratios(self):
-        # history [a, a, b]: multiset draw should hit a about twice as often
-        log = ProposalLog()
-        for pw in (b"a", b"a", b"b"):
-            log.record(pw)
-        rng = np.random.default_rng(2024)
-        draws = Counter(log.sample_seen(rng) for _ in range(10**4))
-        expected_a = 2 * 10**4 / 3
-        expected_b = 10**4 / 3
-        chi2 = (draws[b"a"] - expected_a) ** 2 / expected_a
-        chi2 += (draws[b"b"] - expected_b) ** 2 / expected_b
-        assert chi2 < 6.63  # p = 0.01 for 1 degree of freedom
+        assert all(log.sample_distinct(rng) == b"only" for _ in range(10))
 
     def test_distinct_sampling_ignores_multiplicity(self):
         log = ProposalLog()
         for pw in (b"a",) * 99 + (b"b",):
             log.record(pw)
         assert log.distinct_count == 2
-        assert len(log) == 100
         rng = np.random.default_rng(5)
         draws = Counter(log.sample_distinct(rng) for _ in range(2000))
         assert 800 < draws[b"b"] < 1200
@@ -319,8 +308,153 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(uniform_model(3), [b"a", b"b"], 10)
 
-    def test_multiset_comparison_mode_runs(self):
-        model = zipf_model(0.7, 200)
-        passwords = [b"p%03d" % i for i in range(200)]
-        report = simulate(model, passwords, 2000, seed=2, comparison=COMPARISON_MULTISET)
-        assert report.accepted_table.total_users == 2000
+    def test_retry_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="retry_cap"):
+            simulate(uniform_model(3), [b"a", b"b", b"c"], 10, retry_cap=0)
+
+
+class TestFirstRanks:
+    def test_distinct_labels_need_no_map(self):
+        assert mh_uniform._first_ranks([b"a", b"b", b"", b"a\x00"]) is None
+
+    def test_repeats_map_to_first_rank_past_hash_collisions(self, monkeypatch):
+        # every two-byte label collides under this hash; only equal labels merge
+        monkeypatch.setattr(mh_uniform, "hash", len, raising=False)
+        canon = mh_uniform._first_ranks([b"ab", b"cd", b"ab", b"x", b"cd", b"ab"])
+        assert canon.tolist() == [0, 1, 0, 3, 1, 0]
+
+
+def reference_proposals(model, passwords, rng, batch):
+    """Batched inverse-CDF draws, yielded as labels."""
+    cum = np.cumsum(model.probs)
+    cum[-1] = 1.0
+    while True:
+        for rank in np.searchsorted(cum, rng.random(batch), side="right"):
+            yield passwords[rank]
+
+
+def reference_simulate(model, passwords, n_users, *, store, weights=None, seed=0,
+                       retry_cap=DEFAULT_RETRY_CAP, batch=PROPOSAL_BATCH):
+    """``mh_session`` per user over a bytes-keyed store: what ``simulate`` must match.
+
+    Returns the report and the proposal log.
+    """
+    rng = np.random.default_rng(seed)
+    seen = ProposalLog()
+    proposals = reference_proposals(model, passwords, rng, batch)
+    accepted: Counter[bytes] = Counter()
+    free: Counter[bytes] = Counter()
+    asks_total = 0
+    asks_sq = 0
+    for _ in range(n_users):
+        first = next(proposals)
+        free[first] += 1
+        outcome = mh_session(
+            store, seen, chain((first,), proposals), rng, weights=weights, retry_cap=retry_cap
+        )
+        accepted[outcome.accepted_password] += 1
+        asks_total += outcome.asks
+        asks_sq += outcome.asks * outcome.asks
+    mean = asks_total / n_users
+    report = SimulationReport(
+        accepted_table=table_from_counter(accepted, tie_break_seed=seed),
+        free_table=table_from_counter(free, tie_break_seed=seed),
+        mean_asks=mean,
+        var_asks=max(asks_sq / n_users - mean * mean, 0.0),
+        rejected_total=asks_total - n_users,
+    )
+    return report, seen
+
+
+LABELS = [b"a", b"b", b"c", b"", b"a\x00", b"\xff\xfe", b"pw123456", b"x" * 12]
+
+
+@st.composite
+def simulations(draw):
+    n_ranks = draw(st.integers(1, 10))
+    passwords = draw(st.lists(st.sampled_from(LABELS), min_size=n_ranks, max_size=n_ranks))
+    model = draw(
+        st.sampled_from([zipf_model(1.1, n_ranks), zipf_model(0.5, n_ranks), uniform_model(n_ranks)])
+    )
+    labels = st.lists(st.sampled_from(LABELS), max_size=3)
+    weights = draw(
+        st.one_of(
+            st.none(),
+            st.builds(TargetWeight.with_bans, banned=labels),
+            st.builds(
+                TargetWeight.with_bans,
+                banned=labels,
+                soft=st.dictionaries(st.sampled_from(LABELS), st.sampled_from([0.1, 0.5, 0.9])),
+            ),
+        )
+    )
+    sketch = draw(
+        st.one_of(
+            st.none(),
+            st.fixed_dictionaries(
+                {
+                    "width": st.integers(1, 8),
+                    "depth": st.integers(1, 4),
+                    "master_seed": st.integers(0, 2**64 - 1),
+                }
+            ),
+        )
+    )
+    return dict(
+        model=model,
+        passwords=passwords,
+        n_users=draw(st.integers(1, 80)),
+        weights=weights,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        retry_cap=draw(st.sampled_from([1, 2, 3, 5, DEFAULT_RETRY_CAP])),
+        batch=draw(st.sampled_from([1, 2, 3, 7, PROPOSAL_BATCH])),
+        sketch=sketch,
+        warm=draw(st.lists(st.sampled_from(LABELS), max_size=6)),
+    )
+
+
+def _store(sketch, warm):
+    """A fresh store with one count per ``warm`` key already in it."""
+    store = ExactFrequencyStore() if sketch is None else CountMinStore(**sketch)
+    for key in warm:
+        store.increment(key)
+    return store
+
+
+def _store_state(store):
+    if isinstance(store, CountMinStore):
+        return store.totals, store._flat.tolist()
+    return store.totals, dict(store._counts)
+
+
+class TestSimulateMatchesSessionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=simulations())
+    def test_same_report_and_store(self, case):
+        # Small batches put a batch draw between any two other draws, so
+        # a change in the order of the generator calls changes the report.
+        sketch, batch, warm = case.pop("sketch"), case.pop("batch"), case.pop("warm")
+        ref_store, store = _store(sketch, warm), _store(sketch, warm)
+        try:
+            expected, _ = reference_simulate(**case, store=ref_store, batch=batch)
+        except BannedExhaustionError:
+            expected = None
+        with patch.object(mh_uniform, "PROPOSAL_BATCH", batch):
+            if expected is None:
+                with pytest.raises(BannedExhaustionError):
+                    simulate(**case, store=store)
+            else:
+                assert simulate(**case, store=store) == expected
+        assert _store_state(store) == _store_state(ref_store)
+
+    def test_hash_evaluations_are_depth_per_distinct_rank(self):
+        model = zipf_model(0.78, 3000)
+        passwords = [b"p%08d" % i for i in range(1, 3001)]
+        reference = CountMinStore(width=1 << 12, depth=4, master_seed=7)
+        ref_report, seen = reference_simulate(model, passwords, 3000, store=reference, seed=7)
+        store = CountMinStore(width=1 << 12, depth=4, master_seed=7)
+        report = simulate(model, passwords, 3000, store=store, seed=7)
+        assert report == ref_report
+        assert store.hash_evaluations == 4 * seen.distinct_count
+        # the bytes-keyed path hashes on every ask and every comparison query
+        assert reference.hash_evaluations == 4 * (3000 + report.rejected_total + 3000 - 1)
