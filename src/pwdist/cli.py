@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +27,7 @@ EXIT_NUMERIC = 3
 
 DEFAULT_SEED = 0
 MANIFEST_NAME = "manifest.json"
+PARTIAL_SUFFIX = ".partial"
 
 
 def _error_line(category: str, message: str) -> None:
@@ -81,21 +83,24 @@ def _finish(
     command: str,
     parameters: dict,
     inputs: list[Path],
-    outputs: list[Path],
     counters: dict | None = None,
 ) -> None:
+    """Move every staged output over its final name, then write the manifest."""
+    out_dir = Path(args.out_dir)
+    outputs = {name: _sha256(partial) for name, partial in args.staged.items()}
+    for name, partial in args.staged.items():
+        os.replace(partial, out_dir / name)
     manifest = RunManifest(
         command=command,
         parameters=parameters,
         inputs={p.name: _sha256(p) for p in inputs},
-        outputs={p.name: _sha256(p) for p in outputs},
+        outputs=outputs,
         counters=counters or {},
     )
-    out_dir = Path(args.out_dir)
     (out_dir / MANIFEST_NAME).write_text(manifest.to_json())
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args) -> None:
     """Create ``--out-dir`` and drop any manifest an earlier run left there.
 
     The manifest is written last, so an out-dir holding one is complete;
@@ -104,7 +109,17 @@ def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / MANIFEST_NAME).unlink(missing_ok=True)
-    return out
+
+
+def _stage(args, name: str) -> Path:
+    """Where a command writes output ``name`` until ``_finish`` moves it in place.
+
+    A run that fails never touches the outputs of an earlier run: ``main``
+    deletes whatever it staged.
+    """
+    partial = Path(args.out_dir) / (name + PARTIAL_SUFFIX)
+    args.staged[name] = partial
+    return partial
 
 
 def _read_words(path: Path) -> list[bytes]:
@@ -120,7 +135,7 @@ def _read_words(path: Path) -> list[bytes]:
 
 
 def cmd_ingest(args) -> None:
-    out = _out_dir(args)
+    _out_dir(args)
     corpus = Path(args.corpus)
     with open(corpus, "rb") as fh:
         table, parse_stats = ingest.stream_table(fh, args.format, tie_break_seed=args.seed)
@@ -129,8 +144,7 @@ def cmd_ingest(args) -> None:
         capped = ingest.cap_ranks(table, args.max_ranks)
         dropped = table.distinct_count - capped.distinct_count
         table = capped
-    table_path = out / "table.tsv"
-    ingest.write_table_tsv(table, table_path)
+    ingest.write_table_tsv(table, _stage(args, "table.tsv"))
     note = f" ({dropped} tail ranks dropped by --max-ranks)" if dropped else ""
     print(
         f"ingested {parse_stats.lines} lines ({parse_stats.malformed} malformed skipped), "
@@ -141,12 +155,11 @@ def cmd_ingest(args) -> None:
         "ingest",
         {"format": args.format, "seed": args.seed, "max_ranks": args.max_ranks},
         [corpus],
-        [table_path],
     )
 
 
 def cmd_fit(args) -> None:
-    out = _out_dir(args)
+    _out_dir(args)
     table_path = Path(args.table)
     table = ingest.read_table_tsv(table_path)
     cc = ingest.count_of_counts(table)
@@ -170,15 +183,9 @@ def cmd_fit(args) -> None:
     for f in fits:
         if f.method == zipf_fit.METHOD_MLE and args.replicates > 0 and f.flag != zipf_fit.FLAG_BOUNDARY:
             f.p_value = zipf_fit.bootstrap_p_value(table, f, replicates=args.replicates, seed=args.seed)
-    fit_path = out / "fit.tsv"
-    zipf_fit.write_fit_tsv(fits, fit_path)
-    outputs = [fit_path]
-    binned_rank_path = out / "binned_rank.tsv"
-    zipf_fit.write_binned_tsv(zipf_fit.bin_dyadic_rank(table), binned_rank_path)
-    outputs.append(binned_rank_path)
-    binned_nk_path = out / "binned_nk.tsv"
-    zipf_fit.write_binned_tsv(zipf_fit.bin_dyadic_k(cc), binned_nk_path)
-    outputs.append(binned_nk_path)
+    zipf_fit.write_fit_tsv(fits, _stage(args, "fit.tsv"))
+    zipf_fit.write_binned_tsv(zipf_fit.bin_dyadic_rank(table), _stage(args, "binned_rank.tsv"))
+    zipf_fit.write_binned_tsv(zipf_fit.bin_dyadic_k(cc), _stage(args, "binned_nk.tsv"))
     for f in fits:
         print(f"{f.method}: s = {f.s:.4g}" + (f" (p = {f.p_value:.3g})" if f.p_value is not None else ""))
     _finish(
@@ -186,12 +193,11 @@ def cmd_fit(args) -> None:
         "fit",
         {"seed": args.seed, "replicates": args.replicates, "debias": args.debias},
         [table_path],
-        outputs,
     )
 
 
 def cmd_stats(args) -> None:
-    out = _out_dir(args)
+    _out_dir(args)
     table_path = Path(args.table)
     table = ingest.read_table_tsv(table_path)
     if args.s is not None:
@@ -199,8 +205,7 @@ def cmd_stats(args) -> None:
     else:
         fit = zipf_fit.mle_truncated_zipf(table)
     report = stats.stats_report(table, fit, alpha=args.alpha)
-    stats_path = out / "stats.tsv"
-    stats.write_stats_tsv(report, stats_path)
+    stats.write_stats_tsv(report, _stage(args, "stats.tsv"))
     for kind, st in report.items():
         print(f"{kind}: G = {st.guesswork_G:.6g}, H = {st.shannon_H:.6g}")
     _finish(
@@ -208,12 +213,11 @@ def cmd_stats(args) -> None:
         "stats",
         {"seed": args.seed, "alpha": args.alpha, "s": args.s if args.s is not None else fit.s},
         [table_path],
-        [stats_path],
     )
 
 
 def cmd_curve(args) -> None:
-    out = _out_dir(args)
+    _out_dir(args)
     target_path = Path(args.target)
     target = ingest.read_table_tsv(target_path)
     inputs = [target_path]
@@ -233,8 +237,7 @@ def cmd_curve(args) -> None:
         curve = crossguess.cross_curve(reference, target, metric=args.metric)
     else:
         curve = crossguess.self_curve(target, metric=args.metric)
-    curve_path = out / "curve.tsv"
-    crossguess.write_curve_tsv(curve, curve_path, log_spaced=args.log_spaced)
+    crossguess.write_curve_tsv(curve, _stage(args, "curve.tsv"), log_spaced=args.log_spaced)
     print(
         f"{curve.metric} recovered after {curve.total_guesses} guesses: "
         f"{curve.final_cumulative}/{curve.denominator}"
@@ -249,26 +252,22 @@ def cmd_curve(args) -> None:
             "log_spaced": args.log_spaced,
         },
         inputs,
-        [curve_path],
     )
 
 
 def cmd_crack(args) -> None:
-    out = _out_dir(args)
+    _out_dir(args)
     scheme = crack_mod.builtin_scheme(args.scheme)
     inputs: list[Path] = []
-    outputs: list[Path] = []
     if args.corpus:
         corpus_path = Path(args.corpus)
         inputs.append(corpus_path)
         with open(corpus_path, "rb") as fh:
-            parsed = ingest.parse_corpus(fh, args.format)
-        records = ingest.cleanup(parsed.records)
+            records = ingest.cleanup(ingest.parse_corpus(fh, args.format).records)
         salt_seed = args.salt_seed if args.salt_seed is not None else args.seed
         entries = crack_mod.hash_corpus(records, scheme, salt_seed, args.salt_count)
-        hashes_path = out / "hashes.tsv"
-        crack_mod.write_hashes_tsv(entries, hashes_path)
-        outputs.append(hashes_path)
+        del records  # the replay needs only the hashed entries
+        crack_mod.write_hashes_tsv(entries, _stage(args, "hashes.tsv"))
     elif args.hashes:
         hashes_path = Path(args.hashes)
         inputs.append(hashes_path)
@@ -291,13 +290,13 @@ def cmd_crack(args) -> None:
         ordering = crossguess.dictionary_ordering(_read_words(words_path), label=words_path.name)
     if ordering is not None:
         report = crack_mod.crack(entries, ordering, scheme)
-        users_path = out / "curve_users.tsv"
-        distinct_path = out / "curve_distinct.tsv"
-        cracked_path = out / "cracked.tsv"
-        crossguess.write_curve_tsv(report.curve_users, users_path, log_spaced=args.log_spaced)
-        crossguess.write_curve_tsv(report.curve_distinct, distinct_path, log_spaced=args.log_spaced)
-        crack_mod.write_cracked_tsv(report, cracked_path)
-        outputs += [users_path, distinct_path, cracked_path]
+        crossguess.write_curve_tsv(
+            report.curve_users, _stage(args, "curve_users.tsv"), log_spaced=args.log_spaced
+        )
+        crossguess.write_curve_tsv(
+            report.curve_distinct, _stage(args, "curve_distinct.tsv"), log_spaced=args.log_spaced
+        )
+        crack_mod.write_cracked_tsv(report, _stage(args, "cracked.tsv"))
         print(
             f"cracked {len(report.cracked)}/{len(entries)} users "
             f"({report.uncracked_count} uncracked) in {ordering.source_label or 'given'} order"
@@ -316,7 +315,6 @@ def cmd_crack(args) -> None:
             "log_spaced": args.log_spaced,
         },
         inputs,
-        outputs,
     )
 
 
@@ -346,7 +344,7 @@ def _load_sim_config(path: Path) -> dict[str, str]:
 
 
 def cmd_mhsim(args) -> None:
-    out = _out_dir(args)
+    _out_dir(args)
     config: dict[str, str] = {}
     inputs: list[Path] = []
     if args.config:
@@ -385,7 +383,7 @@ def cmd_mhsim(args) -> None:
         inputs.append(table_path)
         table = ingest.read_table_tsv(table_path)
         model = stats.empirical_model(table)
-        passwords = table.passwords()
+        passwords = table.passwords
         source_desc = {"source": "table", "table": table_path.name}
     else:
         raise ValueError(f"unknown source {source!r} (want zipf or table)")
@@ -406,12 +404,9 @@ def cmd_mhsim(args) -> None:
     report = mh_uniform.simulate(
         model, passwords, n_users, store=store, weights=weights, seed=seed, retry_cap=retry_cap
     )
-    accepted_path = out / "accepted.tsv"
-    free_path = out / "free.tsv"
-    summary_path = out / "summary.tsv"
-    ingest.write_table_tsv(report.accepted_table, accepted_path)
-    ingest.write_table_tsv(report.free_table, free_path)
-    mh_uniform.write_summary_tsv(report, summary_path)
+    ingest.write_table_tsv(report.accepted_table, _stage(args, "accepted.tsv"))
+    ingest.write_table_tsv(report.free_table, _stage(args, "free.tsv"))
+    mh_uniform.write_summary_tsv(report, _stage(args, "summary.tsv"))
     counters = {
         "asks": report.rejected_total + n_users,
         "rejected": report.rejected_total,
@@ -421,8 +416,8 @@ def cmd_mhsim(args) -> None:
         counters["sketch_error_bound"] = math.e * store.totals / store.width
     print(
         f"simulated {n_users} users: mean asks {report.mean_asks:.3f}, "
-        f"max accepted frequency {report.accepted_table.entries[0][1]}, "
-        f"max free frequency {report.free_table.entries[0][1]}"
+        f"max accepted frequency {report.accepted_table.counts[0]}, "
+        f"max free frequency {report.free_table.counts[0]}"
     )
     _finish(
         args,
@@ -437,7 +432,6 @@ def cmd_mhsim(args) -> None:
             **source_desc,
         },
         inputs,
-        [accepted_path, free_path, summary_path],
         counters,
     )
 
@@ -533,8 +527,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.staged = {}
     try:
-        args.func(args)
+        try:
+            args.func(args)
+        finally:
+            for partial in args.staged.values():
+                partial.unlink(missing_ok=True)
     except ingest.CorpusError as exc:
         _error_line("input", str(exc))
         return EXIT_INPUT

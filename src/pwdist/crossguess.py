@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingest import RankFrequencyTable, table_from_counter
+from .ingest import WRITE_BLOCK, RankFrequencyTable, table_from_counter
 
 METRIC_USERS = "users"
 METRIC_DISTINCT = "distinct-passwords"
@@ -38,7 +38,7 @@ class GuessOrdering:
 
     @classmethod
     def from_table(cls, table: RankFrequencyTable, label: str = "table") -> "GuessOrdering":
-        return cls(guesses=table.passwords(), source_label=label)
+        return cls(guesses=table.passwords, source_label=label)
 
 
 @dataclass
@@ -85,9 +85,9 @@ def curve_from_increments(increments: Iterable[int], denominator: int, metric: s
 def self_curve(table: RankFrequencyTable, metric: str = METRIC_USERS) -> GuessCurve:
     """Recovery curve under the table's own (optimal) ordering."""
     if metric == METRIC_USERS:
-        return curve_from_increments((c for _, c in table.entries), table.total_users, metric)
+        return curve_from_increments(table.counts.tolist(), table.total_users, metric)
     if metric == METRIC_DISTINCT:
-        return curve_from_increments((1 for _ in table.entries), table.distinct_count, metric)
+        return curve_from_increments([1] * table.distinct_count, table.distinct_count, metric)
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -102,7 +102,7 @@ def cross_curve(
     """
     if not reference.guesses:
         raise ValueError("reference ordering is empty")
-    lookup = dict(target.entries)
+    lookup = dict(zip(target.passwords, target.counts.tolist()))
     if metric == METRIC_USERS:
         increments = (lookup.get(g, 0) for g in reference.guesses)
         denominator = target.total_users
@@ -131,7 +131,7 @@ def truncate_reaggregate(
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     agg: Counter[bytes] = Counter()
-    for pw, count in table.entries:
+    for pw, count in zip(table.passwords, table.counts.tolist()):
         agg[pw[:max_len]] += count
     return table_from_counter(agg, tie_break_seed=tie_break_seed)
 
@@ -144,13 +144,17 @@ def write_curve_tsv(curve: GuessCurve, path, log_spaced: bool = False) -> None:
     """
     total = curve.total_guesses
     if log_spaced and total >= 1:
-        ts = sorted(set(np.geomspace(1, total, num=512).round().astype(int).tolist()))
+        ts = np.unique(np.geomspace(1, total, num=512).round().astype(np.int64))
     else:
-        ts = range(1, total + 1)
+        ts = np.arange(1, total + 1, dtype=np.int64)
+    steps = np.array(curve.points, dtype=np.int64).reshape(-1, 2)
+    # The cumulative value at t is the one of the last step at or before t.
+    cums = np.concatenate(([0], steps[:, 1]))[np.searchsorted(steps[:, 0], ts, side="right")]
     denom = curve.denominator
+    fracs = cums / denom if denom else np.zeros(len(cums))
     with open(path, "w", newline="\n") as fh:
         fh.write("t\tcumulative\tfraction\n")
-        for t in ts:
-            cum = curve.cumulative_at(int(t))
-            frac = cum / denom if denom else 0.0
-            fh.write(f"{t}\t{cum}\t{frac:.8g}\n")
+        for start in range(0, len(ts), WRITE_BLOCK):
+            block = slice(start, start + WRITE_BLOCK)
+            rows = zip(ts[block].tolist(), cums[block].tolist(), fracs[block].tolist())
+            fh.write("".join(["%d\t%d\t%.8g\n" % row for row in rows]))

@@ -14,7 +14,7 @@ import hashlib
 import io
 from collections import Counter
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,12 @@ CORPUS_FORMATS = (FORMAT_USER_TAB_PASSWORD, FORMAT_PASSWORD_PER_LINE)
 TABLE_HEADER = b"rank\tcount\tpassword"
 
 _MASK64 = (1 << 64) - 1
+
+# Bytes per read when streaming a corpus or a table file. A line that
+# crosses a block boundary is carried into the next block.
+READ_BLOCK = 1 << 16
+# Table rows formatted per write.
+WRITE_BLOCK = 1 << 13
 
 
 class CorpusError(Exception):
@@ -111,54 +117,64 @@ def cleanup(records: Iterable[CredentialRecord]) -> list[CredentialRecord]:
     return sorted(latest.values(), key=lambda rec: rec.line_no)
 
 
-@dataclass
+@dataclass(eq=False)
 class RankFrequencyTable:
     """Passwords ranked by descending use count; rank 1 is the most used.
 
+    Two columns in rank order: ``passwords`` and their ``counts`` (int64).
     ``total_users`` is the number of observations (sum of counts) and
     ``distinct_count`` the number of distinct passwords; the two play
     different roles downstream, so both are always available.
     """
 
-    entries: list[tuple[bytes, int]]
+    passwords: list[bytes]
+    counts: np.ndarray
     total_users: int
     tie_break_seed: int = 0
 
+    def __post_init__(self):
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+
     @property
     def distinct_count(self) -> int:
-        return len(self.entries)
+        return len(self.passwords)
 
-    def counts(self) -> np.ndarray:
-        """Counts in rank order as an int64 array."""
-        return np.fromiter((c for _, c in self.entries), dtype=np.int64, count=len(self.entries))
-
-    def passwords(self) -> list[bytes]:
-        return [p for p, _ in self.entries]
+    def __eq__(self, other):
+        if not isinstance(other, RankFrequencyTable):
+            return NotImplemented
+        return (
+            self.passwords == other.passwords
+            and np.array_equal(self.counts, other.counts)
+            and self.total_users == other.total_users
+            and self.tie_break_seed == other.tie_break_seed
+        )
 
     def validate(self) -> None:
-        if not self.entries:
+        counts = self.counts
+        if not self.passwords:
             raise CorpusError("rank-frequency table is empty")
-        prev = None
-        seen: set[bytes] = set()
-        total = 0
-        for pw, count in self.entries:
-            if count < 1:
-                raise CorpusError("table contains a non-positive count")
-            if prev is not None and count > prev:
-                raise CorpusError("table counts increase with rank")
-            if pw in seen:
-                raise CorpusError("table contains a duplicate password")
-            seen.add(pw)
-            prev = count
-            total += count
-        if total != self.total_users:
+        if len(counts) != len(self.passwords):
+            raise CorpusError("table columns differ in length")
+        if counts.min() < 1:
+            raise CorpusError("table contains a non-positive count")
+        if np.any(counts[1:] > counts[:-1]):
+            raise CorpusError("table counts increase with rank")
+        if len(set(self.passwords)) != len(self.passwords):
+            raise CorpusError("table contains a duplicate password")
+        if int(counts.sum()) != self.total_users:
             raise CorpusError("table counts do not sum to total_users")
 
 
-def _tie_key(password: bytes, seed: int) -> bytes:
-    return hashlib.blake2b(
-        password, digest_size=8, key=(seed & _MASK64).to_bytes(8, "big")
-    ).digest()
+def _tie_keys(passwords: list[bytes], seed: int) -> np.ndarray:
+    """Keyed blake2b of each password, as big-endian uint64 tie-break keys."""
+    keyed = hashlib.blake2b(digest_size=8, key=(seed & _MASK64).to_bytes(8, "big"))
+
+    def digest(password: bytes) -> bytes:
+        h = keyed.copy()
+        h.update(password)
+        return h.digest()
+
+    return np.frombuffer(b"".join(map(digest, passwords)), dtype=">u8")
 
 
 def table_from_counter(counts: Mapping[bytes, int], tie_break_seed: int = 0) -> RankFrequencyTable:
@@ -167,16 +183,29 @@ def table_from_counter(counts: Mapping[bytes, int], tie_break_seed: int = 0) -> 
     Equal counts are ordered by a keyed hash of the password, which is a
     deterministic pseudo-random permutation of each tie run: stable for a
     fixed seed regardless of input order, reshuffled by a different seed.
+    Entries with equal count and equal hash are ordered by password bytes.
     """
     if not counts:
         raise CorpusError("cannot rank an empty corpus")
-    entries = sorted(
-        counts.items(),
-        key=lambda kv: (-kv[1], _tie_key(kv[0], tie_break_seed), kv[0]),
+    passwords = list(counts)
+    values = np.fromiter(counts.values(), dtype=np.int64, count=len(passwords))
+    keys = _tie_keys(passwords, tie_break_seed)
+    order = np.lexsort((keys, -values))
+    ranked_keys = keys[order]
+    ranked_values = values[order]
+    clash = np.flatnonzero(
+        (ranked_keys[1:] == ranked_keys[:-1]) & (ranked_values[1:] == ranked_values[:-1])
     )
+    if len(clash):
+        gap = np.diff(clash) > 1
+        starts = clash[np.concatenate(([True], gap))]
+        stops = clash[np.concatenate((gap, [True]))] + 2
+        for a, b in zip(starts.tolist(), stops.tolist()):
+            order[a:b] = sorted(order[a:b].tolist(), key=passwords.__getitem__)
     return RankFrequencyTable(
-        entries=entries,
-        total_users=sum(counts.values()),
+        passwords=[passwords[i] for i in order.tolist()],
+        counts=values[order],
+        total_users=int(values.sum()),
         tie_break_seed=tie_break_seed,
     )
 
@@ -200,7 +229,43 @@ class StreamStats:
 
     lines: int
     malformed: int
-    users: int
+
+
+def _line_chunks(stream: BinaryIO) -> Iterator[bytes]:
+    """``READ_BLOCK``-byte reads of ``stream``, each cut after its last LF.
+
+    The bytes after the cut are carried into the next chunk, so a chunk
+    holds only whole lines; the last chunk may lack a final LF.
+    """
+    tail = b""
+    offset = 0
+    while True:
+        try:
+            block = stream.read(READ_BLOCK)
+        except OSError as exc:
+            raise CorpusError(f"unreadable corpus stream: {exc}", byte_offset=offset) from exc
+        if not block:
+            break
+        offset += len(block)
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            tail += block
+            continue
+        yield tail + block[:cut]
+        tail = block[cut:]
+    if tail:
+        yield tail
+
+
+def _split_lines(chunk: bytes) -> list[bytes]:
+    lines = chunk.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _strip_cr(lines: list[bytes]) -> list[bytes]:
+    return [line[:-1] if line[-1:] == b"\r" else line for line in lines]
 
 
 def stream_table(
@@ -208,48 +273,42 @@ def stream_table(
 ) -> tuple[RankFrequencyTable, StreamStats]:
     """Parse, clean and rank in one pass without materialising records.
 
-    Equivalent to ``build_table(cleanup(parse_corpus(...).records))`` but
-    holds only per-user latest entries (one counter cell per distinct
-    password for password-per-line input), which is what makes corpus-scale
-    files ingestible.
+    Equivalent to ``build_table(cleanup(parse_corpus(...).records))``. It
+    holds one block of lines (``READ_BLOCK`` bytes) plus one counter cell
+    per distinct line (password-per-line) or one entry per user
+    (user-tab-password), which is what makes corpus-scale files ingestible.
     """
     if corpus_format not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format {corpus_format!r}")
     stream = io.BytesIO(raw) if isinstance(raw, (bytes, bytearray)) else raw
     per_line = corpus_format == FORMAT_PASSWORD_PER_LINE
     counts: Counter[bytes] = Counter()
-    latest: dict[str, bytes] = {}
-    offset = 0
-    line_no = 0
+    latest: dict[bytes, bytes] = {}
+    n_lines = 0
     malformed = 0
-    while True:
-        try:
-            line = stream.readline()
-        except OSError as exc:
-            raise CorpusError(f"unreadable corpus stream: {exc}", byte_offset=offset) from exc
-        if not line:
-            break
-        offset += len(line)
-        line_no += 1
-        if line.endswith(b"\n"):
-            line = line[:-1]
-        if line.endswith(b"\r"):
-            line = line[:-1]
+    for chunk in _line_chunks(stream):
+        lines = _split_lines(chunk)
+        n_lines += len(lines)
         if per_line:
-            if line.strip():
-                counts[line] += 1
-        else:
-            sep = line.find(b"\t")
-            if sep < 0:
+            counts.update(lines)
+            continue
+        for line in _strip_cr(lines):
+            user, sep, password = line.partition(b"\t")
+            if not sep:
                 malformed += 1
-                continue
-            password = line[sep + 1 :]
-            if password.strip():
-                latest[line[:sep].decode("latin-1")] = password
-    if not per_line:
+            elif password.strip():
+                latest[user] = password
+    if per_line:
+        # Lines were counted raw: fold "pw\r" into "pw", then drop blank lines.
+        with_cr = [line for line in counts if line.endswith(b"\r")]
+        for line, n in [(line[:-1], counts.pop(line)) for line in with_cr]:
+            counts[line] += n
+        for line in [k for k in counts if not k.strip()]:
+            del counts[line]
+    else:
         counts = Counter(latest.values())
     table = table_from_counter(counts, tie_break_seed)
-    return table, StreamStats(lines=line_no, malformed=malformed, users=table.total_users)
+    return table, StreamStats(lines=n_lines, malformed=malformed)
 
 
 def cap_ranks(table: RankFrequencyTable, max_ranks: int) -> RankFrequencyTable:
@@ -263,10 +322,11 @@ def cap_ranks(table: RankFrequencyTable, max_ranks: int) -> RankFrequencyTable:
         raise ValueError("max_ranks must be >= 1")
     if max_ranks >= table.distinct_count:
         return table
-    kept = table.entries[:max_ranks]
+    counts = table.counts[:max_ranks]
     return RankFrequencyTable(
-        entries=kept,
-        total_users=sum(c for _, c in kept),
+        passwords=table.passwords[:max_ranks],
+        counts=counts,
+        total_users=int(counts.sum()),
         tie_break_seed=table.tie_break_seed,
     )
 
@@ -287,41 +347,94 @@ class CountOfCounts:
 
 
 def count_of_counts(table: RankFrequencyTable) -> CountOfCounts:
-    multiplicity = Counter(count for _, count in table.entries)
-    return CountOfCounts(pairs=sorted(multiplicity.items()))
+    ks, ns = np.unique(table.counts, return_counts=True)
+    return CountOfCounts(pairs=list(zip(ks.tolist(), ns.tolist())))
 
 
 def write_table_tsv(table: RankFrequencyTable, path) -> None:
     """Export as ``rank<TAB>count<TAB>password`` with escaped passwords."""
     with open(path, "wb") as fh:
         fh.write(TABLE_HEADER + b"\n")
-        for rank, (pw, count) in enumerate(table.entries, start=1):
-            fh.write(b"%d\t%d\t%s\n" % (rank, count, escape_field(pw)))
+        for start in range(0, table.distinct_count, WRITE_BLOCK):
+            stop = start + WRITE_BLOCK
+            rows = zip(
+                range(start + 1, stop + 1),
+                table.counts[start:stop].tolist(),
+                map(escape_field, table.passwords[start:stop]),
+            )
+            fh.write(b"".join([b"%d\t%d\t%s\n" % row for row in rows]))
+
+
+_ROW_SEPARATORS = np.frombuffer(b"\t\t\n", dtype=np.uint8)
+
+
+def _unescape(field: bytes) -> bytes:
+    try:
+        return unescape_field(field)
+    except ValueError as exc:
+        raise CorpusError(f"malformed table row: {exc}") from exc
+
+
+def _table_fields(chunk: bytes) -> tuple[Sequence[bytes], Sequence[bytes], list[bytes]]:
+    """The rank and count fields and the unescaped passwords of ``chunk``'s rows.
+
+    A chunk of plain rows (each ``rank TAB count TAB password LF``, no CR,
+    no blank line) is cut with one split. Any other chunk goes row by row:
+    a trailing CR is stripped, blank lines are skipped, and each row splits
+    at its first two TABs.
+    """
+    if chunk.endswith(b"\n") and b"\r" not in chunk:
+        raw = np.frombuffer(chunk, dtype=np.uint8)
+        at = np.flatnonzero((raw == 0x09) | (raw == 0x0A))
+        if len(at) % 3 == 0 and (raw[at].reshape(-1, 3) == _ROW_SEPARATORS).all():
+            fields = chunk.replace(b"\n", b"\t").split(b"\t")
+            fields.pop()
+            passwords = fields[2::3]
+            # Only rows holding a backslash need unescaping; find them by byte offset.
+            escaped = np.searchsorted(at[2::3], np.flatnonzero(raw == 0x5C)).tolist()
+            for i in dict.fromkeys(escaped):
+                passwords[i] = _unescape(passwords[i])
+            return fields[0::3], fields[1::3], passwords
+    rows = [line.split(b"\t", 2) for line in _strip_cr(_split_lines(chunk)) if line]
+    bad = next((row for row in rows if len(row) != 3), None)
+    if bad is not None:
+        row = b"\t".join(bad)
+        raise CorpusError(f"malformed table row: {row!r}")
+    ranks = [row[0] for row in rows]
+    counts = [row[1] for row in rows]
+    return ranks, counts, [_unescape(row[2]) if b"\\" in row[2] else row[2] for row in rows]
 
 
 def read_table_tsv(path) -> RankFrequencyTable:
-    """Load a table written by :func:`write_table_tsv`."""
-    entries: list[tuple[bytes, int]] = []
+    """Load a table written by :func:`write_table_tsv`.
+
+    Parses ``READ_BLOCK`` bytes of rows at a time. CRLF rows and blank
+    lines are accepted; a malformed row, a bad escape, a rank out of
+    sequence or a table that fails :meth:`RankFrequencyTable.validate`
+    raises :class:`CorpusError`.
+    """
+    passwords: list[bytes] = []
+    count_blocks: list[np.ndarray] = []
     with open(path, "rb") as fh:
-        header = fh.readline().rstrip(b"\r\n")
-        if header != TABLE_HEADER:
+        if fh.readline().rstrip(b"\r\n") != TABLE_HEADER:
             raise CorpusError(f"not a rank-frequency table file: {path}")
-        for raw in fh:
-            line = raw.rstrip(b"\n")
-            if line.endswith(b"\r"):
-                line = line[:-1]
-            if not line:
-                continue
-            parts = line.split(b"\t", 2)
-            if len(parts) != 3:
-                raise CorpusError(f"malformed table row: {line!r}")
-            rank, count, pw = parts
+        for chunk in _line_chunks(fh):
+            ranks, counts, fields = _table_fields(chunk)
+            n = len(ranks)
+            first_rank = len(passwords) + 1
             try:
-                if int(rank) != len(entries) + 1:
-                    raise CorpusError(f"table ranks are not consecutive at row {rank!r}")
-                entries.append((unescape_field(pw), int(count)))
-            except ValueError as exc:
-                raise CorpusError(f"malformed table row {line!r}: {exc}") from exc
-    table = RankFrequencyTable(entries=entries, total_users=sum(c for _, c in entries))
+                rank_arr = np.fromiter(map(int, ranks), dtype=np.int64, count=n)
+                count_arr = np.fromiter(map(int, counts), dtype=np.int64, count=n)
+            except (ValueError, OverflowError) as exc:
+                raise CorpusError(f"malformed table row: {exc}") from exc
+            out_of_sequence = np.flatnonzero(rank_arr != np.arange(first_rank, first_rank + n))
+            if len(out_of_sequence):
+                raise CorpusError(
+                    f"table ranks are not consecutive at row {ranks[out_of_sequence[0]]!r}"
+                )
+            passwords += fields
+            count_blocks.append(count_arr)
+    counts = np.concatenate(count_blocks) if count_blocks else np.zeros(0, dtype=np.int64)
+    table = RankFrequencyTable(passwords=passwords, counts=counts, total_users=int(counts.sum()))
     table.validate()
     return table

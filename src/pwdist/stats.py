@@ -50,7 +50,7 @@ class ProbabilityModel:
 
 def empirical_model(table: RankFrequencyTable) -> ProbabilityModel:
     """P_i = f_i / total_users, in table order."""
-    probs = table.counts().astype(np.float64) / table.total_users
+    probs = table.counts.astype(np.float64) / table.total_users
     model = ProbabilityModel(probs=probs, kind=KIND_EMPIRICAL)
     model.validate()
     return model

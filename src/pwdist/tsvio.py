@@ -7,22 +7,20 @@ layout are backslash-escaped.
 
 from __future__ import annotations
 
-_ESCAPES = {0x5C: b"\\\\", 0x09: b"\\t", 0x0A: b"\\n", 0x0D: b"\\r"}
 _UNESCAPES = {0x5C: b"\\", 0x74: b"\t", 0x6E: b"\n", 0x72: b"\r"}
 
 
 def escape_field(raw: bytes) -> bytes:
-    """Escape backslash, TAB, LF and CR so ``raw`` survives a TSV cell."""
-    if not any(b in _ESCAPES for b in raw):
-        return raw
-    out = bytearray()
-    for b in raw:
-        esc = _ESCAPES.get(b)
-        if esc is None:
-            out.append(b)
-        else:
-            out += esc
-    return bytes(out)
+    """Escape backslash, TAB, LF and CR so ``raw`` survives a TSV cell.
+
+    Backslash goes first, so the escapes added after it stay single.
+    """
+    return (
+        raw.replace(b"\\", b"\\\\")
+        .replace(b"\t", b"\\t")
+        .replace(b"\n", b"\\n")
+        .replace(b"\r", b"\\r")
+    )
 
 
 def unescape_field(raw: bytes) -> bytes:

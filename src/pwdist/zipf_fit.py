@@ -95,7 +95,7 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 def ls_raw_rank(table: RankFrequencyTable) -> ZipfFit:
     """Least squares of log2 f_i against log2 i over every rank."""
-    counts = table.counts().astype(np.float64)
+    counts = table.counts.astype(np.float64)
     n = len(counts)
     if n < 2:
         raise FitError("need at least 2 ranks for a least-squares fit")
@@ -115,7 +115,7 @@ def bin_dyadic_rank(table: RankFrequencyTable) -> BinnedSeries:
     dyadic data exactly collinear. A final bin that would run past the last
     rank is dropped rather than averaged short.
     """
-    counts = table.counts()
+    counts = table.counts
     n_ranks = len(counts)
     points: list[tuple[float, float]] = []
     n = 0
@@ -322,7 +322,7 @@ def mle_truncated_zipf(
     """
     if table.distinct_count < 2 or table.total_users < 2:
         raise FitError("MLE needs at least 2 ranks and 2 observations")
-    counts = table.counts()
+    counts = table.counts
     s, stderr, flag = _mle_core(counts)
     if bias_correction and flag is None:
         s = _indirect_inference(counts, s, seed)
@@ -370,7 +370,7 @@ def bootstrap_p_value(
         raise ValueError("p-value is defined for mle fits")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    counts = table.counts()
+    counts = table.counts
     observed = _ad_ks_statistic(counts, fit.s)
     n = table.distinct_count
     m = table.total_users
@@ -388,16 +388,19 @@ def bootstrap_p_value(
 
 
 def write_fit_tsv(fits: list[ZipfFit], path) -> None:
-    """Export fit rows as ``method s slope_m stderr p_value N``."""
+    """Export fit rows as ``method s slope_m stderr p_value N flag``.
+
+    ``flag`` is ``boundary``, ``flat-slope``, ``debiased`` or empty.
+    """
     def fmt(v) -> str:
         return "" if v is None else f"{v:.10g}"
 
     with open(path, "w", newline="\n") as fh:
-        fh.write("method\ts\tslope_m\tstderr\tp_value\tN\n")
+        fh.write("method\ts\tslope_m\tstderr\tp_value\tN\tflag\n")
         for f in fits:
             fh.write(
                 f"{f.method}\t{f.s:.10g}\t{fmt(f.slope_m)}\t{fmt(f.stderr)}"
-                f"\t{fmt(f.p_value)}\t{f.truncation_N}\n"
+                f"\t{fmt(f.p_value)}\t{f.truncation_N}\t{f.flag or ''}\n"
             )
 
 

@@ -19,6 +19,11 @@ def records_from(pairs) -> list[CredentialRecord]:
     return out
 
 
+def rows(table: RankFrequencyTable) -> list[tuple[bytes, int]]:
+    """The table as (password, count) pairs in rank order."""
+    return list(zip(table.passwords, table.counts.tolist()))
+
+
 def table_of(counts: dict[bytes, int], seed: int = 0) -> RankFrequencyTable:
     return table_from_counter(counts, tie_break_seed=seed)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import pwdist
+from pwdist import zipf_fit
 from pwdist.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -77,6 +78,45 @@ class TestOutDir:
         assert main(["ingest", str(empty), "--out-dir", str(out)]) == EXIT_INPUT
         assert not (out / "manifest.json").exists()
 
+    @staticmethod
+    def _snapshot(out: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    def test_failed_rerun_keeps_earlier_outputs(self, tmp_path, corpus, monkeypatch):
+        table = ingest_table(tmp_path, corpus)
+        out = tmp_path / "fit"
+        argv = ["fit", "--table", str(table), "--out-dir", str(out)]
+        assert main([*argv, "--replicates", "5"]) == EXIT_OK
+        before = self._snapshot(out)
+
+        def full_disk(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        # The rerun writes a different fit.tsv (no p-value), then fails on its next output.
+        monkeypatch.setattr(zipf_fit, "write_binned_tsv", full_disk)
+        code = main([*argv, "--replicates", "0"])
+        assert code == EXIT_INPUT
+        assert self._snapshot(out) == before
+        assert sorted(before) == ["binned_nk.tsv", "binned_rank.tsv", "fit.tsv"]
+        assert not (out / "manifest.json").exists()
+
+    def test_failed_crack_rerun_keeps_earlier_hashes(self, tmp_path, corpus):
+        out = tmp_path / "crack"
+        assert main(["crack", "--corpus", str(corpus), "--out-dir", str(out)]) == EXIT_OK
+        before = self._snapshot(out)
+        # Hashes under other salts are written, then the missing ordering fails the run.
+        code = main(
+            ["crack", "--corpus", str(corpus), "--salt-seed", "9",
+             "--ordering", str(tmp_path / "missing.tsv"), "--out-dir", str(out)]
+        )
+        assert code == EXIT_INPUT
+        assert self._snapshot(out) == before == {"hashes.tsv": before["hashes.tsv"]}
+
+    def test_outputs_move_into_place_before_the_manifest(self, tmp_path, corpus):
+        out = tmp_path / "out"
+        assert main(["ingest", str(corpus), "--out-dir", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "table.tsv"]
+
 
 class TestIngest:
     def test_writes_table_and_manifest(self, tmp_path, corpus):
@@ -125,6 +165,31 @@ class TestFit:
         assert rows["mle"][4] != ""  # p_value present
         assert (out / "binned_rank.tsv").exists()
         assert (out / "binned_nk.tsv").exists()
+
+    def test_flag_column(self, tmp_path, corpus):
+        flat = tmp_path / "flat.txt"
+        flat.write_bytes(b"".join(b"%s\n" % pw for pw in [b"aa", b"bb", b"cc", b"dd"] * 5))
+        runs = {
+            "flat": ["--table", str(ingest_table(tmp_path, flat, "flat"))],
+            "collinear": ["--table", str(ingest_table(tmp_path, corpus, "collinear"))],
+            "debiased": ["--table", str(ingest_table(tmp_path, corpus, "collinear")), "--debias"],
+        }
+        flags = {}
+        for name, argv in runs.items():
+            out = tmp_path / f"fit-{name}"
+            assert main(["fit", *argv, "--replicates", "0", "--out-dir", str(out)]) == EXIT_OK
+            lines = (out / "fit.tsv").read_text().splitlines()
+            header = lines[0].split("\t")
+            assert header[-1] == "flag"
+            rows = [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+            flags[name] = {row["method"]: row["flag"] for row in rows}
+        # Equal counts: both least-squares slopes are clamped to s = 0.
+        assert flags["flat"] == {
+            "ls-raw": "flat-slope", "ls-binned": "flat-slope", "mle": "boundary"
+        }
+        assert flags["collinear"]["ls-raw"] == ""
+        assert flags["collinear"]["mle"] == ""
+        assert flags["debiased"]["mle"] == "debiased"
 
     def test_replicates_zero_skips_p_value(self, tmp_path, corpus):
         table = ingest_table(tmp_path, corpus)

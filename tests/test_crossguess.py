@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import table_oracles as oracle
+from pwdist import crossguess
 from pwdist.crossguess import (
     GuessCurve,
     GuessOrdering,
@@ -17,7 +19,7 @@ from pwdist.crossguess import (
 )
 from pwdist.ingest import table_from_counter
 
-from conftest import random_table, table_of
+from conftest import random_table, rows, table_of
 
 
 class TestSelfCurve:
@@ -105,19 +107,19 @@ class TestTruncateReaggregate:
     def test_shared_prefix_merges(self):
         table = table_of({b"password1": 5, b"password2": 3})
         merged = truncate_reaggregate(table, 8)
-        assert merged.entries == [(b"password", 8)]
+        assert rows(merged) == [(b"password", 8)]
         assert merged.total_users == 8
 
     def test_long_enough_length_changes_nothing(self):
         table = table_of({b"ab": 2, b"cd": 1})
         merged = truncate_reaggregate(table, 16)
-        assert sorted(merged.entries) == sorted(table.entries)
+        assert sorted(rows(merged)) == sorted(rows(table))
         assert merged.total_users == table.total_users
 
     def test_single_byte(self):
         table = table_of({b"ab": 1, b"cd": 1})
         merged = truncate_reaggregate(table, 1)
-        assert sorted(merged.entries) == [(b"a", 1), (b"c", 1)]
+        assert sorted(rows(merged)) == [(b"a", 1), (b"c", 1)]
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):
@@ -154,6 +156,31 @@ class TestCurveExport:
         assert len(sparse_lines) < len(dense_lines)
         assert set(sparse_lines[1:]) <= set(dense_lines[1:])
         assert sparse_lines[-1] == dense_lines[-1]  # endpoint kept
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 40), st.integers(0, 9)), max_size=12),
+        st.integers(0, 60),
+        st.booleans(),
+        st.sampled_from([1, 2, 7, crossguess.WRITE_BLOCK]),
+    )
+    def test_bytes_match_bisect_loop(self, tmp_path_factory, steps, denominator, log_spaced, block):
+        # A step curve: strictly increasing t, non-decreasing cumulative values.
+        points, t, cum = [], 0, 0
+        for dt, inc in steps:
+            t, cum = t + dt, cum + inc
+            points.append((t, cum))
+        curve = GuessCurve(points=points, denominator=denominator, metric=METRIC_USERS)
+        total = curve.total_guesses
+        if log_spaced and total >= 1:
+            ts = sorted(set(np.geomspace(1, total, num=512).round().astype(int).tolist()))
+        else:
+            ts = range(1, total + 1)
+        d = tmp_path_factory.mktemp("curve")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crossguess, "WRITE_BLOCK", block)
+            write_curve_tsv(curve, d / "new.tsv", log_spaced=log_spaced)
+        oracle.write_curve(points, denominator, d / "old.tsv", ts)
+        assert (d / "new.tsv").read_bytes() == (d / "old.tsv").read_bytes()
 
     def test_sparse_storage(self):
         # only changes plus the final index are stored

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import table_oracles as oracle
+from pwdist import ingest
 from pwdist.ingest import (
+    CORPUS_FORMATS,
+    TABLE_HEADER,
     CorpusError,
     CredentialRecord,
     FORMAT_PASSWORD_PER_LINE,
@@ -20,8 +25,12 @@ from pwdist.ingest import (
     table_from_counter,
     write_table_tsv,
 )
+from pwdist.tsvio import escape_field
 
-from conftest import records_from
+from conftest import records_from, rows
+
+# Block sizes small enough that lines and rows cross block boundaries.
+SMALL_BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 64, ingest.READ_BLOCK])
 
 
 class TestParseCorpus:
@@ -123,7 +132,7 @@ class TestBuildTable:
     def test_hand_counted_example(self):
         records = records_from([("u1", b"x"), ("u2", b"x"), ("u3", b"y")])
         table = build_table(records)
-        assert table.entries == [(b"x", 2), (b"y", 1)]
+        assert rows(table) == [(b"x", 2), (b"y", 1)]
         assert table.total_users == 3
         assert table.distinct_count == 2
 
@@ -135,7 +144,7 @@ class TestBuildTable:
         records = records_from([("u%d" % i, b"pw%d" % i) for i in range(8)])
         t1 = build_table(records, tie_break_seed=99)
         t2 = build_table(list(reversed(records)), tie_break_seed=99)
-        assert t1.entries == t2.entries
+        assert rows(t1) == rows(t2)
 
     def test_different_seeds_permute_ties_only(self):
         records = records_from(
@@ -144,16 +153,16 @@ class TestBuildTable:
         t1 = build_table(records, tie_break_seed=1)
         t2 = build_table(records, tie_break_seed=2)
         # top entry has count 2 and stays at rank 1; the singleton run may shuffle
-        assert t1.entries[0] == t2.entries[0] == (b"top", 2)
-        assert sorted(t1.entries) == sorted(t2.entries)
-        assert [c for _, c in t1.entries] == [c for _, c in t2.entries]
-        assert t1.entries != t2.entries  # these seeds do reshuffle the tie run
+        assert rows(t1)[0] == rows(t2)[0] == (b"top", 2)
+        assert sorted(rows(t1)) == sorted(rows(t2))
+        assert t1.counts.tolist() == t2.counts.tolist()
+        assert rows(t1) != rows(t2)  # these seeds do reshuffle the tie run
 
     def test_counts_non_increasing_and_conserved(self):
         records = records_from([("u%d" % i, b"pw%d" % (i % 3)) for i in range(10)])
         table = build_table(records)
         table.validate()
-        counts = [c for _, c in table.entries]
+        counts = table.counts.tolist()
         assert counts == sorted(counts, reverse=True)
         assert sum(counts) == 10
 
@@ -195,8 +204,8 @@ class TestStreamTable:
             max_size=25,
         )
     )
-    def test_matches_record_pipeline_user_tab(self, rows):
-        raw = b"".join(user + b"\t" + pw + b"\n" for user, pw in rows)
+    def test_matches_record_pipeline_user_tab(self, pairs):
+        raw = b"".join(user + b"\t" + pw + b"\n" for user, pw in pairs)
         records = cleanup(parse_corpus(raw, FORMAT_USER_TAB_PASSWORD).records)
         try:
             expected = build_table(records, tie_break_seed=5)
@@ -205,7 +214,7 @@ class TestStreamTable:
                 stream_table(raw, FORMAT_USER_TAB_PASSWORD, tie_break_seed=5)
             return
         streamed, _ = stream_table(raw, FORMAT_USER_TAB_PASSWORD, tie_break_seed=5)
-        assert streamed.entries == expected.entries
+        assert rows(streamed) == rows(expected)
         assert streamed.total_users == expected.total_users
 
     def test_matches_record_pipeline_per_line(self):
@@ -213,9 +222,9 @@ class TestStreamTable:
         records = cleanup(parse_corpus(raw, FORMAT_PASSWORD_PER_LINE).records)
         expected = build_table(records, tie_break_seed=2)
         streamed, parse_stats = stream_table(raw, FORMAT_PASSWORD_PER_LINE, tie_break_seed=2)
-        assert streamed.entries == expected.entries
+        assert rows(streamed) == rows(expected)
         assert parse_stats.lines == 6
-        assert parse_stats.users == 4
+        assert streamed.total_users == 4
 
     def test_counts_malformed(self):
         streamed, parse_stats = stream_table(b"ok\tpw\nnotab\n", FORMAT_USER_TAB_PASSWORD)
@@ -227,7 +236,7 @@ class TestCapRanks:
     def test_keeps_head_and_stays_valid(self):
         table = table_from_counter({b"a": 5, b"b": 3, b"c": 2, b"d": 1})
         capped = cap_ranks(table, 2)
-        assert capped.entries == table.entries[:2]
+        assert rows(capped) == rows(table)[:2]
         assert capped.total_users == 8
         capped.validate()
 
@@ -249,7 +258,7 @@ class TestTableTsv:
         path = tmp_path / "table.tsv"
         write_table_tsv(table, path)
         loaded = read_table_tsv(path)
-        assert loaded.entries == table.entries
+        assert rows(loaded) == rows(table)
         assert loaded.total_users == table.total_users
 
     def test_header_enforced(self, tmp_path):
@@ -263,3 +272,186 @@ class TestTableTsv:
         path.write_bytes(b"rank\tcount\tpassword\n2\t5\tx\n")
         with pytest.raises(CorpusError):
             read_table_tsv(path)
+
+
+class TestTableFromCounter:
+    @given(
+        st.dictionaries(st.binary(max_size=4), st.integers(1, 5), min_size=1, max_size=40),
+        st.integers(-5, 2**65),
+    )
+    def test_matches_tuple_sort(self, counts, seed):
+        table = table_from_counter(counts, tie_break_seed=seed)
+        assert rows(table) == oracle.rank_rows(counts, seed)
+        assert table.total_users == sum(counts.values())
+
+    def test_equal_tie_keys_fall_back_to_password_bytes(self, monkeypatch):
+        monkeypatch.setattr(
+            ingest, "_tie_keys", lambda passwords, seed: np.zeros(len(passwords), dtype=np.uint64)
+        )
+        table = table_from_counter({b"b": 1, b"a": 1, b"c": 2, b"d": 1, b"e": 2})
+        assert rows(table) == [(b"c", 2), (b"e", 2), (b"a", 1), (b"b", 1), (b"d", 1)]
+
+    @given(st.dictionaries(st.binary(max_size=3), st.integers(1, 3), min_size=1, max_size=30))
+    def test_partly_equal_tie_keys_match_tuple_sort(self, counts):
+        def parity(password: bytes, seed: int) -> int:
+            return len(password) % 2
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                ingest,
+                "_tie_keys",
+                lambda passwords, seed: np.array([len(p) % 2 for p in passwords], dtype=np.uint64),
+            )
+            table = table_from_counter(counts)
+        assert rows(table) == oracle.rank_rows(counts, key=parity)
+
+
+class TestStreamTableBlocks:
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([b"a", b"b", b"u1", b"u2", b"\t", b" ", b"\r"]), max_size=4
+            ).map(b"".join),
+            max_size=20,
+        ),
+        st.booleans(),
+        st.sampled_from(CORPUS_FORMATS),
+        SMALL_BLOCKS,
+    )
+    def test_matches_record_pipeline(self, lines, final_newline, corpus_format, block):
+        raw = b"\n".join(lines) + (b"\n" if final_newline and lines else b"")
+        parsed = parse_corpus(raw, corpus_format)
+        records = cleanup(parsed.records)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "READ_BLOCK", block)
+            if not records:
+                with pytest.raises(CorpusError):
+                    stream_table(io.BytesIO(raw), corpus_format, tie_break_seed=4)
+                return
+            streamed, parse_stats = stream_table(io.BytesIO(raw), corpus_format, tie_break_seed=4)
+        assert streamed == build_table(records, tie_break_seed=4)
+        assert parse_stats.lines == len(io.BytesIO(raw).readlines())
+        assert parse_stats.malformed == parsed.malformed
+
+
+def _int_forms(value: int) -> list[bytes]:
+    """Spellings that int() reads as ``value``."""
+    digits = b"%d" % value
+    return [digits, b" " + digits, b"+" + digits, digits + b" ", b"0" + digits, b"0_" + digits]
+
+
+def _rarely(draw, usual, unusual):
+    """Draw from ``usual``, or one time in ten from ``usual + unusual``."""
+    return draw(st.sampled_from(usual + unusual if draw(st.integers(0, 9)) == 0 else usual))
+
+
+@st.composite
+def table_files(draw) -> bytes:
+    """Table files, mostly well formed, with the row variants a reader must judge."""
+    eol = [b"\n", b"\r\n"]
+    out = [_rarely(draw, [TABLE_HEADER], [b"rank\tcount"]), draw(st.sampled_from(eol))]
+    count = draw(st.integers(3, 9))
+    for rank in range(1, _rarely(draw, list(range(1, 9)), [0]) + 1):
+        out.append(_rarely(draw, [b""], [b"\n", b"\r\n", b"\r\r\n", b"1\t1\n"]))
+        count -= _rarely(draw, [0, 1], [-1, count])
+        password = b"".join(
+            _rarely(
+                draw,
+                [b"a", b"\t", b"\r", b" ", b"\\\\", b"\\t", b"\\n", b"\\r"],
+                [b"\\q", b"\\"],
+            )
+            for _ in range(draw(st.integers(0, 3)))
+        )
+        out += [
+            _rarely(draw, _int_forms(rank), [b"x", b"", b"%d" % (rank + 1)]),
+            b"\t",
+            _rarely(draw, _int_forms(count), [b"y", b"", b"1.0"]),
+            b"\t",
+            password + _rarely(draw, [b"%d" % rank], [b""]),
+            draw(st.sampled_from(eol)),
+        ]
+    data = b"".join(out)
+    return data[:-1] if draw(st.booleans()) and data.endswith(b"\n") else data
+
+
+class TestReadTableBlocks:
+    @given(data=table_files(), block=SMALL_BLOCKS)
+    def test_accepts_and_rejects_like_row_loop(self, tmp_path_factory, data, block):
+        path = tmp_path_factory.mktemp("read") / "table.tsv"
+        path.write_bytes(data)
+        try:
+            expected = oracle.read_table(path)
+        except CorpusError:
+            expected = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "READ_BLOCK", block)
+            if expected is None:
+                with pytest.raises(CorpusError):
+                    read_table_tsv(path)
+                return
+            table = read_table_tsv(path)
+        assert rows(table) == expected
+        assert table.total_users == sum(c for _, c in expected)
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            [b"1\t3\tpw"],
+            [b" 1\t+3\tpw"],
+            [b"1_0\t3\tpw"],
+            [b"1\t3\tp\tw", b"2\t1\tv"],
+            [b"1\t3\t\\\\q"],
+            # Four TABs over two rows, but the second row has only one.
+            [b"1\t3\tx\t2", b"2\tz"],
+        ],
+    )
+    def test_int_forms_and_raw_tab(self, tmp_path, lines, eol):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(eol.join([TABLE_HEADER, *lines, b""]))
+        try:
+            expected = oracle.read_table(path)
+        except CorpusError:
+            with pytest.raises(CorpusError):
+                read_table_tsv(path)
+            return
+        assert rows(read_table_tsv(path)) == expected
+
+
+class TestWriteTableBlocks:
+    @given(
+        st.dictionaries(
+            st.binary(max_size=5), st.integers(1, 4), min_size=1, max_size=30
+        ),
+        st.sampled_from([1, 2, 3, ingest.WRITE_BLOCK]),
+    )
+    def test_bytes_match_row_loop(self, tmp_path_factory, counts, block):
+        table = table_from_counter(counts)
+        d = tmp_path_factory.mktemp("write")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "WRITE_BLOCK", block)
+            write_table_tsv(table, d / "new.tsv")
+        oracle.write_table(rows(table), d / "old.tsv")
+        assert (d / "new.tsv").read_bytes() == (d / "old.tsv").read_bytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "READ_BLOCK", 3)
+            assert read_table_tsv(d / "new.tsv") == table
+
+    @given(st.binary(max_size=12))
+    def test_escape_matches_byte_loop(self, raw):
+        assert escape_field(raw) == oracle.escape_field(raw)
+
+
+class TestColumns:
+    def test_cap_ranks_slices_both_columns(self):
+        table = table_from_counter({b"a": 5, b"b": 3, b"c": 2, b"d": 1})
+        capped = cap_ranks(table, 3)
+        assert capped.passwords == [b"a", b"b", b"c"]
+        assert capped.counts.tolist() == [5, 3, 2]
+        assert capped.counts.dtype == np.int64
+
+    def test_validate_rejects_ragged_columns(self):
+        table = table_from_counter({b"a": 2, b"b": 1})
+        table.passwords.append(b"c")
+        with pytest.raises(CorpusError):
+            table.validate()

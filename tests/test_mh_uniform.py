@@ -26,6 +26,8 @@ from pwdist.mh_uniform import (
 )
 from pwdist.stats import uniform_model, zipf_model
 
+from conftest import rows
+
 
 class FakeRng:
     """Deterministic stand-in: queued uniform draws, queued integer draws."""
@@ -269,8 +271,8 @@ class TestSimulate:
         passwords = [b"p%05d" % i for i in range(2000)]
         # 10 users per rank rejects hard; the default cap can trip here
         report = simulate(model, passwords, 20000, seed=9, retry_cap=1000)
-        max_accepted = report.accepted_table.entries[0][1]
-        max_free = report.free_table.entries[0][1]
+        max_accepted = report.accepted_table.counts[0]
+        max_free = report.free_table.counts[0]
         assert max_accepted < max_free
         assert report.accepted_table.total_users == 20000
         assert report.free_table.total_users == 20000
@@ -280,8 +282,8 @@ class TestSimulate:
         passwords = [b"p%04d" % i for i in range(300)]
         a = simulate(model, passwords, 2000, seed=42)
         b = simulate(model, passwords, 2000, seed=42)
-        assert a.accepted_table.entries == b.accepted_table.entries
-        assert a.free_table.entries == b.free_table.entries
+        assert rows(a.accepted_table) == rows(b.accepted_table)
+        assert rows(a.free_table) == rows(b.free_table)
         assert (a.mean_asks, a.var_asks, a.rejected_total) == (
             b.mean_asks,
             b.var_asks,
@@ -293,16 +295,16 @@ class TestSimulate:
         passwords = [b"p%04d" % i for i in range(500)]
         store = CountMinStore(width=1 << 14, depth=4, master_seed=1)
         report = simulate(model, passwords, 5000, store=store, seed=11)
-        assert report.accepted_table.entries[0][1] < report.free_table.entries[0][1]
+        assert report.accepted_table.counts[0] < report.free_table.counts[0]
 
     def test_banned_password_absent_from_accepted_table(self):
         model = zipf_model(1.0, 50)
         passwords = [b"p%02d" % i for i in range(50)]
         weights = TargetWeight.with_bans(banned=[passwords[0]])
         report = simulate(model, passwords, 3000, weights=weights, seed=4)
-        accepted = dict(report.accepted_table.entries)
+        accepted = dict(rows(report.accepted_table))
         assert passwords[0] not in accepted
-        assert passwords[0] in dict(report.free_table.entries)
+        assert passwords[0] in dict(rows(report.free_table))
 
     def test_label_mismatch_rejected(self):
         with pytest.raises(ValueError):
