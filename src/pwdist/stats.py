@@ -27,7 +27,6 @@ class ProbabilityModel:
 
     probs: np.ndarray
     kind: str
-    normalizer_K: float | None = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -73,9 +72,8 @@ def zipf_model(s: float, n: int) -> ProbabilityModel:
         raise ValueError("s must be >= 0")
     probs = np.arange(1, n + 1, dtype=np.float64)
     np.power(probs, -s, out=probs)
-    k = 1.0 / float(probs.sum())
-    probs *= k
-    model = ProbabilityModel(probs=probs, kind=KIND_ZIPF, normalizer_K=k)
+    probs *= 1.0 / float(probs.sum())
+    model = ProbabilityModel(probs=probs, kind=KIND_ZIPF)
     model.validate()
     return model
 

@@ -41,10 +41,14 @@ FLAG_DEBIASED = "debiased"
 BIN_RULE_RANK = "dyadic-rank"
 BIN_RULE_K = "dyadic-k"
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_S_BRACKET = 10.0
 _S_CAP = 64.0
-_S_TOL = 1e-9
+_STEP_TOL = 1e-12
+_MAX_PASSES = 100
+# The golden-section search that defines the debiased exponent.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_BRACKET = 10.0
+_GOLDEN_TOL = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 
 # Indirect-inference schedule: fixed-point rounds and simulations per round,
 # with more simulations on the last rounds to shrink Monte Carlo noise.
@@ -203,9 +207,10 @@ def ls_nk(cc: CountOfCounts, binned: bool = False) -> ZipfFit:
 # Truncated-Zipf maximum likelihood
 #
 # With N ranks, M observations and f_i observations of rank i, the
-# log-likelihood is L(s) = -s * sum_i f_i ln i - M * ln H(N, s) where
-# H(N, s) = sum_{r=1}^{N} r^-s. L is concave in s (exponential family), so
-# the derivative crosses zero at most once and a bracketed search is safe.
+# log-likelihood is L(s) = -s * a - M * ln H(N, s) where a = sum_i f_i ln i
+# and H(N, s) = sum_{r=1}^{N} r^-s. Its score is g(s) = -a + M * E_w[ln r]
+# under the weights w = r^-s, and its slope is -M * Var_w[ln r] < 0, so g
+# crosses zero at most once and its sign brackets the root.
 # ---------------------------------------------------------------------------
 
 
@@ -213,66 +218,159 @@ def _log_ranks(n: int) -> np.ndarray:
     return np.log(np.arange(1, n + 1, dtype=np.float64))
 
 
-def _dloglik(s: float, a: float, m: float, lr: np.ndarray) -> float:
-    w = np.exp(-s * lr)
-    return -a + m * float(w @ lr) / float(w.sum())
+def _rank_weights(s: float, lr: np.ndarray) -> np.ndarray:
+    """r^-s as exp(-s ln r), computed in place in one new array."""
+    w = lr * -s
+    return np.exp(w, out=w)
 
 
-def _neg_loglik(s: float, a: float, m: float, lr: np.ndarray) -> float:
-    w = np.exp(-s * lr)
-    return s * a + m * math.log(float(w.sum()))
+def _mle_core(
+    counts: np.ndarray, lr: np.ndarray | None = None, s0: float = 0.0
+) -> tuple[float, float, str | None]:
+    """Fit non-increasing counts by safeguarded Newton; returns (s, stderr, flag).
 
-
-def _stderr_at(s: float, m: float, lr: np.ndarray) -> float:
-    w = np.exp(-s * lr)
-    h = float(w.sum())
-    m1 = float(w @ lr) / h
-    m2 = float(w @ (lr * lr)) / h
-    info = m * (m2 - m1 * m1)
-    if info <= 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(info)
-
-
-def _mle_core(counts: np.ndarray) -> tuple[float, float, str | None]:
-    """Fit sorted counts; returns (s, stderr, flag)."""
+    ``lr`` holds at least ``len(counts)`` ln ranks to share between calls;
+    ``s0`` is a warm start. One pass gives g and the observed information
+    -g'. A step that leaves the bracket bisects it, or doubles s while it
+    has no upper end; the solve stops at a step below _STEP_TOL * max(1, s),
+    or when rounding noise in g has shrunk the bracket below that width.
+    The stderr is 1 / sqrt(information) at the root.
+    """
     n = len(counts)
+    lr = _log_ranks(n) if lr is None else lr[:n]
     m = float(counts.sum())
-    lr = _log_ranks(n)
     a = float(counts @ lr)
-    if _dloglik(0.0, a, m, lr) <= 0.0:
-        # Likelihood non-increasing from s = 0: uniform-ish data.
-        return 0.0, _stderr_at(0.0, m, lr), FLAG_BOUNDARY
-    lo, hi = 0.0, _S_BRACKET
-    while _dloglik(hi, a, m, lr) > 0.0:
-        lo, hi = hi, hi * 2.0
-        if hi > _S_CAP:
-            raise FitError(f"likelihood still increasing at s = {_S_CAP:g}; no maximum found")
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc = _neg_loglik(c, a, m, lr)
-    fd = _neg_loglik(d, a, m, lr)
-    while hi - lo > _S_TOL:
-        if fc < fd:
+    # g(0) = -N * Cov(f, ln r) is exactly 0 for equal counts, whatever sign
+    # the rounded sums give it, and positive otherwise.
+    flat = counts[0] == counts[-1]
+    s = 0.0 if flat else s0
+    lr2 = lr * lr
+    lo, hi = -math.inf, math.inf
+    for _ in range(_MAX_PASSES):
+        w = _rank_weights(s, lr)
+        h = float(w.sum())
+        m1 = float(w @ lr) / h
+        g, info = -a + m * m1, m * (float(w @ lr2) / h - m1 * m1)
+        if s == 0.0 and (flat or g <= 0.0):
+            # Likelihood non-increasing from s = 0: uniform-ish data.
+            flag = FLAG_BOUNDARY
+            break
+        step = g / info if info > 0.0 else math.copysign(math.inf, g)
+        tol = _STEP_TOL * max(1.0, s)
+        if abs(step) < tol:
+            s, flag = s + step, None
+            break
+        if g > 0.0:
+            if s >= _S_CAP:
+                raise FitError(f"likelihood still increasing at s = {_S_CAP:g}; no maximum found")
+            lo = s
+        else:
+            hi = s
+        if hi - lo <= tol:
+            flag = None
+            break
+        s += step
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi) if hi < math.inf else max(2.0 * lo, 1.0)
+        s = min(max(s, 0.0), _S_CAP)
+    else:
+        raise FitError(f"no MLE convergence in {_MAX_PASSES} likelihood passes")
+    return s, (1.0 / math.sqrt(info) if info > 0.0 else math.inf), flag
+
+
+def _golden_s(counts: np.ndarray, lr: np.ndarray, s0: float = 0.0) -> float:
+    """The s that a golden-section search on the likelihood returns, bit for bit.
+
+    The debiased exponent is defined with this search: bracket [0, 10],
+    doubled while the score at its upper end is positive, golden sections
+    on the rounded -L(s) = s * a + M * ln H(N, s) until the bracket is
+    narrower than 1e-9, then its midpoint. Rounding noise decides its last
+    comparisons, so it stops about 1e-8 from the Newton root. The debias
+    rounds draw from exponents built from these fits, and a 1e-8 move
+    there changes rng.multinomial's draws and the debiased s by up to 2e-4
+    relative, so the rounds keep this search. Here the Newton root s* and
+    its information I decide each comparison whose likelihood gap provably
+    exceeds the rounding noise; only the others evaluate -L, as the search
+    did: about 19 of its 52 passes on a 40,000-rank table, after about 4
+    for the Newton solve.
+    """
+    s_root, stderr, _ = _mle_core(counts, lr, s0)
+    n = len(counts)
+    lr = lr[:n]
+    m = float(counts.sum())
+    a = float(counts @ lr)
+
+    def score(s: float) -> float:
+        w = _rank_weights(s, lr)
+        return -a + m * float(w @ lr) / float(w.sum())
+
+    def neg_loglik(s: float) -> float:
+        return s * a + m * math.log(float(_rank_weights(s, lr).sum()))
+
+    if score(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, _GOLDEN_BRACKET
+    while score(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    # |I'| = M |third cumulant of ln r| <= ln N * I, so I(t) lies within
+    # exp(+-ln N |t - s*|) of I(s*). ``info`` is shaded for its own
+    # rounding, and ``err`` bounds the distance from s* to the true root.
+    info = stderr**-2 * (1.0 - 1e-6)
+    ln_n = math.log(n)
+    err = 1e-9 * max(1.0, s_root)
+
+    def decided(c: float, d: float) -> bool | None:
+        """-L(c) < -L(d), when the gap is sure to exceed the noise."""
+        # Bounds the search's rounding error in -L at c or d, from exp, the
+        # pairwise sum, log and the rounded a.
+        noise = _EPS * (abs(a) * (d + n * (d - c)) + m * (ln_n * (2.0 + d) + 32.0))
+        if s_root + err <= c or s_root - err >= d:
+            # -L is monotone on [c, d]: the gap is at least (d - c) * |g|
+            # at the end nearer s*, and there |g| >= I (1 - e^(-eta ln N)) / ln N.
+            eta = max(c - s_root, s_root - d) - err
+            if (d - c) * info * -math.expm1(-ln_n * eta) / ln_n > 2.0 * noise:
+                return s_root < c
+            return None
+        r = max(s_root - c, d - s_root) + err
+        if ln_n * r > 0.5:
+            return None
+        # Quadratic model about s* plus the cubic remainder bound.
+        gap = info * (d - c) * (s_root - 0.5 * (c + d))
+        slack = 0.55 * ln_n * info * r**3 / (1.0 - 1e-6) + info * (d - c) * err
+        if abs(gap) > slack + 2.0 * noise:
+            return gap < 0.0
+        return None
+
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc = fd = None
+    while hi - lo > _GOLDEN_TOL:
+        left = fc < fd if fc is not None and fd is not None else decided(c, d)
+        if left is None:
+            fc = neg_loglik(c) if fc is None else fc
+            fd = neg_loglik(d) if fd is None else fd
+            left = fc < fd
+        if left:
             hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = _neg_loglik(c, a, m, lr)
+            c, fc = hi - _GOLDEN * (hi - lo), None
         else:
             lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = _neg_loglik(d, a, m, lr)
-    s = 0.5 * (lo + hi)
-    return s, _stderr_at(s, m, lr), None
+            d, fd = lo + _GOLDEN * (hi - lo), None
+    return 0.5 * (lo + hi)
+
+
+def _zipf_probs(s: float, n_ranks: int) -> np.ndarray:
+    """Truncated Zipf(s, n_ranks) probabilities, as every sampler builds them."""
+    p = np.arange(1, n_ranks + 1, dtype=np.float64) ** (-s)
+    p /= p.sum()
+    return p
 
 
 def sample_zipf_counts(s: float, n_ranks: int, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """Per-rank counts of n_draws i.i.d. draws from truncated Zipf(s, n_ranks)."""
-    p = np.arange(1, n_ranks + 1, dtype=np.float64) ** (-s)
-    p /= p.sum()
-    return rng.multinomial(n_draws, p)
+    return rng.multinomial(n_draws, _zipf_probs(s, n_ranks))
 
 
-def _indirect_inference(counts: np.ndarray, s_naive: float, seed: int) -> float:
+def _indirect_inference(counts: np.ndarray, seed: int) -> float:
     """Solve for the generator exponent whose sort-and-fit output matches.
 
     Building a table sorts the observed counts, which pairs sampling noise
@@ -280,25 +378,23 @@ def _indirect_inference(counts: np.ndarray, s_naive: float, seed: int) -> float:
     Both distort the plain MLE whenever mean counts per rank are small.
     This runs the same sort-and-fit pipeline on simulated corpora and
     walks (s, N) until the simulated fit and distinct count reproduce the
-    observed ones.
+    observed ones. Every fit is ``_golden_s``; each simulation draws as
+    ``sample_zipf_counts`` does, from probabilities built once per round.
     """
     m = int(counts.sum())
     n_obs = len(counts)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    s_naive = _golden_s(counts, _log_ranks(n_obs))
     s, n = s_naive, n_obs
     for round_idx in range(_CORRECTION_ROUNDS):
-        sims = (
-            _CORRECTION_SIMS_FINAL
-            if round_idx >= _CORRECTION_ROUNDS - 2
-            else _CORRECTION_SIMS
-        )
-        fit_sum = 0.0
-        distinct_sum = 0
+        sims = _CORRECTION_SIMS_FINAL if round_idx >= _CORRECTION_ROUNDS - 2 else _CORRECTION_SIMS
+        lr = _log_ranks(n)
+        p = _zipf_probs(s, n)
+        fit_sum, distinct_sum = 0.0, 0
         for _ in range(sims):
-            sample = sample_zipf_counts(s, n, m, rng)
+            sample = rng.multinomial(m, p)
             rep = np.sort(sample[sample > 0])[::-1]
-            s_rep, _, _ = _mle_core(rep)
-            fit_sum += s_rep
+            fit_sum += _golden_s(rep, lr, s)
             distinct_sum += len(rep)
         s = max(s + (s_naive - fit_sum / sims), 0.0)
         n = max(int(round(n + (n_obs - distinct_sum / sims))), n_obs)
@@ -325,29 +421,27 @@ def mle_truncated_zipf(
     counts = table.counts
     s, stderr, flag = _mle_core(counts)
     if bias_correction and flag is None:
-        s = _indirect_inference(counts, s, seed)
+        s = _indirect_inference(counts, seed)
         flag = FLAG_DEBIASED
     return ZipfFit(
         s=s, method=METHOD_MLE, truncation_N=table.distinct_count, stderr=stderr, flag=flag
     )
 
 
-def _ad_ks_statistic(counts: np.ndarray, s: float) -> float:
+def _ad_ks_statistic(counts: np.ndarray, s: float, lr: np.ndarray) -> float:
     """Anderson-Darling-weighted KS distance between rank CDFs.
 
     Sup over ranks of |empirical - model| / sqrt(model * (1 - model)),
     which weights tail discrepancies as heavily as the middle. The last
     rank, where both CDFs are exactly 1, is excluded. The survival term
-    is accumulated from the tail to dodge cancellation.
+    is accumulated from the tail to dodge cancellation. ``lr`` holds at
+    least ``len(counts)`` ln ranks.
     """
-    c = counts.astype(np.float64)
-    m = c.sum()
-    n = len(c)
-    w = np.arange(1, n + 1, dtype=np.float64) ** (-s)
+    w = _rank_weights(s, lr[: len(counts)])
     h = w.sum()
     cdf = np.cumsum(w) / h
     surv = np.cumsum(w[::-1])[::-1] / h
-    emp = np.cumsum(c) / m
+    emp = np.cumsum(counts) / counts.sum()
     num = np.abs(emp[:-1] - cdf[:-1])
     den = np.sqrt(cdf[:-1] * surv[1:])
     return float(np.max(num / den))
@@ -356,33 +450,32 @@ def _ad_ks_statistic(counts: np.ndarray, s: float) -> float:
 def bootstrap_p_value(
     table: RankFrequencyTable, fit: ZipfFit, replicates: int = 100, seed: int = 0
 ) -> float:
-    """Parametric-bootstrap p-value for the MLE fit.
+    """Parametric-bootstrap p-value for the plain MLE fit.
 
     Each replicate draws total_users samples from the fitted model, sorts
-    them into a table and re-fits with the plain MLE, mirroring exactly
-    what was done to the data; the p-value is the fraction of replicate
-    statistics strictly above the observed one. Replicate streams are
-    derived independently from (seed, replicate index), so any execution
-    order gives the same answer. Pass an uncorrected fit: replicates are
-    re-fitted without bias correction.
+    them into a table and re-fits with the plain MLE, warm-started at the
+    fitted s, mirroring exactly what was done to the data; the p-value is
+    the fraction of replicate statistics strictly above the observed one.
+    Replicate streams are derived independently from (seed, replicate
+    index), so any execution order gives the same answer. A debiased fit
+    is tested at the plain fit of the table, which is what the replicates'
+    fits estimate.
     """
     if fit.method != METHOD_MLE:
         raise ValueError("p-value is defined for mle fits")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    counts = table.counts
-    observed = _ad_ks_statistic(counts, fit.s)
-    n = table.distinct_count
-    m = table.total_users
-    p = np.arange(1, n + 1, dtype=np.float64) ** (-fit.s)
-    p /= p.sum()
+    lr = _log_ranks(table.distinct_count)
+    s = _mle_core(table.counts, lr)[0] if fit.flag == FLAG_DEBIASED else fit.s
+    observed = _ad_ks_statistic(table.counts, s, lr)
+    p = _zipf_probs(s, table.distinct_count)
     exceed = 0
     for i in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        sample = rng.multinomial(m, p)
+        sample = rng.multinomial(table.total_users, p)
         rep = np.sort(sample[sample > 0])[::-1]
-        s_rep, _, _ = _mle_core(rep)
-        if _ad_ks_statistic(rep, s_rep) > observed:
+        s_rep, _, _ = _mle_core(rep, lr, s)
+        if _ad_ks_statistic(rep, s_rep, lr) > observed:
             exceed += 1
     return exceed / replicates
 

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pwdist
 from pwdist import zipf_fit
+from pwdist.ingest import table_from_counts, write_table_tsv
 from pwdist.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -190,6 +192,23 @@ class TestFit:
         assert flags["collinear"]["ls-raw"] == ""
         assert flags["collinear"]["mle"] == ""
         assert flags["debiased"]["mle"] == "debiased"
+
+    def test_debias_keeps_the_plain_fit_p_value(self, tmp_path):
+        sample = zipf_fit.sample_zipf_counts(0.78, 2000, 40000, np.random.default_rng(1))
+        table = tmp_path / "table.tsv"
+        write_table_tsv(table_from_counts(np.sort(sample[sample > 0])[::-1]), table)
+        p_values = {}
+        for name, extra in (("plain", []), ("debias", ["--debias"])):
+            out = tmp_path / name
+            argv = ["fit", "--table", str(table), "--replicates", "40", "--seed", "0", *extra]
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+            rows = {
+                line.split("\t")[0]: line.split("\t")
+                for line in (out / "fit.tsv").read_text().splitlines()[1:]
+            }
+            p_values[name] = rows["mle"][4]
+        assert p_values["plain"] != ""
+        assert p_values["debias"] == p_values["plain"]
 
     def test_replicates_zero_skips_p_value(self, tmp_path, corpus):
         table = ingest_table(tmp_path, corpus)

@@ -90,7 +90,7 @@ class TestModels:
     def test_zipf_hand_values(self):
         model = zipf_model(1.0, 2)
         assert model.probs == pytest.approx([2 / 3, 1 / 3])
-        assert model.normalizer_K == pytest.approx(2 / 3)
+        assert model.probs[0] == pytest.approx(2 / 3)  # P_1 = K
         assert zipf_model(1.0, 1).probs == pytest.approx([1.0])
 
     def test_zipf_s0_matches_uniform_elementwise(self):

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from pwdist import zipf_fit
 from pwdist.ingest import count_of_counts, table_from_counter, table_from_counts
 from pwdist.zipf_fit import (
     FLAG_BOUNDARY,
+    FLAG_DEBIASED,
     FLAG_FLAT_SLOPE,
     FitError,
     METHOD_LS_BINNED,
@@ -16,6 +19,9 @@ from pwdist.zipf_fit import (
     METHOD_NK_BINNED,
     METHOD_NK_RAW,
     ZipfFit,
+    _golden_s,
+    _log_ranks,
+    _mle_core,
     bin_dyadic_k,
     bin_dyadic_rank,
     bootstrap_p_value,
@@ -33,6 +39,73 @@ def loglik_oracle(counts, s):
     a = math.fsum(c * math.log(i) for i, c in enumerate(counts, start=1))
     h = math.fsum(i ** (-s) for i in range(1, len(counts) + 1))
     return -s * a - m * math.log(h)
+
+
+def score_oracle(counts, s):
+    """Score and observed information of the same likelihood, with fsum.
+
+    The score is sum_i (M p_i - f_i) ln i with p_i = i^-s / H(N, s), so at
+    s = 0 equal counts give exactly 0.
+    """
+    m = sum(counts)
+    w = [i ** (-s) for i in range(1, len(counts) + 1)]
+    lr = [math.log(i) for i in range(1, len(counts) + 1)]
+    h = math.fsum(w)
+    g = math.fsum((m * wi / h - c) * li for wi, c, li in zip(w, counts, lr))
+    mean = math.fsum(wi * li for wi, li in zip(w, lr)) / h
+    var = math.fsum(wi * (li - mean) ** 2 for wi, li in zip(w, lr)) / h
+    return g, m * var
+
+
+def bisect_oracle_root(counts):
+    """The root of the oracle score on [0, 64], by bisection."""
+    lo, hi = 0.0, 64.0
+    while hi - lo > 1e-13 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if score_oracle(counts, mid)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def golden_oracle(counts):
+    """The golden-section search that defines the debiased exponent, every step evaluated."""
+    arr = np.asarray(counts, dtype=np.int64)
+    n, m = len(arr), float(arr.sum())
+    lr = np.log(np.arange(1, n + 1, dtype=np.float64))
+    a = float(arr @ lr)
+
+    def score(s):
+        w = np.exp(-s * lr)
+        return -a + m * float(w @ lr) / float(w.sum())
+
+    def neg_loglik(s):
+        return s * a + m * math.log(float(np.exp(-s * lr).sum()))
+
+    if score(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 10.0
+    while score(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    fc, fd = neg_loglik(c), neg_loglik(d)
+    while hi - lo > 1e-9:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - golden * (hi - lo)
+            fc = neg_loglik(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + golden * (hi - lo)
+            fd = neg_loglik(d)
+    return 0.5 * (lo + hi)
+
+
+def sorted_sample(s, n, m, seed):
+    sample = sample_zipf_counts(s, n, m, np.random.default_rng(seed))
+    return np.sort(sample[sample > 0])[::-1]
 
 
 class TestLsRaw:
@@ -189,9 +262,79 @@ class TestMle:
         table = table_from_counts([40, 21, 9, 7, 7, 3, 2, 1, 1, 1])
         assert mle_truncated_zipf(table).s == mle_truncated_zipf(table).s
 
+    @pytest.mark.parametrize(
+        "s_true,n,m,seed", [(0.78, 20000, 400000, 3), (0.7, 2000, 30000, 11), (0.6, 2000, 30000, 11)]
+    )
+    def test_newton_step_at_fit_is_negligible(self, s_true, n, m, seed):
+        sample = sample_zipf_counts(s_true, n, m, np.random.default_rng(seed))
+        table = table_from_counts(np.sort(sample[sample > 0])[::-1])
+        fit = mle_truncated_zipf(table)
+        g, info = score_oracle(table.counts.tolist(), fit.s)
+        assert abs(g / info) <= 1e-10 * fit.s
+
+    def test_cap_is_evaluated_at_64(self):
+        # The MLE solves 10^15 * 2^-s = 1, beyond the old doubling bracket of 40.
+        fit = mle_truncated_zipf(table_from_counts([10**15, 1]))
+        assert fit.s == pytest.approx(15 * math.log2(10))
+        assert fit.flag is None
+
+    @given(st.lists(st.integers(1, 50), min_size=2, max_size=12))
+    def test_matches_oracle_bisection_and_warm_starts(self, values):
+        counts = sorted(values, reverse=True)
+        arr = np.array(counts, dtype=np.int64)
+        s, _, flag = _mle_core(arr)
+        assert (flag == FLAG_BOUNDARY) == (score_oracle(counts, 0.0)[0] <= 0.0)
+        if flag is None:
+            assert s == pytest.approx(bisect_oracle_root(counts), abs=1e-9)
+        else:
+            assert s == 0.0
+        for s0 in (0.1, s, 10.0):
+            s_warm, _, flag_warm = _mle_core(arr, s0=s0)
+            assert flag_warm == flag
+            assert math.isclose(s_warm, s, rel_tol=1e-12)
+
+    def test_score_noise_above_the_step_tolerance_still_converges(self, monkeypatch):
+        # Relative noise of 1e-8 in the weights, drawn afresh for every s,
+        # puts the step's noise far above 1e-12, so only the collapsing
+        # bracket can stop Newton.
+        counts = sorted_sample(0.78, 2000, 40000, 5)
+        exact, _, _ = _mle_core(counts)
+        clean = zipf_fit._rank_weights
+
+        def noisy(s, lr):
+            w = clean(s, lr)
+            return w * (1.0 + 1e-8 * np.random.default_rng(abs(hash(s))).standard_normal(len(w)))
+
+        monkeypatch.setattr(zipf_fit, "_rank_weights", noisy)
+        s, _, flag = _mle_core(counts)
+        assert flag is None
+        assert s == pytest.approx(exact, rel=1e-6)
+
     def test_too_small_rejected(self):
         with pytest.raises(FitError):
             mle_truncated_zipf(table_from_counts([5]))
+
+
+class TestGoldenSearch:
+    @pytest.mark.parametrize(
+        "s_true,n,m,seed",
+        [(0.78, 40000, 800000, 0), (0.78, 2000, 40000, 1), (0.7, 2000, 30000, 11), (2.5, 500, 3000, 2)],
+    )
+    def test_matches_the_full_search_bit_for_bit(self, s_true, n, m, seed):
+        counts = sorted_sample(s_true, n, m, seed)
+        assert _golden_s(counts, _log_ranks(n)) == golden_oracle(counts)
+        assert _golden_s(counts, _log_ranks(n), s_true) == golden_oracle(counts)
+
+    @given(st.lists(st.integers(1, 50), min_size=2, max_size=12))
+    def test_matches_the_full_search_on_small_tables(self, values):
+        counts = np.array(sorted(values, reverse=True), dtype=np.int64)
+        assert _golden_s(counts, _log_ranks(len(counts))) == golden_oracle(counts)
+
+    def test_debiased_fit_runs_on_the_full_search(self, monkeypatch):
+        table = table_from_counts(sorted_sample(0.78, 1000, 20000, 3))
+        fit = mle_truncated_zipf(table, bias_correction=True, seed=4)
+        monkeypatch.setattr(zipf_fit, "_golden_s", lambda counts, lr, s0=0.0: golden_oracle(counts))
+        assert mle_truncated_zipf(table, bias_correction=True, seed=4).s == fit.s
 
 
 class TestSampling:
@@ -216,6 +359,14 @@ class TestBootstrap:
     def test_requires_mle_fit(self, four_rank_table):
         with pytest.raises(ValueError):
             bootstrap_p_value(four_rank_table, ls_raw_rank(four_rank_table), replicates=10)
+
+    def test_debiased_fit_is_tested_at_the_plain_fit(self):
+        table = self._zipf_table(3)
+        plain = mle_truncated_zipf(table)
+        debiased = mle_truncated_zipf(table, bias_correction=True, seed=1)
+        assert debiased.flag == FLAG_DEBIASED and debiased.s != plain.s
+        p_plain = bootstrap_p_value(table, plain, replicates=20, seed=9)
+        assert bootstrap_p_value(table, debiased, replicates=20, seed=9) == p_plain
 
     def test_p_value_in_range_and_deterministic(self):
         table = self._zipf_table(3)
