@@ -123,15 +123,9 @@ def _stage(args, name: str) -> Path:
 
 
 def _read_words(path: Path) -> list[bytes]:
-    words = []
+    """The non-empty lines of a word list or ban file."""
     with open(path, "rb") as fh:
-        for raw in fh:
-            line = raw.rstrip(b"\n")
-            if line.endswith(b"\r"):
-                line = line[:-1]
-            if line:
-                words.append(line)
-    return words
+        return [line for lines in ingest.line_blocks(fh) for line in lines if line]
 
 
 def cmd_ingest(args) -> None:
@@ -259,22 +253,27 @@ def cmd_crack(args) -> None:
     _out_dir(args)
     scheme = crack_mod.builtin_scheme(args.scheme)
     inputs: list[Path] = []
+    counters = {}
     if args.corpus:
         corpus_path = Path(args.corpus)
         inputs.append(corpus_path)
         with open(corpus_path, "rb") as fh:
-            records = ingest.cleanup(ingest.parse_corpus(fh, args.format).records)
+            latest, read_stats = ingest.read_credentials(fh, args.format)
+        credentials = [(user.decode("latin-1"), password) for user, password in latest.items()]
+        del latest
         salt_seed = args.salt_seed if args.salt_seed is not None else args.seed
-        entries = crack_mod.hash_corpus(records, scheme, salt_seed, args.salt_count)
-        del records  # the replay needs only the hashed entries
+        entries = crack_mod.hash_corpus(credentials, scheme, salt_seed, args.salt_count)
+        del credentials  # the replay needs only the hashed entries
         crack_mod.write_hashes_tsv(entries, _stage(args, "hashes.tsv"))
+        print(
+            f"hashed {len(entries)} users from {read_stats.lines} lines "
+            f"({read_stats.malformed} malformed skipped)"
+        )
+        counters = {"lines": read_stats.lines, "malformed": read_stats.malformed}
     elif args.hashes:
         hashes_path = Path(args.hashes)
         inputs.append(hashes_path)
-        try:
-            entries = crack_mod.read_hashes_tsv(hashes_path)
-        except ValueError as exc:
-            raise ingest.CorpusError(str(exc)) from exc
+        entries = crack_mod.read_hashes_tsv(hashes_path)
     else:
         raise ValueError("need --corpus or --hashes")
     ordering = None
@@ -315,6 +314,7 @@ def cmd_crack(args) -> None:
             "log_spaced": args.log_spaced,
         },
         inputs,
+        counters,
     )
 
 

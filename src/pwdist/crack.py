@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .crossguess import GuessCurve, GuessOrdering, METRIC_DISTINCT, METRIC_USERS, curve_from_increments
-from .ingest import CredentialRecord
+from .ingest import CorpusError, line_blocks
 from .tsvio import escape_field, unescape_field
 
 _MASK64 = (1 << 64) - 1
@@ -164,28 +164,28 @@ def generate_salts(scheme: HashScheme, salt_seed: int, salt_count: int) -> list[
 
 
 def hash_corpus(
-    records: Sequence[CredentialRecord],
+    credentials: Sequence[tuple[str, bytes]],
     scheme: HashScheme,
     salt_seed: int,
     salt_count: int,
 ) -> list[HashedEntry]:
-    """Hash each record under a salt drawn uniformly from a seeded salt set.
+    """Hash each ``(user, password)`` pair under a salt drawn uniformly from a seeded set.
 
-    Records are grouped by their drawn salt and each group is hashed with
-    one ``hash_many`` call.
+    Salts are drawn in the order of ``credentials``. Pairs are grouped by
+    their drawn salt and each group is hashed with one ``hash_many`` call.
     """
     salts = generate_salts(scheme, salt_seed, salt_count)
     rng = random.Random((salt_seed ^ 0x5A17) & _MASK64)
-    salt_of = np.array([rng.randrange(salt_count) for _ in records], dtype=np.int64)
-    digests = np.empty(len(records), dtype=">u8")
+    salt_of = np.array([rng.randrange(salt_count) for _ in credentials], dtype=np.int64)
+    digests = np.empty(len(credentials), dtype=">u8")
     for j, salt in enumerate(salts):
         rows = np.flatnonzero(salt_of == j)
-        passwords = [scheme.truncate(records[i].password) for i in rows.tolist()]
+        passwords = [scheme.truncate(credentials[i][1]) for i in rows.tolist()]
         digests[rows] = scheme.hash_many([salt], passwords)[:, 0]
     raw = digests.tobytes()
     return [
-        HashedEntry(user=rec.user, salt=salts[j], digest=raw[8 * i : 8 * i + 8])
-        for i, (rec, j) in enumerate(zip(records, salt_of.tolist()))
+        HashedEntry(user=user, salt=salts[j], digest=raw[8 * i : 8 * i + 8])
+        for i, ((user, _), j) in enumerate(zip(credentials, salt_of.tolist()))
     ]
 
 
@@ -223,10 +223,7 @@ def crack(entries: Sequence[HashedEntry], ordering: GuessOrdering, scheme: HashS
     # Every digest a guess could match, for a vectorised pre-filter; a hit
     # is confirmed and popped through its salt's bucket.
     outstanding = np.sort(
-        np.fromiter(
-            (int.from_bytes(e.digest, "big") for e in entries if len(e.digest) == 8),
-            dtype=np.uint64,
-        )
+        np.fromiter((int.from_bytes(e.digest, "big") for e in entries), dtype=np.uint64)
     )
     fresh: list[bytes] = []
     fresh_at: list[int] = []
@@ -238,7 +235,7 @@ def crack(entries: Sequence[HashedEntry], ordering: GuessOrdering, scheme: HashS
             fresh.append(truncated)
             fresh_at.append(i)
     live = list(buckets)
-    users_inc = [0] * len(ordering.guesses)
+    users_inc = np.zeros(len(ordering.guesses), dtype=np.int64)
     cracked: list[tuple[str, bytes]] = []
     for start in range(0, len(fresh), GUESS_BLOCK):
         if not live:
@@ -255,8 +252,8 @@ def crack(entries: Sequence[HashedEntry], ordering: GuessOrdering, scheme: HashS
                 users_inc[fresh_at[start + g]] += len(users)
                 cracked.extend((u, block[g]) for u in users)
         live = [salt for salt in live if buckets[salt]]
-    distinct_inc = [1 if got else 0 for got in users_inc]
-    distinct_recovered = sum(distinct_inc)
+    distinct_inc = (users_inc > 0).astype(np.int64)
+    distinct_recovered = int(distinct_inc.sum())
     uncracked = len(entries) - len(cracked)
     return CrackReport(
         curve_users=curve_from_increments(users_inc, len(entries), METRIC_USERS),
@@ -279,30 +276,35 @@ def write_hashes_tsv(entries: Sequence[HashedEntry], path) -> None:
             )
 
 
+def _hashed_entry(line: bytes) -> HashedEntry:
+    parts = line.split(b"\t")
+    if len(parts) != 3:
+        raise CorpusError(f"malformed hashes row: {line!r}")
+    user, salt_hex, digest_hex = parts
+    try:
+        entry = HashedEntry(
+            user=unescape_field(user).decode("latin-1"),
+            salt=bytes.fromhex(salt_hex.decode()),
+            digest=bytes.fromhex(digest_hex.decode()),
+        )
+    except ValueError as exc:
+        raise CorpusError(f"malformed hashes row {line!r}: {exc}") from exc
+    if len(entry.digest) != 8:
+        raise CorpusError(f"malformed hashes row {line!r}: digest is not 8 bytes")
+    return entry
+
+
 def read_hashes_tsv(path) -> list[HashedEntry]:
-    entries: list[HashedEntry] = []
+    """Load a file written by :func:`write_hashes_tsv`.
+
+    CRLF rows and blank lines are accepted; a wrong header, a row without
+    exactly three fields, a bad escape or hex field, or a digest that is
+    not 8 bytes raises :class:`CorpusError`.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().rstrip(b"\r\n")
-        if header != HASHES_HEADER:
-            raise ValueError(f"not a hashed-corpus file: {path}")
-        for raw in fh:
-            line = raw.rstrip(b"\n")
-            if line.endswith(b"\r"):
-                line = line[:-1]
-            if not line:
-                continue
-            parts = line.split(b"\t")
-            if len(parts) != 3:
-                raise ValueError(f"malformed hashes row: {line!r}")
-            user, salt_hex, digest_hex = parts
-            entries.append(
-                HashedEntry(
-                    user=unescape_field(user).decode("latin-1"),
-                    salt=bytes.fromhex(salt_hex.decode()),
-                    digest=bytes.fromhex(digest_hex.decode()),
-                )
-            )
-    return entries
+        if fh.readline().rstrip(b"\r\n") != HASHES_HEADER:
+            raise CorpusError(f"not a hashed-corpus file: {path}")
+        return [_hashed_entry(line) for lines in line_blocks(fh) for line in lines if line]
 
 
 def write_cracked_tsv(report: CrackReport, path) -> None:

@@ -11,7 +11,6 @@ tens of millions of points.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -41,53 +40,64 @@ class GuessOrdering:
         return cls(guesses=table.passwords, source_label=label)
 
 
-@dataclass
+@dataclass(eq=False)
 class GuessCurve:
     """Cumulative recovery per guess index, sparsely encoded.
 
-    ``points`` holds (t, cumulative) at every index where the cumulative
-    count changes, plus the final index; ``cumulative_at`` interpolates
-    the steps and clamps past the end.
+    Two int64 columns, ``t`` and ``cumulative``: one row at every guess
+    index where the cumulative count changes, plus the final index.
+    ``cumulative_at`` interpolates the steps and clamps past the end.
     """
 
-    points: list[tuple[int, int]]
+    t: np.ndarray
+    cumulative: np.ndarray
     denominator: int
     metric: str
 
+    def __post_init__(self):
+        self.t = np.asarray(self.t, dtype=np.int64)
+        self.cumulative = np.asarray(self.cumulative, dtype=np.int64)
+
+    def __eq__(self, other):
+        if not isinstance(other, GuessCurve):
+            return NotImplemented
+        return (
+            np.array_equal(self.t, other.t)
+            and np.array_equal(self.cumulative, other.cumulative)
+            and self.denominator == other.denominator
+            and self.metric == other.metric
+        )
+
     @property
     def total_guesses(self) -> int:
-        return self.points[-1][0] if self.points else 0
+        return int(self.t[-1]) if len(self.t) else 0
 
     @property
     def final_cumulative(self) -> int:
-        return self.points[-1][1] if self.points else 0
+        return int(self.cumulative[-1]) if len(self.cumulative) else 0
 
     def cumulative_at(self, t: int) -> int:
-        if t < 1:
-            return 0
-        i = bisect_right(self.points, t, key=lambda p: p[0])
-        return self.points[i - 1][1] if i else 0
+        i = int(np.searchsorted(self.t, t, side="right"))
+        return int(self.cumulative[i - 1]) if i else 0
 
 
-def curve_from_increments(increments: Iterable[int], denominator: int, metric: str) -> GuessCurve:
-    points: list[tuple[int, int]] = []
-    cum = 0
-    t = 0
-    for t, inc in enumerate(increments, start=1):
-        if inc:
-            cum += inc
-            points.append((t, cum))
-    if t >= 1 and (not points or points[-1][0] != t):
-        points.append((t, cum))
-    return GuessCurve(points=points, denominator=denominator, metric=metric)
+def curve_from_increments(increments: np.ndarray, denominator: int, metric: str) -> GuessCurve:
+    """The curve of guesses that add ``increments[t - 1]`` each, for t = 1, 2, ..."""
+    increments = np.asarray(increments, dtype=np.int64)
+    stored = increments != 0
+    stored[-1:] = True  # the final guess, if any, is always stored
+    steps = np.flatnonzero(stored)
+    cumulative = np.cumsum(increments)[steps]
+    return GuessCurve(t=steps + 1, cumulative=cumulative, denominator=denominator, metric=metric)
 
 
 def self_curve(table: RankFrequencyTable, metric: str = METRIC_USERS) -> GuessCurve:
     """Recovery curve under the table's own (optimal) ordering."""
     if metric == METRIC_USERS:
-        return curve_from_increments(table.counts.tolist(), table.total_users, metric)
+        return curve_from_increments(table.counts, table.total_users, metric)
     if metric == METRIC_DISTINCT:
-        return curve_from_increments([1] * table.distinct_count, table.distinct_count, metric)
+        n = table.distinct_count
+        return curve_from_increments(np.ones(n, dtype=np.int64), n, metric)
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -103,11 +113,14 @@ def cross_curve(
     if not reference.guesses:
         raise ValueError("reference ordering is empty")
     lookup = dict(zip(target.passwords, target.counts.tolist()))
+    n = len(reference.guesses)
     if metric == METRIC_USERS:
-        increments = (lookup.get(g, 0) for g in reference.guesses)
+        increments = np.fromiter(
+            (lookup.get(g, 0) for g in reference.guesses), dtype=np.int64, count=n
+        )
         denominator = target.total_users
     elif metric == METRIC_DISTINCT:
-        increments = (1 if g in lookup else 0 for g in reference.guesses)
+        increments = np.fromiter(map(lookup.__contains__, reference.guesses), dtype=bool, count=n)
         denominator = target.distinct_count
     else:
         raise ValueError(f"unknown metric {metric!r}")
@@ -144,12 +157,13 @@ def write_curve_tsv(curve: GuessCurve, path, log_spaced: bool = False) -> None:
     """
     total = curve.total_guesses
     if log_spaced and total >= 1:
-        ts = np.unique(np.geomspace(1, total, num=512).round().astype(np.int64))
+        ts = np.geomspace(1, total, num=512).round().astype(np.int64)
+        # Rounding repeats neighbouring indices at the low end; keep one of each.
+        ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
     else:
         ts = np.arange(1, total + 1, dtype=np.int64)
-    steps = np.array(curve.points, dtype=np.int64).reshape(-1, 2)
     # The cumulative value at t is the one of the last step at or before t.
-    cums = np.concatenate(([0], steps[:, 1]))[np.searchsorted(steps[:, 0], ts, side="right")]
+    cums = np.concatenate(([0], curve.cumulative))[np.searchsorted(curve.t, ts, side="right")]
     denom = curve.denominator
     fracs = cums / denom if denom else np.zeros(len(cums))
     with open(path, "w", newline="\n") as fh:

@@ -3,9 +3,10 @@
 Raw leak files come in two shapes: one password per line, or
 ``user<TAB>password`` pairs. Passwords stay raw bytes throughout; leak
 files mix encodings freely and any normalisation would merge passwords
-that users actually typed differently. Cleanup keeps each user's last
-non-whitespace entry, and ``build_table`` ranks passwords by descending
-use count with a seeded pseudo-random tie-break so runs are reproducible.
+that users actually typed differently. Both are read a block of lines at
+a time: ``read_credentials`` keeps each user's last non-whitespace entry,
+and ``stream_table`` ranks the kept passwords by descending use count with
+a seeded pseudo-random tie-break so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -41,80 +42,6 @@ class CorpusError(Exception):
     def __init__(self, message: str, byte_offset: int | None = None):
         super().__init__(message)
         self.byte_offset = byte_offset
-
-
-@dataclass(frozen=True)
-class CredentialRecord:
-    user: str
-    password: bytes
-    line_no: int
-
-
-@dataclass
-class ParseResult:
-    """Accepted records plus the number of malformed lines skipped."""
-
-    records: list[CredentialRecord]
-    malformed: int
-
-
-def parse_corpus(raw: bytes | BinaryIO, corpus_format: str) -> ParseResult:
-    """Parse a newline-delimited credential stream.
-
-    ``user-tab-password`` lines split at the first TAB (the password may
-    contain further TABs); lines without a TAB are counted as malformed
-    and skipped. ``password-per-line`` assigns synthetic users ``u<line>``.
-    A trailing CR is stripped from every line.
-    """
-    if corpus_format not in CORPUS_FORMATS:
-        raise ValueError(f"unknown corpus format {corpus_format!r}")
-    stream = io.BytesIO(raw) if isinstance(raw, (bytes, bytearray)) else raw
-    records: list[CredentialRecord] = []
-    malformed = 0
-    offset = 0
-    line_no = 0
-    while True:
-        try:
-            line = stream.readline()
-        except OSError as exc:
-            raise CorpusError(f"unreadable corpus stream: {exc}", byte_offset=offset) from exc
-        if not line:
-            break
-        offset += len(line)
-        line_no += 1
-        if line.endswith(b"\n"):
-            line = line[:-1]
-        if line.endswith(b"\r"):
-            line = line[:-1]
-        if corpus_format == FORMAT_USER_TAB_PASSWORD:
-            sep = line.find(b"\t")
-            if sep < 0:
-                malformed += 1
-                continue
-            user = line[:sep].decode("latin-1")
-            password = line[sep + 1 :]
-        else:
-            user = f"u{line_no}"
-            password = line
-        records.append(CredentialRecord(user=user, password=password, line_no=line_no))
-    return ParseResult(records=records, malformed=malformed)
-
-
-def cleanup(records: Iterable[CredentialRecord]) -> list[CredentialRecord]:
-    """Keep each user's last usable entry.
-
-    Empty and whitespace-only passwords are dropped first, then the entry
-    with the highest line number wins per user; a user whose entries were
-    all whitespace disappears entirely. Output is ordered by line number.
-    """
-    latest: dict[str, CredentialRecord] = {}
-    for rec in records:
-        if not rec.password.strip():
-            continue
-        prev = latest.get(rec.user)
-        if prev is None or rec.line_no >= prev.line_no:
-            latest[rec.user] = rec
-    return sorted(latest.values(), key=lambda rec: rec.line_no)
 
 
 @dataclass(eq=False)
@@ -210,13 +137,6 @@ def table_from_counter(counts: Mapping[bytes, int], tie_break_seed: int = 0) -> 
     )
 
 
-def build_table(records: Sequence[CredentialRecord], tie_break_seed: int = 0) -> RankFrequencyTable:
-    """Group cleaned records by password and rank them."""
-    if not records:
-        raise CorpusError("cannot rank an empty corpus")
-    return table_from_counter(Counter(rec.password for rec in records), tie_break_seed)
-
-
 def table_from_counts(counts: Iterable[int], tie_break_seed: int = 0) -> RankFrequencyTable:
     """Build a table from bare counts with synthetic password labels."""
     counter = {b"p%08d" % i: int(c) for i, c in enumerate(counts, start=1)}
@@ -268,47 +188,82 @@ def _strip_cr(lines: list[bytes]) -> list[bytes]:
     return [line[:-1] if line[-1:] == b"\r" else line for line in lines]
 
 
-def stream_table(
-    raw: bytes | BinaryIO, corpus_format: str, tie_break_seed: int = 0
-) -> tuple[RankFrequencyTable, StreamStats]:
-    """Parse, clean and rank in one pass without materialising records.
+def line_blocks(stream: BinaryIO) -> Iterator[list[bytes]]:
+    """The lines of ``stream`` a read block at a time, without LF and one trailing CR."""
+    for chunk in _line_chunks(stream):
+        yield _strip_cr(_split_lines(chunk))
 
-    Equivalent to ``build_table(cleanup(parse_corpus(...).records))``. It
-    holds one block of lines (``READ_BLOCK`` bytes) plus one counter cell
-    per distinct line (password-per-line) or one entry per user
-    (user-tab-password), which is what makes corpus-scale files ingestible.
-    """
+
+def _corpus_stream(raw: bytes | BinaryIO, corpus_format: str) -> BinaryIO:
     if corpus_format not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format {corpus_format!r}")
-    stream = io.BytesIO(raw) if isinstance(raw, (bytes, bytearray)) else raw
+    return io.BytesIO(raw) if isinstance(raw, (bytes, bytearray)) else raw
+
+
+def read_credentials(
+    raw: bytes | BinaryIO, corpus_format: str
+) -> tuple[dict[bytes, bytes], StreamStats]:
+    """Each user's last usable password, keyed by the user's bytes.
+
+    ``user-tab-password`` lines split at the first TAB (the password may
+    contain further TABs); a line without a TAB is counted as malformed and
+    skipped. ``password-per-line`` gives line n the synthetic user ``u<n>``,
+    counting every line, blank ones included. Empty and whitespace-only
+    passwords are skipped, then a user's later entry replaces an earlier
+    one, so a user whose entries are all blank is left out. The entries are
+    in the line order of the ones kept: an accepted line deletes its user's
+    key before inserting it again.
+    """
+    stream = _corpus_stream(raw, corpus_format)
     per_line = corpus_format == FORMAT_PASSWORD_PER_LINE
-    counts: Counter[bytes] = Counter()
     latest: dict[bytes, bytes] = {}
     n_lines = 0
     malformed = 0
-    for chunk in _line_chunks(stream):
+    for lines in line_blocks(stream):
+        if per_line:
+            for line_no, password in enumerate(lines, start=n_lines + 1):
+                if password.strip():
+                    latest[b"u%d" % line_no] = password
+        else:
+            for line in lines:
+                user, sep, password = line.partition(b"\t")
+                if not sep:
+                    malformed += 1
+                elif password.strip():
+                    latest.pop(user, None)
+                    latest[user] = password
+        n_lines += len(lines)
+    return latest, StreamStats(lines=n_lines, malformed=malformed)
+
+
+def stream_table(
+    raw: bytes | BinaryIO, corpus_format: str, tie_break_seed: int = 0
+) -> tuple[RankFrequencyTable, StreamStats]:
+    """Read, clean and rank a corpus a block of lines at a time.
+
+    A ``user-tab-password`` corpus is ranked from the entry per user of
+    :func:`read_credentials`. A ``password-per-line`` corpus has one user
+    per line, so its lines are counted as they are read, holding one
+    counter cell per distinct line; that is what makes corpus-scale files
+    ingestible. Both give the table of the passwords ``read_credentials``
+    keeps.
+    """
+    if corpus_format != FORMAT_PASSWORD_PER_LINE:
+        latest, stats = read_credentials(raw, corpus_format)
+        return table_from_counter(Counter(latest.values()), tie_break_seed), stats
+    counts: Counter[bytes] = Counter()
+    n_lines = 0
+    for chunk in _line_chunks(_corpus_stream(raw, corpus_format)):
         lines = _split_lines(chunk)
         n_lines += len(lines)
-        if per_line:
-            counts.update(lines)
-            continue
-        for line in _strip_cr(lines):
-            user, sep, password = line.partition(b"\t")
-            if not sep:
-                malformed += 1
-            elif password.strip():
-                latest[user] = password
-    if per_line:
-        # Lines were counted raw: fold "pw\r" into "pw", then drop blank lines.
-        with_cr = [line for line in counts if line.endswith(b"\r")]
-        for line, n in [(line[:-1], counts.pop(line)) for line in with_cr]:
-            counts[line] += n
-        for line in [k for k in counts if not k.strip()]:
-            del counts[line]
-    else:
-        counts = Counter(latest.values())
-    table = table_from_counter(counts, tie_break_seed)
-    return table, StreamStats(lines=n_lines, malformed=malformed)
+        counts.update(lines)
+    # Lines were counted raw: fold "pw\r" into "pw", then drop blank lines.
+    with_cr = [line for line in counts if line.endswith(b"\r")]
+    for line, n in [(line[:-1], counts.pop(line)) for line in with_cr]:
+        counts[line] += n
+    for line in [k for k in counts if not k.strip()]:
+        del counts[line]
+    return table_from_counter(counts, tie_break_seed), StreamStats(lines=n_lines, malformed=0)
 
 
 def cap_ranks(table: RankFrequencyTable, max_ranks: int) -> RankFrequencyTable:
@@ -347,8 +302,12 @@ class CountOfCounts:
 
 
 def count_of_counts(table: RankFrequencyTable) -> CountOfCounts:
-    ks, ns = np.unique(table.counts, return_counts=True)
-    return CountOfCounts(pairs=list(zip(ks.tolist(), ns.tolist())))
+    counts = np.sort(table.counts)
+    run_start = np.ones(len(counts), dtype=bool)
+    run_start[1:] = counts[1:] != counts[:-1]
+    starts = np.flatnonzero(run_start)
+    runs = np.diff(np.append(starts, len(counts)))
+    return CountOfCounts(pairs=list(zip(counts[starts].tolist(), runs.tolist())))
 
 
 def write_table_tsv(table: RankFrequencyTable, path) -> None:

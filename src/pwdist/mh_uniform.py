@@ -282,9 +282,13 @@ def _first_ranks(passwords: Sequence[bytes]) -> np.ndarray | None:
     order = np.argsort(hashes, kind="stable")
     sorted_hashes = hashes[order]
     clash = np.flatnonzero(sorted_hashes[1:] == sorted_hashes[:-1])
+    clashing = np.zeros(len(passwords), dtype=bool)
+    clashing[order[clash]] = True
+    clashing[order[clash + 1]] = True
     canon = None
     first: dict[bytes, int] = {}
-    for rank in np.union1d(order[clash], order[clash + 1]).tolist():
+    # Ascending, so the first rank seen with a label is its lowest.
+    for rank in np.flatnonzero(clashing).tolist():
         label_rank = first.setdefault(passwords[rank], rank)
         if label_rank != rank:
             if canon is None:

@@ -3,25 +3,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pwdist.ingest import CredentialRecord, RankFrequencyTable, table_from_counter
-
-
-def records_from(pairs) -> list[CredentialRecord]:
-    """Build records from (user, password[, line_no]) tuples."""
-    out = []
-    for i, item in enumerate(pairs, start=1):
-        if len(item) == 3:
-            user, pw, line_no = item
-        else:
-            user, pw = item
-            line_no = i
-        out.append(CredentialRecord(user=user, password=pw, line_no=line_no))
-    return out
+from pwdist.crossguess import GuessCurve
+from pwdist.ingest import RankFrequencyTable, table_from_counter
 
 
 def rows(table: RankFrequencyTable) -> list[tuple[bytes, int]]:
     """The table as (password, count) pairs in rank order."""
     return list(zip(table.passwords, table.counts.tolist()))
+
+
+def steps(curve: GuessCurve) -> list[tuple[int, int]]:
+    """The curve's stored steps as (t, cumulative) pairs."""
+    return list(zip(curve.t.tolist(), curve.cumulative.tolist()))
 
 
 def table_of(counts: dict[bytes, int], seed: int = 0) -> RankFrequencyTable:

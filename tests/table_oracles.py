@@ -9,13 +9,105 @@ the same bytes.
 from __future__ import annotations
 
 import hashlib
+import io
 from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass
+from typing import BinaryIO, Iterable, Sequence
 
-from pwdist.ingest import TABLE_HEADER, CorpusError
+from pwdist.ingest import (
+    CORPUS_FORMATS,
+    FORMAT_USER_TAB_PASSWORD,
+    TABLE_HEADER,
+    CorpusError,
+    RankFrequencyTable,
+    table_from_counter,
+)
 from pwdist.tsvio import unescape_field
 
 _MASK64 = (1 << 64) - 1
 _ESCAPES = {0x5C: b"\\\\", 0x09: b"\\t", 0x0A: b"\\n", 0x0D: b"\\r"}
+
+
+@dataclass(frozen=True)
+class CredentialRecord:
+    user: str
+    password: bytes
+    line_no: int
+
+
+@dataclass
+class ParseResult:
+    """Accepted records plus the number of malformed lines skipped."""
+
+    records: list[CredentialRecord]
+    malformed: int
+
+
+def parse_corpus(raw: bytes | BinaryIO, corpus_format: str) -> ParseResult:
+    """Parse a newline-delimited credential stream a line at a time.
+
+    ``user-tab-password`` lines split at the first TAB (the password may
+    contain further TABs); lines without a TAB are counted as malformed
+    and skipped. ``password-per-line`` assigns synthetic users ``u<line>``.
+    A trailing CR is stripped from every line.
+    """
+    if corpus_format not in CORPUS_FORMATS:
+        raise ValueError(f"unknown corpus format {corpus_format!r}")
+    stream = io.BytesIO(raw) if isinstance(raw, (bytes, bytearray)) else raw
+    records: list[CredentialRecord] = []
+    malformed = 0
+    offset = 0
+    line_no = 0
+    while True:
+        try:
+            line = stream.readline()
+        except OSError as exc:
+            raise CorpusError(f"unreadable corpus stream: {exc}", byte_offset=offset) from exc
+        if not line:
+            break
+        offset += len(line)
+        line_no += 1
+        if line.endswith(b"\n"):
+            line = line[:-1]
+        if line.endswith(b"\r"):
+            line = line[:-1]
+        if corpus_format == FORMAT_USER_TAB_PASSWORD:
+            sep = line.find(b"\t")
+            if sep < 0:
+                malformed += 1
+                continue
+            user = line[:sep].decode("latin-1")
+            password = line[sep + 1 :]
+        else:
+            user = f"u{line_no}"
+            password = line
+        records.append(CredentialRecord(user=user, password=password, line_no=line_no))
+    return ParseResult(records=records, malformed=malformed)
+
+
+def cleanup(records: Iterable[CredentialRecord]) -> list[CredentialRecord]:
+    """Keep each user's last usable entry.
+
+    Empty and whitespace-only passwords are dropped first, then the entry
+    with the highest line number wins per user; a user whose entries were
+    all whitespace disappears entirely. Output is ordered by line number.
+    """
+    latest: dict[str, CredentialRecord] = {}
+    for rec in records:
+        if not rec.password.strip():
+            continue
+        prev = latest.get(rec.user)
+        if prev is None or rec.line_no >= prev.line_no:
+            latest[rec.user] = rec
+    return sorted(latest.values(), key=lambda rec: rec.line_no)
+
+
+def build_table(records: Sequence[CredentialRecord], tie_break_seed: int = 0) -> RankFrequencyTable:
+    """Group cleaned records by password and rank them."""
+    if not records:
+        raise CorpusError("cannot rank an empty corpus")
+    return table_from_counter(Counter(rec.password for rec in records), tie_break_seed)
 
 
 def tie_key(password: bytes, seed: int) -> bytes:
@@ -84,6 +176,20 @@ def read_table(path) -> list[tuple[bytes, int]]:
         seen.add(pw)
         prev = count
     return entries
+
+
+def curve_steps(increments: Iterable[int]) -> list[tuple[int, int]]:
+    """(t, cumulative) at each guess that adds something, plus the final guess."""
+    points: list[tuple[int, int]] = []
+    cum = 0
+    t = 0
+    for t, inc in enumerate(increments, start=1):
+        if inc:
+            cum += inc
+            points.append((t, cum))
+    if t >= 1 and (not points or points[-1][0] != t):
+        points.append((t, cum))
+    return points
 
 
 def write_curve(points: list[tuple[int, int]], denom: int, path, ts) -> None:

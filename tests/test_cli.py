@@ -314,6 +314,67 @@ class TestCrack:
     def test_crack_without_inputs_is_usage_error(self, tmp_path):
         assert main(["crack", "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
+    def test_digest_not_eight_bytes_is_input_error(self, tmp_path, capsys):
+        hashes = tmp_path / "hashes.tsv"
+        hashes.write_bytes(
+            b"user\tsalt-hex\tdigest-hex\n"
+            b"alice\t2e2e\tabcd\n"
+            b"bob\t2e2e\t0011223344556677\n"
+        )
+        words = tmp_path / "words.txt"
+        words.write_bytes(b"123456\n")
+        out = tmp_path / "out"
+        code = main(
+            ["crack", "--hashes", str(hashes), "--wordlist", str(words), "--out-dir", str(out)]
+        )
+        assert code == EXIT_INPUT
+        assert "pwdist-error\tinput" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_corpus_read_is_reported(self, tmp_path, capsys):
+        corpus = tmp_path / "users.tsv"
+        corpus.write_bytes(b"\xe9ve\tpw1\nbroken\nbob\tpw2\r\n\n\xe9ve\tpw3\n")
+        out = tmp_path / "out"
+        code = main(
+            ["crack", "--corpus", str(corpus), "--format", "user-tab-password",
+             "--out-dir", str(out)]
+        )
+        assert code == EXIT_OK
+        assert "hashed 2 users from 5 lines (2 malformed skipped)" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["counters"] == {"lines": 5, "malformed": 2}
+        # Each user's last entry, in the order of the kept lines; user bytes unchanged.
+        rows = (out / "hashes.tsv").read_bytes().splitlines()[1:]
+        assert [row.split(b"\t")[0] for row in rows] == [b"bob", b"\xe9ve"]
+
+
+def test_stages_do_not_import_numpy_ma(tmp_path, corpus):
+    """``numpy.ma`` costs about 1 MB resident; no stage should pull it in."""
+    table = tmp_path / "t" / "table.tsv"
+    stages = [
+        ["ingest", str(corpus), "--out-dir", str(table.parent)],
+        ["fit", "--table", str(table), "--replicates", "3", "--out-dir", str(tmp_path / "f")],
+        ["mh-sim", "--n-users", "300", "--n-ranks", "200", "--out-dir", str(tmp_path / "m")],
+        ["curve", "--target", str(table), "--log-spaced", "--out-dir", str(tmp_path / "c")],
+        ["crack", "--corpus", str(corpus), "--ordering", str(table), "--log-spaced",
+         "--out-dir", str(tmp_path / "k")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from pwdist.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(pwdist.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(stages)],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert out.stdout.splitlines()[-1] == "False"
+
 
 class TestMhSim:
     def test_config_file_drives_simulation(self, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +21,7 @@ from pwdist.crack import (
     write_hashes_tsv,
 )
 from pwdist.crossguess import GuessOrdering, self_curve, truncate_reaggregate
-from pwdist.ingest import build_table
-
-from conftest import records_from
+from pwdist.ingest import CorpusError, table_from_counter
 
 
 # Frozen vectors recomputed by hand from the documented constants:
@@ -85,13 +85,13 @@ class TestHashCorpus:
         assert hash_corpus([], SCHEME, salt_seed=1, salt_count=4) == []
 
     def test_single_salt_shared(self):
-        records = records_from([("u%d" % i, b"pw%d" % i) for i in range(10)])
-        entries = hash_corpus(records, SCHEME, salt_seed=3, salt_count=1)
+        credentials = [("u%d" % i, b"pw%d" % i) for i in range(10)]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=3, salt_count=1)
         assert len({e.salt for e in entries}) == 1
 
     def test_salts_come_from_generated_set(self):
-        records = records_from([("u%d" % i, b"pw%d" % (i % 37)) for i in range(1000)])
-        entries = hash_corpus(records, SCHEME, salt_seed=17, salt_count=50)
+        credentials = [("u%d" % i, b"pw%d" % (i % 37)) for i in range(1000)]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=17, salt_count=50)
         salt_set = set(generate_salts(SCHEME, 17, 50))
         assert len(salt_set) == 50
         assert {e.salt for e in entries} <= salt_set
@@ -105,31 +105,31 @@ class TestHashCorpus:
             generate_salts(SCHEME, 0, 64**2 + 1)
 
     def test_deterministic(self):
-        records = records_from([("u%d" % i, b"pw%d" % i) for i in range(30)])
-        a = hash_corpus(records, SCHEME, salt_seed=9, salt_count=8)
-        b = hash_corpus(records, SCHEME, salt_seed=9, salt_count=8)
+        credentials = [("u%d" % i, b"pw%d" % i) for i in range(30)]
+        a = hash_corpus(credentials, SCHEME, salt_seed=9, salt_count=8)
+        b = hash_corpus(credentials, SCHEME, salt_seed=9, salt_count=8)
         assert a == b
 
 
 class TestCrack:
     def test_hand_trace(self):
-        records = records_from([("u1", b"x"), ("u2", b"x"), ("u3", b"y")])
-        entries = hash_corpus(records, SCHEME, salt_seed=0, salt_count=2)
+        credentials = [("u1", b"x"), ("u2", b"x"), ("u3", b"y")]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=0, salt_count=2)
         report = crack(entries, GuessOrdering(guesses=[b"x"]), SCHEME)
         assert report.curve_users.cumulative_at(1) == 2
         assert sorted(u for u, _ in report.cracked) == ["u1", "u2"]
         assert report.uncracked_count == 1
 
     def test_empty_ordering(self):
-        records = records_from([("u1", b"x")])
-        entries = hash_corpus(records, SCHEME, salt_seed=0, salt_count=1)
+        credentials = [("u1", b"x")]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=0, salt_count=1)
         report = crack(entries, GuessOrdering(guesses=[]), SCHEME)
         assert report.cracked == []
         assert report.uncracked_count == 1
 
     def test_exhaustive_ordering_cracks_everyone(self):
-        records = records_from([("u%d" % i, b"pw%d" % (i % 5)) for i in range(20)])
-        entries = hash_corpus(records, SCHEME, salt_seed=1, salt_count=4)
+        credentials = [("u%d" % i, b"pw%d" % (i % 5)) for i in range(20)]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=1, salt_count=4)
         ordering = GuessOrdering(guesses=[b"pw%d" % i for i in range(5)])
         report = crack(entries, ordering, SCHEME)
         assert report.uncracked_count == 0
@@ -137,8 +137,8 @@ class TestCrack:
         assert report.curve_distinct.denominator == 5
 
     def test_guess_colliding_after_truncation_adds_nothing(self):
-        records = records_from([("u1", b"longpassword")])
-        entries = hash_corpus(records, SCHEME, salt_seed=2, salt_count=1)
+        credentials = [("u1", b"longpassword")]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=2, salt_count=1)
         ordering = GuessOrdering(guesses=[b"longpassword", b"longpassXXX"])
         report = crack(entries, ordering, SCHEME)
         assert report.curve_users.cumulative_at(1) == 1
@@ -146,8 +146,8 @@ class TestCrack:
         assert report.cracked == [("u1", b"longpass")]
 
     def test_distinct_denominator_upper_bounds_unseen(self):
-        records = records_from([("u1", b"hit"), ("u2", b"miss1"), ("u3", b"miss2")])
-        entries = hash_corpus(records, SCHEME, salt_seed=5, salt_count=2)
+        credentials = [("u1", b"hit"), ("u2", b"miss1"), ("u3", b"miss2")]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=5, salt_count=2)
         report = crack(entries, GuessOrdering(guesses=[b"hit"]), SCHEME)
         # one recovered plus two uncracked assumed unique
         assert report.curve_distinct.denominator == 3
@@ -155,17 +155,14 @@ class TestCrack:
     def test_recovery_matches_self_curve_of_truncated_table(self):
         rng = np.random.default_rng(31)
         pool = [b"verylongpassword%02d" % i for i in range(12)] + [b"pw%02d" % i for i in range(30)]
-        records = records_from(
-            [("u%d" % i, pool[int(rng.integers(0, len(pool)))]) for i in range(400)]
-        )
-        table = build_table(records, tie_break_seed=8)
+        credentials = [("u%d" % i, pool[int(rng.integers(0, len(pool)))]) for i in range(400)]
+        table = table_from_counter(Counter(pw for _, pw in credentials), tie_break_seed=8)
         truncated = truncate_reaggregate(table, 8, tie_break_seed=8)
         assert truncated.distinct_count < table.distinct_count  # truncation really merges
-        entries = hash_corpus(records, SCHEME, salt_seed=8, salt_count=16)
+        entries = hash_corpus(credentials, SCHEME, salt_seed=8, salt_count=16)
         report = crack(entries, GuessOrdering.from_table(truncated), SCHEME)
         own = self_curve(truncated, "users")
-        assert report.curve_users.points == own.points
-        assert report.curve_users.denominator == own.denominator
+        assert report.curve_users == own
 
     def test_each_salt_guess_pair_hashed_at_most_once(self):
         calls = []
@@ -176,8 +173,8 @@ class TestCrack:
             salt_len=SCHEME.salt_len,
             salt_alphabet=SCHEME.salt_alphabet,
         )
-        records = records_from([("u%d" % i, b"pw%d" % (i % 3)) for i in range(9)])
-        entries = hash_corpus(records, SCHEME, salt_seed=4, salt_count=3)
+        credentials = [("u%d" % i, b"pw%d" % (i % 3)) for i in range(9)]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=4, salt_count=3)
         ordering = GuessOrdering(guesses=[b"pw0", b"pw1", b"pw0XXXXXXXX", b"pw2"])
         crack(entries, ordering, counting)
         assert len(calls) == len(set(calls))
@@ -185,10 +182,8 @@ class TestCrack:
     def test_block_size_does_not_change_report(self, monkeypatch):
         rng = np.random.default_rng(5)
         pool = [b"pw%02d" % i for i in range(40)] + [b"longpassword%02d" % i for i in range(5)]
-        records = records_from(
-            [("u%d" % i, pool[int(rng.integers(0, len(pool)))]) for i in range(300)]
-        )
-        entries = hash_corpus(records, SCHEME, salt_seed=6, salt_count=12)
+        credentials = [("u%d" % i, pool[int(rng.integers(0, len(pool)))]) for i in range(300)]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=6, salt_count=12)
         ordering = GuessOrdering(guesses=[p for p in pool if p != b"pw07"] + [b"pw07"])
         whole = crack(entries, ordering, SCHEME)
         monkeypatch.setattr(crack_mod, "GUESS_BLOCK", 4)
@@ -197,8 +192,8 @@ class TestCrack:
         assert whole.uncracked_count == 0
 
     def test_rows_within_a_guess_follow_first_seen_salt_order(self):
-        records = records_from([("u%d" % i, b"same") for i in range(40)])
-        entries = hash_corpus(records, SCHEME, salt_seed=2, salt_count=16)
+        credentials = [("u%d" % i, b"same") for i in range(40)]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=2, salt_count=16)
         report = crack(entries, GuessOrdering(guesses=[b"same"]), SCHEME)
         salt_of = {e.user: e.salt for e in entries}
         first_seen = list(dict.fromkeys(e.salt for e in entries))
@@ -217,17 +212,17 @@ class TestCrackBatchKernelProperty:
         salt_seed=st.integers(0, 1000),
     )
     def test_default_hash_many_gives_same_report(self, passwords, guesses, salt_count, salt_seed):
-        records = records_from([("u%d" % i, pw) for i, pw in enumerate(passwords)])
-        entries = hash_corpus(records, SCHEME, salt_seed=salt_seed, salt_count=salt_count)
-        assert hash_corpus(records, SCALAR_SCHEME, salt_seed, salt_count) == entries
+        credentials = [("u%d" % i, pw) for i, pw in enumerate(passwords)]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=salt_seed, salt_count=salt_count)
+        assert hash_corpus(credentials, SCALAR_SCHEME, salt_seed, salt_count) == entries
         ordering = GuessOrdering(guesses=guesses)
         assert crack(entries, ordering, SCALAR_SCHEME) == crack(entries, ordering, SCHEME)
 
 
 class TestHashesTsv:
     def test_round_trip(self, tmp_path):
-        records = records_from([("user\twith\ttabs", b"pw1"), ("plain", b"pw2")])
-        entries = hash_corpus(records, SCHEME, salt_seed=11, salt_count=2)
+        credentials = [("user\twith\ttabs", b"pw1"), ("plain", b"pw2")]
+        entries = hash_corpus(credentials, SCHEME, salt_seed=11, salt_count=2)
         path = tmp_path / "hashes.tsv"
         write_hashes_tsv(entries, path)
         assert read_hashes_tsv(path) == entries
@@ -235,5 +230,28 @@ class TestHashesTsv:
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_bytes(b"wrong\theader\there\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(CorpusError):
             read_hashes_tsv(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            b"alice\t2e2e\tabcd",  # a 2-byte digest
+            b"alice\t2e2e\t00112233445566778899",  # a 10-byte digest
+            b"alice\t2e2e",  # a missing field
+            b"alice\tzz\t0011223344556677",  # salt not hex
+            b"al\\qice\t2e2e\t0011223344556677",  # bad escape
+        ],
+    )
+    def test_bad_row_is_corpus_error(self, tmp_path, row):
+        path = tmp_path / "hashes.tsv"
+        path.write_bytes(b"user\tsalt-hex\tdigest-hex\n" + row + b"\n")
+        with pytest.raises(CorpusError):
+            read_hashes_tsv(path)
+
+    def test_crlf_and_blank_lines_accepted(self, tmp_path):
+        entries = hash_corpus([("a", b"pw1"), ("b", b"pw2")], SCHEME, salt_seed=3, salt_count=2)
+        path = tmp_path / "hashes.tsv"
+        write_hashes_tsv(entries, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
+        assert read_hashes_tsv(path) == entries

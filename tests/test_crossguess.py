@@ -12,6 +12,7 @@ from pwdist.crossguess import (
     METRIC_DISTINCT,
     METRIC_USERS,
     cross_curve,
+    curve_from_increments,
     dictionary_ordering,
     self_curve,
     truncate_reaggregate,
@@ -19,20 +20,20 @@ from pwdist.crossguess import (
 )
 from pwdist.ingest import table_from_counter
 
-from conftest import random_table, rows, table_of
+from conftest import random_table, rows, steps, table_of
 
 
 class TestSelfCurve:
     def test_users_partial_sums(self):
         table = table_of({b"a": 2, b"b": 1, b"c": 1})
         curve = self_curve(table, METRIC_USERS)
-        assert curve.points == [(1, 2), (2, 3), (3, 4)]
+        assert steps(curve) == [(1, 2), (2, 3), (3, 4)]
         assert curve.denominator == 4
 
     def test_distinct_identity_line(self):
         table = table_of({b"a": 2, b"b": 1, b"c": 1})
         curve = self_curve(table, METRIC_DISTINCT)
-        assert curve.points == [(1, 1), (2, 2), (3, 3)]
+        assert steps(curve) == [(1, 1), (2, 2), (3, 3)]
         assert curve.denominator == 3
 
     def test_users_exhausts_at_distinct_count(self):
@@ -41,14 +42,30 @@ class TestSelfCurve:
         assert curve.cumulative_at(table.distinct_count) == table.total_users
 
 
+class TestCurveFromIncrements:
+    @given(st.lists(st.integers(0, 3), max_size=30), st.integers(0, 99))
+    def test_matches_increment_loop(self, increments, denominator):
+        curve = curve_from_increments(np.array(increments, dtype=np.int64), denominator, "users")
+        assert steps(curve) == oracle.curve_steps(increments)
+        assert curve.total_guesses == len(increments)
+        assert curve.final_cumulative == sum(increments)
+        for t in range(len(increments) + 2):
+            assert curve.cumulative_at(t) == sum(increments[:t])
+
+    def test_arrays_compare_by_value(self):
+        a = curve_from_increments(np.array([2, 0, 1]), 3, METRIC_USERS)
+        assert a == GuessCurve(t=[1, 3], cumulative=[2, 3], denominator=3, metric=METRIC_USERS)
+        assert a != GuessCurve(t=[1, 3], cumulative=[2, 3], denominator=4, metric=METRIC_USERS)
+        assert a.t.dtype == a.cumulative.dtype == np.int64
+
+
 class TestCrossCurve:
     def test_identity_reference_equals_self_curve(self):
         table = table_of({b"a": 4, b"b": 2, b"c": 1})
         for metric in (METRIC_USERS, METRIC_DISTINCT):
             cross = cross_curve(GuessOrdering.from_table(table), table, metric)
             own = self_curve(table, metric)
-            assert cross.points == own.points
-            assert cross.denominator == own.denominator
+            assert cross == own
 
     def test_disjoint_vocabularies_flat_zero(self):
         target = table_of({b"a": 3, b"b": 1})
@@ -169,7 +186,8 @@ class TestCurveExport:
         for dt, inc in steps:
             t, cum = t + dt, cum + inc
             points.append((t, cum))
-        curve = GuessCurve(points=points, denominator=denominator, metric=METRIC_USERS)
+        t, cumulative = zip(*points) if points else ((), ())
+        curve = GuessCurve(t=t, cumulative=cumulative, denominator=denominator, metric=METRIC_USERS)
         total = curve.total_guesses
         if log_spaced and total >= 1:
             ts = sorted(set(np.geomspace(1, total, num=512).round().astype(int).tolist()))
@@ -187,5 +205,5 @@ class TestCurveExport:
         target = table_of({b"a": 2})
         reference = GuessOrdering(guesses=[b"a", b"x", b"y", b"z"])
         curve = cross_curve(reference, target, METRIC_USERS)
-        assert curve.points == [(1, 2), (4, 2)]
+        assert steps(curve) == [(1, 2), (4, 2)]
         assert curve.total_guesses == 4

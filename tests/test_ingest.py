@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,64 +13,85 @@ from pwdist.ingest import (
     CORPUS_FORMATS,
     TABLE_HEADER,
     CorpusError,
-    CredentialRecord,
     FORMAT_PASSWORD_PER_LINE,
     FORMAT_USER_TAB_PASSWORD,
-    build_table,
     cap_ranks,
-    cleanup,
     count_of_counts,
-    parse_corpus,
+    read_credentials,
     read_table_tsv,
     stream_table,
     table_from_counter,
+    table_from_counts,
     write_table_tsv,
 )
 from pwdist.tsvio import escape_field
 
-from conftest import records_from, rows
+from conftest import rows
 
 # Block sizes small enough that lines and rows cross block boundaries.
 SMALL_BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 64, ingest.READ_BLOCK])
 
 
+def user_tab(*pairs: tuple[bytes, bytes]) -> bytes:
+    return b"".join(user + b"\t" + pw + b"\n" for user, pw in pairs)
+
+
+def credentials(raw: bytes, corpus_format: str = FORMAT_USER_TAB_PASSWORD) -> list[tuple]:
+    """What ``read_credentials`` keeps, as (user, password) pairs in order."""
+    latest, _ = read_credentials(raw, corpus_format)
+    return list(latest.items())
+
+
+def ranked(pairs, seed: int = 0):
+    """The table of a user-tab-password corpus of ``pairs``."""
+    table, _ = stream_table(user_tab(*pairs), FORMAT_USER_TAB_PASSWORD, tie_break_seed=seed)
+    return table
+
+
 class TestParseCorpus:
     def test_empty_input(self):
-        result = parse_corpus(b"", FORMAT_USER_TAB_PASSWORD)
-        assert result.records == []
-        assert result.malformed == 0
+        latest, read_stats = read_credentials(b"", FORMAT_USER_TAB_PASSWORD)
+        assert latest == {}
+        assert read_stats.lines == read_stats.malformed == 0
 
     def test_user_tab_password(self):
-        result = parse_corpus(b"alice\t123456\nbob\tabc\n", FORMAT_USER_TAB_PASSWORD)
-        assert len(result.records) == 2
-        assert result.records[0] == CredentialRecord("alice", b"123456", 1)
-        assert result.records[1] == CredentialRecord("bob", b"abc", 2)
+        assert credentials(b"alice\t123456\nbob\tabc\n") == [
+            (b"alice", b"123456"),
+            (b"bob", b"abc"),
+        ]
 
     def test_password_per_line_synthetic_users(self):
-        result = parse_corpus(b"123456\n123456\nqwerty\n", FORMAT_PASSWORD_PER_LINE)
-        assert [r.user for r in result.records] == ["u1", "u2", "u3"]
-        assert [r.password for r in result.records] == [b"123456", b"123456", b"qwerty"]
+        assert credentials(b"123456\n123456\nqwerty\n", FORMAT_PASSWORD_PER_LINE) == [
+            (b"u1", b"123456"),
+            (b"u2", b"123456"),
+            (b"u3", b"qwerty"),
+        ]
+
+    def test_synthetic_users_count_blank_lines(self):
+        raw = b"a\n\n  \nb\r\n"
+        assert credentials(raw, FORMAT_PASSWORD_PER_LINE) == [(b"u1", b"a"), (b"u4", b"b")]
 
     def test_password_may_contain_tabs(self):
-        result = parse_corpus(b"alice\tpass\tword\n", FORMAT_USER_TAB_PASSWORD)
-        assert result.records[0].password == b"pass\tword"
+        assert credentials(b"alice\tpass\tword\n") == [(b"alice", b"pass\tword")]
 
     def test_malformed_lines_counted_and_skipped(self):
-        result = parse_corpus(b"ok\tpw\nno-tab-here\nalso bad\nbob\tx\n", FORMAT_USER_TAB_PASSWORD)
-        assert len(result.records) == 2
-        assert result.malformed == 2
+        latest, read_stats = read_credentials(
+            b"ok\tpw\nno-tab-here\nalso bad\nbob\tx\n", FORMAT_USER_TAB_PASSWORD
+        )
+        assert list(latest) == [b"ok", b"bob"]
+        assert read_stats.malformed == 2
+        assert read_stats.lines == 4
 
     def test_crlf_stripped(self):
-        result = parse_corpus(b"alice\tpw\r\n", FORMAT_USER_TAB_PASSWORD)
-        assert result.records[0].password == b"pw"
+        assert credentials(b"alice\tpw\r\n") == [(b"alice", b"pw")]
 
     def test_no_trailing_newline(self):
-        result = parse_corpus(b"pw1\npw2", FORMAT_PASSWORD_PER_LINE)
-        assert [r.password for r in result.records] == [b"pw1", b"pw2"]
+        raw = b"pw1\npw2"
+        assert credentials(raw, FORMAT_PASSWORD_PER_LINE) == [(b"u1", b"pw1"), (b"u2", b"pw2")]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            parse_corpus(b"", "csv")
+            read_credentials(b"", "csv")
 
     def test_unreadable_stream_reports_offset(self):
         class Broken(io.RawIOBase):
@@ -79,79 +101,102 @@ class TestParseCorpus:
             def readable(self):
                 return True
 
-            def readline(self):
+            def read(self, size=-1):
                 self.calls += 1
                 if self.calls > 2:
                     raise OSError("disk on fire")
                 return b"line%d\n" % self.calls
 
         with pytest.raises(CorpusError) as err:
-            parse_corpus(Broken(), FORMAT_PASSWORD_PER_LINE)
+            read_credentials(Broken(), FORMAT_PASSWORD_PER_LINE)
         assert err.value.byte_offset == 12  # two 6-byte lines consumed
 
 
 class TestCleanup:
     def test_last_entry_per_user_wins(self):
-        records = records_from([("u1", b"a"), ("u1", b"b")])
-        assert cleanup(records) == [records[1]]
+        assert credentials(user_tab((b"u1", b"a"), (b"u1", b"b"))) == [(b"u1", b"b")]
+
+    def test_kept_entries_follow_their_line_order(self):
+        raw = user_tab((b"u1", b"a"), (b"u2", b"b"), (b"u1", b"c"), (b"u3", b"d"))
+        assert credentials(raw) == [(b"u2", b"b"), (b"u1", b"c"), (b"u3", b"d")]
 
     def test_whitespace_password_dropped(self):
-        assert cleanup(records_from([("u1", b"   ")])) == []
+        assert credentials(user_tab((b"u1", b"   "))) == []
 
     def test_empty_password_dropped(self):
-        assert cleanup(records_from([("u1", b"")])) == []
+        assert credentials(user_tab((b"u1", b""))) == []
 
     def test_empty_input(self):
-        assert cleanup([]) == []
+        assert credentials(b"") == []
 
     def test_whitespace_dropped_before_last_entry_selection(self):
         # a trailing whitespace entry must not erase the real password
-        records = records_from([("u1", b"real"), ("u1", b" \t ")])
-        assert cleanup(records) == [records[0]]
+        assert credentials(user_tab((b"u1", b"real"), (b"u1", b" \t "))) == [(b"u1", b"real")]
 
     def test_all_whitespace_user_omitted(self):
-        records = records_from([("u1", b" "), ("u1", b"\t"), ("u2", b"keep")])
-        assert cleanup(records) == [records[2]]
+        raw = user_tab((b"u1", b" "), (b"u1", b"\t"), (b"u2", b"keep"))
+        assert credentials(raw) == [(b"u2", b"keep")]
 
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["u1", "u2", "u3", "u4"]),
-                st.binary(max_size=4),
+                st.sampled_from([b"u1", b"u2", b"u3", b"u4"]),
+                st.binary(max_size=4).filter(lambda b: b"\n" not in b and b"\r" not in b),
             ),
             max_size=20,
         )
     )
     def test_idempotent(self, pairs):
-        records = records_from(pairs)
-        once = cleanup(records)
-        assert cleanup(once) == once
+        once = credentials(user_tab(*pairs))
+        assert credentials(user_tab(*once)) == once
+
+
+class TestReadCredentialsOracle:
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([b"a", b"b", b"u1", b"u2", b"\t", b" ", b"\r"]), max_size=4
+            ).map(b"".join),
+            max_size=20,
+        ),
+        st.booleans(),
+        st.sampled_from(CORPUS_FORMATS),
+        SMALL_BLOCKS,
+    )
+    def test_matches_record_pipeline(self, lines, final_newline, corpus_format, block):
+        raw = b"\n".join(lines) + (b"\n" if final_newline and lines else b"")
+        parsed = oracle.parse_corpus(raw, corpus_format)
+        expected = [
+            (rec.user.encode("latin-1"), rec.password) for rec in oracle.cleanup(parsed.records)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "READ_BLOCK", block)
+            latest, read_stats = read_credentials(io.BytesIO(raw), corpus_format)
+        assert list(latest.items()) == expected
+        assert read_stats.lines == len(io.BytesIO(raw).readlines())
+        assert read_stats.malformed == parsed.malformed
 
 
 class TestBuildTable:
     def test_hand_counted_example(self):
-        records = records_from([("u1", b"x"), ("u2", b"x"), ("u3", b"y")])
-        table = build_table(records)
+        table = ranked([(b"u1", b"x"), (b"u2", b"x"), (b"u3", b"y")])
         assert rows(table) == [(b"x", 2), (b"y", 1)]
         assert table.total_users == 3
         assert table.distinct_count == 2
 
     def test_empty_records_rejected(self):
-        with pytest.raises(CorpusError):
-            build_table([])
+        for corpus_format in CORPUS_FORMATS:
+            with pytest.raises(CorpusError):
+                stream_table(b"\n \n\t\n", corpus_format)
 
     def test_same_seed_same_order(self):
-        records = records_from([("u%d" % i, b"pw%d" % i) for i in range(8)])
-        t1 = build_table(records, tie_break_seed=99)
-        t2 = build_table(list(reversed(records)), tie_break_seed=99)
-        assert rows(t1) == rows(t2)
+        pairs = [(b"u%d" % i, b"pw%d" % i) for i in range(8)]
+        assert rows(ranked(pairs, seed=99)) == rows(ranked(reversed(pairs), seed=99))
 
     def test_different_seeds_permute_ties_only(self):
-        records = records_from(
-            [("u%d" % i, b"pw%d" % i) for i in range(6)] + [("v1", b"top"), ("v2", b"top")]
-        )
-        t1 = build_table(records, tie_break_seed=1)
-        t2 = build_table(records, tie_break_seed=2)
+        pairs = [(b"u%d" % i, b"pw%d" % i) for i in range(6)] + [(b"v1", b"top"), (b"v2", b"top")]
+        t1 = ranked(pairs, seed=1)
+        t2 = ranked(pairs, seed=2)
         # top entry has count 2 and stays at rank 1; the singleton run may shuffle
         assert rows(t1)[0] == rows(t2)[0] == (b"top", 2)
         assert sorted(rows(t1)) == sorted(rows(t2))
@@ -159,8 +204,7 @@ class TestBuildTable:
         assert rows(t1) != rows(t2)  # these seeds do reshuffle the tie run
 
     def test_counts_non_increasing_and_conserved(self):
-        records = records_from([("u%d" % i, b"pw%d" % (i % 3)) for i in range(10)])
-        table = build_table(records)
+        table = ranked([(b"u%d" % i, b"pw%d" % (i % 3)) for i in range(10)])
         table.validate()
         counts = table.counts.tolist()
         assert counts == sorted(counts, reverse=True)
@@ -192,6 +236,11 @@ class TestCountOfCounts:
         assert cc.distinct_count == table.distinct_count
         assert [k for k, _ in cc.pairs] == sorted({k for k, _ in cc.pairs})
 
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=30))
+    def test_matches_counter(self, counts):
+        cc = count_of_counts(table_from_counts(counts))
+        assert cc.pairs == sorted(Counter(counts).items())
+
 
 class TestStreamTable:
     @given(
@@ -205,10 +254,10 @@ class TestStreamTable:
         )
     )
     def test_matches_record_pipeline_user_tab(self, pairs):
-        raw = b"".join(user + b"\t" + pw + b"\n" for user, pw in pairs)
-        records = cleanup(parse_corpus(raw, FORMAT_USER_TAB_PASSWORD).records)
+        raw = user_tab(*pairs)
+        records = oracle.cleanup(oracle.parse_corpus(raw, FORMAT_USER_TAB_PASSWORD).records)
         try:
-            expected = build_table(records, tie_break_seed=5)
+            expected = oracle.build_table(records, tie_break_seed=5)
         except CorpusError:
             with pytest.raises(CorpusError):
                 stream_table(raw, FORMAT_USER_TAB_PASSWORD, tie_break_seed=5)
@@ -219,8 +268,8 @@ class TestStreamTable:
 
     def test_matches_record_pipeline_per_line(self):
         raw = b"aaa\n\nbbb\naaa\n   \nccc\n"
-        records = cleanup(parse_corpus(raw, FORMAT_PASSWORD_PER_LINE).records)
-        expected = build_table(records, tie_break_seed=2)
+        records = oracle.cleanup(oracle.parse_corpus(raw, FORMAT_PASSWORD_PER_LINE).records)
+        expected = oracle.build_table(records, tie_break_seed=2)
         streamed, parse_stats = stream_table(raw, FORMAT_PASSWORD_PER_LINE, tie_break_seed=2)
         assert rows(streamed) == rows(expected)
         assert parse_stats.lines == 6
@@ -320,8 +369,8 @@ class TestStreamTableBlocks:
     )
     def test_matches_record_pipeline(self, lines, final_newline, corpus_format, block):
         raw = b"\n".join(lines) + (b"\n" if final_newline and lines else b"")
-        parsed = parse_corpus(raw, corpus_format)
-        records = cleanup(parsed.records)
+        parsed = oracle.parse_corpus(raw, corpus_format)
+        records = oracle.cleanup(parsed.records)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "READ_BLOCK", block)
             if not records:
@@ -329,7 +378,7 @@ class TestStreamTableBlocks:
                     stream_table(io.BytesIO(raw), corpus_format, tie_break_seed=4)
                 return
             streamed, parse_stats = stream_table(io.BytesIO(raw), corpus_format, tie_break_seed=4)
-        assert streamed == build_table(records, tie_break_seed=4)
+        assert streamed == oracle.build_table(records, tie_break_seed=4)
         assert parse_stats.lines == len(io.BytesIO(raw).readlines())
         assert parse_stats.malformed == parsed.malformed
 

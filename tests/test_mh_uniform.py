@@ -325,6 +325,19 @@ class TestFirstRanks:
         canon = mh_uniform._first_ranks([b"ab", b"cd", b"ab", b"x", b"cd", b"ab"])
         assert canon.tolist() == [0, 1, 0, 3, 1, 0]
 
+    @given(st.lists(st.sampled_from([b"a", b"b", b"cc", b"dd", b"eee"]), max_size=20))
+    def test_matches_first_seen_dict(self, labels):
+        first: dict[bytes, int] = {}
+        expected = [first.setdefault(label, rank) for rank, label in enumerate(labels)]
+        with pytest.MonkeyPatch.context() as mp:
+            # few hash values, so most labels collide with another
+            mp.setattr(mh_uniform, "hash", len, raising=False)
+            canon = mh_uniform._first_ranks(labels)
+        if canon is None:
+            assert expected == list(range(len(labels)))
+        else:
+            assert canon.tolist() == expected
+
 
 def reference_proposals(model, passwords, rng, batch):
     """Batched inverse-CDF draws, yielded as labels."""
