@@ -78,24 +78,18 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _finish(
-    args,
-    command: str,
-    parameters: dict,
-    inputs: list[Path],
-    counters: dict | None = None,
-) -> None:
+def _finish(args, parameters: dict, counters: dict) -> None:
     """Move every staged output over its final name, then write the manifest."""
     out_dir = Path(args.out_dir)
     outputs = {name: _sha256(partial) for name, partial in args.staged.items()}
     for name, partial in args.staged.items():
         os.replace(partial, out_dir / name)
     manifest = RunManifest(
-        command=command,
+        command=args.subcommand,
         parameters=parameters,
-        inputs={p.name: _sha256(p) for p in inputs},
+        inputs={p.name: _sha256(p) for p in args.inputs},
         outputs=outputs,
-        counters=counters or {},
+        counters=counters,
     )
     (out_dir / MANIFEST_NAME).write_text(manifest.to_json())
 
@@ -122,16 +116,32 @@ def _stage(args, name: str) -> Path:
     return partial
 
 
+def _input(args, name: str) -> Path:
+    """Record ``name`` as an input of the run, as ``_stage`` records an output."""
+    path = Path(name)
+    args.inputs.append(path)
+    return path
+
+
 def _read_words(path: Path) -> list[bytes]:
     """The non-empty lines of a word list or ban file."""
     with open(path, "rb") as fh:
         return [line for lines in ingest.line_blocks(fh) for line in lines if line]
 
 
-def cmd_ingest(args) -> None:
-    _out_dir(args)
-    corpus = Path(args.corpus)
-    with open(corpus, "rb") as fh:
+def _ordering(args) -> crossguess.GuessOrdering | None:
+    """The guess order given by ``--ordering`` (a table) or ``--wordlist``, if any."""
+    if args.ordering:
+        path = _input(args, args.ordering)
+        return crossguess.GuessOrdering.from_table(ingest.read_table_tsv(path), label=path.name)
+    if args.wordlist:
+        path = _input(args, args.wordlist)
+        return crossguess.dictionary_ordering(_read_words(path), label=path.name)
+    return None
+
+
+def cmd_ingest(args) -> tuple[dict, dict]:
+    with open(_input(args, args.corpus), "rb") as fh:
         table, parse_stats = ingest.stream_table(fh, args.format, tie_break_seed=args.seed)
     dropped = 0
     if args.max_ranks is not None:
@@ -144,18 +154,11 @@ def cmd_ingest(args) -> None:
         f"ingested {parse_stats.lines} lines ({parse_stats.malformed} malformed skipped), "
         f"{table.total_users} users, {table.distinct_count} distinct passwords{note}"
     )
-    _finish(
-        args,
-        "ingest",
-        {"format": args.format, "seed": args.seed, "max_ranks": args.max_ranks},
-        [corpus],
-    )
+    return {"format": args.format, "seed": args.seed, "max_ranks": args.max_ranks}, {}
 
 
-def cmd_fit(args) -> None:
-    _out_dir(args)
-    table_path = Path(args.table)
-    table = ingest.read_table_tsv(table_path)
+def cmd_fit(args) -> tuple[dict, dict]:
+    table = ingest.read_table_tsv(_input(args, args.table))
     cc = ingest.count_of_counts(table)
     fits: list[zipf_fit.ZipfFit] = []
     errors: list[zipf_fit.FitError] = []
@@ -182,18 +185,11 @@ def cmd_fit(args) -> None:
     zipf_fit.write_binned_tsv(zipf_fit.bin_dyadic_k(cc), _stage(args, "binned_nk.tsv"))
     for f in fits:
         print(f"{f.method}: s = {f.s:.4g}" + (f" (p = {f.p_value:.3g})" if f.p_value is not None else ""))
-    _finish(
-        args,
-        "fit",
-        {"seed": args.seed, "replicates": args.replicates, "debias": args.debias},
-        [table_path],
-    )
+    return {"seed": args.seed, "replicates": args.replicates, "debias": args.debias}, {}
 
 
-def cmd_stats(args) -> None:
-    _out_dir(args)
-    table_path = Path(args.table)
-    table = ingest.read_table_tsv(table_path)
+def cmd_stats(args) -> tuple[dict, dict]:
+    table = ingest.read_table_tsv(_input(args, args.table))
     if args.s is not None:
         fit = zipf_fit.ZipfFit(s=args.s, method=zipf_fit.METHOD_MLE, truncation_N=table.distinct_count)
     else:
@@ -202,32 +198,15 @@ def cmd_stats(args) -> None:
     stats.write_stats_tsv(report, _stage(args, "stats.tsv"))
     for kind, st in report.items():
         print(f"{kind}: G = {st.guesswork_G:.6g}, H = {st.shannon_H:.6g}")
-    _finish(
-        args,
-        "stats",
-        {"seed": args.seed, "alpha": args.alpha, "s": args.s if args.s is not None else fit.s},
-        [table_path],
-    )
+    return {"seed": args.seed, "alpha": args.alpha, "s": fit.s}, {}
 
 
-def cmd_curve(args) -> None:
-    _out_dir(args)
-    target_path = Path(args.target)
-    target = ingest.read_table_tsv(target_path)
-    inputs = [target_path]
+def cmd_curve(args) -> tuple[dict, dict]:
+    target = ingest.read_table_tsv(_input(args, args.target))
     if args.truncate is not None:
         target = crossguess.truncate_reaggregate(target, args.truncate, tie_break_seed=args.seed)
-    if args.reference:
-        ref_path = Path(args.reference)
-        inputs.append(ref_path)
-        reference = crossguess.GuessOrdering.from_table(
-            ingest.read_table_tsv(ref_path), label=ref_path.name
-        )
-        curve = crossguess.cross_curve(reference, target, metric=args.metric)
-    elif args.wordlist:
-        words_path = Path(args.wordlist)
-        inputs.append(words_path)
-        reference = crossguess.dictionary_ordering(_read_words(words_path), label=words_path.name)
+    reference = _ordering(args)
+    if reference is not None:
         curve = crossguess.cross_curve(reference, target, metric=args.metric)
     else:
         curve = crossguess.self_curve(target, metric=args.metric)
@@ -236,28 +215,17 @@ def cmd_curve(args) -> None:
         f"{curve.metric} recovered after {curve.total_guesses} guesses: "
         f"{curve.final_cumulative}/{curve.denominator}"
     )
-    _finish(
-        args,
-        "curve",
-        {
-            "seed": args.seed,
-            "metric": args.metric,
-            "truncate": args.truncate,
-            "log_spaced": args.log_spaced,
-        },
-        inputs,
-    )
+    parameters = {
+        "seed": args.seed, "metric": args.metric, "truncate": args.truncate, "log_spaced": args.log_spaced
+    }
+    return parameters, {}
 
 
-def cmd_crack(args) -> None:
-    _out_dir(args)
+def cmd_crack(args) -> tuple[dict, dict]:
     scheme = crack_mod.builtin_scheme(args.scheme)
-    inputs: list[Path] = []
     counters = {}
     if args.corpus:
-        corpus_path = Path(args.corpus)
-        inputs.append(corpus_path)
-        with open(corpus_path, "rb") as fh:
+        with open(_input(args, args.corpus), "rb") as fh:
             latest, read_stats = ingest.read_credentials(fh, args.format)
         credentials = [(user.decode("latin-1"), password) for user, password in latest.items()]
         del latest
@@ -270,23 +238,9 @@ def cmd_crack(args) -> None:
             f"({read_stats.malformed} malformed skipped)"
         )
         counters = {"lines": read_stats.lines, "malformed": read_stats.malformed}
-    elif args.hashes:
-        hashes_path = Path(args.hashes)
-        inputs.append(hashes_path)
-        entries = crack_mod.read_hashes_tsv(hashes_path)
     else:
-        raise ValueError("need --corpus or --hashes")
-    ordering = None
-    if args.ordering:
-        ord_path = Path(args.ordering)
-        inputs.append(ord_path)
-        ordering = crossguess.GuessOrdering.from_table(
-            ingest.read_table_tsv(ord_path), label=ord_path.name
-        )
-    elif args.wordlist:
-        words_path = Path(args.wordlist)
-        inputs.append(words_path)
-        ordering = crossguess.dictionary_ordering(_read_words(words_path), label=words_path.name)
+        entries = crack_mod.read_hashes_tsv(_input(args, args.hashes))
+    ordering = _ordering(args)
     if ordering is not None:
         report = crack_mod.crack(entries, ordering, scheme)
         crossguess.write_curve_tsv(
@@ -302,32 +256,82 @@ def cmd_crack(args) -> None:
         )
     elif not args.corpus:
         raise ValueError("nothing to do: no ordering and no corpus to hash")
-    _finish(
-        args,
-        "crack",
-        {
-            "seed": args.seed,
-            "scheme": args.scheme,
-            "salt_count": args.salt_count,
-            "salt_seed": args.salt_seed,
-            "format": args.format,
-            "log_spaced": args.log_spaced,
-        },
-        inputs,
-        counters,
+    parameters = {
+        "seed": args.seed,
+        "scheme": args.scheme,
+        "salt_count": args.salt_count,
+        "salt_seed": args.salt_seed,
+        "format": args.format,
+        "log_spaced": args.log_spaced,
+    }
+    return parameters, counters
+
+
+def cmd_mhsim(args) -> tuple[dict, dict]:
+    if args.source == "zipf":
+        model = stats.zipf_model(args.s, args.n_ranks)
+        passwords = [b"p%08d" % i for i in range(1, args.n_ranks + 1)]
+        source_desc = {"source": "zipf", "s": args.s, "n_ranks": args.n_ranks}
+    else:
+        if not args.table:
+            raise ValueError("source=table needs table=<path>")
+        table_path = _input(args, args.table)
+        table = ingest.read_table_tsv(table_path)
+        model = stats.empirical_model(table)
+        passwords = table.passwords
+        source_desc = {"source": "table", "table": table_path.name}
+
+    weights = None
+    if args.ban_file:
+        weights = mh_uniform.TargetWeight.with_bans(banned=_read_words(_input(args, args.ban_file)))
+
+    if args.backend == mh_uniform.BACKEND_EXACT:
+        store = mh_uniform.ExactFrequencyStore()
+    else:
+        store = mh_uniform.CountMinStore(width=args.width, depth=args.depth, master_seed=args.seed)
+
+    report = mh_uniform.simulate(
+        model, passwords, args.n_users, store=store, weights=weights, seed=args.seed,
+        retry_cap=args.retry_cap,
     )
+    ingest.write_table_tsv(report.accepted_table, _stage(args, "accepted.tsv"))
+    ingest.write_table_tsv(report.free_table, _stage(args, "free.tsv"))
+    mh_uniform.write_summary_tsv(report, _stage(args, "summary.tsv"))
+    counters = {
+        "asks": report.rejected_total + args.n_users,
+        "rejected": report.rejected_total,
+        "hash_evaluations": store.hash_evaluations,
+    }
+    if args.backend == mh_uniform.BACKEND_COUNT_MIN:
+        counters["sketch_error_bound"] = math.e * store.totals / store.width
+    print(
+        f"simulated {args.n_users} users: mean asks {report.mean_asks:.3f}, "
+        f"max accepted frequency {report.accepted_table.counts[0]}, "
+        f"max free frequency {report.free_table.counts[0]}"
+    )
+    parameters = {
+        "seed": args.seed,
+        "n_users": args.n_users,
+        "backend": args.backend,
+        "width": args.width,
+        "depth": args.depth,
+        "retry_cap": args.retry_cap,
+        **source_desc,
+    }
+    return parameters, counters
 
 
-# Every key cmd_mhsim reads, after "-" -> "_" and aliasing.
+# The mh-sim flags a config file may set, and the short names it may use for some.
 _CONFIG_KEYS = frozenset(
-    {"source", "s", "n_ranks", "table", "n_users", "backend", "width", "depth", "seed",
-     "retry_cap", "ban_file"}
+    {"source", "s", "n-ranks", "table", "n-users", "backend", "width", "depth", "seed",
+     "retry-cap", "ban-file"}
 )
-_CONFIG_ALIASES = {"w": "width", "d": "depth", "ban_list": "ban_file"}
+_CONFIG_ALIASES = {"w": "width", "d": "depth", "ban-list": "ban-file"}
 
 
-def _load_sim_config(path: Path) -> dict[str, str]:
-    config: dict[str, str] = {}
+def _config_tokens(path: Path) -> list[str]:
+    """The ``--key=value`` flags that the ``key = value`` lines of ``path`` stand for."""
+    tokens = []
     for raw in path.read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -335,105 +339,19 @@ def _load_sim_config(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"bad config line (want key=value): {line!r}")
         raw_key, value = line.split("=", 1)
-        key = raw_key.strip().replace("-", "_")
+        key = raw_key.strip().replace("_", "-")
         key = _CONFIG_ALIASES.get(key, key)
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {raw_key.strip()!r} in {path.name}")
-        config[key] = value.strip()
-    return config
+        tokens.append(f"--{key}={value.strip()}")
+    return tokens
 
 
-def cmd_mhsim(args) -> None:
-    _out_dir(args)
-    config: dict[str, str] = {}
-    inputs: list[Path] = []
-    if args.config:
-        config_path = Path(args.config)
-        inputs.append(config_path)
-        config = _load_sim_config(config_path)
-
-    def setting(name, cast, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in config:
-            return cast(config[name])
-        return default
-
-    source = setting("source", str, "zipf")
-    n_users = setting("n_users", int, 10000)
-    backend = setting("backend", str, mh_uniform.BACKEND_EXACT)
-    width = setting("width", int, mh_uniform.DEFAULT_SKETCH_WIDTH)
-    depth = setting("depth", int, mh_uniform.DEFAULT_SKETCH_DEPTH)
-    seed = setting("seed", int, DEFAULT_SEED)
-    retry_cap = setting("retry_cap", int, mh_uniform.DEFAULT_RETRY_CAP)
-    ban_file = setting("ban_file", str, None)
-
-    if source == "zipf":
-        s = setting("s", float, 0.78)
-        n_ranks = setting("n_ranks", int, 100000)
-        model = stats.zipf_model(s, n_ranks)
-        passwords = [b"p%08d" % i for i in range(1, n_ranks + 1)]
-        source_desc = {"source": "zipf", "s": s, "n_ranks": n_ranks}
-    elif source == "table":
-        table_file = setting("table", str, None)
-        if not table_file:
-            raise ValueError("source=table needs table=<path>")
-        table_path = Path(table_file)
-        inputs.append(table_path)
-        table = ingest.read_table_tsv(table_path)
-        model = stats.empirical_model(table)
-        passwords = table.passwords
-        source_desc = {"source": "table", "table": table_path.name}
-    else:
-        raise ValueError(f"unknown source {source!r} (want zipf or table)")
-
-    weights = None
-    if ban_file:
-        ban_path = Path(ban_file)
-        inputs.append(ban_path)
-        weights = mh_uniform.TargetWeight.with_bans(banned=_read_words(ban_path))
-
-    if backend == mh_uniform.BACKEND_EXACT:
-        store = mh_uniform.ExactFrequencyStore()
-    elif backend == mh_uniform.BACKEND_COUNT_MIN:
-        store = mh_uniform.CountMinStore(width=width, depth=depth, master_seed=seed)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    report = mh_uniform.simulate(
-        model, passwords, n_users, store=store, weights=weights, seed=seed, retry_cap=retry_cap
-    )
-    ingest.write_table_tsv(report.accepted_table, _stage(args, "accepted.tsv"))
-    ingest.write_table_tsv(report.free_table, _stage(args, "free.tsv"))
-    mh_uniform.write_summary_tsv(report, _stage(args, "summary.tsv"))
-    counters = {
-        "asks": report.rejected_total + n_users,
-        "rejected": report.rejected_total,
-        "hash_evaluations": store.hash_evaluations,
-    }
-    if backend == mh_uniform.BACKEND_COUNT_MIN:
-        counters["sketch_error_bound"] = math.e * store.totals / store.width
-    print(
-        f"simulated {n_users} users: mean asks {report.mean_asks:.3f}, "
-        f"max accepted frequency {report.accepted_table.counts[0]}, "
-        f"max free frequency {report.free_table.counts[0]}"
-    )
-    _finish(
-        args,
-        "mh-sim",
-        {
-            "seed": seed,
-            "n_users": n_users,
-            "backend": backend,
-            "width": width,
-            "depth": depth,
-            "retry_cap": retry_cap,
-            **source_desc,
-        },
-        inputs,
-        counters,
-    )
+def _replicates(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 skips the p-value), got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,117 +359,111 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pwdist {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def command(name, func, summary, corpus_format=False):
+        p = sub.add_parser(name, help=summary, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for every random choice")
         p.add_argument("--out-dir", default=".", help="directory for outputs and the manifest")
+        if corpus_format:
+            p.add_argument(
+                "--format", choices=ingest.CORPUS_FORMATS, default=ingest.FORMAT_PASSWORD_PER_LINE,
+                help="corpus line format",
+            )
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("ingest", help="parse a corpus into a rank-frequency table")
-    common(p)
+    p = command("ingest", cmd_ingest, "parse a corpus into a rank-frequency table", corpus_format=True)
     p.add_argument("corpus", help="raw corpus file")
-    p.add_argument(
-        "--format",
-        choices=ingest.CORPUS_FORMATS,
-        default=ingest.FORMAT_PASSWORD_PER_LINE,
-    )
-    p.add_argument(
-        "--max-ranks",
-        dest="max_ranks",
-        type=int,
-        default=None,
-        help="keep only the top N ranks (bounds output size on huge corpora)",
-    )
-    p.set_defaults(func=cmd_ingest)
+    p.add_argument("--max-ranks", type=int, default=None, help="keep only the top N ranks")
 
-    p = sub.add_parser("fit", help="fit Zipf models to a table")
-    common(p)
+    p = command("fit", cmd_fit, "fit Zipf models to a table")
     p.add_argument("--table", required=True, help="table.tsv from ingest")
-    p.add_argument("--replicates", type=int, default=100, help="bootstrap replicates (0 skips the p-value)")
+    p.add_argument("--replicates", type=_replicates, default=100, help="bootstrap replicates; 0 skips the p-value")
     p.add_argument("--debias", action="store_true", help="indirect-inference bias correction for the MLE")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("stats", help="guesswork and entropy statistics")
-    common(p)
+    p = command("stats", cmd_stats, "guesswork and entropy statistics")
     p.add_argument("--table", required=True)
     p.add_argument("--alpha", type=float, default=stats.DEFAULT_ALPHA)
-    p.add_argument("--s", type=float, default=None, help="Zipf exponent (default: fit by MLE)")
-    p.set_defaults(func=cmd_stats)
+    p.add_argument("--s", type=float, default=None, help="Zipf exponent; None fits it by MLE")
 
-    p = sub.add_parser("curve", help="self or cross guessing curves")
-    common(p)
+    p = command("curve", cmd_curve, "self or cross guessing curves")
     p.add_argument("--target", required=True, help="table being guessed")
-    p.add_argument("--reference", help="table whose ordering drives the guessing")
-    p.add_argument("--wordlist", help="dictionary file, guessed in lexical order")
+    order = p.add_mutually_exclusive_group()
+    order.add_argument("--reference", dest="ordering", help="table whose ordering drives the guessing")
+    order.add_argument("--wordlist", help="dictionary file, guessed in lexical order")
     p.add_argument("--metric", choices=crossguess.METRICS, default=crossguess.METRIC_USERS)
     p.add_argument("--truncate", type=int, default=None, help="truncate-and-reaggregate the target first")
     p.add_argument("--log-spaced", action="store_true", help="sample the curve at log-spaced indices")
-    p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("crack", help="hash a corpus and/or crack a hashed corpus")
-    common(p)
-    p.add_argument("--corpus", help="raw corpus to hash into hashes.tsv")
-    p.add_argument(
-        "--format",
-        choices=ingest.CORPUS_FORMATS,
-        default=ingest.FORMAT_PASSWORD_PER_LINE,
-    )
-    p.add_argument("--hashes", help="existing hashes.tsv to attack")
-    p.add_argument("--ordering", help="table.tsv whose ranking orders the guesses")
-    p.add_argument("--wordlist", help="dictionary file, guessed in lexical order")
+    p = command("crack", cmd_crack, "hash a corpus and/or crack a hashed corpus", corpus_format=True)
+    hashed = p.add_mutually_exclusive_group(required=True)
+    hashed.add_argument("--corpus", help="raw corpus to hash into hashes.tsv")
+    hashed.add_argument("--hashes", help="existing hashes.tsv to attack")
+    order = p.add_mutually_exclusive_group()
+    order.add_argument("--ordering", help="table.tsv whose ranking orders the guesses")
+    order.add_argument("--wordlist", help="dictionary file, guessed in lexical order")
     p.add_argument("--scheme", default="trunc8-mix64")
     p.add_argument("--salt-count", type=int, default=64)
-    p.add_argument("--salt-seed", type=int, default=None, help="defaults to --seed")
+    p.add_argument("--salt-seed", type=int, default=None, help="None uses --seed")
     p.add_argument("--log-spaced", action="store_true")
-    p.set_defaults(func=cmd_crack)
 
-    p = sub.add_parser("mh-sim", help="simulate the Metropolis-Hastings password scheme")
-    common(p)
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--source", choices=("zipf", "table"), default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--n-ranks", dest="n_ranks", type=int, default=None)
+    # Every option but --config and --out-dir may also be set by a config file line.
+    p = command("mh-sim", cmd_mhsim, "simulate the Metropolis-Hastings password scheme")
+    p.add_argument("--config", help="key = value config file; flags override its lines")
+    p.add_argument("--source", choices=("zipf", "table"), default="zipf", help="proposal distribution")
+    p.add_argument("--s", type=float, default=0.78, help="Zipf exponent for source=zipf")
+    p.add_argument("--n-ranks", type=int, default=100000, help="Zipf ranks for source=zipf")
     p.add_argument("--table", default=None, help="table for source=table")
-    p.add_argument("--n-users", dest="n_users", type=int, default=None)
-    p.add_argument("--backend", choices=(mh_uniform.BACKEND_EXACT, mh_uniform.BACKEND_COUNT_MIN), default=None)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--retry-cap", dest="retry_cap", type=int, default=None)
-    p.add_argument("--ban-file", dest="ban_file", default=None)
-    # No flag default, so that a config file's seed applies unless --seed is given.
-    p.set_defaults(func=cmd_mhsim, seed=None)
+    p.add_argument("--n-users", type=int, default=10000, help="users to enrol")
+    p.add_argument(
+        "--backend",
+        choices=(mh_uniform.BACKEND_EXACT, mh_uniform.BACKEND_COUNT_MIN),
+        default=mh_uniform.BACKEND_EXACT,
+        help="frequency store",
+    )
+    p.add_argument("--width", type=int, default=mh_uniform.DEFAULT_SKETCH_WIDTH, help="count-min width")
+    p.add_argument("--depth", type=int, default=mh_uniform.DEFAULT_SKETCH_DEPTH, help="count-min depth")
+    p.add_argument("--retry-cap", type=int, default=mh_uniform.DEFAULT_RETRY_CAP, help="asks per session")
+    p.add_argument("--ban-file", default=None, help="passwords never accepted")
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Each ``cmd_*`` reads its inputs through ``_input``, writes its outputs
+    through ``_stage`` and returns ``(parameters, counters)``; the out-dir,
+    the manifest and the mapping of errors to exit codes are done here.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    staged: dict[str, Path] = {}
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        _out_dir(args)
+        inputs = []
+        if getattr(args, "config", None):
+            # The file's lines go before the command line's flags, so the flags override them.
+            inputs.append(Path(args.config))
+            at = argv.index(args.subcommand) + 1
+            args = parser.parse_args([*argv[:at], *_config_tokens(inputs[0]), *argv[at:]])
+        args.staged, args.inputs = staged, inputs
+        parameters, counters = args.func(args)
+        _finish(args, parameters, counters)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.staged = {}
-    try:
-        try:
-            args.func(args)
-        finally:
-            for partial in args.staged.values():
-                partial.unlink(missing_ok=True)
-    except ingest.CorpusError as exc:
+    except (ingest.CorpusError, OSError) as exc:
         _error_line("input", str(exc))
         return EXIT_INPUT
-    except FileNotFoundError as exc:
-        _error_line("input", str(exc))
-        return EXIT_INPUT
-    except OSError as exc:
-        _error_line("input", str(exc))
-        return EXIT_INPUT
-    except zipf_fit.FitError as exc:
-        _error_line("numeric", str(exc))
-        return EXIT_NUMERIC
-    except mh_uniform.BannedExhaustionError as exc:
+    except (zipf_fit.FitError, mh_uniform.BannedExhaustionError) as exc:
         _error_line("numeric", str(exc))
         return EXIT_NUMERIC
     except ValueError as exc:
         _error_line("usage", str(exc))
         return EXIT_USAGE
+    finally:
+        for partial in staged.values():
+            partial.unlink(missing_ok=True)
     return EXIT_OK
 
 

@@ -154,10 +154,10 @@ class StreamStats:
 def _line_chunks(stream: BinaryIO) -> Iterator[bytes]:
     """``READ_BLOCK``-byte reads of ``stream``, each cut after its last LF.
 
-    The bytes after the cut are carried into the next chunk, so a chunk
-    holds only whole lines; the last chunk may lack a final LF.
+    The bytes after a cut are carried and joined once, when an LF arrives, so
+    each chunk but the last ends in an LF and costs time linear in its length.
     """
-    tail = b""
+    carried: list[bytes] = []
     offset = 0
     while True:
         try:
@@ -169,12 +169,12 @@ def _line_chunks(stream: BinaryIO) -> Iterator[bytes]:
         offset += len(block)
         cut = block.rfind(b"\n") + 1
         if not cut:
-            tail += block
+            carried.append(block)
             continue
-        yield tail + block[:cut]
-        tail = block[cut:]
-    if tail:
-        yield tail
+        yield b"".join([*carried, block[:cut]])
+        carried = [block[cut:]]
+    if any(carried):
+        yield b"".join(carried)
 
 
 def _split_lines(chunk: bytes) -> list[bytes]:

@@ -220,6 +220,14 @@ class TestFit:
         }
         assert rows["mle"][4] == ""
 
+    def test_negative_replicates_is_usage_error(self, tmp_path, corpus, capsys):
+        table = ingest_table(tmp_path, corpus)
+        out = tmp_path / "fit"
+        code = main(["fit", "--table", str(table), "--out-dir", str(out), "--replicates", "-5"])
+        assert code == EXIT_USAGE
+        assert "pwdist-error\tusage\t" in capsys.readouterr().err
+        assert not (out / "fit.tsv").exists()
+
 
 class TestStats:
     def test_writes_three_model_rows(self, tmp_path, corpus):
@@ -260,6 +268,17 @@ class TestCurve:
         assert code == EXIT_OK
         lines = (out / "curve.tsv").read_text().splitlines()
         assert lines[1] == "1\t12\t0.48"  # "123456" sorts first and recovers 12 users
+
+    def test_reference_with_wordlist_is_usage_error(self, tmp_path, corpus, capsys):
+        table = ingest_table(tmp_path, corpus)
+        words = tmp_path / "words.txt"
+        words.write_bytes(b"123456\n")
+        code = main(
+            ["curve", "--target", str(table), "--reference", str(table),
+             "--wordlist", str(words), "--out-dir", str(tmp_path / "c")]
+        )
+        assert code == EXIT_USAGE
+        assert "pwdist-error\tusage\t" in capsys.readouterr().err
 
 
 class TestCrack:
@@ -313,6 +332,26 @@ class TestCrack:
 
     def test_crack_without_inputs_is_usage_error(self, tmp_path):
         assert main(["crack", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+
+    def test_ordering_with_wordlist_is_usage_error(self, tmp_path, corpus, capsys):
+        table = ingest_table(tmp_path, corpus)
+        words = tmp_path / "words.txt"
+        words.write_bytes(b"123456\n")
+        code = main(
+            ["crack", "--corpus", str(corpus), "--ordering", str(table),
+             "--wordlist", str(words), "--out-dir", str(tmp_path / "k")]
+        )
+        assert code == EXIT_USAGE
+        assert "pwdist-error\tusage\t" in capsys.readouterr().err
+
+    def test_corpus_with_hashes_is_usage_error(self, tmp_path, corpus, capsys):
+        hashes = tmp_path / "hashes.tsv"
+        hashes.write_bytes(b"user\tsalt-hex\tdigest-hex\n")
+        code = main(
+            ["crack", "--corpus", str(corpus), "--hashes", str(hashes), "--out-dir", str(tmp_path / "k")]
+        )
+        assert code == EXIT_USAGE
+        assert "pwdist-error\tusage\t" in capsys.readouterr().err
 
     def test_digest_not_eight_bytes_is_input_error(self, tmp_path, capsys):
         hashes = tmp_path / "hashes.tsv"
@@ -455,13 +494,29 @@ class TestMhSim:
         assert main(args + ["--retry-cap", "0", "--out-dir", str(tmp_path / "sim")]) == EXIT_USAGE
         assert "pwdist-error\tusage\tretry_cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["bogus-key = 3", "n-user = 100000"])
+    @pytest.mark.parametrize(
+        "line", ["bogus-key = 3", "n-user = 100000", "out-dir = x", "config = y"]
+    )
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, line):
         config = tmp_path / "sim.cfg"
         config.write_text(f"source = zipf\nn-ranks = 100\n{line}\n")
         code = main(["mh-sim", "--config", str(config), "--out-dir", str(tmp_path / "sim")])
         assert code == EXIT_USAGE
         assert repr(line.split(" =")[0]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config_text, code", [("source = zipf\nbogus-key = 3\n", EXIT_USAGE), (None, EXIT_INPUT)]
+    )
+    def test_bad_config_leaves_no_manifest(self, tmp_path, config_text, code):
+        out = tmp_path / "sim"
+        argv = ["mh-sim", "--n-users", "50", "--n-ranks", "20", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        assert (out / "manifest.json").exists()
+        config = tmp_path / "sim.cfg"
+        if config_text is not None:
+            config.write_text(config_text)
+        assert main([*argv, "--config", str(config)]) == code
+        assert not (out / "manifest.json").exists()
 
     def test_config_aliases_accepted(self, tmp_path):
         ban = tmp_path / "banned.txt"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import time
 from collections import Counter
 
 import numpy as np
@@ -175,6 +176,17 @@ class TestReadCredentialsOracle:
         assert list(latest.items()) == expected
         assert read_stats.lines == len(io.BytesIO(raw).readlines())
         assert read_stats.malformed == parsed.malformed
+
+    def test_long_line_is_read_in_linear_time(self, monkeypatch):
+        # 65,536 small reads without an LF: joining the carried blocks once is
+        # linear, appending each block to the carried bytes was quadratic (~10 s).
+        monkeypatch.setattr(ingest, "READ_BLOCK", 64)
+        line = b"x" * (4 << 20)
+        start = time.perf_counter()
+        latest, read_stats = read_credentials(io.BytesIO(b"alice\t" + line), FORMAT_USER_TAB_PASSWORD)
+        assert time.perf_counter() - start < 2.0
+        assert latest == {b"alice": line}
+        assert (read_stats.lines, read_stats.malformed) == (1, 0)
 
 
 class TestBuildTable:
