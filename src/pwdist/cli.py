@@ -223,26 +223,29 @@ def cmd_curve(args) -> tuple[dict, dict]:
 
 def cmd_crack(args) -> tuple[dict, dict]:
     scheme = crack_mod.builtin_scheme(args.scheme)
+    parameters = {"seed": args.seed, "scheme": args.scheme, "log_spaced": args.log_spaced}
     counters = {}
     if args.corpus:
         with open(_input(args, args.corpus), "rb") as fh:
             latest, read_stats = ingest.read_credentials(fh, args.format)
-        credentials = [(user.decode("latin-1"), password) for user, password in latest.items()]
-        del latest
         salt_seed = args.salt_seed if args.salt_seed is not None else args.seed
-        entries = crack_mod.hash_corpus(credentials, scheme, salt_seed, args.salt_count)
-        del credentials  # the replay needs only the hashed entries
-        crack_mod.write_hashes_tsv(entries, _stage(args, "hashes.tsv"))
+        corpus = crack_mod.hash_corpus(
+            list(latest), list(latest.values()), scheme, salt_seed, args.salt_count
+        )
+        del latest  # the replay needs only the hashed corpus
+        crack_mod.write_hashes_tsv(corpus, _stage(args, "hashes.tsv"))
         print(
-            f"hashed {len(entries)} users from {read_stats.lines} lines "
+            f"hashed {len(corpus)} users from {read_stats.lines} lines "
             f"({read_stats.malformed} malformed skipped)"
         )
         counters = {"lines": read_stats.lines, "malformed": read_stats.malformed}
+        # These shape only the hashing of a corpus, so only a --corpus run records them.
+        parameters.update(salt_count=args.salt_count, salt_seed=args.salt_seed, format=args.format)
     else:
-        entries = crack_mod.read_hashes_tsv(_input(args, args.hashes))
+        corpus = crack_mod.read_hashes_tsv(_input(args, args.hashes))
     ordering = _ordering(args)
     if ordering is not None:
-        report = crack_mod.crack(entries, ordering, scheme)
+        report = crack_mod.crack(corpus, ordering, scheme)
         crossguess.write_curve_tsv(
             report.curve_users, _stage(args, "curve_users.tsv"), log_spaced=args.log_spaced
         )
@@ -251,24 +254,18 @@ def cmd_crack(args) -> tuple[dict, dict]:
         )
         crack_mod.write_cracked_tsv(report, _stage(args, "cracked.tsv"))
         print(
-            f"cracked {len(report.cracked)}/{len(entries)} users "
+            f"cracked {len(report.cracked)}/{len(corpus)} users "
             f"({report.uncracked_count} uncracked) in {ordering.source_label or 'given'} order"
         )
     elif not args.corpus:
         raise ValueError("nothing to do: no ordering and no corpus to hash")
-    parameters = {
-        "seed": args.seed,
-        "scheme": args.scheme,
-        "salt_count": args.salt_count,
-        "salt_seed": args.salt_seed,
-        "format": args.format,
-        "log_spaced": args.log_spaced,
-    }
     return parameters, counters
 
 
 def cmd_mhsim(args) -> tuple[dict, dict]:
     if args.source == "zipf":
+        if args.table:
+            raise ValueError("table is read only with source=table")
         model = stats.zipf_model(args.s, args.n_ranks)
         passwords = [b"p%08d" % i for i in range(1, args.n_ranks + 1)]
         source_desc = {"source": "zipf", "s": args.s, "n_ranks": args.n_ranks}
@@ -331,8 +328,12 @@ _CONFIG_ALIASES = {"w": "width", "d": "depth", "ban-list": "ban-file"}
 
 def _config_tokens(path: Path) -> list[str]:
     """The ``--key=value`` flags that the ``key = value`` lines of ``path`` stand for."""
+    try:
+        text = path.read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise ingest.CorpusError(f"config file {path} is not UTF-8: {exc}") from exc
     tokens = []
-    for raw in path.read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

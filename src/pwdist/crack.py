@@ -4,9 +4,10 @@ The hash scheme is pluggable. The built-in ``trunc8-mix64`` scheme mirrors
 the shape of classic crypt(3) (8-byte truncation, small printable salts)
 without implementing it: the digest is a 64-bit FNV-1a over salt bytes then
 password bytes, finished with the splitmix64 avalanche, so independent
-implementations interoperate bit for bit. The cracking loop buckets
-entries per salt and hashes each fresh guess once per salt that still has
-uncracked entries, which is exactly why real salted corpora cost thousands
+implementations interoperate bit for bit. A hashed corpus is held as
+columns (users, a salt index and a digest per row). The cracking loop
+hashes each fresh guess once per salt that still has uncracked rows,
+which is exactly why real salted corpora cost thousands
 of hash calls per guess. Hashing is batched: a block of fresh guesses is
 hashed against every live salt as one ``(guesses x salts)`` array.
 """
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .crossguess import GuessCurve, GuessOrdering, METRIC_DISTINCT, METRIC_USERS, curve_from_increments
-from .ingest import CorpusError, line_blocks
+from .ingest import WRITE_BLOCK, CorpusError, line_blocks
 from .tsvio import escape_field, unescape_field
 
 _MASK64 = (1 << 64) - 1
@@ -35,6 +36,8 @@ HASHES_HEADER = b"user\tsalt-hex\tdigest-hex"
 # GUESS_BLOCK x live salts x 8 bytes: 128 KB at 64 salts, small enough that
 # the block arrays do not raise the stage's peak memory.
 GUESS_BLOCK = 256
+# Leading digest bits indexed by the replay's pre-filter: a 1 MB table.
+PREFILTER_BITS = 20
 
 HashMany = Callable[[Sequence[bytes], Sequence[bytes]], np.ndarray]
 
@@ -80,11 +83,33 @@ class HashScheme:
         return password[: self.truncate_len]
 
 
-@dataclass(frozen=True)
-class HashedEntry:
-    user: str
-    salt: bytes
-    digest: bytes
+@dataclass(eq=False)
+class HashedCorpus:
+    """A salted hashed corpus held as columns, one row per user.
+
+    Row i is user ``users[i]``, hashed under ``salts[salt_index[i]]`` to
+    the 8-byte digest ``digests[i]`` (a big-endian digest read as a
+    ``uint64``). ``salts`` holds each salt once, in the order of the first
+    row that uses it.
+    """
+
+    users: list[bytes]
+    salts: list[bytes]
+    salt_index: np.ndarray
+    digests: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HashedCorpus):
+            return NotImplemented
+        return (
+            self.users == other.users
+            and self.salts == other.salts
+            and np.array_equal(self.salt_index, other.salt_index)
+            and np.array_equal(self.digests, other.digests)
+        )
 
 
 def _fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
@@ -163,30 +188,62 @@ def generate_salts(scheme: HashScheme, salt_seed: int, salt_count: int) -> list[
     return salts
 
 
+def draw_below(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """``[rng.randrange(n) for _ in range(count)]`` as an int64 array, drawn in bulk.
+
+    For n < 2**32, ``randrange(n)`` keeps the top ``k = n.bit_length()``
+    bits of one 32-bit Mersenne Twister output and draws again while the
+    value is ``>= n``. ``getrandbits(32 * m)`` returns m such outputs with
+    the first in its lowest 32 bits, so shifting each right by ``32 - k``
+    and dropping the values ``>= n`` gives the same draws in the same order.
+    """
+    if not 0 < n < 1 << 32:
+        raise ValueError(f"cannot draw below {n} in bulk")
+    k = n.bit_length()
+    parts = [np.empty(0, dtype=np.int64)]
+    need = count
+    while need:
+        # about the expected number of outputs for ``need`` accepted draws
+        words = need * (1 << k) // n + 16
+        raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4")
+        drawn = raw >> np.uint32(32 - k)
+        drawn = drawn[drawn < n][:need]
+        parts.append(drawn.astype(np.int64))
+        need -= len(drawn)
+    return np.concatenate(parts)
+
+
 def hash_corpus(
-    credentials: Sequence[tuple[str, bytes]],
+    users: Sequence[bytes],
+    passwords: Sequence[bytes],
     scheme: HashScheme,
     salt_seed: int,
     salt_count: int,
-) -> list[HashedEntry]:
-    """Hash each ``(user, password)`` pair under a salt drawn uniformly from a seeded set.
+) -> HashedCorpus:
+    """Hash each user's password under a salt drawn uniformly from a seeded set.
 
-    Salts are drawn in the order of ``credentials``. Pairs are grouped by
-    their drawn salt and each group is hashed with one ``hash_many`` call.
+    Salts are drawn in row order, one ``randrange(salt_count)`` per user.
+    Rows are grouped by their drawn salt and each group is hashed with one
+    ``hash_many`` call.
     """
+    if len(users) != len(passwords):
+        raise ValueError("need exactly one password per user")
     salts = generate_salts(scheme, salt_seed, salt_count)
     rng = random.Random((salt_seed ^ 0x5A17) & _MASK64)
-    salt_of = np.array([rng.randrange(salt_count) for _ in credentials], dtype=np.int64)
-    digests = np.empty(len(credentials), dtype=">u8")
-    for j, salt in enumerate(salts):
-        rows = np.flatnonzero(salt_of == j)
-        passwords = [scheme.truncate(credentials[i][1]) for i in rows.tolist()]
-        digests[rows] = scheme.hash_many([salt], passwords)[:, 0]
-    raw = digests.tobytes()
-    return [
-        HashedEntry(user=user, salt=salts[j], digest=raw[8 * i : 8 * i + 8])
-        for i, ((user, _), j) in enumerate(zip(credentials, salt_of.tolist()))
-    ]
+    drawn = draw_below(rng, salt_count, len(users))
+    # Renumber the drawn salts by first use.
+    used = list(dict.fromkeys(drawn.tolist()))
+    renumber = np.zeros(salt_count, dtype=np.int64)
+    renumber[used] = np.arange(len(used))
+    salt_index = renumber[drawn]
+    digests = np.empty(len(users), dtype=np.uint64)
+    for j, salt in enumerate(used):
+        rows = np.flatnonzero(salt_index == j)
+        group = [scheme.truncate(passwords[i]) for i in rows.tolist()]
+        digests[rows] = scheme.hash_many([salts[salt]], group)[:, 0]
+    return HashedCorpus(
+        users=list(users), salts=[salts[j] for j in used], salt_index=salt_index, digests=digests
+    )
 
 
 @dataclass
@@ -200,31 +257,38 @@ class CrackReport:
 
     curve_users: GuessCurve
     curve_distinct: GuessCurve
-    cracked: list[tuple[str, bytes]]
+    cracked: list[tuple[bytes, bytes]]
     uncracked_count: int
 
 
-def crack(entries: Sequence[HashedEntry], ordering: GuessOrdering, scheme: HashScheme) -> CrackReport:
+def crack(corpus: HashedCorpus, ordering: GuessOrdering, scheme: HashScheme) -> CrackReport:
     """Replay a guess ordering against a hashed corpus.
 
     Guesses are truncated per scheme before hashing; a guess that repeats
     an earlier one after truncation advances the curve without hashing, so
     each (salt, guess) pair costs at most one hash evaluation. Fresh
     guesses are hashed in blocks of ``GUESS_BLOCK`` against every salt that
-    still has uncracked entries; a salt left with none retires before the
-    next block. Hits are resolved guess by guess, and within a guess in
-    the order salts first appear in ``entries``, so an entry goes to the
-    first guess that matches it and ``cracked`` has the same order in
-    every process.
+    still has uncracked rows; a salt left with none retires before the
+    next block. Hits are resolved guess by guess, within a guess in the
+    order of ``corpus.salts``, and within a salt in row order, so a row
+    goes to the first guess that matches it and ``cracked`` has the same
+    order in every process.
     """
-    buckets: dict[bytes, dict[bytes, list[str]]] = {}
-    for entry in entries:
-        buckets.setdefault(entry.salt, {}).setdefault(entry.digest, []).append(entry.user)
-    # Every digest a guess could match, for a vectorised pre-filter; a hit
-    # is confirmed and popped through its salt's bucket.
-    outstanding = np.sort(
-        np.fromiter((int.from_bytes(e.digest, "big") for e in entries), dtype=np.uint64)
-    )
+    n = len(corpus)
+    # Rows sorted by digest, then salt, then row: the rows one (salt, guess)
+    # hit cracks are the ones of its salt in its digest's run.
+    order = np.lexsort((corpus.salt_index, corpus.digests))
+    sorted_digests = corpus.digests[order]
+    # Whether any row's digest has given top PREFILTER_BITS bits: most
+    # (guess, salt) digests are ruled out by this before the sorted search.
+    top = np.uint64(64 - PREFILTER_BITS)
+    present = np.zeros(1 << PREFILTER_BITS, dtype=bool)
+    present[corpus.digests >> top] = True
+    salt_at = corpus.salt_index[order].tolist()
+    user_at = [corpus.users[i] for i in order.tolist()]
+    done = bytearray(n)
+    # Uncracked rows per salt.
+    left = np.bincount(corpus.salt_index, minlength=len(corpus.salts)).tolist()
     fresh: list[bytes] = []
     fresh_at: list[int] = []
     tried: set[bytes] = set()
@@ -234,81 +298,108 @@ def crack(entries: Sequence[HashedEntry], ordering: GuessOrdering, scheme: HashS
             tried.add(truncated)
             fresh.append(truncated)
             fresh_at.append(i)
-    live = list(buckets)
+    live = [j for j, rows_left in enumerate(left) if rows_left]
     users_inc = np.zeros(len(ordering.guesses), dtype=np.int64)
-    cracked: list[tuple[str, bytes]] = []
+    cracked: list[tuple[bytes, bytes]] = []
     for start in range(0, len(fresh), GUESS_BLOCK):
         if not live:
             break
         block = fresh[start : start + GUESS_BLOCK]
-        digests = scheme.hash_many(live, block)
-        pos = np.searchsorted(outstanding, digests)
-        hit = pos < len(outstanding)
-        hit[hit] = outstanding[pos[hit]] == digests[hit]
-        rows, cols = np.nonzero(hit)
-        for g, s, d in zip(rows.tolist(), cols.tolist(), digests[rows, cols].tolist()):
-            users = buckets[live[s]].pop(d.to_bytes(8, "big"), None)
+        digests = scheme.hash_many([corpus.salts[j] for j in live], block)
+        rows, cols = np.nonzero(present[digests >> top])
+        found = digests[rows, cols]
+        run_starts = np.searchsorted(sorted_digests, found)
+        hit = run_starts < n
+        hit[hit] = sorted_digests[run_starts[hit]] == found[hit]
+        rows, cols, found, run_starts = rows[hit], cols[hit], found[hit], run_starts[hit]
+        run_ends = np.searchsorted(sorted_digests, found, side="right")
+        for g, s, lo, hi in zip(rows.tolist(), cols.tolist(), run_starts.tolist(), run_ends.tolist()):
+            salt = live[s]
+            users = []
+            for q in range(lo, hi):
+                if salt_at[q] == salt and not done[q]:
+                    done[q] = 1
+                    users.append(user_at[q])
             if users:
                 users_inc[fresh_at[start + g]] += len(users)
+                left[salt] -= len(users)
                 cracked.extend((u, block[g]) for u in users)
-        live = [salt for salt in live if buckets[salt]]
+        live = [j for j in live if left[j]]
     distinct_inc = (users_inc > 0).astype(np.int64)
     distinct_recovered = int(distinct_inc.sum())
-    uncracked = len(entries) - len(cracked)
+    uncracked_count = n - len(cracked)
     return CrackReport(
-        curve_users=curve_from_increments(users_inc, len(entries), METRIC_USERS),
+        curve_users=curve_from_increments(users_inc, n, METRIC_USERS),
         curve_distinct=curve_from_increments(
-            distinct_inc, distinct_recovered + uncracked, METRIC_DISTINCT
+            distinct_inc, distinct_recovered + uncracked_count, METRIC_DISTINCT
         ),
         cracked=cracked,
-        uncracked_count=uncracked,
+        uncracked_count=uncracked_count,
     )
 
 
-def write_hashes_tsv(entries: Sequence[HashedEntry], path) -> None:
-    """Export as ``user<TAB>salt-hex<TAB>digest-hex``."""
+def write_hashes_tsv(corpus: HashedCorpus, path) -> None:
+    """Export as ``user<TAB>salt-hex<TAB>digest-hex``, a block of rows per write."""
+    salt_hex = [salt.hex().encode() for salt in corpus.salts]
     with open(path, "wb") as fh:
         fh.write(HASHES_HEADER + b"\n")
-        for e in entries:
-            fh.write(
-                escape_field(e.user.encode("latin-1"))
-                + b"\t" + e.salt.hex().encode() + b"\t" + e.digest.hex().encode() + b"\n"
+        for start in range(0, len(corpus), WRITE_BLOCK):
+            stop = start + WRITE_BLOCK
+            rows = zip(
+                map(escape_field, corpus.users[start:stop]),
+                map(salt_hex.__getitem__, corpus.salt_index[start:stop].tolist()),
+                corpus.digests[start:stop].tolist(),
             )
+            fh.write(b"".join([b"%s\t%s\t%016x\n" % row for row in rows]))
 
 
-def _hashed_entry(line: bytes) -> HashedEntry:
+def _hashes_row(line: bytes) -> tuple[bytes, bytes, bytes]:
+    """The user, salt and digest of one ``hashes.tsv`` row."""
     parts = line.split(b"\t")
     if len(parts) != 3:
         raise CorpusError(f"malformed hashes row: {line!r}")
     user, salt_hex, digest_hex = parts
     try:
-        entry = HashedEntry(
-            user=unescape_field(user).decode("latin-1"),
-            salt=bytes.fromhex(salt_hex.decode()),
-            digest=bytes.fromhex(digest_hex.decode()),
-        )
+        row = unescape_field(user), bytes.fromhex(salt_hex.decode()), bytes.fromhex(digest_hex.decode())
     except ValueError as exc:
         raise CorpusError(f"malformed hashes row {line!r}: {exc}") from exc
-    if len(entry.digest) != 8:
+    if len(row[2]) != 8:
         raise CorpusError(f"malformed hashes row {line!r}: digest is not 8 bytes")
-    return entry
+    return row
 
 
-def read_hashes_tsv(path) -> list[HashedEntry]:
+def read_hashes_tsv(path) -> HashedCorpus:
     """Load a file written by :func:`write_hashes_tsv`.
 
     CRLF rows and blank lines are accepted; a wrong header, a row without
     exactly three fields, a bad escape or hex field, or a digest that is
     not 8 bytes raises :class:`CorpusError`.
     """
+    users: list[bytes] = []
+    salt_ids: dict[bytes, int] = {}
+    salt_index: list[int] = []
+    digests: list[bytes] = []
     with open(path, "rb") as fh:
         if fh.readline().rstrip(b"\r\n") != HASHES_HEADER:
             raise CorpusError(f"not a hashed-corpus file: {path}")
-        return [_hashed_entry(line) for lines in line_blocks(fh) for line in lines if line]
+        for lines in line_blocks(fh):
+            for line in lines:
+                if line:
+                    user, salt, digest = _hashes_row(line)
+                    users.append(user)
+                    salt_index.append(salt_ids.setdefault(salt, len(salt_ids)))
+                    digests.append(digest)
+    return HashedCorpus(
+        users=users,
+        salts=list(salt_ids),
+        salt_index=np.array(salt_index, dtype=np.int64),
+        digests=np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64),
+    )
 
 
 def write_cracked_tsv(report: CrackReport, path) -> None:
     with open(path, "wb") as fh:
         fh.write(b"user\tpassword\n")
-        for user, password in report.cracked:
-            fh.write(escape_field(user.encode("latin-1")) + b"\t" + escape_field(password) + b"\n")
+        for start in range(0, len(report.cracked), WRITE_BLOCK):
+            rows = report.cracked[start : start + WRITE_BLOCK]
+            fh.write(b"".join([b"%s\t%s\n" % (escape_field(u), escape_field(p)) for u, p in rows]))

@@ -10,9 +10,10 @@ uniform distribution without any banned-word list.
 
 Two frequency backends implement the same interface: an exact counter and
 a count-min sketch, which never undercounts and keeps its counters in fixed
-memory. ``simulate`` runs its sessions over model rank indices; ``mh_session``
-is the same rule over password bytes, one session at a time, and is the
-reference that ``simulate`` must reproduce draw for draw.
+memory. ``simulate`` runs its sessions over model rank indices and replays
+its seeded generator's raw stream in blocks; ``mh_session`` is the same rule
+over password bytes, one session at a time, calling the generator per draw,
+and is the reference that ``simulate`` must reproduce draw for draw.
 Target weights generalise the rule to banned (weight 0) and soft-banned
 (weight below 1) passwords via the usual acceptance ratio; with the
 default all-ones weights the rule reduces exactly to u <= F(x).
@@ -38,6 +39,8 @@ DEFAULT_SKETCH_DEPTH = 4
 DEFAULT_RETRY_CAP = 100
 # Proposal draws taken from the generator at a time.
 PROPOSAL_BATCH = 8192
+# Raw generator words read at a time for the per-session draws.
+RAW_BLOCK = 1024
 
 
 class BannedExhaustionError(Exception):
@@ -107,23 +110,37 @@ class CountMinStore:
         ]
         self._flat = np.zeros(depth * width, dtype=np.int64)
         self.totals = 0
-        # Keyed row hashes computed so far, ``depth`` per key hashed.
+        # Keyed row hashes counted so far: ``depth`` per key an increment or
+        # a query hashes, and per rank that ``simulate`` proposes.
         self.hash_evaluations = 0
 
-    def _offsets(self, key: bytes) -> list[int]:
-        """Each row's counter for ``key``, as an offset into the flat counters."""
-        self.hash_evaluations += self.depth
-        offsets = []
-        for base, row_hash in self._rows:
-            h = row_hash.copy()
-            h.update(key)
-            offsets.append(base + int.from_bytes(h.digest(), "big") % self.width)
+    def _offsets(self, keys: Sequence[bytes]) -> np.ndarray:
+        """Each key's counter in each row, as offsets into the flat counters.
+
+        Returns a ``(len(keys), depth)`` array, hashing the keys in one pass
+        per row; ``hash_evaluations`` is counted by the caller.
+        """
+        offsets = np.empty((len(keys), self.depth), dtype=np.int64)
+        for row, (base, row_hash) in enumerate(self._rows):
+            copy = row_hash.copy
+
+            def digest(key: bytes) -> bytes:
+                h = copy()
+                h.update(key)
+                return h.digest()
+
+            digests = np.frombuffer(b"".join(map(digest, keys)), dtype=">u8")
+            offsets[:, row] = digests % np.uint64(self.width) + np.uint64(base)
         return offsets
+
+    def _key_offsets(self, key: bytes) -> list[int]:
+        self.hash_evaluations += self.depth
+        return self._offsets([key])[0].tolist()
 
     def increment(self, key: bytes) -> int:
         """Count one more ``key``; returns the estimate from before."""
         flat = self._flat
-        offsets = self._offsets(key)
+        offsets = self._key_offsets(key)
         estimate = min([flat[o] for o in offsets])
         for o in offsets:
             flat[o] += 1
@@ -132,7 +149,7 @@ class CountMinStore:
 
     def query(self, key: bytes) -> int:
         flat = self._flat
-        return int(min([flat[o] for o in self._offsets(key)]))
+        return int(min([flat[o] for o in self._key_offsets(key)]))
 
 
 @dataclass
@@ -243,33 +260,89 @@ def mh_session(
     raise BannedExhaustionError("proposal stream ended before an acceptable password")
 
 
-class _ProposalSampler:
-    """Batched i.i.d. rank draws from a finite distribution, shared by sessions.
+class _RawStream:
+    """The draws of a fresh PCG64 ``Generator``, replayed from its raw output.
 
-    ``canon``, if given, maps each rank to the rank a draw is reported as.
+    numpy makes ``random()`` of the next 64-bit word x as ``(x >> 11) *
+    2**-53``, and ``integers(0, n)`` for n <= 2**32 by Lemire's multiply-and-
+    reject method on 32-bit draws; PCG64 gives a 32-bit draw as the low half
+    of a fresh word and keeps the high half for the next one. Reading the
+    words in blocks through ``random_raw`` gives every draw exactly, in the
+    same order, without one generator call per draw. The stream reads ahead
+    of the draws it has returned, so the generator is not to be drawn from
+    directly once a stream is made from it.
     """
 
-    def __init__(
-        self, probs: np.ndarray, rng: np.random.Generator, canon: np.ndarray | None, batch: int
-    ):
-        self._cum = np.cumsum(np.asarray(probs, dtype=np.float64))
-        self._cum[-1] = 1.0
-        self._rng = rng
-        self._canon = canon
-        self._batch = batch
-        self._buf: list[int] = []
+    def __init__(self, rng: np.random.Generator, block: int = RAW_BLOCK):
+        self._raw = rng.bit_generator.random_raw
+        self._block = block
+        self._words: list[int] = []
         self._pos = 0
+        self._high: int | None = None
 
-    def take(self) -> int:
-        if self._pos >= len(self._buf):
-            ranks = np.searchsorted(self._cum, self._rng.random(self._batch), side="right")
-            if self._canon is not None:
-                ranks = self._canon[ranks]
-            self._buf = ranks.tolist()
-            self._pos = 0
-        rank = self._buf[self._pos]
-        self._pos += 1
-        return rank
+    def _word(self) -> int:
+        pos = self._pos
+        if pos == len(self._words):
+            self._words = self._raw(self._block).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._words[pos]
+
+    def random(self) -> float:
+        """``Generator.random()``."""
+        return (self._word() >> 11) * 2.0**-53
+
+    def randoms(self, size: int) -> np.ndarray:
+        """``Generator.random(size)``: the words read ahead, then fresh ones."""
+        ahead = self._words[self._pos : self._pos + size]
+        self._pos += len(ahead)
+        raw = np.array(ahead, dtype=np.uint64)
+        if len(ahead) < size:
+            raw = np.concatenate((raw, self._raw(size - len(ahead))))
+        return (raw >> np.uint64(11)) * 2.0**-53
+
+    def below(self, n: int) -> int:
+        """``int(Generator.integers(0, n))`` for 1 <= n <= 2**32; n = 1 draws nothing."""
+        if n == 1:
+            return 0
+        if not 1 < n <= 1 << 32:
+            raise ValueError(f"cannot replay integers(0, {n})")
+        threshold = ((1 << 32) - n) % n
+        while True:
+            x = self._high
+            if x is None:
+                word = self._word()
+                self._high = word >> 32
+                x = word & 0xFFFFFFFF
+            else:
+                self._high = None
+            m = x * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+
+def _proposal_ranks(
+    probs: np.ndarray,
+    randoms: Callable[[int], np.ndarray],
+    canon: np.ndarray | None,
+    batch: int,
+    on_batch: Callable[[np.ndarray], None] | None = None,
+) -> Iterator[int]:
+    """I.i.d. rank draws from a finite distribution, ``batch`` at a time.
+
+    A batch is drawn when the first of its ranks is asked for. ``canon``,
+    if given, maps each rank to the rank a draw is reported as;
+    ``on_batch``, if given, sees each batch of ranks before any is yielded.
+    """
+    cum = np.cumsum(np.asarray(probs, dtype=np.float64))
+    cum[-1] = 1.0
+    while True:
+        ranks = np.searchsorted(cum, randoms(batch), side="right")
+        if canon is not None:
+            ranks = canon[ranks]
+        if on_batch is not None:
+            on_batch(ranks)
+        yield from ranks.tolist()
 
 
 def _first_ranks(passwords: Sequence[bytes]) -> np.ndarray | None:
@@ -328,8 +401,10 @@ def simulate(
 
     Sessions follow ``mh_session`` draw for draw but run over rank
     indices: a rank stands for its label, and ranks whose labels repeat
-    count as the first of them. A count-min store hashes each rank's key
-    once, on its first proposal, and its counters are then read and
+    count as the first of them. Its draws replay the seeded generator's raw
+    stream (``_RawStream``) rather than calling it per draw. A count-min
+    store hashes each rank's key once, with the other new ranks of the
+    first proposal batch that holds it, and its counters are then read and
     written in place by offset; an exact store's counts are kept per rank
     and written back to it at the end.
     """
@@ -373,23 +448,37 @@ def _run_sessions(
     n_ranks = model.n_ranks
     sketch = store.backend == BACKEND_COUNT_MIN
     weight = None if weights is None else weights.weight
-    rng = np.random.default_rng(seed)
-    take = _ProposalSampler(model.probs, rng, _first_ranks(passwords), PROPOSAL_BATCH).take
+    stream = _RawStream(np.random.default_rng(seed))
+    random, below = stream.random, stream.below
     seen: list[int] = []
     is_seen = bytearray(n_ranks)
+    on_batch = None
     if sketch:
         depth = store.depth
         offset_type = np.int32 if store._flat.size <= 2**31 else np.int64
         # Rank r's row offsets are offsets[r * depth : (r + 1) * depth], filled
-        # on its first proposal.
+        # when a proposal batch first holds r.
         offsets_np = np.zeros(n_ranks * depth, dtype=offset_type)
         offsets = memoryview(offsets_np)
         counters = memoryview(store._flat)
         read_counter = counters.__getitem__
+        seen_flags = np.frombuffer(is_seen, dtype=np.uint8)  # a view: is_seen as it stands
+
+        def on_batch(ranks: np.ndarray) -> None:
+            # Every rank of the earlier batches has been proposed by now, so
+            # the ranks not seen yet are the ones not hashed yet.
+            fresh = np.sort(ranks[seen_flags[ranks] == 0])
+            fresh = fresh[np.diff(fresh, prepend=-1) != 0]
+            if fresh.size:
+                keys = [passwords[rank] for rank in fresh.tolist()]
+                offsets_np.reshape(n_ranks, depth)[fresh] = store._offsets(keys)
     elif store._counts:
         counts = [store._counts[pw] for pw in passwords]
     else:
         counts = [0] * n_ranks
+    take = _proposal_ranks(
+        model.probs, stream.randoms, _first_ranks(passwords), PROPOSAL_BATCH, on_batch
+    ).__next__
     accepted = [0] * n_ranks
     free = [0] * n_ranks
     asks_total = 0
@@ -399,7 +488,7 @@ def _run_sessions(
             rank = take()
             free[rank] += 1
             if seen:
-                x = seen[int(rng.integers(0, len(seen)))]
+                x = seen[below(len(seen))]
                 if sketch:
                     fx = min(map(read_counter, offsets[x * depth : (x + 1) * depth]))
                 else:
@@ -414,8 +503,6 @@ def _run_sessions(
                 if not is_seen[rank]:
                     is_seen[rank] = 1
                     seen.append(rank)
-                    if sketch:
-                        offsets_np[rank * depth : (rank + 1) * depth] = store._offsets(passwords[rank])
                 if sketch:
                     row_offsets = offsets[rank * depth : (rank + 1) * depth].tolist()
                     f_prop = min(map(read_counter, row_offsets))
@@ -425,7 +512,7 @@ def _run_sessions(
                     f_prop = counts[rank]
                     counts[rank] = f_prop + 1
                 w_prop = 1.0 if weight is None else weight(passwords[rank])
-                if w_prop > 0.0 and rng.random() * f_prop * wx <= fx * w_prop:
+                if w_prop > 0.0 and random() * f_prop * wx <= fx * w_prop:
                     break
                 if asks >= retry_cap:
                     raise BannedExhaustionError(f"no acceptable proposal after {retry_cap} asks")
@@ -438,7 +525,10 @@ def _run_sessions(
         raise
     finally:
         store.totals += asks_total
-        if not sketch:
+        if sketch:
+            # A rank's keyed row hashes count once, at its first proposal.
+            store.hash_evaluations += depth * len(seen)
+        else:
             for rank in seen:
                 store._counts[passwords[rank]] = counts[rank]
     return accepted, free, asks_total, asks_sq

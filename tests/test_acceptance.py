@@ -182,12 +182,13 @@ def test_06_crack_curve_equals_truncated_self_curve():
         weights = 1.0 / np.arange(1, len(pool) + 1, dtype=np.float64) ** 0.8
         weights /= weights.sum()
         picks = rng.choice(len(pool), size=n_users, p=weights)
-        credentials = [(f"u{i}", pool[int(j)]) for i, j in enumerate(picks)]
-        table = table_from_counter(Counter(pw for _, pw in credentials), tie_break_seed=k)
+        users = [b"u%d" % i for i in range(n_users)]
+        passwords = [pool[int(j)] for j in picks]
+        table = table_from_counter(Counter(passwords), tie_break_seed=k)
         truncated = truncate_reaggregate(table, 8, tie_break_seed=k)
         salt_count = int(rng.integers(4, 65))
-        entries = hash_corpus(credentials, scheme, salt_seed=k, salt_count=salt_count)
-        result = crack(entries, GuessOrdering.from_table(truncated), scheme)
+        corpus = hash_corpus(users, passwords, scheme, salt_seed=k, salt_count=salt_count)
+        result = crack(corpus, GuessOrdering.from_table(truncated), scheme)
         own = self_curve(truncated, METRIC_USERS)
         assert result.curve_users == own
         assert result.uncracked_count == 0

@@ -370,6 +370,22 @@ class TestCrack:
         assert "pwdist-error\tinput" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_hashes_run_records_no_hashing_parameters(self, tmp_path, corpus):
+        gen = tmp_path / "gen"
+        assert main(["crack", "--corpus", str(corpus), "--salt-count", "4", "--out-dir", str(gen)]) == EXIT_OK
+        hashing = {"salt_count", "salt_seed", "format"}
+        assert hashing <= set(json.loads((gen / "manifest.json").read_text())["parameters"])
+        words = tmp_path / "words.txt"
+        words.write_bytes(b"123456\n")
+        attack = tmp_path / "attack"
+        code = main(
+            ["crack", "--hashes", str(gen / "hashes.tsv"), "--wordlist", str(words),
+             "--salt-count", "3", "--salt-seed", "9", "--out-dir", str(attack)]
+        )
+        assert code == EXIT_OK
+        parameters = json.loads((attack / "manifest.json").read_text())["parameters"]
+        assert not hashing & set(parameters)
+
     def test_corpus_read_is_reported(self, tmp_path, capsys):
         corpus = tmp_path / "users.tsv"
         corpus.write_bytes(b"\xe9ve\tpw1\nbroken\nbob\tpw2\r\n\n\xe9ve\tpw3\n")
@@ -516,6 +532,28 @@ class TestMhSim:
         if config_text is not None:
             config.write_text(config_text)
         assert main([*argv, "--config", str(config)]) == code
+        assert not (out / "manifest.json").exists()
+
+    def test_config_that_does_not_decode_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "sim.cfg"
+        config.write_bytes(b"# caf\xe9\nsource = zipf\nn-ranks = 20\nn-users = 50\n")
+        code = main(["mh-sim", "--config", str(config), "--out-dir", str(tmp_path / "sim")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "pwdist-error\tinput\t" in err and str(config) in err
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_table_with_zipf_source_is_usage_error(self, tmp_path, capsys, via_config):
+        out = tmp_path / "sim"
+        argv = ["mh-sim", "--n-users", "50", "--n-ranks", "20", "--out-dir", str(out)]
+        if via_config:
+            config = tmp_path / "sim.cfg"
+            config.write_text("source = zipf\ntable = /nonexistent.tsv\n")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--table", "/nonexistent.tsv"]
+        assert main(argv) == EXIT_USAGE
+        assert "pwdist-error\tusage\ttable" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     def test_config_aliases_accepted(self, tmp_path):

@@ -6,22 +6,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import random
+
 from pwdist import crack as crack_mod
 from pwdist.crack import (
     CRYPT_SALT_ALPHABET,
     HashScheme,
-    HashedEntry,
     _trunc8_mix64,
     _trunc8_mix64_many,
     builtin_scheme,
     crack,
+    draw_below,
     generate_salts,
     hash_corpus,
     read_hashes_tsv,
     write_hashes_tsv,
 )
-from pwdist.crossguess import GuessOrdering, self_curve, truncate_reaggregate
+from pwdist.crossguess import (
+    METRIC_USERS,
+    GuessOrdering,
+    curve_from_increments,
+    self_curve,
+    truncate_reaggregate,
+)
 from pwdist.ingest import CorpusError, table_from_counter
+
+import crack_oracles as oracle
 
 
 # Frozen vectors recomputed by hand from the documented constants:
@@ -33,6 +43,13 @@ AB_XY_DIGEST = bytes.fromhex("3f5cac1ec3588869")
 SCHEME = builtin_scheme("trunc8-mix64")
 # The same scheme without the numpy kernel: hash_many calls hash per pair.
 SCALAR_SCHEME = HashScheme(name=SCHEME.name, truncate_len=SCHEME.truncate_len, hash=SCHEME.hash)
+
+
+def hashed(credentials, salt_seed, salt_count, scheme=SCHEME):
+    """``hash_corpus`` over ``(user, password)`` pairs."""
+    users = [user for user, _ in credentials]
+    passwords = [password for _, password in credentials]
+    return hash_corpus(users, passwords, scheme, salt_seed, salt_count)
 
 
 class TestBuiltinScheme:
@@ -80,23 +97,48 @@ class TestBuiltinScheme:
         assert SCALAR_SCHEME.hash_many(salts, []).shape == (0, 3)
 
 
+class TestDrawBelow:
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 100, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 0x5A17, 2**40 + 3])
+    def test_matches_randrange(self, n, seed):
+        for count in (0, 1, 5, 3000):
+            rng, ref = random.Random(seed), random.Random(seed)
+            drawn = draw_below(rng, n, count)
+            assert drawn.dtype == np.int64
+            assert drawn.tolist() == [ref.randrange(n) for _ in range(count)]
+
+    def test_bound_checked(self):
+        with pytest.raises(ValueError):
+            draw_below(random.Random(0), 0, 3)
+        with pytest.raises(ValueError):
+            draw_below(random.Random(0), 1 << 32, 3)
+
+
 class TestHashCorpus:
     def test_empty(self):
-        assert hash_corpus([], SCHEME, salt_seed=1, salt_count=4) == []
+        corpus = hashed([], salt_seed=1, salt_count=4)
+        assert len(corpus) == 0 and corpus.salts == []
+        assert corpus.digests.dtype == np.uint64 and corpus.digests.shape == (0,)
 
     def test_single_salt_shared(self):
-        credentials = [("u%d" % i, b"pw%d" % i) for i in range(10)]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=3, salt_count=1)
-        assert len({e.salt for e in entries}) == 1
+        credentials = [(b"u%d" % i, b"pw%d" % i) for i in range(10)]
+        corpus = hashed(credentials, salt_seed=3, salt_count=1)
+        assert len(corpus.salts) == 1 and corpus.salt_index.tolist() == [0] * 10
 
     def test_salts_come_from_generated_set(self):
-        credentials = [("u%d" % i, b"pw%d" % (i % 37)) for i in range(1000)]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=17, salt_count=50)
+        credentials = [(b"u%d" % i, b"pw%d" % (i % 37)) for i in range(1000)]
+        corpus = hashed(credentials, salt_seed=17, salt_count=50)
         salt_set = set(generate_salts(SCHEME, 17, 50))
         assert len(salt_set) == 50
-        assert {e.salt for e in entries} <= salt_set
+        assert set(corpus.salts) <= salt_set
         assert all(len(s) == SCHEME.salt_len for s in salt_set)
         assert all(b in CRYPT_SALT_ALPHABET for s in salt_set for b in s)
+
+    def test_salts_listed_once_in_order_of_first_use(self):
+        credentials = [(b"u%d" % i, b"pw") for i in range(300)]
+        corpus = hashed(credentials, salt_seed=4, salt_count=12)
+        assert len(set(corpus.salts)) == len(corpus.salts)
+        assert list(dict.fromkeys(corpus.salt_index.tolist())) == list(range(len(corpus.salts)))
 
     def test_salt_count_validated(self):
         with pytest.raises(ValueError):
@@ -104,63 +146,81 @@ class TestHashCorpus:
         with pytest.raises(ValueError):
             generate_salts(SCHEME, 0, 64**2 + 1)
 
+    def test_one_password_per_user(self):
+        with pytest.raises(ValueError):
+            hash_corpus([b"a", b"b"], [b"pw"], SCHEME, 0, 4)
+
     def test_deterministic(self):
-        credentials = [("u%d" % i, b"pw%d" % i) for i in range(30)]
-        a = hash_corpus(credentials, SCHEME, salt_seed=9, salt_count=8)
-        b = hash_corpus(credentials, SCHEME, salt_seed=9, salt_count=8)
+        credentials = [(b"u%d" % i, b"pw%d" % i) for i in range(30)]
+        a = hashed(credentials, salt_seed=9, salt_count=8)
+        b = hashed(credentials, salt_seed=9, salt_count=8)
         assert a == b
+
+    @pytest.mark.parametrize("salt_count", [1, 3, 64, 100])
+    def test_matches_entry_oracle(self, salt_count):
+        rng = np.random.default_rng(salt_count)
+        credentials = [
+            (b"user%d" % i, b"pw%d" % int(rng.integers(0, 500)) * int(rng.integers(1, 4)))
+            for i in range(2000)
+        ]
+        corpus = hashed(credentials, salt_seed=salt_count + 1, salt_count=salt_count)
+        expected = oracle.hash_corpus(credentials, SCHEME, salt_count + 1, salt_count)
+        assert oracle.entries_of(corpus) == expected
 
 
 class TestCrack:
     def test_hand_trace(self):
-        credentials = [("u1", b"x"), ("u2", b"x"), ("u3", b"y")]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=0, salt_count=2)
-        report = crack(entries, GuessOrdering(guesses=[b"x"]), SCHEME)
+        credentials = [(b"u1", b"x"), (b"u2", b"x"), (b"u3", b"y")]
+        corpus = hashed(credentials, salt_seed=0, salt_count=2)
+        report = crack(corpus, GuessOrdering(guesses=[b"x"]), SCHEME)
         assert report.curve_users.cumulative_at(1) == 2
-        assert sorted(u for u, _ in report.cracked) == ["u1", "u2"]
+        assert sorted(u for u, _ in report.cracked) == [b"u1", b"u2"]
         assert report.uncracked_count == 1
 
     def test_empty_ordering(self):
-        credentials = [("u1", b"x")]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=0, salt_count=1)
-        report = crack(entries, GuessOrdering(guesses=[]), SCHEME)
+        corpus = hashed([(b"u1", b"x")], salt_seed=0, salt_count=1)
+        report = crack(corpus, GuessOrdering(guesses=[]), SCHEME)
         assert report.cracked == []
         assert report.uncracked_count == 1
 
+    def test_empty_corpus(self):
+        corpus = hashed([], salt_seed=0, salt_count=3)
+        report = crack(corpus, GuessOrdering(guesses=[b"x", b"y"]), SCHEME)
+        assert report.cracked == [] and report.uncracked_count == 0
+
     def test_exhaustive_ordering_cracks_everyone(self):
-        credentials = [("u%d" % i, b"pw%d" % (i % 5)) for i in range(20)]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=1, salt_count=4)
+        credentials = [(b"u%d" % i, b"pw%d" % (i % 5)) for i in range(20)]
+        corpus = hashed(credentials, salt_seed=1, salt_count=4)
         ordering = GuessOrdering(guesses=[b"pw%d" % i for i in range(5)])
-        report = crack(entries, ordering, SCHEME)
+        report = crack(corpus, ordering, SCHEME)
         assert report.uncracked_count == 0
         assert report.curve_users.final_cumulative == 20
         assert report.curve_distinct.denominator == 5
 
     def test_guess_colliding_after_truncation_adds_nothing(self):
-        credentials = [("u1", b"longpassword")]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=2, salt_count=1)
+        corpus = hashed([(b"u1", b"longpassword")], salt_seed=2, salt_count=1)
         ordering = GuessOrdering(guesses=[b"longpassword", b"longpassXXX"])
-        report = crack(entries, ordering, SCHEME)
+        report = crack(corpus, ordering, SCHEME)
         assert report.curve_users.cumulative_at(1) == 1
         assert report.curve_users.cumulative_at(2) == 1
-        assert report.cracked == [("u1", b"longpass")]
+        assert report.cracked == [(b"u1", b"longpass")]
 
     def test_distinct_denominator_upper_bounds_unseen(self):
-        credentials = [("u1", b"hit"), ("u2", b"miss1"), ("u3", b"miss2")]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=5, salt_count=2)
-        report = crack(entries, GuessOrdering(guesses=[b"hit"]), SCHEME)
+        credentials = [(b"u1", b"hit"), (b"u2", b"miss1"), (b"u3", b"miss2")]
+        corpus = hashed(credentials, salt_seed=5, salt_count=2)
+        report = crack(corpus, GuessOrdering(guesses=[b"hit"]), SCHEME)
         # one recovered plus two uncracked assumed unique
         assert report.curve_distinct.denominator == 3
 
     def test_recovery_matches_self_curve_of_truncated_table(self):
         rng = np.random.default_rng(31)
         pool = [b"verylongpassword%02d" % i for i in range(12)] + [b"pw%02d" % i for i in range(30)]
-        credentials = [("u%d" % i, pool[int(rng.integers(0, len(pool)))]) for i in range(400)]
+        credentials = [(b"u%d" % i, pool[int(rng.integers(0, len(pool)))]) for i in range(400)]
         table = table_from_counter(Counter(pw for _, pw in credentials), tie_break_seed=8)
         truncated = truncate_reaggregate(table, 8, tie_break_seed=8)
         assert truncated.distinct_count < table.distinct_count  # truncation really merges
-        entries = hash_corpus(credentials, SCHEME, salt_seed=8, salt_count=16)
-        report = crack(entries, GuessOrdering.from_table(truncated), SCHEME)
+        corpus = hashed(credentials, salt_seed=8, salt_count=16)
+        report = crack(corpus, GuessOrdering.from_table(truncated), SCHEME)
         own = self_curve(truncated, "users")
         assert report.curve_users == own
 
@@ -173,32 +233,44 @@ class TestCrack:
             salt_len=SCHEME.salt_len,
             salt_alphabet=SCHEME.salt_alphabet,
         )
-        credentials = [("u%d" % i, b"pw%d" % (i % 3)) for i in range(9)]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=4, salt_count=3)
+        credentials = [(b"u%d" % i, b"pw%d" % (i % 3)) for i in range(9)]
+        corpus = hashed(credentials, salt_seed=4, salt_count=3)
         ordering = GuessOrdering(guesses=[b"pw0", b"pw1", b"pw0XXXXXXXX", b"pw2"])
-        crack(entries, ordering, counting)
+        crack(corpus, ordering, counting)
         assert len(calls) == len(set(calls))
 
     def test_block_size_does_not_change_report(self, monkeypatch):
         rng = np.random.default_rng(5)
         pool = [b"pw%02d" % i for i in range(40)] + [b"longpassword%02d" % i for i in range(5)]
-        credentials = [("u%d" % i, pool[int(rng.integers(0, len(pool)))]) for i in range(300)]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=6, salt_count=12)
+        credentials = [(b"u%d" % i, pool[int(rng.integers(0, len(pool)))]) for i in range(300)]
+        corpus = hashed(credentials, salt_seed=6, salt_count=12)
         ordering = GuessOrdering(guesses=[p for p in pool if p != b"pw07"] + [b"pw07"])
-        whole = crack(entries, ordering, SCHEME)
+        whole = crack(corpus, ordering, SCHEME)
         monkeypatch.setattr(crack_mod, "GUESS_BLOCK", 4)
-        blocked = crack(entries, ordering, SCHEME)
+        blocked = crack(corpus, ordering, SCHEME)
         assert blocked == whole
         assert whole.uncracked_count == 0
 
     def test_rows_within_a_guess_follow_first_seen_salt_order(self):
-        credentials = [("u%d" % i, b"same") for i in range(40)]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=2, salt_count=16)
-        report = crack(entries, GuessOrdering(guesses=[b"same"]), SCHEME)
-        salt_of = {e.user: e.salt for e in entries}
-        first_seen = list(dict.fromkeys(e.salt for e in entries))
+        credentials = [(b"u%d" % i, b"same") for i in range(40)]
+        corpus = hashed(credentials, salt_seed=2, salt_count=16)
+        report = crack(corpus, GuessOrdering(guesses=[b"same"]), SCHEME)
+        salt_of = {e.user: e.salt for e in oracle.entries_of(corpus)}
+        first_seen = list(dict.fromkeys(e.salt for e in oracle.entries_of(corpus)))
         order = [first_seen.index(salt_of[u]) for u, _ in report.cracked]
         assert order == sorted(order) and len(set(order)) == len(first_seen) > 1
+
+    def test_digest_shared_across_salts_cracks_only_its_salt(self):
+        # Two rows with one digest under different salts: a hit under one
+        # salt must not crack the row of the other.
+        corpus = crack_mod.HashedCorpus(
+            users=[b"a", b"b"],
+            salts=[b"s1", b"s2"],
+            salt_index=np.array([0, 1]),
+            digests=np.array([int.from_bytes(SCHEME.hash(b"s2", b"pw"), "big")] * 2, dtype=np.uint64),
+        )
+        report = crack(corpus, GuessOrdering(guesses=[b"pw"]), SCHEME)
+        assert report.cracked == [(b"b", b"pw")] and report.uncracked_count == 1
 
 
 class TestCrackBatchKernelProperty:
@@ -212,20 +284,61 @@ class TestCrackBatchKernelProperty:
         salt_seed=st.integers(0, 1000),
     )
     def test_default_hash_many_gives_same_report(self, passwords, guesses, salt_count, salt_seed):
-        credentials = [("u%d" % i, pw) for i, pw in enumerate(passwords)]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=salt_seed, salt_count=salt_count)
-        assert hash_corpus(credentials, SCALAR_SCHEME, salt_seed, salt_count) == entries
+        credentials = [(b"u%d" % i, pw) for i, pw in enumerate(passwords)]
+        corpus = hashed(credentials, salt_seed, salt_count)
+        assert hashed(credentials, salt_seed, salt_count, scheme=SCALAR_SCHEME) == corpus
         ordering = GuessOrdering(guesses=guesses)
-        assert crack(entries, ordering, SCALAR_SCHEME) == crack(entries, ordering, SCHEME)
+        assert crack(corpus, ordering, SCALAR_SCHEME) == crack(corpus, ordering, SCHEME)
+
+
+class TestCrackOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        passwords=st.lists(
+            st.sampled_from([b"a", b"b", b"abcdefgh1", b"abcdefgh2", b"\x80\xff", b"", b"pw"]),
+            max_size=60,
+        ),
+        guesses=st.lists(st.sampled_from([b"a", b"b", b"abcdefgh", b"abcdefghZ", b"", b"zz", b"pw"]),
+                         max_size=7, unique=True),
+        salt_count=st.integers(1, 8),
+        salt_seed=st.integers(0, 2**64 - 1),
+        block=st.sampled_from([1, 2, 256]),
+    )
+    def test_matches_bucket_loop(self, passwords, guesses, salt_count, salt_seed, block):
+        credentials = [(b"u%d" % i, pw) for i, pw in enumerate(passwords)]
+        corpus = hashed(credentials, salt_seed, salt_count)
+        entries = oracle.hash_corpus(credentials, SCHEME, salt_seed, salt_count)
+        assert oracle.entries_of(corpus) == entries
+        increments, cracked = oracle.crack(entries, guesses, SCHEME)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crack_mod, "GUESS_BLOCK", block)
+            report = crack(corpus, GuessOrdering(guesses=guesses), SCHEME)
+        assert report.cracked == cracked
+        expected = curve_from_increments(np.array(increments, dtype=np.int64), len(entries), METRIC_USERS)
+        assert report.curve_users == expected
+        assert report.uncracked_count == len(entries) - len(cracked)
 
 
 class TestHashesTsv:
     def test_round_trip(self, tmp_path):
-        credentials = [("user\twith\ttabs", b"pw1"), ("plain", b"pw2")]
-        entries = hash_corpus(credentials, SCHEME, salt_seed=11, salt_count=2)
+        credentials = [(b"user\twith\ttabs", b"pw1"), (b"plain", b"pw2"), (b"caf\xe9\\", b"pw3")]
+        corpus = hashed(credentials, salt_seed=11, salt_count=2)
         path = tmp_path / "hashes.tsv"
-        write_hashes_tsv(entries, path)
-        assert read_hashes_tsv(path) == entries
+        write_hashes_tsv(corpus, path)
+        assert read_hashes_tsv(path) == corpus
+
+    def test_round_trip_across_write_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(crack_mod, "WRITE_BLOCK", 3)
+        credentials = [(b"u%d" % i, b"pw%d" % i) for i in range(10)]
+        corpus = hashed(credentials, salt_seed=1, salt_count=5)
+        path = tmp_path / "hashes.tsv"
+        write_hashes_tsv(corpus, path)
+        assert read_hashes_tsv(path) == corpus
+        rows = path.read_bytes().splitlines()[1:]
+        assert rows == [
+            b"%s\t%s\t%s" % (e.user, e.salt.hex().encode(), e.digest.hex().encode())
+            for e in oracle.entries_of(corpus)
+        ]
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -250,8 +363,8 @@ class TestHashesTsv:
             read_hashes_tsv(path)
 
     def test_crlf_and_blank_lines_accepted(self, tmp_path):
-        entries = hash_corpus([("a", b"pw1"), ("b", b"pw2")], SCHEME, salt_seed=3, salt_count=2)
+        corpus = hashed([(b"a", b"pw1"), (b"b", b"pw2")], salt_seed=3, salt_count=2)
         path = tmp_path / "hashes.tsv"
-        write_hashes_tsv(entries, path)
+        write_hashes_tsv(corpus, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
-        assert read_hashes_tsv(path) == entries
+        assert read_hashes_tsv(path) == corpus

@@ -1,0 +1,127 @@
+"""Golden SHA-256 digests of ``mh-sim`` and ``crack --corpus`` outputs.
+
+The benchmark checks ``mh-sim`` only by invariants, so these digests are
+what pins its bytes: every draw of the seeded session stream, the sketch
+layout and the table tie-breaks. The inputs are built here from SHA-256
+of the line number, so they do not depend on any random generator.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from pwdist.cli import EXIT_OK, main
+
+
+def _unit(tag: bytes, i: int) -> float:
+    """A fixed number in [0, 1) for line ``i``."""
+    return int.from_bytes(hashlib.sha256(tag + b"%d" % i).digest()[:7], "big") / 2.0**56
+
+
+def _zipf_like(tag: bytes, i: int, n: int) -> int:
+    """A heavy-headed index in [0, n): small indices far more often."""
+    return int(n ** _unit(tag, i)) - 1
+
+
+def _password(k: int) -> bytes:
+    # every third password is longer than the 8 bytes the hash scheme keeps
+    return b"password%05d" % k if k % 3 == 0 else b"pw%d" % k
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    corpus = root / "corpus.txt"
+    corpus.write_bytes(b"".join(_password(_zipf_like(b"c", i, 3000)) + b"\n" for i in range(20000)))
+    users = root / "users.tsv"
+    names = [b"user%d" % i for i in range(2500)] + [b"\xe9ve", b"back\\slash", b"caf\xc3\xa9"]
+    users.write_bytes(
+        b"".join(
+            names[i % len(names)] + b"\t" + _password(_zipf_like(b"u", i, 2000)) + b"\n"
+            for i in range(3000)
+        )
+    )
+    bans = root / "bans.txt"
+    bans.write_bytes(b"pw1\npassword00003\n")
+    table = root / "ingest" / "table.tsv"
+    assert main(["ingest", str(corpus), "--seed", "4", "--out-dir", str(table.parent)]) == EXIT_OK
+    return {"root": root, "table": table, "users": users, "bans": bans}
+
+
+def _digests(out_dir) -> dict[str, str]:
+    """SHA-256 of each output file, and of the manifest's counters."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:16]
+        for name in sorted(manifest["outputs"])
+    }
+    counters = json.dumps(manifest.get("counters", {}), sort_keys=True).encode()
+    digests["counters"] = hashlib.sha256(counters).hexdigest()[:16]
+    return digests
+
+
+CASES = {
+    "mh-zipf-exact": (
+        ["mh-sim", "--n-ranks", "20000", "--n-users", "20000", "--seed", "5"],
+        {
+            "accepted.tsv": "9e43b22935c9ff8d",
+            "free.tsv": "9764e4ab6fdbb8e9",
+            "summary.tsv": "e757a5b97a7c0a4d",
+            "counters": "562598a2e82594a6",
+        },
+    ),
+    "mh-zipf-count-min": (
+        ["mh-sim", "--n-ranks", "30000", "--n-users", "25000", "--backend", "count-min",
+         "--width", "4096", "--depth", "3", "--seed", "6"],
+        {
+            "accepted.tsv": "96c0d5ba44580cf9",
+            "free.tsv": "f3773290b078e74d",
+            "summary.tsv": "92da50a6734f47be",
+            "counters": "fe32ef58a38944ef",
+        },
+    ),
+    "mh-table-exact": (
+        ["mh-sim", "--source", "table", "--table", "{table}", "--n-users", "8000",
+         "--ban-file", "{bans}", "--seed", "7"],
+        {
+            "accepted.tsv": "a49b2301bf926a78",
+            "free.tsv": "3175d9372522b021",
+            "summary.tsv": "e9cd642325125701",
+            "counters": "e2c977cc2b3762bf",
+        },
+    ),
+    "mh-table-count-min": (
+        ["mh-sim", "--source", "table", "--table", "{table}", "--n-users", "8000",
+         "--backend", "count-min", "--width", "1024", "--depth", "4", "--seed", "8"],
+        {
+            "accepted.tsv": "eae5296c92c7f64e",
+            "free.tsv": "9e3e9d043c17379d",
+            "summary.tsv": "8b3d46f97e8692f3",
+            "counters": "97fafffdbe5ceddc",
+        },
+    ),
+    "crack-corpus": (
+        ["crack", "--corpus", "{users}", "--format", "user-tab-password", "--salt-count", "16",
+         "--salt-seed", "3", "--ordering", "{table}", "--seed", "9"],
+        {
+            "cracked.tsv": "7b3f6aa073b1d824",
+            "curve_distinct.tsv": "d0aa5729222c0639",
+            "curve_users.tsv": "fe08ccfa1114b3d0",
+            "hashes.tsv": "9d4e6987d2ea87e9",
+            "counters": "e1c47eaf8e5dbc51",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_digests(inputs, case):
+    argv, expected = CASES[case]
+    out = inputs["root"] / case
+    paths = {key: str(inputs[key]) for key in ("table", "users", "bans")}
+    argv = [arg.format(**paths) for arg in argv] + ["--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    assert _digests(out) == expected

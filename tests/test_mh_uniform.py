@@ -111,6 +111,20 @@ class TestCountMin:
             CountMinStore(width=8, depth=2, seeds=[1])
 
 
+class TestBatchOffsets:
+    def test_match_keyed_row_hashes_and_count_nothing(self):
+        store = CountMinStore(width=1000, depth=3, master_seed=5)
+        keys = [b"", b"key", b"\xff" * 40, b"key"]
+        offsets = store._offsets(keys)
+        assert offsets.shape == (4, 3)
+        for i, key in enumerate(keys):
+            for row, seed in enumerate(store.seeds):
+                digest = hashlib.blake2b(key, digest_size=8, key=seed.to_bytes(8, "big")).digest()
+                assert offsets[i, row] == row * 1000 + int.from_bytes(digest, "big") % 1000
+        assert store._offsets([]).shape == (0, 3)
+        assert store.hash_evaluations == 0
+
+
 class TestIncrementReturnsPriorEstimate:
     keys = st.lists(st.sampled_from([b"", b"a", b"b", b"pw1", b"\xff\x00", b"x" * 20]), max_size=60)
 
@@ -442,6 +456,59 @@ def _store_state(store):
     return store.totals, dict(store._counts)
 
 
+RAW_BOUNDS = [1, 2, 3, 2**31 - 5, 2**31 + 5, 2**32 - 1, 2**32]
+
+
+class TestRawStream:
+    """The replayed stream against the ``Generator`` it replays."""
+
+    draws = st.lists(
+        st.one_of(
+            st.just(("random", None)),
+            st.tuples(st.just("randoms"), st.integers(0, 40)),
+            st.tuples(st.just("below"), st.sampled_from(RAW_BOUNDS) | st.integers(1, 2**32)),
+        ),
+        max_size=120,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 9), draws=draws)
+    def test_matches_generator(self, seed, block, draws):
+        rng = np.random.default_rng(seed)
+        stream = mh_uniform._RawStream(np.random.default_rng(seed), block=block)
+        for kind, arg in draws:
+            if kind == "random":
+                assert stream.random() == rng.random()
+            elif kind == "randoms":
+                assert np.array_equal(stream.randoms(arg), rng.random(arg))
+            else:
+                assert stream.below(arg) == int(rng.integers(0, arg))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_long_interleaving(self, seed):
+        # Many block refills and rejections: bounds just above 2**31 reject
+        # about half of the 32-bit draws.
+        pick = np.random.default_rng(seed + 100)
+        rng = np.random.default_rng(seed)
+        stream = mh_uniform._RawStream(np.random.default_rng(seed))
+        for _ in range(20000):
+            kind = int(pick.integers(0, 4))
+            if kind == 0:
+                assert stream.random() == rng.random()
+            elif kind == 1:
+                k = int(pick.integers(0, 3000))
+                assert np.array_equal(stream.randoms(k), rng.random(k))
+            else:
+                n = RAW_BOUNDS[int(pick.integers(0, len(RAW_BOUNDS)))] if kind == 2 else int(
+                    pick.integers(1, 2**32, endpoint=True)
+                )
+                assert stream.below(n) == int(rng.integers(0, n))
+
+    def test_bound_above_two_to_the_32_is_refused(self):
+        with pytest.raises(ValueError):
+            mh_uniform._RawStream(np.random.default_rng(0)).below(2**32 + 1)
+
+
 class TestSimulateMatchesSessionReference:
     @settings(max_examples=300, deadline=None)
     @given(case=simulations())
@@ -473,3 +540,20 @@ class TestSimulateMatchesSessionReference:
         assert store.hash_evaluations == 4 * seen.distinct_count
         # the bytes-keyed path hashes on every ask and every comparison query
         assert reference.hash_evaluations == 4 * (3000 + report.rejected_total + 3000 - 1)
+
+    @pytest.mark.parametrize("batch", [PROPOSAL_BATCH, 1000])
+    @pytest.mark.parametrize("sketch", [None, {"width": 1 << 12, "depth": 3, "master_seed": 11}])
+    def test_same_report_and_store_at_scale(self, sketch, batch):
+        # Far past the Hypothesis cases: tens of thousands of seen ranks in
+        # the comparison draw, and many proposal batches.
+        n = 20000
+        model = zipf_model(0.7, n)
+        passwords = [b"p%08d" % i for i in range(n)]
+        weights = TargetWeight.with_bans(banned=[b"p00000000"], soft={b"p00000001": 0.5})
+        ref_store, store = _store(sketch, []), _store(sketch, [])
+        expected, _ = reference_simulate(
+            model, passwords, n, store=ref_store, weights=weights, seed=13, batch=batch
+        )
+        with patch.object(mh_uniform, "PROPOSAL_BATCH", batch):
+            assert simulate(model, passwords, n, store=store, weights=weights, seed=13) == expected
+        assert _store_state(store) == _store_state(ref_store)
