@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__, crack as crack_mod, crossguess, ingest, mh_uniform, stats, zipf_fit
@@ -26,6 +25,9 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 DEFAULT_SEED = 0
+# mh-sim's Zipf source where --s or --n-ranks is not given.
+MH_ZIPF_S = 0.78
+MH_ZIPF_RANKS = 100000
 MANIFEST_NAME = "manifest.json"
 PARTIAL_SUFFIX = ".partial"
 
@@ -41,35 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class RunManifest:
-    """What a run consumed and produced, for byte-exact reproduction.
-
-    Paths are stored relative to the out directory (outputs) or as bare
-    names (inputs), so two runs of the same command into different
-    directories produce identical manifests.
-    """
-
-    command: str
-    parameters: dict
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-    version: str = __version__
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "version": self.version,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
-        if self.counters:
-            payload["counters"] = self.counters
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -79,19 +52,26 @@ def _sha256(path: Path) -> str:
 
 
 def _finish(args, parameters: dict, counters: dict) -> None:
-    """Move every staged output over its final name, then write the manifest."""
+    """Move every staged output over its final name, then write the manifest.
+
+    The manifest names inputs by their bare names and outputs by their names
+    in the out-dir, so two runs of one command into different directories
+    write identical manifests.
+    """
     out_dir = Path(args.out_dir)
     outputs = {name: _sha256(partial) for name, partial in args.staged.items()}
     for name, partial in args.staged.items():
         os.replace(partial, out_dir / name)
-    manifest = RunManifest(
-        command=args.subcommand,
-        parameters=parameters,
-        inputs={p.name: _sha256(p) for p in args.inputs},
-        outputs=outputs,
-        counters=counters,
-    )
-    (out_dir / MANIFEST_NAME).write_text(manifest.to_json())
+    manifest = {
+        "command": args.subcommand,
+        "version": __version__,
+        "parameters": parameters,
+        "inputs": {p.name: _sha256(p) for p in args.inputs},
+        "outputs": outputs,
+    }
+    if counters:
+        manifest["counters"] = counters
+    (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _out_dir(args) -> None:
@@ -222,16 +202,12 @@ def cmd_curve(args) -> tuple[dict, dict]:
 
 
 def cmd_crack(args) -> tuple[dict, dict]:
-    scheme = crack_mod.builtin_scheme(args.scheme)
-    parameters = {"seed": args.seed, "scheme": args.scheme, "log_spaced": args.log_spaced}
+    parameters = {"seed": args.seed, "log_spaced": args.log_spaced}
     counters = {}
     if args.corpus:
         with open(_input(args, args.corpus), "rb") as fh:
             latest, read_stats = ingest.read_credentials(fh, args.format)
-        salt_seed = args.salt_seed if args.salt_seed is not None else args.seed
-        corpus = crack_mod.hash_corpus(
-            list(latest), list(latest.values()), scheme, salt_seed, args.salt_count
-        )
+        corpus = crack_mod.hash_corpus(list(latest), list(latest.values()), args.seed, args.salt_count)
         del latest  # the replay needs only the hashed corpus
         crack_mod.write_hashes_tsv(corpus, _stage(args, "hashes.tsv"))
         print(
@@ -240,12 +216,12 @@ def cmd_crack(args) -> tuple[dict, dict]:
         )
         counters = {"lines": read_stats.lines, "malformed": read_stats.malformed}
         # These shape only the hashing of a corpus, so only a --corpus run records them.
-        parameters.update(salt_count=args.salt_count, salt_seed=args.salt_seed, format=args.format)
+        parameters.update(salt_count=args.salt_count, format=args.format)
     else:
         corpus = crack_mod.read_hashes_tsv(_input(args, args.hashes))
     ordering = _ordering(args)
     if ordering is not None:
-        report = crack_mod.crack(corpus, ordering, scheme)
+        report = crack_mod.crack(corpus, ordering)
         crossguess.write_curve_tsv(
             report.curve_users, _stage(args, "curve_users.tsv"), log_spaced=args.log_spaced
         )
@@ -266,12 +242,17 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
     if args.source == "zipf":
         if args.table:
             raise ValueError("table is read only with source=table")
-        model = stats.zipf_model(args.s, args.n_ranks)
-        passwords = [b"p%08d" % i for i in range(1, args.n_ranks + 1)]
-        source_desc = {"source": "zipf", "s": args.s, "n_ranks": args.n_ranks}
+        s = MH_ZIPF_S if args.s is None else args.s
+        n_ranks = MH_ZIPF_RANKS if args.n_ranks is None else args.n_ranks
+        model = stats.zipf_model(s, n_ranks)
+        passwords = [b"p%08d" % i for i in range(1, n_ranks + 1)]
+        source_desc = {"source": "zipf", "s": s, "n_ranks": n_ranks}
     else:
         if not args.table:
             raise ValueError("source=table needs table=<path>")
+        for option, value in (("s", args.s), ("n-ranks", args.n_ranks)):
+            if value is not None:
+                raise ValueError(f"{option} is read only with source=zipf")
         table_path = _input(args, args.table)
         table = ingest.read_table_tsv(table_path)
         model = stats.empirical_model(table)
@@ -402,17 +383,20 @@ def build_parser() -> argparse.ArgumentParser:
     order = p.add_mutually_exclusive_group()
     order.add_argument("--ordering", help="table.tsv whose ranking orders the guesses")
     order.add_argument("--wordlist", help="dictionary file, guessed in lexical order")
-    p.add_argument("--scheme", default="trunc8-mix64")
-    p.add_argument("--salt-count", type=int, default=64)
-    p.add_argument("--salt-seed", type=int, default=None, help="None uses --seed")
+    p.add_argument("--salt-count", type=int, default=64, help="distinct salts, drawn with --seed")
     p.add_argument("--log-spaced", action="store_true")
 
     # Every option but --config and --out-dir may also be set by a config file line.
     p = command("mh-sim", cmd_mhsim, "simulate the Metropolis-Hastings password scheme")
     p.add_argument("--config", help="key = value config file; flags override its lines")
     p.add_argument("--source", choices=("zipf", "table"), default="zipf", help="proposal distribution")
-    p.add_argument("--s", type=float, default=0.78, help="Zipf exponent for source=zipf")
-    p.add_argument("--n-ranks", type=int, default=100000, help="Zipf ranks for source=zipf")
+    p.add_argument(
+        "--s", type=float, default=None, help=f"Zipf exponent for source=zipf; None means {MH_ZIPF_S}"
+    )
+    p.add_argument(
+        "--n-ranks", type=int, default=None,
+        help=f"Zipf ranks for source=zipf; None means {MH_ZIPF_RANKS}",
+    )
     p.add_argument("--table", default=None, help="table for source=table")
     p.add_argument("--n-users", type=int, default=10000, help="users to enrol")
     p.add_argument(

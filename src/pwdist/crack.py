@@ -1,22 +1,22 @@
 """Offline cracking harness over salted hashed corpora.
 
-The hash scheme is pluggable. The built-in ``trunc8-mix64`` scheme mirrors
-the shape of classic crypt(3) (8-byte truncation, small printable salts)
+There is one hash, ``trunc8-mix64``. It mirrors the shape of classic
+crypt(3) (8-byte truncation, two-character salts from the crypt alphabet)
 without implementing it: the digest is a 64-bit FNV-1a over salt bytes then
-password bytes, finished with the splitmix64 avalanche, so independent
-implementations interoperate bit for bit. A hashed corpus is held as
-columns (users, a salt index and a digest per row). The cracking loop
-hashes each fresh guess once per salt that still has uncracked rows,
-which is exactly why real salted corpora cost thousands
-of hash calls per guess. Hashing is batched: a block of fresh guesses is
-hashed against every live salt as one ``(guesses x salts)`` array.
+the password's first 8 bytes, finished with the splitmix64 avalanche, so
+independent implementations interoperate bit for bit. A hashed corpus is
+held as columns (users, a salt index and a digest per row). The cracking
+loop hashes each fresh guess once per salt that still has uncracked rows,
+which is exactly why real salted corpora cost thousands of hash calls per
+guess. Hashing is batched: a block of fresh guesses is hashed against every
+live salt as one ``(guesses x salts)`` array.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 CRYPT_SALT_ALPHABET = b"./0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+SALT_LEN = 2
 
 HASHES_HEADER = b"user\tsalt-hex\tdigest-hex"
 
@@ -38,49 +39,6 @@ HASHES_HEADER = b"user\tsalt-hex\tdigest-hex"
 GUESS_BLOCK = 256
 # Leading digest bits indexed by the replay's pre-filter: a 1 MB table.
 PREFILTER_BITS = 20
-
-HashMany = Callable[[Sequence[bytes], Sequence[bytes]], np.ndarray]
-
-
-def _hash_many_scalar(hash_fn: Callable[[bytes, bytes], bytes]) -> HashMany:
-    """A ``hash_many`` that calls the scalar ``hash_fn`` once per pair."""
-
-    def hash_many(salts: Sequence[bytes], passwords: Sequence[bytes]) -> np.ndarray:
-        digests = np.fromiter(
-            (int.from_bytes(hash_fn(salt, pw), "big") for pw in passwords for salt in salts),
-            dtype=np.uint64,
-            count=len(passwords) * len(salts),
-        )
-        return digests.reshape(len(passwords), len(salts))
-
-    return hash_many
-
-
-@dataclass(frozen=True)
-class HashScheme:
-    """Deterministic salted hash plus its truncation and salt conventions.
-
-    ``hash(salt, password)`` returns an 8-byte digest. ``hash_many(salts,
-    passwords)`` returns the same digests for every pair at once, as
-    big-endian ``uint64`` values in a ``(len(passwords), len(salts))``
-    array; left out, it calls ``hash`` once per pair.
-    """
-
-    name: str
-    truncate_len: int | None
-    hash: Callable[[bytes, bytes], bytes]
-    salt_len: int = 2
-    salt_alphabet: bytes = CRYPT_SALT_ALPHABET
-    hash_many: HashMany | None = None
-
-    def __post_init__(self):
-        if self.hash_many is None:
-            object.__setattr__(self, "hash_many", _hash_many_scalar(self.hash))
-
-    def truncate(self, password: bytes) -> bytes:
-        if self.truncate_len is None:
-            return password
-        return password[: self.truncate_len]
 
 
 @dataclass(eq=False)
@@ -130,7 +88,7 @@ def _avalanche64(z: int) -> int:
 
 
 def _trunc8_mix64(salt: bytes, password: bytes) -> bytes:
-    """Reference implementation of ``trunc8-mix64`` for one pair."""
+    """``trunc8-mix64`` of one pair: the reference the batch kernel must match."""
     h = _fnv1a64(password[:8], _fnv1a64(salt))
     return _avalanche64(h).to_bytes(8, "big")
 
@@ -161,27 +119,18 @@ def _trunc8_mix64_many(salts: Sequence[bytes], passwords: Sequence[bytes]) -> np
     return h
 
 
-def builtin_scheme(tag: str) -> HashScheme:
-    """Look up a built-in scheme by tag; only ``trunc8-mix64`` exists."""
-    if tag == "trunc8-mix64":
-        return HashScheme(
-            name="trunc8-mix64", truncate_len=8, hash=_trunc8_mix64, hash_many=_trunc8_mix64_many
-        )
-    raise ValueError(f"unknown hash scheme {tag!r}")
-
-
-def generate_salts(scheme: HashScheme, salt_seed: int, salt_count: int) -> list[bytes]:
+def generate_salts(salt_seed: int, salt_count: int) -> list[bytes]:
     """The seeded set of distinct salts a corpus is hashed under."""
     if salt_count < 1:
         raise ValueError("salt_count must be >= 1")
-    space = len(scheme.salt_alphabet) ** scheme.salt_len
+    space = len(CRYPT_SALT_ALPHABET) ** SALT_LEN
     if salt_count > space:
-        raise ValueError(f"scheme admits only {space} distinct salts")
+        raise ValueError(f"there are only {space} distinct salts")
     rng = random.Random(salt_seed)
     salts: list[bytes] = []
     seen: set[bytes] = set()
     while len(salts) < salt_count:
-        salt = bytes(rng.choice(scheme.salt_alphabet) for _ in range(scheme.salt_len))
+        salt = bytes(rng.choice(CRYPT_SALT_ALPHABET) for _ in range(SALT_LEN))
         if salt not in seen:
             seen.add(salt)
             salts.append(salt)
@@ -216,7 +165,6 @@ def draw_below(rng: random.Random, n: int, count: int) -> np.ndarray:
 def hash_corpus(
     users: Sequence[bytes],
     passwords: Sequence[bytes],
-    scheme: HashScheme,
     salt_seed: int,
     salt_count: int,
 ) -> HashedCorpus:
@@ -224,11 +172,11 @@ def hash_corpus(
 
     Salts are drawn in row order, one ``randrange(salt_count)`` per user.
     Rows are grouped by their drawn salt and each group is hashed with one
-    ``hash_many`` call.
+    ``_trunc8_mix64_many`` call.
     """
     if len(users) != len(passwords):
         raise ValueError("need exactly one password per user")
-    salts = generate_salts(scheme, salt_seed, salt_count)
+    salts = generate_salts(salt_seed, salt_count)
     rng = random.Random((salt_seed ^ 0x5A17) & _MASK64)
     drawn = draw_below(rng, salt_count, len(users))
     # Renumber the drawn salts by first use.
@@ -239,8 +187,8 @@ def hash_corpus(
     digests = np.empty(len(users), dtype=np.uint64)
     for j, salt in enumerate(used):
         rows = np.flatnonzero(salt_index == j)
-        group = [scheme.truncate(passwords[i]) for i in rows.tolist()]
-        digests[rows] = scheme.hash_many([salts[salt]], group)[:, 0]
+        group = [passwords[i] for i in rows.tolist()]
+        digests[rows] = _trunc8_mix64_many([salts[salt]], group)[:, 0]
     return HashedCorpus(
         users=list(users), salts=[salts[j] for j in used], salt_index=salt_index, digests=digests
     )
@@ -261,12 +209,13 @@ class CrackReport:
     uncracked_count: int
 
 
-def crack(corpus: HashedCorpus, ordering: GuessOrdering, scheme: HashScheme) -> CrackReport:
+def crack(corpus: HashedCorpus, ordering: GuessOrdering) -> CrackReport:
     """Replay a guess ordering against a hashed corpus.
 
-    Guesses are truncated per scheme before hashing; a guess that repeats
-    an earlier one after truncation advances the curve without hashing, so
-    each (salt, guess) pair costs at most one hash evaluation. Fresh
+    Guesses are cut to their first 8 bytes, the bytes the hash reads; a
+    guess that repeats an earlier one after the cut advances the curve
+    without hashing, so each (salt, guess) pair costs at most one hash
+    evaluation, and ``cracked`` holds the cut guess. Fresh
     guesses are hashed in blocks of ``GUESS_BLOCK`` against every salt that
     still has uncracked rows; a salt left with none retires before the
     next block. Hits are resolved guess by guess, within a guess in the
@@ -293,7 +242,7 @@ def crack(corpus: HashedCorpus, ordering: GuessOrdering, scheme: HashScheme) -> 
     fresh_at: list[int] = []
     tried: set[bytes] = set()
     for i, guess in enumerate(ordering.guesses):
-        truncated = scheme.truncate(guess)
+        truncated = guess[:8]
         if truncated not in tried:
             tried.add(truncated)
             fresh.append(truncated)
@@ -305,7 +254,7 @@ def crack(corpus: HashedCorpus, ordering: GuessOrdering, scheme: HashScheme) -> 
         if not live:
             break
         block = fresh[start : start + GUESS_BLOCK]
-        digests = scheme.hash_many([corpus.salts[j] for j in live], block)
+        digests = _trunc8_mix64_many([corpus.salts[j] for j in live], block)
         rows, cols = np.nonzero(present[digests >> top])
         found = digests[rows, cols]
         run_starts = np.searchsorted(sorted_digests, found)

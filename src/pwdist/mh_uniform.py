@@ -74,34 +74,21 @@ class CountMinStore:
     Each of ``depth`` rows hashes the key with its own seed and increments
     one of ``width`` counters; a query takes the minimum across rows, so
     collisions can only inflate the answer. Row seeds derive from a master
-    seed unless given explicitly.
+    seed.
     """
 
     backend = BACKEND_COUNT_MIN
 
     def __init__(
-        self,
-        width: int = DEFAULT_SKETCH_WIDTH,
-        depth: int = DEFAULT_SKETCH_DEPTH,
-        seeds: Sequence[int] | None = None,
-        master_seed: int = 0,
+        self, width: int = DEFAULT_SKETCH_WIDTH, depth: int = DEFAULT_SKETCH_DEPTH, master_seed: int = 0
     ):
         if width < 1 or depth < 1:
             raise ValueError("width and depth must be positive")
-        if seeds is None:
-            master = (master_seed & ((1 << 64) - 1)).to_bytes(8, "big")
-            seeds = [
-                int.from_bytes(
-                    hashlib.blake2b(row.to_bytes(4, "big"), digest_size=8, key=master).digest(),
-                    "big",
-                )
-                for row in range(depth)
-            ]
-        if len(seeds) != depth:
-            raise ValueError("need one seed per row")
+        master = (master_seed & ((1 << 64) - 1)).to_bytes(8, "big")
+        keyed = (hashlib.blake2b(row.to_bytes(4, "big"), digest_size=8, key=master) for row in range(depth))
         self.width = width
         self.depth = depth
-        self.seeds = tuple(int(s) for s in seeds)
+        self.seeds = tuple(int.from_bytes(h.digest(), "big") for h in keyed)
         # Row r's counters are _flat[r * width : (r + 1) * width]; each row
         # keeps a keyed blake2b that a key's hash is copied from.
         self._rows = [

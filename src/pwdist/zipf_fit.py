@@ -109,29 +109,34 @@ def ls_raw_rank(table: RankFrequencyTable) -> ZipfFit:
     return ZipfFit(s=max(s, 0.0), method=METHOD_LS_RAW, truncation_N=n, flag=flag)
 
 
-def bin_dyadic_rank(table: RankFrequencyTable) -> BinnedSeries:
-    """Dyadic rank bins: bin n spans ranks 2^n .. 2^(n+1)-1.
+def _bin_dyadic(x: np.ndarray, y: np.ndarray, bin_rule: str) -> BinnedSeries:
+    """Dyadic bins over ascending positive ``x``: bin n spans 2^n .. 2^(n+1)-1.
 
-    The ordinate is the mean frequency across the bin, so an exact f = C/r^s
-    law keeps slope -s instead of picking up the +1 that summing would add.
-    The abscissa is the geometric mean of the bin edges 2^n and 2^(n+1),
-    which spaces the points exactly one unit apart in log2 and keeps exact
-    dyadic data exactly collinear. A final bin that would run past the last
-    rank is dropped rather than averaged short.
+    The ordinate is the total of ``y`` in the bin over the bin's width, so an
+    x missing from the data counts as y = 0, and an exact y = C/x^s law
+    keeps slope -s instead of picking up the +1 that summing would add. The
+    abscissa is the geometric mean of the bin edges 2^n and 2^(n+1), which
+    spaces the points exactly one unit apart in log2 and keeps exact dyadic
+    data exactly collinear. A final bin that would run past the largest x
+    is dropped rather than averaged short, and a bin whose total is zero is
+    omitted.
     """
-    counts = table.counts
-    n_ranks = len(counts)
+    x_max = int(x[-1]) if len(x) else 0
     points: list[tuple[float, float]] = []
     n = 0
-    while True:
+    while (hi := (2 << n) - 1) <= x_max:
         lo = 1 << n
-        hi = (1 << (n + 1)) - 1
-        if hi > n_ranks:
-            break
-        width = hi - lo + 1
-        points.append((math.sqrt(lo * (hi + 1)), float(counts[lo - 1 : hi].sum()) / width))
+        i, j = np.searchsorted(x, (lo, hi + 1))
+        total = int(y[i:j].sum())
+        if total > 0:
+            points.append((math.sqrt(lo * (hi + 1)), total / (hi - lo + 1)))
         n += 1
-    return BinnedSeries(points=points, bin_rule=BIN_RULE_RANK)
+    return BinnedSeries(points=points, bin_rule=bin_rule)
+
+
+def bin_dyadic_rank(table: RankFrequencyTable) -> BinnedSeries:
+    """Dyadic rank bins: the mean frequency over ranks 2^n .. 2^(n+1)-1."""
+    return _bin_dyadic(np.arange(1, table.distinct_count + 1), table.counts, BIN_RULE_RANK)
 
 
 def ls_binned_rank(table: RankFrequencyTable) -> ZipfFit:
@@ -150,29 +155,14 @@ def ls_binned_rank(table: RankFrequencyTable) -> ZipfFit:
 
 
 def bin_dyadic_k(cc: CountOfCounts) -> BinnedSeries:
-    """Dyadic bins over the multiplicity k, same mean-over-width rule.
+    """Dyadic bins over the multiplicity k: the mean n_k over k = 2^n .. 2^(n+1)-1.
 
     Multiplicities that occur for no password count as zero inside a bin;
     bins whose total is zero are omitted entirely.
     """
     ks = np.array([k for k, _ in cc.pairs], dtype=np.int64)
     ns = np.array([n for _, n in cc.pairs], dtype=np.int64)
-    cum = np.concatenate(([0], np.cumsum(ns)))
-    k_max = int(ks[-1])
-    points: list[tuple[float, float]] = []
-    n = 0
-    while True:
-        lo = 1 << n
-        hi = (1 << (n + 1)) - 1
-        if hi > k_max:
-            break
-        i = int(np.searchsorted(ks, lo, side="left"))
-        j = int(np.searchsorted(ks, hi, side="right"))
-        total = int(cum[j] - cum[i])
-        if total > 0:
-            points.append((math.sqrt(lo * (hi + 1)), total / (hi - lo + 1)))
-        n += 1
-    return BinnedSeries(points=points, bin_rule=BIN_RULE_K)
+    return _bin_dyadic(ks, ns, BIN_RULE_K)
 
 
 def ls_nk(cc: CountOfCounts, binned: bool = False) -> ZipfFit:

@@ -3,8 +3,8 @@
 ``pwdist.crack`` holds a hashed corpus as columns and draws every salt in
 one bulk read of the generator. These are the straightforward versions it
 must match exactly: one ``randrange`` and one ``HashedEntry`` per user,
-and a cracking loop over per-salt dict buckets, with the scheme's scalar
-``hash`` for every pair.
+and a cracking loop over per-salt dict buckets, with the scalar
+``_trunc8_mix64`` for every pair.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from pwdist.crack import HashedCorpus, HashScheme, generate_salts
+from pwdist.crack import HashedCorpus, _trunc8_mix64, generate_salts
 
 _MASK64 = (1 << 64) - 1
 
@@ -26,15 +26,15 @@ class HashedEntry:
 
 
 def hash_corpus(
-    credentials: Sequence[tuple[bytes, bytes]], scheme: HashScheme, salt_seed: int, salt_count: int
+    credentials: Sequence[tuple[bytes, bytes]], salt_seed: int, salt_count: int
 ) -> list[HashedEntry]:
     """One salt per ``(user, password)`` pair, drawn in order, and one entry each."""
-    salts = generate_salts(scheme, salt_seed, salt_count)
+    salts = generate_salts(salt_seed, salt_count)
     rng = random.Random((salt_seed ^ 0x5A17) & _MASK64)
     entries = []
     for user, password in credentials:
         salt = salts[rng.randrange(salt_count)]
-        entries.append(HashedEntry(user, salt, scheme.hash(salt, scheme.truncate(password))))
+        entries.append(HashedEntry(user, salt, _trunc8_mix64(salt, password)))
     return entries
 
 
@@ -47,12 +47,13 @@ def entries_of(corpus: HashedCorpus) -> list[HashedEntry]:
 
 
 def crack(
-    entries: Sequence[HashedEntry], guesses: Sequence[bytes], scheme: HashScheme
+    entries: Sequence[HashedEntry], guesses: Sequence[bytes]
 ) -> tuple[list[int], list[tuple[bytes, bytes]]]:
     """Users cracked by each guess, and the ``(user, truncated guess)`` rows in order.
 
-    Salts are tried in the order their first entry appears and users in
-    entry order; a truncated guess already tried cracks nobody.
+    Guesses are cut to their first 8 bytes. Salts are tried in the order
+    their first entry appears and users in entry order; a truncated guess
+    already tried cracks nobody.
     """
     buckets: dict[bytes, dict[bytes, list[bytes]]] = {}
     for e in entries:
@@ -61,12 +62,12 @@ def crack(
     increments = []
     cracked = []
     for guess in guesses:
-        truncated = scheme.truncate(guess)
+        truncated = guess[:8]
         hits = 0
         if truncated not in tried:
             tried.add(truncated)
             for salt, bucket in buckets.items():
-                users = bucket.pop(scheme.hash(salt, truncated), None)
+                users = bucket.pop(_trunc8_mix64(salt, truncated), None)
                 if users:
                     hits += len(users)
                     cracked.extend((user, truncated) for user in users)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from pwdist.cli import EXIT_OK, main
-from pwdist.crack import builtin_scheme, crack, hash_corpus
+from pwdist.crack import crack, hash_corpus
 from pwdist.crossguess import (
     GuessOrdering,
     METRIC_DISTINCT,
@@ -172,7 +172,6 @@ def test_05_cross_guess_dominance_and_identity():
 
 def test_06_crack_curve_equals_truncated_self_curve():
     started = time.time()
-    scheme = builtin_scheme("trunc8-mix64")
     for k in range(20):
         rng = np.random.default_rng(600 + k)
         n_users = int(rng.integers(1500, 4000))
@@ -187,8 +186,8 @@ def test_06_crack_curve_equals_truncated_self_curve():
         table = table_from_counter(Counter(passwords), tie_break_seed=k)
         truncated = truncate_reaggregate(table, 8, tie_break_seed=k)
         salt_count = int(rng.integers(4, 65))
-        corpus = hash_corpus(users, passwords, scheme, salt_seed=k, salt_count=salt_count)
-        result = crack(corpus, GuessOrdering.from_table(truncated), scheme)
+        corpus = hash_corpus(users, passwords, salt_seed=k, salt_count=salt_count)
+        result = crack(corpus, GuessOrdering.from_table(truncated))
         own = self_curve(truncated, METRIC_USERS)
         assert result.curve_users == own
         assert result.uncracked_count == 0

@@ -108,7 +108,7 @@ class TestOutDir:
         before = self._snapshot(out)
         # Hashes under other salts are written, then the missing ordering fails the run.
         code = main(
-            ["crack", "--corpus", str(corpus), "--salt-seed", "9",
+            ["crack", "--corpus", str(corpus), "--seed", "9",
              "--ordering", str(tmp_path / "missing.tsv"), "--out-dir", str(out)]
         )
         assert code == EXIT_INPUT
@@ -373,18 +373,25 @@ class TestCrack:
     def test_hashes_run_records_no_hashing_parameters(self, tmp_path, corpus):
         gen = tmp_path / "gen"
         assert main(["crack", "--corpus", str(corpus), "--salt-count", "4", "--out-dir", str(gen)]) == EXIT_OK
-        hashing = {"salt_count", "salt_seed", "format"}
+        hashing = {"salt_count", "format"}
         assert hashing <= set(json.loads((gen / "manifest.json").read_text())["parameters"])
         words = tmp_path / "words.txt"
         words.write_bytes(b"123456\n")
         attack = tmp_path / "attack"
         code = main(
             ["crack", "--hashes", str(gen / "hashes.tsv"), "--wordlist", str(words),
-             "--salt-count", "3", "--salt-seed", "9", "--out-dir", str(attack)]
+             "--salt-count", "3", "--out-dir", str(attack)]
         )
         assert code == EXIT_OK
         parameters = json.loads((attack / "manifest.json").read_text())["parameters"]
         assert not hashing & set(parameters)
+
+    @pytest.mark.parametrize("option", [["--scheme", "trunc8-mix64"], ["--salt-seed", "1"]])
+    def test_removed_hashing_options_are_usage_errors(self, tmp_path, corpus, capsys, option):
+        out = tmp_path / "out"
+        assert main(["crack", "--corpus", str(corpus), *option, "--out-dir", str(out)]) == EXIT_USAGE
+        assert "pwdist-error\tusage\t" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_corpus_read_is_reported(self, tmp_path, capsys):
         corpus = tmp_path / "users.tsv"
@@ -555,6 +562,33 @@ class TestMhSim:
         assert main(argv) == EXIT_USAGE
         assert "pwdist-error\tusage\ttable" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, config_line, option",
+        [(["--s", "3"], None, "s"), (["--n-ranks", "5"], None, "n-ranks"), ([], "s = 3", "s"),
+         ([], "n-ranks = 5", "n-ranks")],
+        ids=["flag-s", "flag-n-ranks", "config-s", "config-n-ranks"],
+    )
+    def test_zipf_shape_with_table_source_is_usage_error(
+        self, tmp_path, corpus, capsys, flags, config_line, option
+    ):
+        table = ingest_table(tmp_path, corpus)
+        out = tmp_path / "sim"
+        argv = ["mh-sim", "--source", "table", "--table", str(table), "--n-users", "50", *flags,
+                "--out-dir", str(out)]
+        if config_line is not None:
+            config = tmp_path / "sim.cfg"
+            config.write_text(config_line + "\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == EXIT_USAGE
+        assert f"pwdist-error\tusage\t{option} " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_zipf_source_defaults_recorded(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["mh-sim", "--n-users", "50", "--out-dir", str(out)]) == EXIT_OK
+        parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert (parameters["s"], parameters["n_ranks"]) == (0.78, 100000)
 
     def test_config_aliases_accepted(self, tmp_path):
         ban = tmp_path / "banned.txt"

@@ -11,10 +11,9 @@ import random
 from pwdist import crack as crack_mod
 from pwdist.crack import (
     CRYPT_SALT_ALPHABET,
-    HashScheme,
+    SALT_LEN,
     _trunc8_mix64,
     _trunc8_mix64_many,
-    builtin_scheme,
     crack,
     draw_below,
     generate_salts,
@@ -40,39 +39,31 @@ import crack_oracles as oracle
 EMPTY_DIGEST = bytes.fromhex("f52a15e9a9b5e89b")
 AB_XY_DIGEST = bytes.fromhex("3f5cac1ec3588869")
 
-SCHEME = builtin_scheme("trunc8-mix64")
-# The same scheme without the numpy kernel: hash_many calls hash per pair.
-SCALAR_SCHEME = HashScheme(name=SCHEME.name, truncate_len=SCHEME.truncate_len, hash=SCHEME.hash)
 
-
-def hashed(credentials, salt_seed, salt_count, scheme=SCHEME):
+def hashed(credentials, salt_seed, salt_count):
     """``hash_corpus`` over ``(user, password)`` pairs."""
     users = [user for user, _ in credentials]
     passwords = [password for _, password in credentials]
-    return hash_corpus(users, passwords, scheme, salt_seed, salt_count)
+    return hash_corpus(users, passwords, salt_seed, salt_count)
 
 
 class TestBuiltinScheme:
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError):
-            builtin_scheme("md5-crypt")
-
     def test_frozen_vectors(self):
-        assert SCHEME.hash(b"", b"") == EMPTY_DIGEST
-        assert SCHEME.hash(b"ab", b"xy") == AB_XY_DIGEST
+        assert _trunc8_mix64(b"", b"") == EMPTY_DIGEST
+        assert _trunc8_mix64(b"ab", b"xy") == AB_XY_DIGEST
 
     def test_deterministic(self):
-        assert SCHEME.hash(b"s1", b"secret") == SCHEME.hash(b"s1", b"secret")
+        assert _trunc8_mix64(b"s1", b"secret") == _trunc8_mix64(b"s1", b"secret")
 
     def test_truncates_to_eight_bytes(self):
-        assert SCHEME.hash(b"s", b"password1") == SCHEME.hash(b"s", b"password2")
-        assert SCHEME.hash(b"s", b"short") != SCHEME.hash(b"s", b"short2")
+        assert _trunc8_mix64(b"s", b"password1") == _trunc8_mix64(b"s", b"password2")
+        assert _trunc8_mix64(b"s", b"short") != _trunc8_mix64(b"s", b"short2")
 
     def test_salt_changes_digest(self):
-        assert SCHEME.hash(b"aa", b"pw") != SCHEME.hash(b"ab", b"pw")
+        assert _trunc8_mix64(b"aa", b"pw") != _trunc8_mix64(b"ab", b"pw")
 
     def test_batch_kernel_frozen_vectors(self):
-        digests = SCHEME.hash_many([b"", b"ab"], [b"", b"xy"])
+        digests = _trunc8_mix64_many([b"", b"ab"], [b"", b"xy"])
         assert digests.shape == (2, 2) and digests.dtype == np.uint64
         assert int(digests[0, 0]).to_bytes(8, "big") == EMPTY_DIGEST
         assert int(digests[1, 1]).to_bytes(8, "big") == AB_XY_DIGEST
@@ -88,13 +79,6 @@ class TestBuiltinScheme:
         for i, pw in enumerate(passwords):
             for j, salt in enumerate(salts):
                 assert int(digests[i, j]).to_bytes(8, "big") == _trunc8_mix64(salt, pw)
-
-    def test_default_hash_many_loops_over_scalar_hash(self):
-        salts, passwords = [b"s1", b"s2", b"s3"], [b"a", b"longer than eight", b""]
-        assert np.array_equal(
-            SCALAR_SCHEME.hash_many(salts, passwords), SCHEME.hash_many(salts, passwords)
-        )
-        assert SCALAR_SCHEME.hash_many(salts, []).shape == (0, 3)
 
 
 class TestDrawBelow:
@@ -128,10 +112,10 @@ class TestHashCorpus:
     def test_salts_come_from_generated_set(self):
         credentials = [(b"u%d" % i, b"pw%d" % (i % 37)) for i in range(1000)]
         corpus = hashed(credentials, salt_seed=17, salt_count=50)
-        salt_set = set(generate_salts(SCHEME, 17, 50))
+        salt_set = set(generate_salts(17, 50))
         assert len(salt_set) == 50
         assert set(corpus.salts) <= salt_set
-        assert all(len(s) == SCHEME.salt_len for s in salt_set)
+        assert all(len(s) == SALT_LEN for s in salt_set)
         assert all(b in CRYPT_SALT_ALPHABET for s in salt_set for b in s)
 
     def test_salts_listed_once_in_order_of_first_use(self):
@@ -142,13 +126,13 @@ class TestHashCorpus:
 
     def test_salt_count_validated(self):
         with pytest.raises(ValueError):
-            generate_salts(SCHEME, 0, 0)
+            generate_salts(0, 0)
         with pytest.raises(ValueError):
-            generate_salts(SCHEME, 0, 64**2 + 1)
+            generate_salts(0, 64**2 + 1)
 
     def test_one_password_per_user(self):
         with pytest.raises(ValueError):
-            hash_corpus([b"a", b"b"], [b"pw"], SCHEME, 0, 4)
+            hash_corpus([b"a", b"b"], [b"pw"], 0, 4)
 
     def test_deterministic(self):
         credentials = [(b"u%d" % i, b"pw%d" % i) for i in range(30)]
@@ -164,7 +148,7 @@ class TestHashCorpus:
             for i in range(2000)
         ]
         corpus = hashed(credentials, salt_seed=salt_count + 1, salt_count=salt_count)
-        expected = oracle.hash_corpus(credentials, SCHEME, salt_count + 1, salt_count)
+        expected = oracle.hash_corpus(credentials, salt_count + 1, salt_count)
         assert oracle.entries_of(corpus) == expected
 
 
@@ -172,27 +156,27 @@ class TestCrack:
     def test_hand_trace(self):
         credentials = [(b"u1", b"x"), (b"u2", b"x"), (b"u3", b"y")]
         corpus = hashed(credentials, salt_seed=0, salt_count=2)
-        report = crack(corpus, GuessOrdering(guesses=[b"x"]), SCHEME)
+        report = crack(corpus, GuessOrdering(guesses=[b"x"]))
         assert report.curve_users.cumulative_at(1) == 2
         assert sorted(u for u, _ in report.cracked) == [b"u1", b"u2"]
         assert report.uncracked_count == 1
 
     def test_empty_ordering(self):
         corpus = hashed([(b"u1", b"x")], salt_seed=0, salt_count=1)
-        report = crack(corpus, GuessOrdering(guesses=[]), SCHEME)
+        report = crack(corpus, GuessOrdering(guesses=[]))
         assert report.cracked == []
         assert report.uncracked_count == 1
 
     def test_empty_corpus(self):
         corpus = hashed([], salt_seed=0, salt_count=3)
-        report = crack(corpus, GuessOrdering(guesses=[b"x", b"y"]), SCHEME)
+        report = crack(corpus, GuessOrdering(guesses=[b"x", b"y"]))
         assert report.cracked == [] and report.uncracked_count == 0
 
     def test_exhaustive_ordering_cracks_everyone(self):
         credentials = [(b"u%d" % i, b"pw%d" % (i % 5)) for i in range(20)]
         corpus = hashed(credentials, salt_seed=1, salt_count=4)
         ordering = GuessOrdering(guesses=[b"pw%d" % i for i in range(5)])
-        report = crack(corpus, ordering, SCHEME)
+        report = crack(corpus, ordering)
         assert report.uncracked_count == 0
         assert report.curve_users.final_cumulative == 20
         assert report.curve_distinct.denominator == 5
@@ -200,7 +184,7 @@ class TestCrack:
     def test_guess_colliding_after_truncation_adds_nothing(self):
         corpus = hashed([(b"u1", b"longpassword")], salt_seed=2, salt_count=1)
         ordering = GuessOrdering(guesses=[b"longpassword", b"longpassXXX"])
-        report = crack(corpus, ordering, SCHEME)
+        report = crack(corpus, ordering)
         assert report.curve_users.cumulative_at(1) == 1
         assert report.curve_users.cumulative_at(2) == 1
         assert report.cracked == [(b"u1", b"longpass")]
@@ -208,7 +192,7 @@ class TestCrack:
     def test_distinct_denominator_upper_bounds_unseen(self):
         credentials = [(b"u1", b"hit"), (b"u2", b"miss1"), (b"u3", b"miss2")]
         corpus = hashed(credentials, salt_seed=5, salt_count=2)
-        report = crack(corpus, GuessOrdering(guesses=[b"hit"]), SCHEME)
+        report = crack(corpus, GuessOrdering(guesses=[b"hit"]))
         # one recovered plus two uncracked assumed unique
         assert report.curve_distinct.denominator == 3
 
@@ -220,24 +204,23 @@ class TestCrack:
         truncated = truncate_reaggregate(table, 8, tie_break_seed=8)
         assert truncated.distinct_count < table.distinct_count  # truncation really merges
         corpus = hashed(credentials, salt_seed=8, salt_count=16)
-        report = crack(corpus, GuessOrdering.from_table(truncated), SCHEME)
+        report = crack(corpus, GuessOrdering.from_table(truncated))
         own = self_curve(truncated, "users")
         assert report.curve_users == own
 
-    def test_each_salt_guess_pair_hashed_at_most_once(self):
-        calls = []
-        counting = SCHEME.__class__(
-            name=SCHEME.name,
-            truncate_len=SCHEME.truncate_len,
-            hash=lambda salt, pw: calls.append((salt, pw)) or SCHEME.hash(salt, pw),
-            salt_len=SCHEME.salt_len,
-            salt_alphabet=SCHEME.salt_alphabet,
-        )
+    def test_each_salt_guess_pair_hashed_at_most_once(self, monkeypatch):
         credentials = [(b"u%d" % i, b"pw%d" % (i % 3)) for i in range(9)]
         corpus = hashed(credentials, salt_seed=4, salt_count=3)
+        calls = []
+
+        def counting(salts, passwords):
+            calls.extend((salt, pw) for pw in passwords for salt in salts)
+            return _trunc8_mix64_many(salts, passwords)
+
+        monkeypatch.setattr(crack_mod, "_trunc8_mix64_many", counting)
         ordering = GuessOrdering(guesses=[b"pw0", b"pw1", b"pw0XXXXXXXX", b"pw2"])
-        crack(corpus, ordering, counting)
-        assert len(calls) == len(set(calls))
+        crack(corpus, ordering)
+        assert calls and len(calls) == len(set(calls))
 
     def test_block_size_does_not_change_report(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -245,16 +228,16 @@ class TestCrack:
         credentials = [(b"u%d" % i, pool[int(rng.integers(0, len(pool)))]) for i in range(300)]
         corpus = hashed(credentials, salt_seed=6, salt_count=12)
         ordering = GuessOrdering(guesses=[p for p in pool if p != b"pw07"] + [b"pw07"])
-        whole = crack(corpus, ordering, SCHEME)
+        whole = crack(corpus, ordering)
         monkeypatch.setattr(crack_mod, "GUESS_BLOCK", 4)
-        blocked = crack(corpus, ordering, SCHEME)
+        blocked = crack(corpus, ordering)
         assert blocked == whole
         assert whole.uncracked_count == 0
 
     def test_rows_within_a_guess_follow_first_seen_salt_order(self):
         credentials = [(b"u%d" % i, b"same") for i in range(40)]
         corpus = hashed(credentials, salt_seed=2, salt_count=16)
-        report = crack(corpus, GuessOrdering(guesses=[b"same"]), SCHEME)
+        report = crack(corpus, GuessOrdering(guesses=[b"same"]))
         salt_of = {e.user: e.salt for e in oracle.entries_of(corpus)}
         first_seen = list(dict.fromkeys(e.salt for e in oracle.entries_of(corpus)))
         order = [first_seen.index(salt_of[u]) for u, _ in report.cracked]
@@ -267,28 +250,10 @@ class TestCrack:
             users=[b"a", b"b"],
             salts=[b"s1", b"s2"],
             salt_index=np.array([0, 1]),
-            digests=np.array([int.from_bytes(SCHEME.hash(b"s2", b"pw"), "big")] * 2, dtype=np.uint64),
+            digests=np.array([int.from_bytes(_trunc8_mix64(b"s2", b"pw"), "big")] * 2, dtype=np.uint64),
         )
-        report = crack(corpus, GuessOrdering(guesses=[b"pw"]), SCHEME)
+        report = crack(corpus, GuessOrdering(guesses=[b"pw"]))
         assert report.cracked == [(b"b", b"pw")] and report.uncracked_count == 1
-
-
-class TestCrackBatchKernelProperty:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        passwords=st.lists(st.sampled_from([b"a", b"b", b"abcdefgh1", b"abcdefgh2", b"\x80\xff", b""]),
-                           max_size=25),
-        guesses=st.lists(st.binary(max_size=10) | st.sampled_from([b"a", b"abcdefgh", b""]),
-                         max_size=15, unique=True),
-        salt_count=st.integers(1, 6),
-        salt_seed=st.integers(0, 1000),
-    )
-    def test_default_hash_many_gives_same_report(self, passwords, guesses, salt_count, salt_seed):
-        credentials = [(b"u%d" % i, pw) for i, pw in enumerate(passwords)]
-        corpus = hashed(credentials, salt_seed, salt_count)
-        assert hashed(credentials, salt_seed, salt_count, scheme=SCALAR_SCHEME) == corpus
-        ordering = GuessOrdering(guesses=guesses)
-        assert crack(corpus, ordering, SCALAR_SCHEME) == crack(corpus, ordering, SCHEME)
 
 
 class TestCrackOracle:
@@ -307,12 +272,12 @@ class TestCrackOracle:
     def test_matches_bucket_loop(self, passwords, guesses, salt_count, salt_seed, block):
         credentials = [(b"u%d" % i, pw) for i, pw in enumerate(passwords)]
         corpus = hashed(credentials, salt_seed, salt_count)
-        entries = oracle.hash_corpus(credentials, SCHEME, salt_seed, salt_count)
+        entries = oracle.hash_corpus(credentials, salt_seed, salt_count)
         assert oracle.entries_of(corpus) == entries
-        increments, cracked = oracle.crack(entries, guesses, SCHEME)
+        increments, cracked = oracle.crack(entries, guesses)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(crack_mod, "GUESS_BLOCK", block)
-            report = crack(corpus, GuessOrdering(guesses=guesses), SCHEME)
+            report = crack(corpus, GuessOrdering(guesses=guesses))
         assert report.cracked == cracked
         expected = curve_from_increments(np.array(increments, dtype=np.int64), len(entries), METRIC_USERS)
         assert report.curve_users == expected

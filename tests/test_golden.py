@@ -27,7 +27,7 @@ def _zipf_like(tag: bytes, i: int, n: int) -> int:
 
 
 def _password(k: int) -> bytes:
-    # every third password is longer than the 8 bytes the hash scheme keeps
+    # every third password is longer than the 8 bytes the hash keeps
     return b"password%05d" % k if k % 3 == 0 else b"pw%d" % k
 
 
@@ -105,7 +105,7 @@ CASES = {
     ),
     "crack-corpus": (
         ["crack", "--corpus", "{users}", "--format", "user-tab-password", "--salt-count", "16",
-         "--salt-seed", "3", "--ordering", "{table}", "--seed", "9"],
+         "--ordering", "{table}", "--seed", "3"],
         {
             "cracked.tsv": "7b3f6aa073b1d824",
             "curve_distinct.tsv": "d0aa5729222c0639",

@@ -107,8 +107,6 @@ class TestCountMin:
     def test_dimensions_validated(self):
         with pytest.raises(ValueError):
             CountMinStore(width=0, depth=1)
-        with pytest.raises(ValueError):
-            CountMinStore(width=8, depth=2, seeds=[1])
 
 
 class TestBatchOffsets:
