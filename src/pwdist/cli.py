@@ -28,6 +28,8 @@ DEFAULT_SEED = 0
 # mh-sim's Zipf source where --s or --n-ranks is not given.
 MH_ZIPF_S = 0.78
 MH_ZIPF_RANKS = 100000
+# crack --corpus's salts where --salt-count is not given.
+CRACK_SALT_COUNT = 64
 MANIFEST_NAME = "manifest.json"
 PARTIAL_SUFFIX = ".partial"
 
@@ -205,9 +207,11 @@ def cmd_crack(args) -> tuple[dict, dict]:
     parameters = {"seed": args.seed, "log_spaced": args.log_spaced}
     counters = {}
     if args.corpus:
+        corpus_format = args.format or ingest.FORMAT_PASSWORD_PER_LINE
+        salt_count = CRACK_SALT_COUNT if args.salt_count is None else args.salt_count
         with open(_input(args, args.corpus), "rb") as fh:
-            latest, read_stats = ingest.read_credentials(fh, args.format)
-        corpus = crack_mod.hash_corpus(list(latest), list(latest.values()), args.seed, args.salt_count)
+            latest, read_stats = ingest.read_credentials(fh, corpus_format)
+        corpus = crack_mod.hash_corpus(list(latest), list(latest.values()), args.seed, salt_count)
         del latest  # the replay needs only the hashed corpus
         crack_mod.write_hashes_tsv(corpus, _stage(args, "hashes.tsv"))
         print(
@@ -215,9 +219,12 @@ def cmd_crack(args) -> tuple[dict, dict]:
             f"({read_stats.malformed} malformed skipped)"
         )
         counters = {"lines": read_stats.lines, "malformed": read_stats.malformed}
-        # These shape only the hashing of a corpus, so only a --corpus run records them.
-        parameters.update(salt_count=args.salt_count, format=args.format)
+        # These shape only the hashing of a corpus, so only a --corpus run takes them.
+        parameters.update(salt_count=salt_count, format=corpus_format)
     else:
+        for option, value in (("salt-count", args.salt_count), ("format", args.format)):
+            if value is not None:
+                raise ValueError(f"{option} is read only with --corpus")
         corpus = crack_mod.read_hashes_tsv(_input(args, args.hashes))
     ordering = _ordering(args)
     if ordering is not None:
@@ -239,6 +246,18 @@ def cmd_crack(args) -> tuple[dict, dict]:
 
 
 def cmd_mhsim(args) -> tuple[dict, dict]:
+    if args.backend == mh_uniform.BACKEND_EXACT:
+        for option, value in (("width", args.width), ("depth", args.depth)):
+            if value is not None:
+                raise ValueError(f"{option} is read only with backend=count-min")
+        store = mh_uniform.ExactFrequencyStore()
+        sketch = {}
+    else:
+        width = mh_uniform.DEFAULT_SKETCH_WIDTH if args.width is None else args.width
+        depth = mh_uniform.DEFAULT_SKETCH_DEPTH if args.depth is None else args.depth
+        store = mh_uniform.CountMinStore(width=width, depth=depth, master_seed=args.seed)
+        sketch = {"width": width, "depth": depth}
+
     if args.source == "zipf":
         if args.table:
             raise ValueError("table is read only with source=table")
@@ -263,11 +282,6 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
     if args.ban_file:
         weights = mh_uniform.TargetWeight.with_bans(banned=_read_words(_input(args, args.ban_file)))
 
-    if args.backend == mh_uniform.BACKEND_EXACT:
-        store = mh_uniform.ExactFrequencyStore()
-    else:
-        store = mh_uniform.CountMinStore(width=args.width, depth=args.depth, master_seed=args.seed)
-
     report = mh_uniform.simulate(
         model, passwords, args.n_users, store=store, weights=weights, seed=args.seed,
         retry_cap=args.retry_cap,
@@ -291,9 +305,8 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
         "seed": args.seed,
         "n_users": args.n_users,
         "backend": args.backend,
-        "width": args.width,
-        "depth": args.depth,
         "retry_cap": args.retry_cap,
+        **sketch,
         **source_desc,
     }
     return parameters, counters
@@ -341,20 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pwdist {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name, func, summary, corpus_format=False):
+    def command(name, func, summary):
         p = sub.add_parser(name, help=summary, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for every random choice")
         p.add_argument("--out-dir", default=".", help="directory for outputs and the manifest")
-        if corpus_format:
-            p.add_argument(
-                "--format", choices=ingest.CORPUS_FORMATS, default=ingest.FORMAT_PASSWORD_PER_LINE,
-                help="corpus line format",
-            )
         p.set_defaults(func=func)
         return p
 
-    p = command("ingest", cmd_ingest, "parse a corpus into a rank-frequency table", corpus_format=True)
+    p = command("ingest", cmd_ingest, "parse a corpus into a rank-frequency table")
     p.add_argument("corpus", help="raw corpus file")
+    p.add_argument(
+        "--format", choices=ingest.CORPUS_FORMATS, default=ingest.FORMAT_PASSWORD_PER_LINE,
+        help="corpus line format",
+    )
     p.add_argument("--max-ranks", type=int, default=None, help="keep only the top N ranks")
 
     p = command("fit", cmd_fit, "fit Zipf models to a table")
@@ -376,14 +388,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncate", type=int, default=None, help="truncate-and-reaggregate the target first")
     p.add_argument("--log-spaced", action="store_true", help="sample the curve at log-spaced indices")
 
-    p = command("crack", cmd_crack, "hash a corpus and/or crack a hashed corpus", corpus_format=True)
+    p = command("crack", cmd_crack, "hash a corpus and/or crack a hashed corpus")
     hashed = p.add_mutually_exclusive_group(required=True)
     hashed.add_argument("--corpus", help="raw corpus to hash into hashes.tsv")
     hashed.add_argument("--hashes", help="existing hashes.tsv to attack")
     order = p.add_mutually_exclusive_group()
     order.add_argument("--ordering", help="table.tsv whose ranking orders the guesses")
     order.add_argument("--wordlist", help="dictionary file, guessed in lexical order")
-    p.add_argument("--salt-count", type=int, default=64, help="distinct salts, drawn with --seed")
+    p.add_argument(
+        "--format", choices=ingest.CORPUS_FORMATS, default=None,
+        help=f"corpus line format for --corpus; None means {ingest.FORMAT_PASSWORD_PER_LINE}",
+    )
+    p.add_argument(
+        "--salt-count", type=int, default=None,
+        help=f"distinct salts for --corpus, drawn with --seed; None means {CRACK_SALT_COUNT}",
+    )
     p.add_argument("--log-spaced", action="store_true")
 
     # Every option but --config and --out-dir may also be set by a config file line.
@@ -405,8 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=mh_uniform.BACKEND_EXACT,
         help="frequency store",
     )
-    p.add_argument("--width", type=int, default=mh_uniform.DEFAULT_SKETCH_WIDTH, help="count-min width")
-    p.add_argument("--depth", type=int, default=mh_uniform.DEFAULT_SKETCH_DEPTH, help="count-min depth")
+    p.add_argument(
+        "--width", type=int, default=None,
+        help=f"count-min width for backend=count-min; None means {mh_uniform.DEFAULT_SKETCH_WIDTH}",
+    )
+    p.add_argument(
+        "--depth", type=int, default=None,
+        help=f"count-min depth for backend=count-min; None means {mh_uniform.DEFAULT_SKETCH_DEPTH}",
+    )
     p.add_argument("--retry-cap", type=int, default=mh_uniform.DEFAULT_RETRY_CAP, help="asks per session")
     p.add_argument("--ban-file", default=None, help="passwords never accepted")
 

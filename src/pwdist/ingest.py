@@ -95,13 +95,12 @@ class RankFrequencyTable:
 def _tie_keys(passwords: list[bytes], seed: int) -> np.ndarray:
     """Keyed blake2b of each password, as big-endian uint64 tie-break keys."""
     keyed = hashlib.blake2b(digest_size=8, key=(seed & _MASK64).to_bytes(8, "big"))
-
-    def digest(password: bytes) -> bytes:
+    digests = []
+    for password in passwords:
         h = keyed.copy()
         h.update(password)
-        return h.digest()
-
-    return np.frombuffer(b"".join(map(digest, passwords)), dtype=">u8")
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype=">u8")
 
 
 def table_from_counter(counts: Mapping[bytes, int], tie_break_seed: int = 0) -> RankFrequencyTable:
@@ -253,14 +252,17 @@ def stream_table(
         return table_from_counter(Counter(latest.values()), tie_break_seed), stats
     counts: Counter[bytes] = Counter()
     n_lines = 0
+    saw_cr = False
     for chunk in _line_chunks(_corpus_stream(raw, corpus_format)):
         lines = _split_lines(chunk)
         n_lines += len(lines)
         counts.update(lines)
+        saw_cr = saw_cr or b"\r" in chunk
     # Lines were counted raw: fold "pw\r" into "pw", then drop blank lines.
-    with_cr = [line for line in counts if line.endswith(b"\r")]
-    for line, n in [(line[:-1], counts.pop(line)) for line in with_cr]:
-        counts[line] += n
+    if saw_cr:
+        with_cr = [line for line in counts if line.endswith(b"\r")]
+        for line, n in [(line[:-1], counts.pop(line)) for line in with_cr]:
+            counts[line] += n
     for line in [k for k in counts if not k.strip()]:
         del counts[line]
     return table_from_counter(counts, tie_break_seed), StreamStats(lines=n_lines, malformed=0)
@@ -310,21 +312,95 @@ def count_of_counts(table: RankFrequencyTable) -> CountOfCounts:
     return CountOfCounts(pairs=list(zip(counts[starts].tolist(), runs.tolist())))
 
 
+def _put_decimal(out: np.ndarray, values: np.ndarray) -> None:
+    """Write non-negative ``values`` as right-aligned ASCII decimals into the uint8 rows of ``out``.
+
+    ``out`` has one row per value and at least as many columns as the
+    longest value has digits; the columns left of each value are set to NUL.
+    """
+    rest, digit = np.divmod(values, 10)
+    out[:, -1] = digit + 0x30
+    for col in range(out.shape[1] - 2, -1, -1):
+        live = rest > 0
+        rest, digit = np.divmod(rest, 10)
+        out[:, col] = np.where(live, digit + 0x30, 0)
+
+
+def _decimal_fields(first_rank: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes ``rank TAB count TAB LF`` of each row, joined as uint8, and each row's length.
+
+    Ranks run from ``first_rank`` on. Both columns go into one NUL-padded
+    matrix, a row per table row; dropping the NULs joins the rows.
+    """
+    if len(counts) and counts.min() < 0:
+        raise ValueError("table contains a negative count")
+    n = len(counts)
+    rank_width = len(b"%d" % (first_rank + n - 1))
+    count_width = len(b"%d" % counts.max()) if n else 1
+    rows = np.zeros((n, rank_width + count_width + 3), dtype=np.uint8)
+    _put_decimal(rows[:, :rank_width], np.arange(first_rank, first_rank + n, dtype=np.int64))
+    rows[:, rank_width] = 0x09
+    _put_decimal(rows[:, rank_width + 1 : -2], counts)
+    rows[:, -2:] = (0x09, 0x0A)
+    kept = rows != 0
+    return rows[kept], np.count_nonzero(kept, axis=1)
+
+
+# A bytes.translate table that maps the bytes escape_field rewrites to 1, all others to 0.
+_ESCAPED_BYTES = bytes(int(b in b"\t\n\r\\") for b in range(256))
+
+
+def _password_bytes(passwords: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """``passwords`` escaped and joined, as uint8, and the escaped length of each.
+
+    Only the passwords holding a byte to escape go through
+    :func:`escape_field`; they are replaced in ``passwords`` itself.
+    """
+    lengths = np.fromiter(map(len, passwords), dtype=np.int64, count=len(passwords))
+    joined = b"".join(passwords)
+    special = np.flatnonzero(np.frombuffer(joined.translate(_ESCAPED_BYTES), dtype=np.uint8))
+    if len(special):
+        rows = np.searchsorted(np.cumsum(lengths), special, side="right").tolist()
+        for i in dict.fromkeys(rows):
+            passwords[i] = escape_field(passwords[i])
+            lengths[i] = len(passwords[i])
+        joined = b"".join(passwords)
+    return np.frombuffer(joined, dtype=np.uint8), lengths
+
+
 def write_table_tsv(table: RankFrequencyTable, path) -> None:
-    """Export as ``rank<TAB>count<TAB>password`` with escaped passwords."""
+    """Export as ``rank<TAB>count<TAB>password`` with escaped passwords.
+
+    Each ``WRITE_BLOCK`` of rows is laid out in one uint8 buffer: numpy
+    formats the rank and count columns, and the passwords' bytes are
+    scattered between them.
+    """
+    odd = np.arange(2 * WRITE_BLOCK + 1) % 2 == 1
     with open(path, "wb") as fh:
         fh.write(TABLE_HEADER + b"\n")
         for start in range(0, table.distinct_count, WRITE_BLOCK):
             stop = start + WRITE_BLOCK
-            rows = zip(
-                range(start + 1, stop + 1),
-                table.counts[start:stop].tolist(),
-                map(escape_field, table.passwords[start:stop]),
-            )
-            fh.write(b"".join([b"%d\t%d\t%s\n" % row for row in rows]))
+            passwords, lengths = _password_bytes(table.passwords[start:stop])
+            fields, widths = _decimal_fields(start + 1, table.counts[start:stop])
+            # The block alternates runs of field bytes and of password bytes. Field
+            # run i is row i-1's LF and row i's "rank TAB count TAB", widths[i]
+            # bytes; the first has no LF before it, and the last is the final LF.
+            n = len(lengths)
+            runs = np.empty(2 * n + 1, dtype=np.int64)
+            runs[0:-1:2] = widths
+            runs[0] -= 1
+            runs[-1] = 1
+            runs[1::2] = lengths
+            is_password = np.repeat(odd[: 2 * n + 1], runs)
+            out = np.empty(len(is_password), dtype=np.uint8)
+            out[is_password] = passwords
+            out[np.logical_not(is_password, out=is_password)] = fields
+            fh.write(out)
 
 
 _ROW_SEPARATORS = np.frombuffer(b"\t\t\n", dtype=np.uint8)
+# Longest decimal field parsed from its digits; any int64 of 18 digits fits.
+_MAX_DIGITS = 18
 
 
 def _unescape(field: bytes) -> bytes:
@@ -334,13 +410,48 @@ def _unescape(field: bytes) -> bytes:
         raise CorpusError(f"malformed table row: {exc}") from exc
 
 
-def _table_fields(chunk: bytes) -> tuple[Sequence[bytes], Sequence[bytes], list[bytes]]:
-    """The rank and count fields and the unescaped passwords of ``chunk``'s rows.
+def _digit_values(digits: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
+    """The fields ``[start, stop)`` of a chunk as decimal numbers, or None.
+
+    ``digits`` is the chunk's bytes minus ``0x30``, so a digit byte is its
+    value and every other byte is above 9. None means some field is empty,
+    is longer than ``_MAX_DIGITS`` or holds a byte that is not a digit. The
+    fields are right-aligned and read one digit position per pass.
+    """
+    width = stop - start
+    if not len(width):
+        return np.zeros(0, dtype=np.int64)
+    widest = int(width.max())
+    if width.min() < 1 or widest > _MAX_DIGITS:
+        return None
+    values = np.zeros(len(width), dtype=np.int64)
+    for k in range(widest, 0, -1):
+        digit = digits[np.maximum(stop - k, 0)]
+        digit[width < k] = 0
+        if (digit > 9).any():
+            return None
+        values *= 10
+        values += digit
+    return values
+
+
+def _int_values(fields: Sequence[bytes]) -> np.ndarray:
+    try:
+        return np.fromiter(map(int, fields), dtype=np.int64, count=len(fields))
+    except (ValueError, OverflowError) as exc:
+        raise CorpusError(f"malformed table row: {exc}") from exc
+
+
+def _table_fields(chunk: bytes) -> tuple[Sequence[bytes], np.ndarray, np.ndarray, list[bytes]]:
+    """The rank fields, the ranks, the counts and the unescaped passwords of ``chunk``'s rows.
 
     A chunk of plain rows (each ``rank TAB count TAB password LF``, no CR,
-    no blank line) is cut with one split. Any other chunk goes row by row:
-    a trailing CR is stripped, blank lines are skipped, and each row splits
-    at its first two TABs.
+    no blank line) is cut with one split, and its rank and count columns are
+    read from their digits in numpy where each field is 1 to 18 ASCII
+    digits. Any other chunk goes row by row: a trailing CR is stripped,
+    blank lines are skipped, and each row splits at its first two TABs. A
+    field that is not plain digits (``+3``, `` 1``, ``1_0``) is read by
+    ``int()``.
     """
     if chunk.endswith(b"\n") and b"\r" not in chunk:
         raw = np.frombuffer(chunk, dtype=np.uint8)
@@ -353,24 +464,35 @@ def _table_fields(chunk: bytes) -> tuple[Sequence[bytes], Sequence[bytes], list[
             escaped = np.searchsorted(at[2::3], np.flatnonzero(raw == 0x5C)).tolist()
             for i in dict.fromkeys(escaped):
                 passwords[i] = _unescape(passwords[i])
-            return fields[0::3], fields[1::3], passwords
+            digits = raw - np.uint8(0x30)
+            tab1, tab2, line_end = at[0::3], at[1::3], at[2::3]
+            line_start = np.concatenate(([0], line_end[:-1] + 1))
+            ranks = _digit_values(digits, line_start, tab1)
+            counts = _digit_values(digits, tab1 + 1, tab2)
+            rank_fields = fields[0::3]
+            if ranks is None:
+                ranks = _int_values(rank_fields)
+            if counts is None:
+                counts = _int_values(fields[1::3])
+            return rank_fields, ranks, counts, passwords
     rows = [line.split(b"\t", 2) for line in _strip_cr(_split_lines(chunk)) if line]
     bad = next((row for row in rows if len(row) != 3), None)
     if bad is not None:
         row = b"\t".join(bad)
         raise CorpusError(f"malformed table row: {row!r}")
-    ranks = [row[0] for row in rows]
-    counts = [row[1] for row in rows]
-    return ranks, counts, [_unescape(row[2]) if b"\\" in row[2] else row[2] for row in rows]
+    rank_fields = [row[0] for row in rows]
+    passwords = [_unescape(row[2]) if b"\\" in row[2] else row[2] for row in rows]
+    return rank_fields, _int_values(rank_fields), _int_values([row[1] for row in rows]), passwords
 
 
 def read_table_tsv(path) -> RankFrequencyTable:
     """Load a table written by :func:`write_table_tsv`.
 
     Parses ``READ_BLOCK`` bytes of rows at a time. CRLF rows and blank
-    lines are accepted; a malformed row, a bad escape, a rank out of
-    sequence or a table that fails :meth:`RankFrequencyTable.validate`
-    raises :class:`CorpusError`.
+    lines are accepted, and rank and count fields are read as ``int()``
+    reads them; a malformed row, a bad escape, a rank out of sequence or a
+    table that fails :meth:`RankFrequencyTable.validate` raises
+    :class:`CorpusError`.
     """
     passwords: list[bytes] = []
     count_blocks: list[np.ndarray] = []
@@ -378,22 +500,20 @@ def read_table_tsv(path) -> RankFrequencyTable:
         if fh.readline().rstrip(b"\r\n") != TABLE_HEADER:
             raise CorpusError(f"not a rank-frequency table file: {path}")
         for chunk in _line_chunks(fh):
-            ranks, counts, fields = _table_fields(chunk)
-            n = len(ranks)
+            rank_fields, ranks, counts, fields = _table_fields(chunk)
             first_rank = len(passwords) + 1
-            try:
-                rank_arr = np.fromiter(map(int, ranks), dtype=np.int64, count=n)
-                count_arr = np.fromiter(map(int, counts), dtype=np.int64, count=n)
-            except (ValueError, OverflowError) as exc:
-                raise CorpusError(f"malformed table row: {exc}") from exc
-            out_of_sequence = np.flatnonzero(rank_arr != np.arange(first_rank, first_rank + n))
+            expected = np.arange(first_rank, first_rank + len(ranks))
+            out_of_sequence = np.flatnonzero(ranks != expected)
             if len(out_of_sequence):
                 raise CorpusError(
-                    f"table ranks are not consecutive at row {ranks[out_of_sequence[0]]!r}"
+                    f"table ranks are not consecutive at row {rank_fields[out_of_sequence[0]]!r}"
                 )
             passwords += fields
-            count_blocks.append(count_arr)
+            count_blocks.append(counts)
     counts = np.concatenate(count_blocks) if count_blocks else np.zeros(0, dtype=np.int64)
+    # Drop the blocks before validate() builds its set of passwords, the largest
+    # transient, so that the two never coexist.
+    del count_blocks
     table = RankFrequencyTable(passwords=passwords, counts=counts, total_users=int(counts.sum()))
     table.validate()
     return table

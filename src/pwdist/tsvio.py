@@ -7,7 +7,11 @@ layout are backslash-escaped.
 
 from __future__ import annotations
 
-_UNESCAPES = {0x5C: b"\\", 0x74: b"\t", 0x6E: b"\n", 0x72: b"\r"}
+import re
+
+_UNESCAPES = {b"\\": b"\\", b"t": b"\t", b"n": b"\n", b"r": b"\r"}
+# A backslash and the byte after it, or the end of the field for a dangling one.
+_ESCAPE = re.compile(rb"\\(.?)", re.DOTALL)
 
 
 def escape_field(raw: bytes) -> bytes:
@@ -24,22 +28,13 @@ def escape_field(raw: bytes) -> bytes:
 
 
 def unescape_field(raw: bytes) -> bytes:
-    """Inverse of :func:`escape_field`."""
+    """Inverse of :func:`escape_field`; the first bad escape raises ``ValueError``."""
     if b"\\" not in raw:
         return raw
-    out = bytearray()
-    i = 0
-    while i < len(raw):
-        b = raw[i]
-        if b != 0x5C:
-            out.append(b)
-            i += 1
-            continue
-        if i + 1 >= len(raw):
-            raise ValueError("dangling backslash escape in TSV field")
-        rep = _UNESCAPES.get(raw[i + 1])
-        if rep is None:
-            raise ValueError(f"unknown TSV escape: \\{chr(raw[i + 1])}")
-        out += rep
-        i += 2
-    return bytes(out)
+    try:
+        return _ESCAPE.sub(lambda m: _UNESCAPES[m[1]], raw)
+    except KeyError as exc:
+        follower = exc.args[0]
+        if not follower:
+            raise ValueError("dangling backslash escape in TSV field") from None
+        raise ValueError(f"unknown TSV escape: \\{chr(follower[0])}") from None

@@ -23,10 +23,10 @@ from pwdist.ingest import (
     RankFrequencyTable,
     table_from_counter,
 )
-from pwdist.tsvio import unescape_field
 
 _MASK64 = (1 << 64) - 1
 _ESCAPES = {0x5C: b"\\\\", 0x09: b"\\t", 0x0A: b"\\n", 0x0D: b"\\r"}
+_UNESCAPES = {0x5C: b"\\", 0x74: b"\t", 0x6E: b"\n", 0x72: b"\r"}
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,26 @@ def escape_field(raw: bytes) -> bytes:
             out.append(b)
         else:
             out += esc
+    return bytes(out)
+
+
+def unescape_field(raw: bytes) -> bytes:
+    """Undo ``escape_field`` a byte at a time; the first bad escape raises ValueError."""
+    out = bytearray()
+    i = 0
+    while i < len(raw):
+        b = raw[i]
+        if b != 0x5C:
+            out.append(b)
+            i += 1
+            continue
+        if i + 1 >= len(raw):
+            raise ValueError("dangling backslash escape in TSV field")
+        rep = _UNESCAPES.get(raw[i + 1])
+        if rep is None:
+            raise ValueError(f"unknown TSV escape: \\{chr(raw[i + 1])}")
+        out += rep
+        i += 2
     return bytes(out)
 
 

@@ -380,11 +380,34 @@ class TestCrack:
         attack = tmp_path / "attack"
         code = main(
             ["crack", "--hashes", str(gen / "hashes.tsv"), "--wordlist", str(words),
-             "--salt-count", "3", "--out-dir", str(attack)]
+             "--out-dir", str(attack)]
         )
         assert code == EXIT_OK
         parameters = json.loads((attack / "manifest.json").read_text())["parameters"]
         assert not hashing & set(parameters)
+
+    @pytest.mark.parametrize(
+        "option", [["--salt-count", "3"], ["--format", "user-tab-password"]], ids=["salt-count", "format"]
+    )
+    def test_hashing_options_with_hashes_are_usage_errors(self, tmp_path, corpus, capsys, option):
+        gen = tmp_path / "gen"
+        assert main(["crack", "--corpus", str(corpus), "--out-dir", str(gen)]) == EXIT_OK
+        words = tmp_path / "words.txt"
+        words.write_bytes(b"123456\n")
+        attack = tmp_path / "attack"
+        code = main(
+            ["crack", "--hashes", str(gen / "hashes.tsv"), "--wordlist", str(words), *option,
+             "--out-dir", str(attack)]
+        )
+        assert code == EXIT_USAGE
+        assert f"pwdist-error\tusage\t{option[0][2:]} " in capsys.readouterr().err
+        assert not (attack / "manifest.json").exists()
+
+    def test_corpus_hashing_defaults_recorded(self, tmp_path, corpus):
+        out = tmp_path / "gen"
+        assert main(["crack", "--corpus", str(corpus), "--out-dir", str(out)]) == EXIT_OK
+        parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert (parameters["salt_count"], parameters["format"]) == (64, "password-per-line")
 
     @pytest.mark.parametrize("option", [["--scheme", "trunc8-mix64"], ["--salt-seed", "1"]])
     def test_removed_hashing_options_are_usage_errors(self, tmp_path, corpus, capsys, option):
@@ -590,6 +613,37 @@ class TestMhSim:
         parameters = json.loads((out / "manifest.json").read_text())["parameters"]
         assert (parameters["s"], parameters["n_ranks"]) == (0.78, 100000)
 
+    @pytest.mark.parametrize(
+        "flags, config_line, option",
+        [(["--width", "7"], None, "width"), (["--depth", "9"], None, "depth"),
+         ([], "width = 7", "width"), ([], "w = 7", "width"), ([], "d = 9", "depth")],
+        ids=["flag-width", "flag-depth", "config-width", "config-w", "config-d"],
+    )
+    def test_sketch_shape_with_exact_backend_is_usage_error(
+        self, tmp_path, capsys, flags, config_line, option
+    ):
+        out = tmp_path / "sim"
+        argv = ["mh-sim", "--n-users", "50", "--n-ranks", "20", "--backend", "exact", *flags,
+                "--out-dir", str(out)]
+        if config_line is not None:
+            config = tmp_path / "sim.cfg"
+            config.write_text(config_line + "\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == EXIT_USAGE
+        assert f"pwdist-error\tusage\t{option} " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_sketch_defaults_recorded_for_count_min_only(self, tmp_path):
+        parameters = {}
+        for backend in ("count-min", "exact"):
+            out = tmp_path / backend
+            argv = ["mh-sim", "--n-users", "50", "--n-ranks", "20", "--backend", backend]
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+            parameters[backend] = json.loads((out / "manifest.json").read_text())["parameters"]
+        sketch = (parameters["count-min"]["width"], parameters["count-min"]["depth"])
+        assert sketch == (1 << 18, 4)
+        assert not {"width", "depth"} & set(parameters["exact"])
+
     def test_config_aliases_accepted(self, tmp_path):
         ban = tmp_path / "banned.txt"
         ban.write_bytes(b"p00000001\n")
@@ -609,7 +663,9 @@ class TestMhSim:
         manifests = {}
         for backend, run in (("count-min", "a"), ("count-min", "b"), ("exact", "c")):
             out = tmp_path / run
-            sketch = ["--backend", backend, "--width", "512", "--depth", "3"]
+            sketch = ["--backend", backend]
+            if backend == "count-min":
+                sketch += ["--width", "512", "--depth", "3"]
             assert main(args + sketch + ["--out-dir", str(out)]) == EXIT_OK
             manifests[run] = json.loads((out / "manifest.json").read_text())
         counters = manifests["a"]["counters"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from pwdist.ingest import (
     CorpusError,
     FORMAT_PASSWORD_PER_LINE,
     FORMAT_USER_TAB_PASSWORD,
+    RankFrequencyTable,
     cap_ranks,
     count_of_counts,
     read_credentials,
@@ -25,7 +27,7 @@ from pwdist.ingest import (
     table_from_counts,
     write_table_tsv,
 )
-from pwdist.tsvio import escape_field
+from pwdist.tsvio import escape_field, unescape_field
 
 from conftest import rows
 
@@ -501,6 +503,137 @@ class TestWriteTableBlocks:
     @given(st.binary(max_size=12))
     def test_escape_matches_byte_loop(self, raw):
         assert escape_field(raw) == oracle.escape_field(raw)
+
+
+class TestUnescapeField:
+    @given(
+        st.lists(
+            st.sampled_from([b"\\", b"t", b"n", b"r", b"\t", b"\r", b"\n", b"x", b"\xe9"]),
+            max_size=12,
+        ).map(b"".join)
+    )
+    def test_matches_byte_loop(self, raw):
+        try:
+            expected = oracle.unescape_field(raw)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                unescape_field(raw)
+            assert str(got.value) == str(exc)
+            return
+        assert unescape_field(raw) == expected
+
+    @given(st.binary(max_size=12))
+    def test_inverts_escape(self, raw):
+        assert unescape_field(escape_field(raw)) == raw
+
+
+def _digit_boundary_table(top: int) -> RankFrequencyTable:
+    """Counts on both sides of each step in digit count below ``top``, then 1000 ones.
+
+    The counts cross 9 -> 10 ... 10**17 - 1 -> 10**17 and the ranks 9 -> 10,
+    99 -> 100 and 999 -> 1000, all inside one default block.
+    """
+    steps = {c for k in range(1, 19) for c in (10**k - 1, 10**k) if c <= top}
+    counts = [*sorted({top, *steps}, reverse=True), *[1] * 1000]
+    return RankFrequencyTable(
+        passwords=[b"pw%04d" % i for i in range(len(counts))],
+        counts=np.array(counts, dtype=np.int64),
+        total_users=sum(counts),
+    )
+
+
+class TestTableCodecEdges:
+    @pytest.mark.parametrize("top", [2**62, 10**18 - 1], ids=["19-digits", "18-digits"])
+    @pytest.mark.parametrize("write_block", [1, ingest.WRITE_BLOCK])
+    @pytest.mark.parametrize("read_block", [1, ingest.READ_BLOCK])
+    def test_digit_length_boundaries(self, tmp_path, monkeypatch, top, write_block, read_block):
+        table = _digit_boundary_table(top)
+        monkeypatch.setattr(ingest, "WRITE_BLOCK", write_block)
+        monkeypatch.setattr(ingest, "READ_BLOCK", read_block)
+        write_table_tsv(table, tmp_path / "new.tsv")
+        oracle.write_table(rows(table), tmp_path / "old.tsv")
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+        assert read_table_tsv(tmp_path / "new.tsv") == table
+
+    def test_plain_digits_are_not_read_by_int(self, tmp_path, monkeypatch):
+        table = _digit_boundary_table(10**18 - 1)
+        write_table_tsv(table, tmp_path / "t.tsv")
+
+        def refuse(fields):
+            raise AssertionError(f"int() fallback used for {fields[:3]!r}")
+
+        monkeypatch.setattr(ingest, "_int_values", refuse)
+        assert read_table_tsv(tmp_path / "t.tsv") == table
+
+    def test_negative_count_is_refused(self, tmp_path):
+        table = RankFrequencyTable(passwords=[b"a"], counts=np.array([-1]), total_users=-1)
+        with pytest.raises(ValueError):
+            write_table_tsv(table, tmp_path / "t.tsv")
+
+    @given(
+        st.dictionaries(
+            st.lists(st.sampled_from([b"\\", b"\t", b"\n", b"\r"]), max_size=5).map(b"".join),
+            st.integers(1, 12),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([1, 2, ingest.WRITE_BLOCK]),
+        st.sampled_from([1, 7, ingest.READ_BLOCK]),
+    )
+    def test_all_special_passwords(self, tmp_path_factory, counts, write_block, read_block):
+        table = table_from_counter(counts)
+        d = tmp_path_factory.mktemp("special")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "WRITE_BLOCK", write_block)
+            mp.setattr(ingest, "READ_BLOCK", read_block)
+            write_table_tsv(table, d / "new.tsv")
+            loaded = read_table_tsv(d / "new.tsv")
+        oracle.write_table(rows(table), d / "old.tsv")
+        assert (d / "new.tsv").read_bytes() == (d / "old.tsv").read_bytes()
+        assert loaded == table
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` under tracemalloc: its result, and its peak and kept bytes above the start."""
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    result = fn(*args)
+    current, peak = tracemalloc.get_traced_memory()
+    return result, peak - base, current - base
+
+
+class TestCodecMemory:
+    def test_transient_memory_is_set_by_block_size(self, tmp_path, monkeypatch):
+        """Writing and reading 100,000 rows needs memory for a block, not for the rows.
+
+        Beyond the table it returns, the reader's peak may pass the set that
+        ``validate`` builds to find duplicate passwords by a block's work
+        only. Small blocks make a cost of even 8 bytes a row stand out.
+        """
+        monkeypatch.setattr(ingest, "WRITE_BLOCK", 1 << 10)
+        monkeypatch.setattr(ingest, "READ_BLOCK", 1 << 13)
+        n = 100_000
+        table = table_from_counter(
+            {(b"pw\t%d\\" if i % 3 else b"pw%d") % i: (n - i) // 7 + 1 for i in range(n)}
+        )
+        path = tmp_path / "table.tsv"
+        # A first small run, so that one-time allocations are not counted.
+        write_table_tsv(cap_ranks(table, 50), path)
+        read_table_tsv(path)
+        tracemalloc.start()
+        try:
+            _, write_peak, _ = _traced_peak(write_table_tsv, table, path)
+            loaded, read_peak, read_kept = _traced_peak(read_table_tsv, path)
+            _, duplicate_check, _ = _traced_peak(set, loaded.passwords)
+        finally:
+            tracemalloc.stop()
+        write_bound = 512 * ingest.WRITE_BLOCK
+        read_bound = 16 * ingest.READ_BLOCK
+        assert loaded == table
+        # Holding the whole file, or a byte of work per byte of it, breaks both bounds.
+        assert path.stat().st_size > write_bound + read_bound
+        assert write_peak < write_bound
+        assert read_peak - read_kept < duplicate_check + read_bound
 
 
 class TestColumns:
