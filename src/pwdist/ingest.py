@@ -93,14 +93,21 @@ class RankFrequencyTable:
 
 
 def _tie_keys(passwords: list[bytes], seed: int) -> np.ndarray:
-    """Keyed blake2b of each password, as big-endian uint64 tie-break keys."""
+    """Keyed blake2b of each password, as big-endian uint64 tie-break keys.
+
+    The digests are joined one ``WRITE_BLOCK`` at a time into the key
+    array, so no digest object outlives its block.
+    """
     keyed = hashlib.blake2b(digest_size=8, key=(seed & _MASK64).to_bytes(8, "big"))
-    digests = []
-    for password in passwords:
-        h = keyed.copy()
-        h.update(password)
-        digests.append(h.digest())
-    return np.frombuffer(b"".join(digests), dtype=">u8")
+    keys = np.empty(len(passwords), dtype=">u8")
+    for start in range(0, len(passwords), WRITE_BLOCK):
+        digests = []
+        for password in passwords[start : start + WRITE_BLOCK]:
+            h = keyed.copy()
+            h.update(password)
+            digests.append(h.digest())
+        keys[start : start + len(digests)] = np.frombuffer(b"".join(digests), dtype=">u8")
+    return keys
 
 
 def table_from_counter(counts: Mapping[bytes, int], tie_break_seed: int = 0) -> RankFrequencyTable:

@@ -11,9 +11,12 @@ uniform distribution without any banned-word list.
 Two frequency backends implement the same interface: an exact counter and
 a count-min sketch, which never undercounts and keeps its counters in fixed
 memory. ``simulate`` runs its sessions over model rank indices and replays
-its seeded generator's raw stream in blocks; ``mh_session`` is the same rule
-over password bytes, one session at a time, calling the generator per draw,
-and is the reference that ``simulate`` must reproduce draw for draw.
+its seeded generator's raw stream in blocks. With either backend it counts
+each rank's proposals exactly, and reads sketch counters only for the few
+ranks that share a counter in every row; the sketch is written once, at the
+end. ``mh_session`` is the same rule over password bytes, one session at a
+time, calling the generator per draw and the store per ask, and is the
+reference that ``simulate`` must reproduce draw for draw.
 Target weights generalise the rule to banned (weight 0) and soft-banned
 (weight below 1) passwords via the usual acceptance ratio; with the
 default all-ones weights the rule reduces exactly to u <= F(x).
@@ -389,11 +392,14 @@ def simulate(
     Sessions follow ``mh_session`` draw for draw but run over rank
     indices: a rank stands for its label, and ranks whose labels repeat
     count as the first of them. Its draws replay the seeded generator's raw
-    stream (``_RawStream``) rather than calling it per draw. A count-min
+    stream (``_RawStream``) rather than calling it per draw. Both stores
+    are run over exact per-rank counts, written back to the store at the
+    end, also when a session raises ``BannedExhaustionError``. A count-min
     store hashes each rank's key once, with the other new ranks of the
-    first proposal batch that holds it, and its counters are then read and
-    written in place by offset; an exact store's counts are kept per rank
-    and written back to it at the end.
+    first proposal batch that holds it. A rank that is alone on a counter
+    that started at 0, in some row, is estimated by its own count, as that
+    row's counter would give; the sketch's counters are kept during the
+    run only for the other ranks, which take the min over their rows.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
@@ -429,8 +435,10 @@ def _run_sessions(
     """The sessions of ``simulate``: per-rank accepted and free counts, and
     the sum and the sum of squares of the asks per user.
 
-    The per-rank session state is freed on return, before the output
-    tables are sorted, which is what sets the peak memory of a run.
+    A count-min store is written once, on the way out, after its
+    per-counter owner map is freed; the per-rank session state is freed on
+    return, before the output tables are sorted, which is what sets the
+    peak memory of a run.
     """
     n_ranks = model.n_ranks
     sketch = store.backend == BACKEND_COUNT_MIN
@@ -440,29 +448,79 @@ def _run_sessions(
     seen: list[int] = []
     is_seen = bytearray(n_ranks)
     on_batch = None
+    if sketch or not store._counts:
+        counts = [0] * n_ranks
+    else:
+        counts = [store._counts[pw] for pw in passwords]
     if sketch:
         depth = store.depth
-        offset_type = np.int32 if store._flat.size <= 2**31 else np.int64
-        # Rank r's row offsets are offsets[r * depth : (r + 1) * depth], filled
-        # when a proposal batch first holds r.
-        offsets_np = np.zeros(n_ranks * depth, dtype=offset_type)
-        offsets = memoryview(offsets_np)
-        counters = memoryview(store._flat)
-        read_counter = counters.__getitem__
+        start = store._flat
+        # Wide enough for any counter offset, rank + 1 and -2 - live index.
+        index_type = np.int32 if max(start.size, n_ranks) < 2**31 - 2 else np.int64
+        # Rank r's counter in each row, filled when a proposal batch first
+        # holds r; ``hashed`` lists the ranks filled so far.
+        offsets = np.zeros((n_ranks, depth), dtype=index_type)
+        hashed = np.zeros(0, dtype=np.int64)
+        # Per counter: 0 if no hashed rank is on it, r + 1 if rank r alone
+        # is, -1 if several are or it did not start at 0, and -2 - i if it
+        # is also read by a shared rank and kept as live[i].
+        owner = np.zeros(start.size, dtype=index_type)
+        owner[start != 0] = -1
+        # A shared rank has no clean row: its estimate is the min of its
+        # counters, live[i] for i in reads[r]. Each rank on a live counter
+        # lists it in its reads, and counts its asks into it.
+        shared = bytearray(n_ranks)
+        reads: list[list[int] | None] = [None] * n_ranks
+        live: list[int] = []
         seen_flags = np.frombuffer(is_seen, dtype=np.uint8)  # a view: is_seen as it stands
 
+        def join(ranks: np.ndarray, codes: np.ndarray) -> None:
+            """Put each rank on the live counters among its ``codes``."""
+            rows, cols = np.nonzero(codes < -1)
+            for rank, i in zip(ranks[rows].tolist(), (-2 - codes[rows, cols]).tolist()):
+                live[i] += counts[rank]
+                reads[rank] = (reads[rank] or []) + [i]
+
         def on_batch(ranks: np.ndarray) -> None:
+            nonlocal hashed
             # Every rank of the earlier batches has been proposed by now, so
             # the ranks not seen yet are the ones not hashed yet.
             fresh = np.sort(ranks[seen_flags[ranks] == 0])
             fresh = fresh[np.diff(fresh, prepend=-1) != 0]
-            if fresh.size:
-                keys = [passwords[rank] for rank in fresh.tolist()]
-                offsets_np.reshape(n_ranks, depth)[fresh] = store._offsets(keys)
-    elif store._counts:
-        counts = [store._counts[pw] for pw in passwords]
-    else:
-        counts = [0] * n_ranks
+            if not fresh.size:
+                return
+            fresh_offsets = store._offsets([passwords[rank] for rank in fresh.tolist()])
+            offsets[fresh] = fresh_offsets
+            hashed = np.concatenate((hashed, fresh))
+            join(fresh, owner[fresh_offsets])
+            hits = fresh_offsets.ravel()
+            order = np.argsort(hits)
+            hits = hits[order]
+            first = np.flatnonzero(np.diff(hits, prepend=-1) != 0)
+            counters = hits[first]
+            before = owner[counters]
+            alone = (np.diff(first, append=hits.size) == 1) & (before == 0)
+            claim = np.repeat(fresh + 1, depth)[order][first]
+            owner[counters] = np.where(alone, claim, np.minimum(before, -1))
+            # Clean is recomputed for the fresh ranks and for the sole owners
+            # of counters a fresh rank now shares; a rank never turns clean again.
+            check = np.concatenate((fresh, before[before > 0] - 1))
+            turned = check[~(owner[offsets[check]] == check[:, None] + 1).any(axis=1)]
+            if not turned.size:
+                return
+            for rank in turned.tolist():
+                shared[rank] = 1
+            counters = np.sort(offsets[turned].ravel())
+            counters = counters[(np.diff(counters, prepend=-1) != 0) & (owner[counters] == -1)]
+            if counters.size:
+                went_live = -2 - len(live)
+                owner[counters] = went_live - np.arange(counters.size)
+                live.extend(start[counters].tolist())
+                # Only onto the counters that went live now: the fresh ranks
+                # are on the others already.
+                codes = owner[offsets[hashed]]
+                join(hashed, np.where(codes <= went_live, codes, 0))
+
     take = _proposal_ranks(
         model.probs, stream.randoms, _first_ranks(passwords), PROPOSAL_BATCH, on_batch
     ).__next__
@@ -476,8 +534,8 @@ def _run_sessions(
             free[rank] += 1
             if seen:
                 x = seen[below(len(seen))]
-                if sketch:
-                    fx = min(map(read_counter, offsets[x * depth : (x + 1) * depth]))
+                if sketch and shared[x]:
+                    fx = min(map(live.__getitem__, reads[x]))
                 else:
                     fx = counts[x]
                 wx = 1.0 if weight is None else weight(passwords[x])
@@ -490,14 +548,15 @@ def _run_sessions(
                 if not is_seen[rank]:
                     is_seen[rank] = 1
                     seen.append(rank)
+                f_prop = counts[rank]
+                counts[rank] = f_prop + 1
                 if sketch:
-                    row_offsets = offsets[rank * depth : (rank + 1) * depth].tolist()
-                    f_prop = min(map(read_counter, row_offsets))
-                    for o in row_offsets:
-                        counters[o] += 1
-                else:
-                    f_prop = counts[rank]
-                    counts[rank] = f_prop + 1
+                    row_reads = reads[rank]
+                    if row_reads is not None:
+                        if shared[rank]:
+                            f_prop = min(map(live.__getitem__, row_reads))
+                        for i in row_reads:
+                            live[i] += 1
                 w_prop = 1.0 if weight is None else weight(passwords[rank])
                 if w_prop > 0.0 and random() * f_prop * wx <= fx * w_prop:
                     break
@@ -515,6 +574,11 @@ def _run_sessions(
         if sketch:
             # A rank's keyed row hashes count once, at its first proposal.
             store.hash_evaluations += depth * len(seen)
+            owner = reads = None
+            proposed = np.array(seen, dtype=np.int64)
+            rank_counts = np.fromiter(map(counts.__getitem__, seen), np.int64, len(seen))
+            for row in range(depth):
+                np.add.at(store._flat, offsets[proposed, row], rank_counts)
         else:
             for rank in seen:
                 store._counts[passwords[rank]] = counts[rank]

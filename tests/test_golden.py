@@ -83,6 +83,18 @@ CASES = {
             "counters": "fe32ef58a38944ef",
         },
     ),
+    # The default 2^18 x 4 sketch, where nearly every rank has a counter of
+    # its own in some row.
+    "mh-zipf-count-min-default-sketch": (
+        ["mh-sim", "--backend", "count-min", "--n-ranks", "30000", "--n-users", "30000",
+         "--seed", "9"],
+        {
+            "accepted.tsv": "5a353fb588f3ecf8",
+            "free.tsv": "f9af550f7546a9ff",
+            "summary.tsv": "8b1bcd213bf83193",
+            "counters": "86ab8922f5bdd091",
+        },
+    ),
     "mh-table-exact": (
         ["mh-sim", "--source", "table", "--table", "{table}", "--n-users", "8000",
          "--ban-file", "{bans}", "--seed", "7"],

@@ -347,6 +347,17 @@ class TestTableFromCounter:
         assert rows(table) == oracle.rank_rows(counts, seed)
         assert table.total_users == sum(counts.values())
 
+    @given(
+        st.dictionaries(st.binary(max_size=4), st.integers(1, 5), min_size=1, max_size=40),
+        st.sampled_from([1, 2, 3, 7, ingest.WRITE_BLOCK]),
+    )
+    def test_tie_keys_across_write_blocks(self, counts, block):
+        # The keys are joined one write block at a time.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "WRITE_BLOCK", block)
+            table = table_from_counter(counts, tie_break_seed=9)
+        assert rows(table) == oracle.rank_rows(counts, 9)
+
     def test_equal_tie_keys_fall_back_to_password_bytes(self, monkeypatch):
         monkeypatch.setattr(
             ingest, "_tie_keys", lambda passwords, seed: np.zeros(len(passwords), dtype=np.uint64)

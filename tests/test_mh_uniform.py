@@ -361,13 +361,15 @@ def reference_proposals(model, passwords, rng, batch):
 
 
 def reference_simulate(model, passwords, n_users, *, store, weights=None, seed=0,
-                       retry_cap=DEFAULT_RETRY_CAP, batch=PROPOSAL_BATCH):
+                       retry_cap=DEFAULT_RETRY_CAP, batch=PROPOSAL_BATCH, seen=None):
     """``mh_session`` per user over a bytes-keyed store: what ``simulate`` must match.
 
-    Returns the report and the proposal log.
+    Returns the report and the proposal log; ``seen``, if given, is the log
+    to record into, which a caller can read after a ``BannedExhaustionError``.
     """
     rng = np.random.default_rng(seed)
-    seen = ProposalLog()
+    if seen is None:
+        seen = ProposalLog()
     proposals = reference_proposals(model, passwords, rng, batch)
     accepted: Counter[bytes] = Counter()
     free: Counter[bytes] = Counter()
@@ -538,6 +540,48 @@ class TestSimulateMatchesSessionReference:
         assert store.hash_evaluations == 4 * seen.distinct_count
         # the bytes-keyed path hashes on every ask and every comparison query
         assert reference.hash_evaluations == 4 * (3000 + report.rejected_total + 3000 - 1)
+
+    @pytest.mark.parametrize(
+        "warm, banned, retry_cap",
+        [
+            pytest.param(0, 0, DEFAULT_RETRY_CAP, id="cold"),
+            pytest.param(400, 0, DEFAULT_RETRY_CAP, id="warm"),
+            pytest.param(0, 20, 5, id="banned-exhaustion"),
+        ],
+    )
+    def test_clean_and_shared_ranks(self, warm, banned, retry_cap):
+        # At width 2^11 and depth 3 a few thousand proposed ranks include
+        # both ranks with a counter of their own in some row and ranks that
+        # share a counter in every row (or whose own counter is warm).
+        n = 4000
+        model = zipf_model(0.7, n)
+        passwords = [b"p%08d" % i for i in range(n)]
+        sketch = {"width": 1 << 11, "depth": 3, "master_seed": 3}
+        warm_keys = [b"w%d" % i for i in range(warm)]
+        ref_store, store = _store(sketch, warm_keys), _store(sketch, warm_keys)
+        start = store._flat.copy()
+        weights = TargetWeight.with_bans(banned=passwords[:banned]) if banned else None
+        case = dict(weights=weights, seed=5, retry_cap=retry_cap)
+        seen = ProposalLog()
+        if banned:
+            with pytest.raises(BannedExhaustionError):
+                reference_simulate(model, passwords, 3000, store=ref_store, seen=seen, **case)
+            with pytest.raises(BannedExhaustionError):
+                simulate(model, passwords, 3000, store=store, **case)
+            assert store.totals > 1000  # many sessions ran before the one that failed
+        else:
+            expected, _ = reference_simulate(model, passwords, 3000, store=ref_store, seen=seen, **case)
+            assert simulate(model, passwords, 3000, store=store, **case) == expected
+        assert _store_state(store) == _store_state(ref_store)
+        # The seen ranks' counters: a rank is clean if, in some row, no other
+        # seen rank shares its counter and that counter started at 0.
+        offsets = store._offsets(seen._pool)
+        owners = np.bincount(offsets.ravel(), minlength=start.size)[offsets]
+        alone = owners == 1
+        clean = (alone & (start[offsets] == 0)).any(axis=1)
+        assert 0 < clean.sum() < len(clean)
+        if warm:
+            assert (alone.any(axis=1) & ~clean).any()
 
     @pytest.mark.parametrize("batch", [PROPOSAL_BATCH, 1000])
     @pytest.mark.parametrize("sketch", [None, {"width": 1 << 12, "depth": 3, "master_seed": 11}])
