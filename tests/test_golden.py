@@ -1,9 +1,11 @@
-"""Golden SHA-256 digests of ``mh-sim`` and ``crack --corpus`` outputs.
+"""Golden SHA-256 digests of ``ingest``, ``curve``, ``mh-sim`` and ``crack`` outputs.
 
 The benchmark checks ``mh-sim`` only by invariants, so these digests are
 what pins its bytes: every draw of the seeded session stream, the sketch
-layout and the table tie-breaks. The inputs are built here from SHA-256
-of the line number, so they do not depend on any random generator.
+layout and the table tie-breaks. The ``ingest`` and ``curve`` cases pin
+the table codec (escapes, CRLF rows, high bytes) and the cross-corpus
+join and curve layout. The inputs are built here from SHA-256 of the line
+number, so they do not depend on any random generator.
 """
 
 from __future__ import annotations
@@ -31,6 +33,18 @@ def _password(k: int) -> bytes:
     return b"password%05d" % k if k % 3 == 0 else b"pw%d" % k
 
 
+def _awkward(k: int) -> bytes:
+    """``_password(k)``, or for some k a variant holding bytes the table escapes."""
+    pw = _password(k)
+    if k % 7 == 1:
+        return pw + b"\t\\"
+    if k % 11 == 2:
+        return b"\xff\x00" + pw + b"\xe9"
+    if k % 13 == 3:
+        return pw + b"\\"
+    return pw
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -44,11 +58,27 @@ def inputs(tmp_path_factory):
             for i in range(3000)
         )
     )
+    # Tabs, backslashes, NUL and high bytes, some lines ending in CRLF, and blank lines.
+    mixed = root / "mixed.txt"
+    mixed.write_bytes(
+        b"".join(
+            _awkward(_zipf_like(b"m", i, 2500)) + (b"\r\n" if i % 5 == 0 else b"\n")
+            + (b"\n" if i % 97 == 0 else b"")
+            for i in range(15000)
+        )
+    )
+    mixed_table = root / "ingest-mixed" / "table.tsv"
+    assert main(
+        ["ingest", str(mixed), "--seed", "2", "--out-dir", str(mixed_table.parent)]
+    ) == EXIT_OK
     bans = root / "bans.txt"
     bans.write_bytes(b"pw1\npassword00003\n")
     table = root / "ingest" / "table.tsv"
     assert main(["ingest", str(corpus), "--seed", "4", "--out-dir", str(table.parent)]) == EXIT_OK
-    return {"root": root, "table": table, "users": users, "bans": bans}
+    return {
+        "root": root, "table": table, "users": users, "bans": bans, "mixed": mixed,
+        "mixed_table": mixed_table,
+    }
 
 
 def _digests(out_dir) -> dict[str, str]:
@@ -64,6 +94,50 @@ def _digests(out_dir) -> dict[str, str]:
 
 
 CASES = {
+    "ingest-escapes-crlf": (
+        ["ingest", "{mixed}", "--seed", "2"],
+        {
+            "table.tsv": "1fbaf523b5090c5a",
+            "counters": "44136fa355b3678a",
+        },
+    ),
+    "curve-reference-users": (
+        ["curve", "--target", "{table}", "--reference", "{mixed_table}"],
+        {
+            "curve.tsv": "ee0e841e1677325e",
+            "counters": "44136fa355b3678a",
+        },
+    ),
+    "curve-reference-distinct": (
+        ["curve", "--target", "{mixed_table}", "--reference", "{table}",
+         "--metric", "distinct-passwords"],
+        {
+            "curve.tsv": "e9635e1e692a9fd7",
+            "counters": "44136fa355b3678a",
+        },
+    ),
+    "curve-reference-users-log-spaced": (
+        ["curve", "--target", "{table}", "--reference", "{mixed_table}", "--log-spaced"],
+        {
+            "curve.tsv": "e8666769368f7ee4",
+            "counters": "44136fa355b3678a",
+        },
+    ),
+    "curve-reference-distinct-log-spaced": (
+        ["curve", "--target", "{table}", "--reference", "{mixed_table}",
+         "--metric", "distinct-passwords", "--log-spaced"],
+        {
+            "curve.tsv": "aa22c15e0baa0fdd",
+            "counters": "44136fa355b3678a",
+        },
+    ),
+    "curve-truncate-8": (
+        ["curve", "--target", "{mixed_table}", "--truncate", "8", "--seed", "3"],
+        {
+            "curve.tsv": "1b20521f8cb01427",
+            "counters": "44136fa355b3678a",
+        },
+    ),
     "mh-zipf-exact": (
         ["mh-sim", "--n-ranks", "20000", "--n-users", "20000", "--seed", "5"],
         {
@@ -126,6 +200,17 @@ CASES = {
             "counters": "e1c47eaf8e5dbc51",
         },
     ),
+    "crack-corpus-mixed-ordering": (
+        ["crack", "--corpus", "{users}", "--format", "user-tab-password", "--salt-count", "8",
+         "--ordering", "{mixed_table}", "--seed", "5"],
+        {
+            "cracked.tsv": "04863811332730cb",
+            "curve_distinct.tsv": "a3588276e9550377",
+            "curve_users.tsv": "4c124e816f9a4ab4",
+            "hashes.tsv": "878768af9931ee2e",
+            "counters": "e1c47eaf8e5dbc51",
+        },
+    ),
 }
 
 
@@ -133,7 +218,7 @@ CASES = {
 def test_outputs_match_golden_digests(inputs, case):
     argv, expected = CASES[case]
     out = inputs["root"] / case
-    paths = {key: str(inputs[key]) for key in ("table", "users", "bans")}
+    paths = {key: str(inputs[key]) for key in ("table", "users", "bans", "mixed", "mixed_table")}
     argv = [arg.format(**paths) for arg in argv] + ["--out-dir", str(out)]
     assert main(argv) == EXIT_OK
     assert _digests(out) == expected
