@@ -275,7 +275,8 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
         table_path = _input(args, args.table)
         table = ingest.read_table_tsv(table_path)
         model = stats.empirical_model(table)
-        passwords = table.passwords
+        # The sessions look labels up per rank: a list does that at C speed.
+        passwords = list(table.passwords)
         source_desc = {"source": "table", "table": table_path.name}
 
     weights = None

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .crossguess import GuessCurve, GuessOrdering, METRIC_DISTINCT, METRIC_USERS, curve_from_increments
-from .ingest import WRITE_BLOCK, CorpusError, line_blocks
+from .ingest import WRITE_BLOCK, CorpusError, line_blocks, splitmix64
 from .tsvio import escape_field, unescape_field
 
 _MASK64 = (1 << 64) - 1
@@ -111,12 +111,7 @@ def _trunc8_mix64_many(salts: Sequence[bytes], passwords: Sequence[bytes]) -> np
     for k in range(8):
         folded = (h ^ pw_bytes[:, k, None]) * prime
         h = np.where((lengths > k)[:, None], folded, h)
-    h ^= h >> np.uint64(30)
-    h *= np.uint64(0xBF58476D1CE4E5B9)
-    h ^= h >> np.uint64(27)
-    h *= np.uint64(0x94D049BB133111EB)
-    h ^= h >> np.uint64(31)
-    return h
+    return splitmix64(h)
 
 
 def generate_salts(salt_seed: int, salt_count: int) -> list[bytes]:

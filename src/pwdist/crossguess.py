@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingest import WRITE_BLOCK, RankFrequencyTable, table_from_counter
+from .ingest import WRITE_BLOCK, PasswordColumn, RankFrequencyTable, _put_decimal, table_from_counter
 
 METRIC_USERS = "users"
 METRIC_DISTINCT = "distinct-passwords"
@@ -26,18 +26,30 @@ METRICS = (METRIC_USERS, METRIC_DISTINCT)
 
 @dataclass
 class GuessOrdering:
-    """An ordered list of unique password guesses."""
+    """Unique password guesses in order, as a :class:`PasswordColumn`.
 
-    guesses: list[bytes]
+    Built from any sequence of bytes; a duplicate guess is refused.
+    """
+
+    guesses: PasswordColumn
     source_label: str = ""
 
     def __post_init__(self):
-        if len(set(self.guesses)) != len(self.guesses):
+        if not isinstance(self.guesses, PasswordColumn):
+            self.guesses = PasswordColumn(self.guesses)
+        if self.guesses.has_duplicates():
             raise ValueError("guess ordering contains duplicate passwords")
 
     @classmethod
     def from_table(cls, table: RankFrequencyTable, label: str = "table") -> "GuessOrdering":
-        return cls(guesses=table.passwords, source_label=label)
+        """The table's passwords in rank order, sharing its column.
+
+        The table's own ``validate()`` has already refused duplicates, so no
+        second check is made.
+        """
+        ordering = cls.__new__(cls)
+        ordering.guesses, ordering.source_label = table.passwords, label
+        return ordering
 
 
 @dataclass(eq=False)
@@ -110,20 +122,18 @@ def cross_curve(
     adds the target's count for that exact password (zero if absent), the
     distinct metric adds one whenever the password is present.
     """
-    if not reference.guesses:
+    if not len(reference.guesses):
         raise ValueError("reference ordering is empty")
-    lookup = dict(zip(target.passwords, target.counts.tolist()))
-    n = len(reference.guesses)
-    if metric == METRIC_USERS:
-        increments = np.fromiter(
-            (lookup.get(g, 0) for g in reference.guesses), dtype=np.int64, count=n
-        )
-        denominator = target.total_users
-    elif metric == METRIC_DISTINCT:
-        increments = np.fromiter(map(lookup.__contains__, reference.guesses), dtype=bool, count=n)
-        denominator = target.distinct_count
-    else:
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    # The target's row of each guess, by the sorted hashes of both columns.
+    found = target.passwords.positions(reference.guesses)
+    if metric == METRIC_USERS:
+        increments = np.where(found >= 0, target.counts[found], 0)
+        denominator = target.total_users
+    else:
+        increments = found >= 0
+        denominator = target.distinct_count
     return curve_from_increments(increments, denominator, metric)
 
 
@@ -166,9 +176,33 @@ def write_curve_tsv(curve: GuessCurve, path, log_spaced: bool = False) -> None:
     cums = np.concatenate(([0], curve.cumulative))[np.searchsorted(curve.t, ts, side="right")]
     denom = curve.denominator
     fracs = cums / denom if denom else np.zeros(len(cums))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t\tcumulative\tfraction\n")
+    with open(path, "wb") as fh:
+        fh.write(b"t\tcumulative\tfraction\n")
         for start in range(0, len(ts), WRITE_BLOCK):
             block = slice(start, start + WRITE_BLOCK)
-            rows = zip(ts[block].tolist(), cums[block].tolist(), fracs[block].tolist())
-            fh.write("".join(["%d\t%d\t%.8g\n" % row for row in rows]))
+            fh.write(_curve_rows(ts[block], cums[block], fracs[block]))
+
+
+def _curve_rows(ts: np.ndarray, cums: np.ndarray, fracs: np.ndarray) -> bytes:
+    """The rows ``"%d\\t%d\\t%.8g\\n" % (t, cumulative, fraction)``, joined.
+
+    numpy lays out the integer columns; each distinct fraction (they come in
+    runs, as the cumulative count does) is formatted once by ``%``, so the
+    text is that of the format by construction. The fields go into one
+    NUL-padded matrix, a row per curve row; dropping the NULs joins them.
+    """
+    run_start = np.ones(len(fracs), dtype=bool)
+    run_start[1:] = fracs[1:] != fracs[:-1]
+    text = np.array(["%.8g" % f for f in fracs[run_start].tolist()], dtype=bytes)
+    t_width = len(b"%d" % ts[-1])
+    c_width = len(b"%d" % cums[-1])
+    f_width = text.itemsize
+    rows = np.zeros((len(ts), t_width + c_width + f_width + 3), dtype=np.uint8)
+    _put_decimal(rows[:, :t_width], ts)
+    rows[:, t_width] = 0x09
+    _put_decimal(rows[:, t_width + 1 : t_width + 1 + c_width], cums)
+    rows[:, t_width + 1 + c_width] = 0x09
+    runs = text.view(np.uint8).reshape(len(text), f_width)
+    rows[:, -1 - f_width : -1] = runs[np.cumsum(run_start) - 1]
+    rows[:, -1] = 0x0A
+    return rows[rows != 0].tobytes()

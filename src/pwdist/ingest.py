@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import io
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from itertools import islice
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,12 +30,19 @@ CORPUS_FORMATS = (FORMAT_USER_TAB_PASSWORD, FORMAT_PASSWORD_PER_LINE)
 TABLE_HEADER = b"rank\tcount\tpassword"
 
 _MASK64 = (1 << 64) - 1
+_FNV_OFFSET = 0xCBF29CE484222325
 
 # Bytes per read when streaming a corpus or a table file. A line that
 # crosses a block boundary is carried into the next block.
 READ_BLOCK = 1 << 16
-# Table rows formatted per write.
+# Table rows formatted per write, and rows joined per piece of a column.
 WRITE_BLOCK = 1 << 13
+# Rows longer than this are hashed and compared one at a time, not 8 bytes
+# per numpy pass.
+WORD_PASS_MAX_LEN = 64
+# A column's buffer ends in these bytes, so that any row's bytes can be
+# read as 8-byte words.
+_PAD = bytes(8)
 
 
 class CorpusError(Exception):
@@ -44,22 +53,252 @@ class CorpusError(Exception):
         self.byte_offset = byte_offset
 
 
+def splitmix64(h: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser of each uint64 in ``h``, in place; returns ``h``.
+
+    A bijection on 64-bit words; uint64 multiplication wraps.
+    """
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(27)
+    h *= np.uint64(0x94D049BB133111EB)
+    h ^= h >> np.uint64(31)
+    return h
+
+
+def _words(data: bytes) -> np.ndarray:
+    """Every little-endian 8-byte word of ``data``: element k is ``data[k:k + 8]``."""
+    return np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+
+
+# _LOW_BYTES[k] keeps the first k bytes of a little-endian word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _low_bytes(remaining: np.ndarray) -> np.ndarray:
+    """Masks keeping the first ``min(remaining, 8)`` bytes of a word."""
+    return _LOW_BYTES[np.minimum(remaining, 8)]
+
+
+def _column_offsets(lengths: Sequence[np.ndarray]) -> np.ndarray:
+    offsets = np.zeros(sum(map(len, lengths)) + 1, dtype=np.int64)
+    if len(offsets) > 1:
+        np.cumsum(np.concatenate(lengths), out=offsets[1:])
+    return offsets
+
+
+class PasswordColumn(Sequence[bytes]):
+    """Byte strings held as one buffer: row i is ``data[offsets[i]:offsets[i + 1]]``.
+
+    A table's passwords and an ordering's guesses cost their bytes plus an
+    int64 offset each, with no Python object per row. The column is a
+    read-only sequence of ``bytes``: ``len``, an int index gives ``bytes``,
+    a slice gives a column that shares the buffer, iteration, and ``==``
+    against a list or another column. ``PasswordColumn(rows)`` builds one
+    from any iterable of bytes, joining ``WRITE_BLOCK`` rows at a time. The
+    buffer ends in 8 NUL bytes past the last row, so each row can be read
+    8 bytes at a time as words.
+
+    Duplicates are found by sorting a 64-bit hash of each row
+    (:func:`row_hashes`) and comparing bytes only where hashes are equal.
+    The hashes and their sorted order are computed once, on first use, and
+    kept: :meth:`has_duplicates` and :meth:`positions` share them.
+    """
+
+    __slots__ = ("data", "offsets", "_hashes", "_order")
+
+    def __init__(self, rows: Iterable[bytes] = ()):
+        pieces: list[bytes] = []
+        lengths: list[np.ndarray] = []
+        rows = iter(rows)
+        while block := list(islice(rows, WRITE_BLOCK)):
+            pieces.append(b"".join(block))
+            lengths.append(np.fromiter(map(len, block), dtype=np.int64, count=len(block)))
+        self._set(b"".join(pieces + [_PAD]), _column_offsets(lengths))
+
+    def _set(self, data: bytes, offsets: np.ndarray) -> None:
+        offsets.flags.writeable = False
+        self.data = data
+        self.offsets = offsets
+        self._hashes = self._order = None
+
+    @classmethod
+    def _joined(cls, pieces: list[bytes], lengths: Sequence[np.ndarray]) -> "PasswordColumn":
+        """The column of the rows of ``pieces``, each piece the join of rows of the given lengths."""
+        column = cls.__new__(cls)
+        column._set(b"".join(pieces + [_PAD]), _column_offsets(lengths))
+        return column
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                return PasswordColumn(map(self.__getitem__, range(start, stop, step)))
+            column = PasswordColumn.__new__(PasswordColumn)
+            column._set(self.data, self.offsets[start : max(start, stop) + 1])
+            return column
+        i = operator.index(key)
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("password column index out of range")
+        return self.data[self.offsets[i] : self.offsets[i + 1]]
+
+    def __iter__(self) -> Iterator[bytes]:
+        data = self.data
+        for start in range(0, len(self), WRITE_BLOCK):
+            bounds = self.offsets[start : start + WRITE_BLOCK + 1].tolist()
+            yield from (data[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other):
+        if isinstance(other, PasswordColumn):
+            return (
+                len(self) == len(other)
+                and np.array_equal(np.diff(self.offsets), np.diff(other.offsets))
+                and self._view() == other._view()
+            )
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PasswordColumn({list(self)!r})"
+
+    def _view(self) -> memoryview:
+        """The rows' bytes, joined."""
+        return memoryview(self.data)[self.offsets[0] : self.offsets[-1]]
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def hash_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's :func:`row_hashes` value, and the rows in ascending hash order."""
+        if self._hashes is None:
+            self._hashes = row_hashes(self)
+            self._order = np.argsort(self._hashes)
+        return self._hashes, self._order
+
+    def has_duplicates(self) -> bool:
+        """Whether two rows hold the same bytes; bytes are compared only within runs of equal hashes."""
+        hashes, order = self.hash_order()
+        sorted_hashes = hashes[order]
+        same = np.concatenate(([False], sorted_hashes[1:] == sorted_hashes[:-1], [False]))
+        edges = np.flatnonzero(np.diff(same.view(np.int8)))
+        for a, b in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
+            run = [self[i] for i in order[a:b].tolist()]
+            if len(set(run)) < len(run):
+                return True
+        return False
+
+    def positions(self, probes: "PasswordColumn") -> np.ndarray:
+        """For each row of ``probes``, the index of the row of this column with its bytes, or -1.
+
+        A join by sorted hashes: the rows of this column must be distinct.
+        Bytes are compared only where the hashes match.
+        """
+        hashes, order = self.hash_order()
+        sorted_hashes = hashes[order]
+        probe_hashes, probe_order = probes.hash_order()
+        # Searching in ascending order keeps the searches in cache.
+        sorted_probes = probe_hashes[probe_order]
+        lo = np.searchsorted(sorted_hashes, sorted_probes, side="left")
+        hi = np.searchsorted(sorted_hashes, sorted_probes, side="right")
+        found = np.full(len(probes), -1, dtype=np.int64)
+        single = np.flatnonzero(hi - lo == 1)
+        rows, candidates = probe_order[single], order[lo[single]]
+        same = _same_rows(probes, rows, self, candidates)
+        found[rows[same]] = candidates[same]
+        # Probes whose hash is shared by several rows here.
+        for k in np.flatnonzero(hi - lo > 1).tolist():
+            probe = probes[probe_order[k]]
+            for j in order[lo[k] : hi[k]].tolist():
+                if self[j] == probe:
+                    found[probe_order[k]] = j
+                    break
+        return found
+
+
+def row_hashes(column: PasswordColumn) -> np.ndarray:
+    """A 64-bit hash of each row's bytes, as uint64.
+
+    The state starts at the FNV-1a offset basis xor the row's length; each
+    8-byte word of the row (the last one NUL-masked past the row's end, and
+    an empty row's one word all NUL) is xored in and mixed by
+    :func:`splitmix64`, one numpy pass per word position. Rows longer than
+    ``WORD_PASS_MAX_LEN`` bytes take a keyless 8-byte blake2b instead, one
+    row at a time. Equal bytes give equal hashes; the converse is checked
+    byte by byte wherever it matters.
+    """
+    lengths = column.lengths()
+    starts = column.offsets[:-1]
+    words = _words(column.data)
+    # The first word of every row, in one pass over whole columns.
+    hashes = np.uint64(_FNV_OFFSET) ^ lengths.astype(np.uint64)
+    hashes ^= words[starts] & _low_bytes(lengths)
+    splitmix64(hashes)
+    rows = np.flatnonzero((lengths > 8) & (lengths <= WORD_PASS_MAX_LEN))
+    base = 8
+    while rows.size:
+        remaining = lengths[rows] - base
+        word = words[starts[rows] + base] & _low_bytes(remaining)
+        hashes[rows] = splitmix64(hashes[rows] ^ word)
+        rows = rows[remaining > 8]
+        base += 8
+    for i in np.flatnonzero(lengths > WORD_PASS_MAX_LEN).tolist():
+        hashes[i] = int.from_bytes(hashlib.blake2b(column[i], digest_size=8).digest(), "little")
+    return hashes
+
+
+def _same_rows(a: PasswordColumn, rows_a: np.ndarray, b: PasswordColumn, rows_b: np.ndarray) -> np.ndarray:
+    """Whether row ``rows_a[k]`` of ``a`` holds the bytes of row ``rows_b[k]`` of ``b``, for each k.
+
+    Compared 8 bytes per numpy pass, rows longer than ``WORD_PASS_MAX_LEN``
+    one at a time.
+    """
+    start_a = a.offsets[rows_a]
+    start_b = b.offsets[rows_b]
+    length = a.offsets[rows_a + 1] - start_a
+    same = length == b.offsets[rows_b + 1] - start_b
+    for k in np.flatnonzero(same & (length > WORD_PASS_MAX_LEN)).tolist():
+        same[k] = a[rows_a[k]] == b[rows_b[k]]
+    words_a, words_b = _words(a.data), _words(b.data)
+    live = np.flatnonzero(same & (length > 0) & (length <= WORD_PASS_MAX_LEN))
+    base = 0
+    while live.size:
+        remaining = length[live] - base
+        differ = (words_a[start_a[live] + base] ^ words_b[start_b[live] + base]) & _low_bytes(remaining)
+        differ = differ != 0
+        same[live[differ]] = False
+        live = live[~differ & (remaining > 8)]
+        base += 8
+    return same
+
+
 @dataclass(eq=False)
 class RankFrequencyTable:
     """Passwords ranked by descending use count; rank 1 is the most used.
 
-    Two columns in rank order: ``passwords`` and their ``counts`` (int64).
+    Two columns in rank order: ``passwords`` (a :class:`PasswordColumn`,
+    built from any sequence of bytes given) and their ``counts`` (int64).
     ``total_users`` is the number of observations (sum of counts) and
     ``distinct_count`` the number of distinct passwords; the two play
     different roles downstream, so both are always available.
     """
 
-    passwords: list[bytes]
+    passwords: PasswordColumn
     counts: np.ndarray
     total_users: int
     tie_break_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.passwords, PasswordColumn):
+            self.passwords = PasswordColumn(self.passwords)
         self.counts = np.asarray(self.counts, dtype=np.int64)
 
     @property
@@ -78,7 +317,7 @@ class RankFrequencyTable:
 
     def validate(self) -> None:
         counts = self.counts
-        if not self.passwords:
+        if not len(self.passwords):
             raise CorpusError("rank-frequency table is empty")
         if len(counts) != len(self.passwords):
             raise CorpusError("table columns differ in length")
@@ -86,7 +325,7 @@ class RankFrequencyTable:
             raise CorpusError("table contains a non-positive count")
         if np.any(counts[1:] > counts[:-1]):
             raise CorpusError("table counts increase with rank")
-        if len(set(self.passwords)) != len(self.passwords):
+        if self.passwords.has_duplicates():
             raise CorpusError("table contains a duplicate password")
         if int(counts.sum()) != self.total_users:
             raise CorpusError("table counts do not sum to total_users")
@@ -118,14 +357,22 @@ def table_from_counter(counts: Mapping[bytes, int], tie_break_seed: int = 0) -> 
     fixed seed regardless of input order, reshuffled by a different seed.
     Entries with equal count and equal hash are ordered by password bytes.
     """
-    if not counts:
-        raise CorpusError("cannot rank an empty corpus")
     passwords = list(counts)
-    values = np.fromiter(counts.values(), dtype=np.int64, count=len(passwords))
+    return _ranked(passwords, np.fromiter(counts.values(), dtype=np.int64, count=len(passwords)), tie_break_seed)
+
+
+def _ranked(passwords: list[bytes], values: np.ndarray, tie_break_seed: int) -> RankFrequencyTable:
+    """The table of ``passwords[i]`` used ``values[i]`` times, as :func:`table_from_counter` ranks it.
+
+    The ranked column is joined one ``WRITE_BLOCK`` of rows at a time.
+    """
+    if not passwords:
+        raise CorpusError("cannot rank an empty corpus")
     keys = _tie_keys(passwords, tie_break_seed)
     order = np.lexsort((keys, -values))
     ranked_keys = keys[order]
     ranked_values = values[order]
+    del keys
     clash = np.flatnonzero(
         (ranked_keys[1:] == ranked_keys[:-1]) & (ranked_values[1:] == ranked_values[:-1])
     )
@@ -135,9 +382,14 @@ def table_from_counter(counts: Mapping[bytes, int], tie_break_seed: int = 0) -> 
         stops = clash[np.concatenate((gap, [True]))] + 2
         for a, b in zip(starts.tolist(), stops.tolist()):
             order[a:b] = sorted(order[a:b].tolist(), key=passwords.__getitem__)
+    ranked = (
+        passwords[i]
+        for start in range(0, len(order), WRITE_BLOCK)
+        for i in order[start : start + WRITE_BLOCK].tolist()
+    )
     return RankFrequencyTable(
-        passwords=[passwords[i] for i in order.tolist()],
-        counts=values[order],
+        passwords=PasswordColumn(ranked),
+        counts=ranked_values,
         total_users=int(values.sum()),
         tie_break_seed=tie_break_seed,
     )
@@ -256,23 +508,30 @@ def stream_table(
     """
     if corpus_format != FORMAT_PASSWORD_PER_LINE:
         latest, stats = read_credentials(raw, corpus_format)
-        return table_from_counter(Counter(latest.values()), tie_break_seed), stats
-    counts: Counter[bytes] = Counter()
-    n_lines = 0
-    saw_cr = False
-    for chunk in _line_chunks(_corpus_stream(raw, corpus_format)):
-        lines = _split_lines(chunk)
-        n_lines += len(lines)
-        counts.update(lines)
-        saw_cr = saw_cr or b"\r" in chunk
-    # Lines were counted raw: fold "pw\r" into "pw", then drop blank lines.
-    if saw_cr:
-        with_cr = [line for line in counts if line.endswith(b"\r")]
-        for line, n in [(line[:-1], counts.pop(line)) for line in with_cr]:
-            counts[line] += n
-    for line in [k for k in counts if not k.strip()]:
-        del counts[line]
-    return table_from_counter(counts, tie_break_seed), StreamStats(lines=n_lines, malformed=0)
+        counts = Counter(latest.values())
+        del latest
+    else:
+        counts = Counter()
+        n_lines = 0
+        saw_cr = False
+        for chunk in _line_chunks(_corpus_stream(raw, corpus_format)):
+            lines = _split_lines(chunk)
+            n_lines += len(lines)
+            counts.update(lines)
+            saw_cr = saw_cr or b"\r" in chunk
+        # Lines were counted raw: fold "pw\r" into "pw", then drop blank lines.
+        if saw_cr:
+            with_cr = [line for line in counts if line.endswith(b"\r")]
+            for line, n in [(line[:-1], counts.pop(line)) for line in with_cr]:
+                counts[line] += n
+        for line in [k for k in counts if not k.strip()]:
+            del counts[line]
+        stats = StreamStats(lines=n_lines, malformed=0)
+    passwords = list(counts)
+    values = np.fromiter(counts.values(), dtype=np.int64, count=len(passwords))
+    # The counter's table of entries is dropped before the ranking's arrays are made.
+    del counts
+    return _ranked(passwords, values, tie_break_seed), stats
 
 
 def cap_ranks(table: RankFrequencyTable, max_ranks: int) -> RankFrequencyTable:
@@ -357,21 +616,35 @@ def _decimal_fields(first_rank: int, counts: np.ndarray) -> tuple[np.ndarray, np
 _ESCAPED_BYTES = bytes(int(b in b"\t\n\r\\") for b in range(256))
 
 
-def _password_bytes(passwords: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+def _rewrite_rows(joined: bytes, lengths: np.ndarray, rows: Iterable[int], fn: Callable[[bytes], bytes]) -> bytes:
+    """``joined``, the rows of ``lengths`` end to end, with each row in ``rows`` (ascending) replaced by ``fn`` of it.
+
+    ``lengths`` is updated in place.
+    """
+    ends = np.cumsum(lengths).tolist()
+    pieces = []
+    done = 0
+    for i in rows:
+        start = ends[i] - int(lengths[i])
+        new = fn(joined[start : ends[i]])
+        pieces += (joined[done:start], new)
+        lengths[i] = len(new)
+        done = ends[i]
+    pieces.append(joined[done:])
+    return b"".join(pieces)
+
+
+def _password_bytes(passwords: PasswordColumn) -> tuple[np.ndarray, np.ndarray]:
     """``passwords`` escaped and joined, as uint8, and the escaped length of each.
 
-    Only the passwords holding a byte to escape go through
-    :func:`escape_field`; they are replaced in ``passwords`` itself.
+    Only the passwords holding a byte to escape go through :func:`escape_field`.
     """
-    lengths = np.fromiter(map(len, passwords), dtype=np.int64, count=len(passwords))
-    joined = b"".join(passwords)
+    lengths = passwords.lengths()
+    joined = passwords._view().tobytes()
     special = np.flatnonzero(np.frombuffer(joined.translate(_ESCAPED_BYTES), dtype=np.uint8))
     if len(special):
-        rows = np.searchsorted(np.cumsum(lengths), special, side="right").tolist()
-        for i in dict.fromkeys(rows):
-            passwords[i] = escape_field(passwords[i])
-            lengths[i] = len(passwords[i])
-        joined = b"".join(passwords)
+        rows = np.searchsorted(np.cumsum(lengths), special, side="right")
+        joined = _rewrite_rows(joined, lengths, dict.fromkeys(rows.tolist()), escape_field)
     return np.frombuffer(joined, dtype=np.uint8), lengths
 
 
@@ -449,39 +722,64 @@ def _int_values(fields: Sequence[bytes]) -> np.ndarray:
         raise CorpusError(f"malformed table row: {exc}") from exc
 
 
-def _table_fields(chunk: bytes) -> tuple[Sequence[bytes], np.ndarray, np.ndarray, list[bytes]]:
-    """The rank fields, the ranks, the counts and the unescaped passwords of ``chunk``'s rows.
+def _check_ranks(ranks: np.ndarray, first_rank: int, rank_field: Callable[[int], bytes]) -> None:
+    out_of_sequence = np.flatnonzero(ranks != np.arange(first_rank, first_rank + len(ranks)))
+    if len(out_of_sequence):
+        raise CorpusError(
+            f"table ranks are not consecutive at row {rank_field(int(out_of_sequence[0]))!r}"
+        )
 
-    A chunk of plain rows (each ``rank TAB count TAB password LF``, no CR,
-    no blank line) is cut with one split, and its rank and count columns are
-    read from their digits in numpy where each field is 1 to 18 ASCII
-    digits. Any other chunk goes row by row: a trailing CR is stripped,
-    blank lines are skipped, and each row splits at its first two TABs. A
-    field that is not plain digits (``+3``, `` 1``, ``1_0``) is read by
-    ``int()``.
+
+def _table_fields(chunk: bytes, first_rank: int) -> tuple[np.ndarray, bytes, np.ndarray]:
+    """The counts of ``chunk``'s rows, and their unescaped passwords joined and each one's length.
+
+    The rows must be ranked from ``first_rank`` on. A chunk of plain rows
+    (each ``rank TAB count TAB password LF``, no CR, no blank line) is cut
+    in numpy: its rank and count columns are read from their digits where
+    each field is 1 to 18 ASCII digits, and its password bytes are taken
+    out by a mask, so no ``bytes`` object is made per row. Only rows holding
+    a backslash are unescaped. Any other chunk goes row by row: a trailing
+    CR is stripped, blank lines are skipped, and each row splits at its
+    first two TABs. A field that is not plain digits (``+3``, `` 1``,
+    ``1_0``) is read by ``int()``.
     """
     if chunk.endswith(b"\n") and b"\r" not in chunk:
         raw = np.frombuffer(chunk, dtype=np.uint8)
         at = np.flatnonzero((raw == 0x09) | (raw == 0x0A))
         if len(at) % 3 == 0 and (raw[at].reshape(-1, 3) == _ROW_SEPARATORS).all():
-            fields = chunk.replace(b"\n", b"\t").split(b"\t")
-            fields.pop()
-            passwords = fields[2::3]
-            # Only rows holding a backslash need unescaping; find them by byte offset.
-            escaped = np.searchsorted(at[2::3], np.flatnonzero(raw == 0x5C)).tolist()
-            for i in dict.fromkeys(escaped):
-                passwords[i] = _unescape(passwords[i])
-            digits = raw - np.uint8(0x30)
             tab1, tab2, line_end = at[0::3], at[1::3], at[2::3]
             line_start = np.concatenate(([0], line_end[:-1] + 1))
-            ranks = _digit_values(digits, line_start, tab1)
-            counts = _digit_values(digits, tab1 + 1, tab2)
-            rank_fields = fields[0::3]
-            if ranks is None:
-                ranks = _int_values(rank_fields)
-            if counts is None:
-                counts = _int_values(fields[1::3])
-            return rank_fields, ranks, counts, passwords
+            lengths = line_end - tab2 - 1
+            # The chunk alternates runs of other bytes and of password bytes:
+            # a row's "rank TAB count TAB" after the LF before it, then its password.
+            runs = np.empty(2 * len(lengths) + 1, dtype=np.int64)
+            runs[0:-1:2] = tab2 + 1 - line_start
+            runs[2:-1:2] += 1
+            runs[1::2] = lengths
+            runs[-1] = 1
+            is_password_run = np.zeros(len(runs), dtype=bool)
+            is_password_run[1::2] = True
+            in_password = np.repeat(is_password_run, runs)
+            passwords = raw[in_password].tobytes()
+            # Only rows holding a backslash need unescaping; find them by byte offset.
+            escaped = np.searchsorted(line_end, np.flatnonzero(raw == 0x5C)).tolist()
+            if escaped:
+                passwords = _rewrite_rows(passwords, lengths, dict.fromkeys(escaped), _unescape)
+            digits = raw - np.uint8(0x30)
+
+            def field(starts: np.ndarray, stops: np.ndarray) -> Callable[[int], bytes]:
+                return lambda i: chunk[starts[i] : stops[i]]
+
+            def values(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+                parsed = _digit_values(digits, starts, stops)
+                if parsed is None:
+                    parsed = _int_values(list(map(field(starts, stops), range(len(starts)))))
+                return parsed
+
+            ranks = values(line_start, tab1)
+            counts = values(tab1 + 1, tab2)
+            _check_ranks(ranks, first_rank, field(line_start, tab1))
+            return counts, passwords, lengths
     rows = [line.split(b"\t", 2) for line in _strip_cr(_split_lines(chunk)) if line]
     bad = next((row for row in rows if len(row) != 3), None)
     if bad is not None:
@@ -489,38 +787,38 @@ def _table_fields(chunk: bytes) -> tuple[Sequence[bytes], np.ndarray, np.ndarray
         raise CorpusError(f"malformed table row: {row!r}")
     rank_fields = [row[0] for row in rows]
     passwords = [_unescape(row[2]) if b"\\" in row[2] else row[2] for row in rows]
-    return rank_fields, _int_values(rank_fields), _int_values([row[1] for row in rows]), passwords
+    ranks = _int_values(rank_fields)
+    counts = _int_values([row[1] for row in rows])
+    _check_ranks(ranks, first_rank, rank_fields.__getitem__)
+    lengths = np.fromiter(map(len, passwords), dtype=np.int64, count=len(passwords))
+    return counts, b"".join(passwords), lengths
 
 
 def read_table_tsv(path) -> RankFrequencyTable:
     """Load a table written by :func:`write_table_tsv`.
 
-    Parses ``READ_BLOCK`` bytes of rows at a time. CRLF rows and blank
-    lines are accepted, and rank and count fields are read as ``int()``
-    reads them; a malformed row, a bad escape, a rank out of sequence or a
-    table that fails :meth:`RankFrequencyTable.validate` raises
-    :class:`CorpusError`.
+    Parses ``READ_BLOCK`` bytes of rows at a time into the password column.
+    CRLF rows and blank lines are accepted, and rank and count fields are
+    read as ``int()`` reads them; a malformed row, a bad escape, a rank out
+    of sequence or a table that fails :meth:`RankFrequencyTable.validate`
+    raises :class:`CorpusError`.
     """
-    passwords: list[bytes] = []
+    pieces: list[bytes] = []
+    length_blocks: list[np.ndarray] = []
     count_blocks: list[np.ndarray] = []
+    rows = 0
     with open(path, "rb") as fh:
         if fh.readline().rstrip(b"\r\n") != TABLE_HEADER:
             raise CorpusError(f"not a rank-frequency table file: {path}")
         for chunk in _line_chunks(fh):
-            rank_fields, ranks, counts, fields = _table_fields(chunk)
-            first_rank = len(passwords) + 1
-            expected = np.arange(first_rank, first_rank + len(ranks))
-            out_of_sequence = np.flatnonzero(ranks != expected)
-            if len(out_of_sequence):
-                raise CorpusError(
-                    f"table ranks are not consecutive at row {rank_fields[out_of_sequence[0]]!r}"
-                )
-            passwords += fields
+            counts, passwords, lengths = _table_fields(chunk, rows + 1)
+            rows += len(counts)
+            pieces.append(passwords)
+            length_blocks.append(lengths)
             count_blocks.append(counts)
     counts = np.concatenate(count_blocks) if count_blocks else np.zeros(0, dtype=np.int64)
-    # Drop the blocks before validate() builds its set of passwords, the largest
-    # transient, so that the two never coexist.
-    del count_blocks
-    table = RankFrequencyTable(passwords=passwords, counts=counts, total_users=int(counts.sum()))
+    column = PasswordColumn._joined(pieces, length_blocks)
+    del pieces, length_blocks, count_blocks
+    table = RankFrequencyTable(passwords=column, counts=counts, total_users=int(counts.sum()))
     table.validate()
     return table

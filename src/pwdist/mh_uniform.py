@@ -13,8 +13,9 @@ a count-min sketch, which never undercounts and keeps its counters in fixed
 memory. ``simulate`` runs its sessions over model rank indices and replays
 its seeded generator's raw stream in blocks. With either backend it counts
 each rank's proposals exactly, and reads sketch counters only for the few
-ranks that share a counter in every row; the sketch is written once, at the
-end. ``mh_session`` is the same rule over password bytes, one session at a
+ranks that share a counter in every row; the sketch is handed the proposed
+ranks' counter offsets and counts at the end, and adds them into its
+counters only if they are read again. ``mh_session`` is the same rule over password bytes, one session at a
 time, calling the generator per draw and the store per ask, and is the
 reference that ``simulate`` must reproduce draw for draw.
 Target weights generalise the rule to banned (weight 0) and soft-banned
@@ -78,6 +79,12 @@ class CountMinStore:
     one of ``width`` counters; a query takes the minimum across rows, so
     collisions can only inflate the answer. Row seeds derive from a master
     seed.
+
+    The counters are written lazily. ``simulate`` leaves the counter
+    offsets and exact counts of the ranks it proposed in ``_pending``, and
+    they are added into the counters the first time ``_flat`` is read (by
+    ``increment``, ``query`` or a later ``simulate``). A store that is not
+    read again never touches the pages of its counter array.
     """
 
     backend = BACKEND_COUNT_MIN
@@ -98,11 +105,23 @@ class CountMinStore:
             (row * width, hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "big")))
             for row, seed in enumerate(self.seeds)
         ]
-        self._flat = np.zeros(depth * width, dtype=np.int64)
+        self._counters = np.zeros(depth * width, dtype=np.int64)
+        # (offsets, counts) pairs not yet added in: ``counts[i]`` more on each
+        # of the ``depth`` counters ``offsets[i]``.
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         self.totals = 0
         # Keyed row hashes counted so far: ``depth`` per key an increment or
         # a query hashes, and per rank that ``simulate`` proposes.
         self.hash_evaluations = 0
+
+    @property
+    def _flat(self) -> np.ndarray:
+        """The counters, with every pending count added in."""
+        for offsets, counts in self._pending:
+            for row in range(self.depth):
+                np.add.at(self._counters, offsets[:, row], counts)
+        self._pending.clear()
+        return self._counters
 
     def _offsets(self, keys: Sequence[bytes]) -> np.ndarray:
         """Each key's counter in each row, as offsets into the flat counters.
@@ -393,7 +412,7 @@ def simulate(
     indices: a rank stands for its label, and ranks whose labels repeat
     count as the first of them. Its draws replay the seeded generator's raw
     stream (``_RawStream``) rather than calling it per draw. Both stores
-    are run over exact per-rank counts, written back to the store at the
+    are run over exact per-rank counts, handed back to the store at the
     end, also when a session raises ``BannedExhaustionError``. A count-min
     store hashes each rank's key once, with the other new ranks of the
     first proposal batch that holds it. A rank that is alone on a counter
@@ -435,10 +454,11 @@ def _run_sessions(
     """The sessions of ``simulate``: per-rank accepted and free counts, and
     the sum and the sum of squares of the asks per user.
 
-    A count-min store is written once, on the way out, after its
-    per-counter owner map is freed; the per-rank session state is freed on
-    return, before the output tables are sorted, which is what sets the
-    peak memory of a run.
+    On the way out a count-min store is handed the proposed ranks' counter
+    offsets and exact counts, which it adds into its counters only when
+    they are next read; the per-rank session state is freed on return,
+    before the output tables are sorted, which is what sets the peak
+    memory of a run.
     """
     n_ranks = model.n_ranks
     sketch = store.backend == BACKEND_COUNT_MIN
@@ -574,11 +594,8 @@ def _run_sessions(
         if sketch:
             # A rank's keyed row hashes count once, at its first proposal.
             store.hash_evaluations += depth * len(seen)
-            owner = reads = None
-            proposed = np.array(seen, dtype=np.int64)
             rank_counts = np.fromiter(map(counts.__getitem__, seen), np.int64, len(seen))
-            for row in range(depth):
-                np.add.at(store._flat, offsets[proposed, row], rank_counts)
+            store._pending.append((offsets[np.array(seen, dtype=np.int64)], rank_counts))
         else:
             for rank in seen:
                 store._counts[passwords[rank]] = counts[rank]

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import table_oracles as oracle
-from pwdist import crossguess
+from pwdist import crossguess, ingest
 from pwdist.crossguess import (
     GuessCurve,
     GuessOrdering,
@@ -101,6 +103,49 @@ class TestCrossCurve:
             own = self_curve(target, metric)
             for t in range(1, len(reference.guesses) + 1):
                 assert cross.cumulative_at(t) <= own.cumulative_at(t)
+
+
+def _dict_join_steps(reference: list[bytes], target, metric: str) -> list[tuple[int, int]]:
+    """The cross curve's steps, looking each guess up in a dict of the target."""
+    lookup = dict(zip(target.passwords, target.counts.tolist()))
+    if metric == METRIC_USERS:
+        return oracle.curve_steps(lookup.get(g, 0) for g in reference)
+    return oracle.curve_steps(int(g in lookup) for g in reference)
+
+
+guess_bytes = st.one_of(
+    st.sampled_from([b"a", b"b", b"ab", b"a\x00", b"\x00", b"", b"\t\\", b"\xff" * 9]),
+    st.binary(max_size=10),
+    st.binary(min_size=ingest.WORD_PASS_MAX_LEN, max_size=ingest.WORD_PASS_MAX_LEN + 2),
+)
+
+
+class TestCrossCurveJoin:
+    """``cross_curve`` joins by sorted row hashes; a dict lookup is the reference."""
+
+    @given(
+        st.lists(guess_bytes, min_size=1, max_size=25, unique=True),
+        st.dictionaries(guess_bytes, st.integers(1, 9), min_size=1, max_size=25),
+        st.sampled_from([METRIC_USERS, METRIC_DISTINCT]),
+        st.booleans(),
+    )
+    def test_matches_dict_join(self, reference, counts, metric, constant):
+        target = table_from_counter(counts)
+        with pytest.MonkeyPatch.context() as mp:
+            if constant:
+                mp.setattr(ingest, "row_hashes", lambda column: np.zeros(len(column), np.uint64))
+            curve = cross_curve(GuessOrdering(guesses=reference), target, metric)
+        assert steps(curve) == _dict_join_steps(reference, target, metric)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_table_orderings_match_dict_join(self, seed):
+        rng = np.random.default_rng(seed)
+        target, source = random_table(rng, 40), random_table(rng, 40)
+        reference = GuessOrdering.from_table(source)
+        assert reference.guesses is source.passwords
+        for metric in (METRIC_USERS, METRIC_DISTINCT):
+            curve = cross_curve(reference, target, metric)
+            assert steps(curve) == _dict_join_steps(list(source.passwords), target, metric)
 
 
 class TestOrdering:
@@ -199,6 +244,45 @@ class TestCurveExport:
             write_curve_tsv(curve, d / "new.tsv", log_spaced=log_spaced)
         oracle.write_curve(points, denominator, d / "old.tsv", ts)
         assert (d / "new.tsv").read_bytes() == (d / "old.tsv").read_bytes()
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 3000), st.integers(0, 40)), max_size=10),
+        st.sampled_from([0, 1, 7, 99_991, 10**6, 123_456_789, 10**12]),
+        st.booleans(),
+        st.sampled_from([1, 3, crossguess.WRITE_BLOCK]),
+    )
+    def test_bytes_match_percent_format(self, tmp_path_factory, steps, denominator, log_spaced, block):
+        # Large denominators give fractions below 1e-4, which %.8g writes in exponent form.
+        points, t, cum = [], 0, 0
+        for dt, inc in steps:
+            t, cum = t + dt, cum + inc
+            points.append((t, cum))
+        t, cumulative = zip(*points) if points else ((), ())
+        curve = GuessCurve(t=t, cumulative=cumulative, denominator=denominator, metric=METRIC_USERS)
+        total = curve.total_guesses
+        if log_spaced and total >= 1:
+            ts = sorted(set(np.geomspace(1, total, num=512).round().astype(int).tolist()))
+        else:
+            ts = range(1, total + 1)
+        expected = [b"t\tcumulative\tfraction\n"]
+        for at in ts:
+            i = bisect_right(t, at)
+            cum = cumulative[i - 1] if i else 0
+            expected.append(b"%d\t%d\t%.8g\n" % (at, cum, cum / denominator if denominator else 0.0))
+        path = tmp_path_factory.mktemp("curve") / "curve.tsv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crossguess, "WRITE_BLOCK", block)
+            write_curve_tsv(curve, path, log_spaced=log_spaced)
+        assert path.read_bytes() == b"".join(expected)
+
+    def test_exponent_form_fractions(self, tmp_path):
+        curve = GuessCurve(t=[1, 2, 5], cumulative=[1, 3, 3], denominator=10**7, metric=METRIC_USERS)
+        path = tmp_path / "curve.tsv"
+        write_curve_tsv(curve, path)
+        assert path.read_bytes().splitlines()[1:] == [
+            b"1\t1\t1e-07", b"2\t3\t3e-07", b"3\t3\t3e-07", b"4\t3\t3e-07", b"5\t3\t3e-07"
+        ]
 
     def test_sparse_storage(self):
         # only changes plus the final index are stored

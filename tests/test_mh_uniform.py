@@ -529,6 +529,23 @@ class TestSimulateMatchesSessionReference:
                 assert simulate(**case, store=store) == expected
         assert _store_state(store) == _store_state(ref_store)
 
+    def test_counters_are_written_when_next_read(self):
+        # simulate leaves its counts pending; a read (here a second, warm
+        # simulate, then _store_state) adds them in first.
+        model = zipf_model(0.9, 2000)
+        passwords = [b"p%08d" % i for i in range(1, 2001)]
+        reference = CountMinStore(width=1 << 10, depth=3, master_seed=4)
+        store = CountMinStore(width=1 << 10, depth=3, master_seed=4)
+        for seed in (4, 5):
+            expected, _ = reference_simulate(model, passwords, 1500, store=reference, seed=seed)
+            assert simulate(model, passwords, 1500, store=store, seed=seed) == expected
+            assert len(store._pending) == 1
+            if seed == 4:
+                assert not store._counters.any()
+        assert _store_state(store) == _store_state(reference)
+        assert not store._pending
+        assert store.query(passwords[0]) == reference.query(passwords[0])
+
     def test_hash_evaluations_are_depth_per_distinct_rank(self):
         model = zipf_model(0.78, 3000)
         passwords = [b"p%08d" % i for i in range(1, 3001)]
