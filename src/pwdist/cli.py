@@ -275,8 +275,10 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
         table_path = _input(args, args.table)
         table = ingest.read_table_tsv(table_path)
         model = stats.empirical_model(table)
-        # The sessions look labels up per rank: a list does that at C speed.
+        # The sessions look labels up per rank, which a list does at C speed;
+        # the table's column and row hashes are not needed past this point.
         passwords = list(table.passwords)
+        del table
         source_desc = {"source": "table", "table": table_path.name}
 
     weights = None

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .crossguess import GuessCurve, GuessOrdering, METRIC_DISTINCT, METRIC_USERS, curve_from_increments
-from .ingest import WRITE_BLOCK, CorpusError, line_blocks, splitmix64
+from .column import splitmix64
+from .ingest import WRITE_BLOCK, CorpusError, line_blocks
 from .tsvio import escape_field, unescape_field
 
 _MASK64 = (1 << 64) - 1

@@ -4,6 +4,10 @@ A guess ordering replayed against a target table yields a cumulative
 recovery curve: C(t) when the target's own optimal ordering is used,
 C(t given a reference ordering) otherwise. Matching is exact byte
 equality; a password absent from the target simply contributes nothing.
+An ordering holds its guesses in a :class:`~pwdist.column.PasswordColumn`
+(shared with the table it comes from), and a reference is joined to the
+target by the sorted row hashes both columns keep from their duplicate
+check, comparing bytes only where hashes match.
 Curves are stored sparsely (only the steps where the cumulative value
 changes, plus the final guess index) because full-scale corpora produce
 tens of millions of points.
@@ -17,7 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingest import WRITE_BLOCK, PasswordColumn, RankFrequencyTable, _put_decimal, table_from_counter
+from .column import PasswordColumn
+from .ingest import WRITE_BLOCK, RankFrequencyTable, _put_decimal, table_from_counter
 
 METRIC_USERS = "users"
 METRIC_DISTINCT = "distinct-passwords"

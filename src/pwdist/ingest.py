@@ -7,20 +7,26 @@ that users actually typed differently. Both are read a block of lines at
 a time: ``read_credentials`` keeps each user's last non-whitespace entry,
 and ``stream_table`` ranks the kept passwords by descending use count with
 a seeded pseudo-random tie-break so runs are reproducible.
+
+A ranked table holds its passwords as a :class:`PasswordColumn`: one bytes
+buffer and an int64 offset per row, with no Python object per password.
+Table files are read into it and written from it a block of rows at a
+time, and duplicates are found by sorting 64-bit row hashes
+(:func:`row_hashes`), comparing bytes only where hashes are equal.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .column import PasswordColumn
 from .tsvio import escape_field, unescape_field
 
 FORMAT_USER_TAB_PASSWORD = "user-tab-password"
@@ -30,19 +36,12 @@ CORPUS_FORMATS = (FORMAT_USER_TAB_PASSWORD, FORMAT_PASSWORD_PER_LINE)
 TABLE_HEADER = b"rank\tcount\tpassword"
 
 _MASK64 = (1 << 64) - 1
-_FNV_OFFSET = 0xCBF29CE484222325
 
 # Bytes per read when streaming a corpus or a table file. A line that
 # crosses a block boundary is carried into the next block.
 READ_BLOCK = 1 << 16
-# Table rows formatted per write, and rows joined per piece of a column.
+# Table rows formatted per write.
 WRITE_BLOCK = 1 << 13
-# Rows longer than this are hashed and compared one at a time, not 8 bytes
-# per numpy pass.
-WORD_PASS_MAX_LEN = 64
-# A column's buffer ends in these bytes, so that any row's bytes can be
-# read as 8-byte words.
-_PAD = bytes(8)
 
 
 class CorpusError(Exception):
@@ -51,233 +50,6 @@ class CorpusError(Exception):
     def __init__(self, message: str, byte_offset: int | None = None):
         super().__init__(message)
         self.byte_offset = byte_offset
-
-
-def splitmix64(h: np.ndarray) -> np.ndarray:
-    """The splitmix64 finaliser of each uint64 in ``h``, in place; returns ``h``.
-
-    A bijection on 64-bit words; uint64 multiplication wraps.
-    """
-    h ^= h >> np.uint64(30)
-    h *= np.uint64(0xBF58476D1CE4E5B9)
-    h ^= h >> np.uint64(27)
-    h *= np.uint64(0x94D049BB133111EB)
-    h ^= h >> np.uint64(31)
-    return h
-
-
-def _words(data: bytes) -> np.ndarray:
-    """Every little-endian 8-byte word of ``data``: element k is ``data[k:k + 8]``."""
-    return np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-
-
-# _LOW_BYTES[k] keeps the first k bytes of a little-endian word.
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-
-
-def _low_bytes(remaining: np.ndarray) -> np.ndarray:
-    """Masks keeping the first ``min(remaining, 8)`` bytes of a word."""
-    return _LOW_BYTES[np.minimum(remaining, 8)]
-
-
-def _column_offsets(lengths: Sequence[np.ndarray]) -> np.ndarray:
-    offsets = np.zeros(sum(map(len, lengths)) + 1, dtype=np.int64)
-    if len(offsets) > 1:
-        np.cumsum(np.concatenate(lengths), out=offsets[1:])
-    return offsets
-
-
-class PasswordColumn(Sequence[bytes]):
-    """Byte strings held as one buffer: row i is ``data[offsets[i]:offsets[i + 1]]``.
-
-    A table's passwords and an ordering's guesses cost their bytes plus an
-    int64 offset each, with no Python object per row. The column is a
-    read-only sequence of ``bytes``: ``len``, an int index gives ``bytes``,
-    a slice gives a column that shares the buffer, iteration, and ``==``
-    against a list or another column. ``PasswordColumn(rows)`` builds one
-    from any iterable of bytes, joining ``WRITE_BLOCK`` rows at a time. The
-    buffer ends in 8 NUL bytes past the last row, so each row can be read
-    8 bytes at a time as words.
-
-    Duplicates are found by sorting a 64-bit hash of each row
-    (:func:`row_hashes`) and comparing bytes only where hashes are equal.
-    The hashes and their sorted order are computed once, on first use, and
-    kept: :meth:`has_duplicates` and :meth:`positions` share them.
-    """
-
-    __slots__ = ("data", "offsets", "_hashes", "_order")
-
-    def __init__(self, rows: Iterable[bytes] = ()):
-        pieces: list[bytes] = []
-        lengths: list[np.ndarray] = []
-        rows = iter(rows)
-        while block := list(islice(rows, WRITE_BLOCK)):
-            pieces.append(b"".join(block))
-            lengths.append(np.fromiter(map(len, block), dtype=np.int64, count=len(block)))
-        self._set(b"".join(pieces + [_PAD]), _column_offsets(lengths))
-
-    def _set(self, data: bytes, offsets: np.ndarray) -> None:
-        offsets.flags.writeable = False
-        self.data = data
-        self.offsets = offsets
-        self._hashes = self._order = None
-
-    @classmethod
-    def _joined(cls, pieces: list[bytes], lengths: Sequence[np.ndarray]) -> "PasswordColumn":
-        """The column of the rows of ``pieces``, each piece the join of rows of the given lengths."""
-        column = cls.__new__(cls)
-        column._set(b"".join(pieces + [_PAD]), _column_offsets(lengths))
-        return column
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            start, stop, step = key.indices(len(self))
-            if step != 1:
-                return PasswordColumn(map(self.__getitem__, range(start, stop, step)))
-            column = PasswordColumn.__new__(PasswordColumn)
-            column._set(self.data, self.offsets[start : max(start, stop) + 1])
-            return column
-        i = operator.index(key)
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("password column index out of range")
-        return self.data[self.offsets[i] : self.offsets[i + 1]]
-
-    def __iter__(self) -> Iterator[bytes]:
-        data = self.data
-        for start in range(0, len(self), WRITE_BLOCK):
-            bounds = self.offsets[start : start + WRITE_BLOCK + 1].tolist()
-            yield from (data[a:b] for a, b in zip(bounds, bounds[1:]))
-
-    def __eq__(self, other):
-        if isinstance(other, PasswordColumn):
-            return (
-                len(self) == len(other)
-                and np.array_equal(np.diff(self.offsets), np.diff(other.offsets))
-                and self._view() == other._view()
-            )
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"PasswordColumn({list(self)!r})"
-
-    def _view(self) -> memoryview:
-        """The rows' bytes, joined."""
-        return memoryview(self.data)[self.offsets[0] : self.offsets[-1]]
-
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    def hash_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's :func:`row_hashes` value, and the rows in ascending hash order."""
-        if self._hashes is None:
-            self._hashes = row_hashes(self)
-            self._order = np.argsort(self._hashes)
-        return self._hashes, self._order
-
-    def has_duplicates(self) -> bool:
-        """Whether two rows hold the same bytes; bytes are compared only within runs of equal hashes."""
-        hashes, order = self.hash_order()
-        sorted_hashes = hashes[order]
-        same = np.concatenate(([False], sorted_hashes[1:] == sorted_hashes[:-1], [False]))
-        edges = np.flatnonzero(np.diff(same.view(np.int8)))
-        for a, b in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
-            run = [self[i] for i in order[a:b].tolist()]
-            if len(set(run)) < len(run):
-                return True
-        return False
-
-    def positions(self, probes: "PasswordColumn") -> np.ndarray:
-        """For each row of ``probes``, the index of the row of this column with its bytes, or -1.
-
-        A join by sorted hashes: the rows of this column must be distinct.
-        Bytes are compared only where the hashes match.
-        """
-        hashes, order = self.hash_order()
-        sorted_hashes = hashes[order]
-        probe_hashes, probe_order = probes.hash_order()
-        # Searching in ascending order keeps the searches in cache.
-        sorted_probes = probe_hashes[probe_order]
-        lo = np.searchsorted(sorted_hashes, sorted_probes, side="left")
-        hi = np.searchsorted(sorted_hashes, sorted_probes, side="right")
-        found = np.full(len(probes), -1, dtype=np.int64)
-        single = np.flatnonzero(hi - lo == 1)
-        rows, candidates = probe_order[single], order[lo[single]]
-        same = _same_rows(probes, rows, self, candidates)
-        found[rows[same]] = candidates[same]
-        # Probes whose hash is shared by several rows here.
-        for k in np.flatnonzero(hi - lo > 1).tolist():
-            probe = probes[probe_order[k]]
-            for j in order[lo[k] : hi[k]].tolist():
-                if self[j] == probe:
-                    found[probe_order[k]] = j
-                    break
-        return found
-
-
-def row_hashes(column: PasswordColumn) -> np.ndarray:
-    """A 64-bit hash of each row's bytes, as uint64.
-
-    The state starts at the FNV-1a offset basis xor the row's length; each
-    8-byte word of the row (the last one NUL-masked past the row's end, and
-    an empty row's one word all NUL) is xored in and mixed by
-    :func:`splitmix64`, one numpy pass per word position. Rows longer than
-    ``WORD_PASS_MAX_LEN`` bytes take a keyless 8-byte blake2b instead, one
-    row at a time. Equal bytes give equal hashes; the converse is checked
-    byte by byte wherever it matters.
-    """
-    lengths = column.lengths()
-    starts = column.offsets[:-1]
-    words = _words(column.data)
-    # The first word of every row, in one pass over whole columns.
-    hashes = np.uint64(_FNV_OFFSET) ^ lengths.astype(np.uint64)
-    hashes ^= words[starts] & _low_bytes(lengths)
-    splitmix64(hashes)
-    rows = np.flatnonzero((lengths > 8) & (lengths <= WORD_PASS_MAX_LEN))
-    base = 8
-    while rows.size:
-        remaining = lengths[rows] - base
-        word = words[starts[rows] + base] & _low_bytes(remaining)
-        hashes[rows] = splitmix64(hashes[rows] ^ word)
-        rows = rows[remaining > 8]
-        base += 8
-    for i in np.flatnonzero(lengths > WORD_PASS_MAX_LEN).tolist():
-        hashes[i] = int.from_bytes(hashlib.blake2b(column[i], digest_size=8).digest(), "little")
-    return hashes
-
-
-def _same_rows(a: PasswordColumn, rows_a: np.ndarray, b: PasswordColumn, rows_b: np.ndarray) -> np.ndarray:
-    """Whether row ``rows_a[k]`` of ``a`` holds the bytes of row ``rows_b[k]`` of ``b``, for each k.
-
-    Compared 8 bytes per numpy pass, rows longer than ``WORD_PASS_MAX_LEN``
-    one at a time.
-    """
-    start_a = a.offsets[rows_a]
-    start_b = b.offsets[rows_b]
-    length = a.offsets[rows_a + 1] - start_a
-    same = length == b.offsets[rows_b + 1] - start_b
-    for k in np.flatnonzero(same & (length > WORD_PASS_MAX_LEN)).tolist():
-        same[k] = a[rows_a[k]] == b[rows_b[k]]
-    words_a, words_b = _words(a.data), _words(b.data)
-    live = np.flatnonzero(same & (length > 0) & (length <= WORD_PASS_MAX_LEN))
-    base = 0
-    while live.size:
-        remaining = length[live] - base
-        differ = (words_a[start_a[live] + base] ^ words_b[start_b[live] + base]) & _low_bytes(remaining)
-        differ = differ != 0
-        same[live[differ]] = False
-        live = live[~differ & (remaining > 8)]
-        base += 8
-    return same
 
 
 @dataclass(eq=False)
@@ -358,11 +130,15 @@ def table_from_counter(counts: Mapping[bytes, int], tie_break_seed: int = 0) -> 
     Entries with equal count and equal hash are ordered by password bytes.
     """
     passwords = list(counts)
-    return _ranked(passwords, np.fromiter(counts.values(), dtype=np.int64, count=len(passwords)), tie_break_seed)
+    values = np.fromiter(counts.values(), dtype=np.int64, count=len(passwords))
+    return rank_passwords(passwords, values, tie_break_seed)
 
 
-def _ranked(passwords: list[bytes], values: np.ndarray, tie_break_seed: int) -> RankFrequencyTable:
-    """The table of ``passwords[i]`` used ``values[i]`` times, as :func:`table_from_counter` ranks it.
+def rank_passwords(
+    passwords: list[bytes], values: np.ndarray, tie_break_seed: int = 0
+) -> RankFrequencyTable:
+    """Distinct ``passwords``, ``passwords[i]`` used ``values[i]`` times, ranked as
+    :func:`table_from_counter` ranks them.
 
     The ranked column is joined one ``WRITE_BLOCK`` of rows at a time.
     """
@@ -370,22 +146,19 @@ def _ranked(passwords: list[bytes], values: np.ndarray, tie_break_seed: int) -> 
         raise CorpusError("cannot rank an empty corpus")
     keys = _tie_keys(passwords, tie_break_seed)
     order = np.lexsort((keys, -values))
-    ranked_keys = keys[order]
+    keys = keys[order]
     ranked_values = values[order]
+    clash = np.flatnonzero((keys[1:] == keys[:-1]) & (ranked_values[1:] == ranked_values[:-1]))
     del keys
-    clash = np.flatnonzero(
-        (ranked_keys[1:] == ranked_keys[:-1]) & (ranked_values[1:] == ranked_values[:-1])
-    )
     if len(clash):
         gap = np.diff(clash) > 1
         starts = clash[np.concatenate(([True], gap))]
         stops = clash[np.concatenate((gap, [True]))] + 2
         for a, b in zip(starts.tolist(), stops.tolist()):
             order[a:b] = sorted(order[a:b].tolist(), key=passwords.__getitem__)
-    ranked = (
-        passwords[i]
+    ranked = chain.from_iterable(
+        map(passwords.__getitem__, order[start : start + WRITE_BLOCK].tolist())
         for start in range(0, len(order), WRITE_BLOCK)
-        for i in order[start : start + WRITE_BLOCK].tolist()
     )
     return RankFrequencyTable(
         passwords=PasswordColumn(ranked),
@@ -531,7 +304,7 @@ def stream_table(
     values = np.fromiter(counts.values(), dtype=np.int64, count=len(passwords))
     # The counter's table of entries is dropped before the ranking's arrays are made.
     del counts
-    return _ranked(passwords, values, tie_break_seed), stats
+    return rank_passwords(passwords, values, tie_break_seed), stats
 
 
 def cap_ranks(table: RankFrequencyTable, max_ranks: int) -> RankFrequencyTable:
@@ -616,10 +389,12 @@ def _decimal_fields(first_rank: int, counts: np.ndarray) -> tuple[np.ndarray, np
 _ESCAPED_BYTES = bytes(int(b in b"\t\n\r\\") for b in range(256))
 
 
-def _rewrite_rows(joined: bytes, lengths: np.ndarray, rows: Iterable[int], fn: Callable[[bytes], bytes]) -> bytes:
-    """``joined``, the rows of ``lengths`` end to end, with each row in ``rows`` (ascending) replaced by ``fn`` of it.
+def _rewrite_rows(
+    joined: bytes, lengths: np.ndarray, rows: Iterable[int], fn: Callable[[bytes], bytes]
+) -> bytes:
+    """``joined``, rows of ``lengths`` end to end, with each of ``rows`` replaced by ``fn`` of it.
 
-    ``lengths`` is updated in place.
+    ``rows`` ascend; ``lengths`` is updated in place.
     """
     ends = np.cumsum(lengths).tolist()
     pieces = []
@@ -640,7 +415,7 @@ def _password_bytes(passwords: PasswordColumn) -> tuple[np.ndarray, np.ndarray]:
     Only the passwords holding a byte to escape go through :func:`escape_field`.
     """
     lengths = passwords.lengths()
-    joined = passwords._view().tobytes()
+    joined = passwords.view().tobytes()
     special = np.flatnonzero(np.frombuffer(joined.translate(_ESCAPED_BYTES), dtype=np.uint8))
     if len(special):
         rows = np.searchsorted(np.cumsum(lengths), special, side="right")
@@ -766,19 +541,14 @@ def _table_fields(chunk: bytes, first_rank: int) -> tuple[np.ndarray, bytes, np.
             if escaped:
                 passwords = _rewrite_rows(passwords, lengths, dict.fromkeys(escaped), _unescape)
             digits = raw - np.uint8(0x30)
-
-            def field(starts: np.ndarray, stops: np.ndarray) -> Callable[[int], bytes]:
-                return lambda i: chunk[starts[i] : stops[i]]
-
-            def values(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-                parsed = _digit_values(digits, starts, stops)
-                if parsed is None:
-                    parsed = _int_values(list(map(field(starts, stops), range(len(starts)))))
-                return parsed
-
-            ranks = values(line_start, tab1)
-            counts = values(tab1 + 1, tab2)
-            _check_ranks(ranks, first_rank, field(line_start, tab1))
+            ranks = _digit_values(digits, line_start, tab1)
+            counts = _digit_values(digits, tab1 + 1, tab2)
+            if ranks is None or counts is None:
+                fields = chunk.replace(b"\n", b"\t").split(b"\t")
+                fields.pop()
+                ranks = _int_values(fields[0::3]) if ranks is None else ranks
+                counts = _int_values(fields[1::3]) if counts is None else counts
+            _check_ranks(ranks, first_rank, lambda i: chunk[line_start[i] : tab1[i]])
             return counts, passwords, lengths
     rows = [line.split(b"\t", 2) for line in _strip_cr(_split_lines(chunk)) if line]
     bad = next((row for row in rows if len(row) != 3), None)
@@ -817,7 +587,7 @@ def read_table_tsv(path) -> RankFrequencyTable:
             length_blocks.append(lengths)
             count_blocks.append(counts)
     counts = np.concatenate(count_blocks) if count_blocks else np.zeros(0, dtype=np.int64)
-    column = PasswordColumn._joined(pieces, length_blocks)
+    column = PasswordColumn.from_pieces(pieces, length_blocks)
     del pieces, length_blocks, count_blocks
     table = RankFrequencyTable(passwords=column, counts=counts, total_users=int(counts.sum()))
     table.validate()

@@ -15,9 +15,10 @@ its seeded generator's raw stream in blocks. With either backend it counts
 each rank's proposals exactly, and reads sketch counters only for the few
 ranks that share a counter in every row; the sketch is handed the proposed
 ranks' counter offsets and counts at the end, and adds them into its
-counters only if they are read again. ``mh_session`` is the same rule over password bytes, one session at a
-time, calling the generator per draw and the store per ask, and is the
-reference that ``simulate`` must reproduce draw for draw.
+counters only if they are read again. ``mh_session`` is the same rule over
+password bytes, one session at a time, calling the generator per draw and
+the store per ask, and is the reference that ``simulate`` must reproduce
+draw for draw.
 Target weights generalise the rule to banned (weight 0) and soft-banned
 (weight below 1) passwords via the usual acceptance ratio; with the
 default all-ones weights the rule reduces exactly to u <= F(x).
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ingest import RankFrequencyTable, table_from_counter
+from .ingest import RankFrequencyTable, rank_passwords
 from .stats import ProbabilityModel
 
 BACKEND_EXACT = "exact"
@@ -603,8 +604,11 @@ def _run_sessions(
 
 
 def _table(rank_counts: list[int], passwords: Sequence[bytes], seed: int) -> RankFrequencyTable:
-    counter = {passwords[rank]: c for rank, c in enumerate(rank_counts) if c}
-    return table_from_counter(counter, tie_break_seed=seed)
+    # Only the first rank of a repeated label is ever counted, so the labels
+    # of the counted ranks are distinct.
+    counts = np.array(rank_counts, dtype=np.int64)
+    ranks = np.flatnonzero(counts)
+    return rank_passwords([passwords[r] for r in ranks.tolist()], counts[ranks], seed)
 
 
 def write_summary_tsv(report: SimulationReport, path) -> None:

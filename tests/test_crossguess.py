@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import table_oracles as oracle
-from pwdist import crossguess, ingest
+from pwdist import column, crossguess
 from pwdist.crossguess import (
     GuessCurve,
     GuessOrdering,
@@ -116,7 +116,7 @@ def _dict_join_steps(reference: list[bytes], target, metric: str) -> list[tuple[
 guess_bytes = st.one_of(
     st.sampled_from([b"a", b"b", b"ab", b"a\x00", b"\x00", b"", b"\t\\", b"\xff" * 9]),
     st.binary(max_size=10),
-    st.binary(min_size=ingest.WORD_PASS_MAX_LEN, max_size=ingest.WORD_PASS_MAX_LEN + 2),
+    st.binary(min_size=column.WORD_PASS_MAX_LEN, max_size=column.WORD_PASS_MAX_LEN + 2),
 )
 
 
@@ -133,7 +133,7 @@ class TestCrossCurveJoin:
         target = table_from_counter(counts)
         with pytest.MonkeyPatch.context() as mp:
             if constant:
-                mp.setattr(ingest, "row_hashes", lambda column: np.zeros(len(column), np.uint64))
+                mp.setattr(column, "row_hashes", lambda column: np.zeros(len(column), np.uint64))
             curve = cross_curve(GuessOrdering(guesses=reference), target, metric)
         assert steps(curve) == _dict_join_steps(reference, target, metric)
 
@@ -252,7 +252,9 @@ class TestCurveExport:
         st.booleans(),
         st.sampled_from([1, 3, crossguess.WRITE_BLOCK]),
     )
-    def test_bytes_match_percent_format(self, tmp_path_factory, steps, denominator, log_spaced, block):
+    def test_bytes_match_percent_format(
+        self, tmp_path_factory, steps, denominator, log_spaced, block
+    ):
         # Large denominators give fractions below 1e-4, which %.8g writes in exponent form.
         points, t, cum = [], 0, 0
         for dt, inc in steps:
@@ -269,7 +271,8 @@ class TestCurveExport:
         for at in ts:
             i = bisect_right(t, at)
             cum = cumulative[i - 1] if i else 0
-            expected.append(b"%d\t%d\t%.8g\n" % (at, cum, cum / denominator if denominator else 0.0))
+            fraction = cum / denominator if denominator else 0.0
+            expected.append(b"%d\t%d\t%.8g\n" % (at, cum, fraction))
         path = tmp_path_factory.mktemp("curve") / "curve.tsv"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(crossguess, "WRITE_BLOCK", block)
@@ -277,7 +280,9 @@ class TestCurveExport:
         assert path.read_bytes() == b"".join(expected)
 
     def test_exponent_form_fractions(self, tmp_path):
-        curve = GuessCurve(t=[1, 2, 5], cumulative=[1, 3, 3], denominator=10**7, metric=METRIC_USERS)
+        curve = GuessCurve(
+            t=[1, 2, 5], cumulative=[1, 3, 3], denominator=10**7, metric=METRIC_USERS
+        )
         path = tmp_path / "curve.tsv"
         write_curve_tsv(curve, path)
         assert path.read_bytes().splitlines()[1:] == [

@@ -11,20 +11,17 @@ from hypothesis import given, strategies as st
 
 import table_oracles as oracle
 from pwdist import ingest
-from pwdist.cli import EXIT_INPUT, EXIT_OK, main
 from pwdist.ingest import (
     CORPUS_FORMATS,
     TABLE_HEADER,
     CorpusError,
     FORMAT_PASSWORD_PER_LINE,
     FORMAT_USER_TAB_PASSWORD,
-    PasswordColumn,
     RankFrequencyTable,
     cap_ranks,
     count_of_counts,
     read_credentials,
     read_table_tsv,
-    row_hashes,
     stream_table,
     table_from_counter,
     table_from_counts,
@@ -664,96 +661,3 @@ class TestColumns:
         with pytest.raises(CorpusError):
             table.validate()
 
-
-# Rows with the bytes the table codec escapes, NUL and high bytes, and rows
-# on both sides of the length at which hashing leaves numpy.
-AWKWARD_PARTS = [b"\x00", b"\t", b"\r", b"\n", b"\\", b"\xff", b"\xe9", b"a", b"ab", b"abcdefgh"]
-awkward_rows = st.one_of(
-    st.binary(max_size=20),
-    st.lists(st.sampled_from(AWKWARD_PARTS), max_size=12).map(b"".join),
-    st.integers(ingest.WORD_PASS_MAX_LEN - 2, ingest.WORD_PASS_MAX_LEN + 9).flatmap(
-        lambda n: st.binary(min_size=n, max_size=n)
-    ),
-)
-
-
-def _constant_hashes(column):
-    return np.zeros(len(column), dtype=np.uint64)
-
-
-class TestPasswordColumn:
-    @given(st.lists(awkward_rows, max_size=30), st.data())
-    def test_behaves_as_a_list(self, items, data):
-        column = PasswordColumn(items)
-        assert len(column) == len(items)
-        assert column == items and items == column
-        assert list(column) == items
-        assert column == PasswordColumn(iter(items))
-        if items:
-            i = data.draw(st.integers(-len(items), len(items) - 1))
-            assert column[i] == items[i]
-            assert type(column[i]) is bytes
-        start = data.draw(st.integers(-3, len(items) + 3))
-        stop = data.draw(st.integers(-3, len(items) + 3))
-        step = data.draw(st.sampled_from([None, 1, 2, -1]))
-        part = column[start:stop:step]
-        assert isinstance(part, PasswordColumn)
-        assert part == items[start:stop:step]
-        assert column != items + [b"x"]
-        with pytest.raises(IndexError):
-            column[len(items)]
-
-    @given(st.lists(awkward_rows, min_size=1, max_size=30))
-    def test_row_hash_depends_only_on_the_row(self, items):
-        hashes = row_hashes(PasswordColumn(items))
-        alone = [int(row_hashes(PasswordColumn([row]))[0]) for row in items]
-        assert hashes.tolist() == alone
-
-    @given(st.lists(awkward_rows, max_size=30), st.booleans())
-    def test_duplicates_match_a_set(self, items, constant):
-        with pytest.MonkeyPatch.context() as mp:
-            if constant:
-                mp.setattr(ingest, "row_hashes", _constant_hashes)
-            assert PasswordColumn(items).has_duplicates() == (len(set(items)) < len(items))
-
-    @given(
-        st.lists(awkward_rows, min_size=1, max_size=40, unique=True),
-        st.integers(0, 2**32),
-        st.sampled_from([1, 3, 7, ingest.WRITE_BLOCK]),
-        SMALL_BLOCKS,
-    )
-    def test_round_trip_arbitrary_bytes(self, tmp_path_factory, items, seed, write_block, read_block):
-        counts = {pw: 1 + (i * 7 + seed) % 5 for i, pw in enumerate(items)}
-        table = table_from_counter(counts, tie_break_seed=seed)
-        path = tmp_path_factory.mktemp("column") / "table.tsv"
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "WRITE_BLOCK", write_block)
-            mp.setattr(ingest, "READ_BLOCK", read_block)
-            write_table_tsv(table, path)
-            loaded = read_table_tsv(path)
-        assert loaded.passwords == PasswordColumn(pw for pw, _ in oracle.read_table(path))
-        assert rows(loaded) == oracle.rank_rows(counts, seed) == rows(table)
-        assert loaded.passwords == table.passwords
-
-    def test_long_rows_with_a_shared_prefix(self):
-        prefix = b"p" * ingest.WORD_PASS_MAX_LEN
-        rows_ = [prefix + b"%d" % i for i in range(20)] + [prefix, prefix[:-1]]
-        assert not PasswordColumn(rows_).has_duplicates()
-        assert PasswordColumn(rows_ + [prefix + b"7"]).has_duplicates()
-        column = PasswordColumn(rows_)
-        probes = PasswordColumn([prefix + b"3", prefix + b"x", prefix[:-1], b"p"])
-        assert column.positions(probes).tolist() == [3, -1, 21, -1]
-
-    @pytest.mark.parametrize("constant", [False, True], ids=["row-hash", "constant-hash"])
-    def test_duplicate_password_is_an_input_error(self, tmp_path, monkeypatch, constant):
-        if constant:
-            monkeypatch.setattr(ingest, "row_hashes", _constant_hashes)
-        good = tmp_path / "good.tsv"
-        good.write_bytes(TABLE_HEADER + b"\n1\t3\tpw\n2\t2\tpw\\t\n3\t1\tp\n")
-        bad = tmp_path / "bad.tsv"
-        bad.write_bytes(TABLE_HEADER + b"\n1\t3\tpw\n2\t2\tp\n3\t1\tpw\n")
-        assert rows(read_table_tsv(good)) == [(b"pw", 3), (b"pw\t", 2), (b"p", 1)]
-        assert main(["stats", "--table", str(good), "--out-dir", str(tmp_path / "ok")]) == EXIT_OK
-        with pytest.raises(CorpusError, match="duplicate"):
-            read_table_tsv(bad)
-        assert main(["stats", "--table", str(bad), "--out-dir", str(tmp_path / "no")]) == EXIT_INPUT
