@@ -54,11 +54,19 @@ def _low_bytes(remaining: np.ndarray) -> np.ndarray:
     return _LOW_BYTES[np.minimum(remaining, 8)]
 
 
-def _column_offsets(lengths: Sequence[np.ndarray]) -> np.ndarray:
+def _joined(pieces: list[bytes], lengths: Sequence[np.ndarray]) -> tuple[bytes, np.ndarray]:
+    """The buffer and the offsets of the rows joined in ``pieces``, one array of lengths per piece.
+
+    ``pieces`` is emptied once joined, so that its bytes are freed before
+    the offsets are made.
+    """
+    pieces.append(_PAD)
+    data = b"".join(pieces)
+    pieces.clear()
     offsets = np.zeros(sum(map(len, lengths)) + 1, dtype=np.int64)
     if len(offsets) > 1:
         np.cumsum(np.concatenate(lengths), out=offsets[1:])
-    return offsets
+    return data, offsets
 
 
 class PasswordColumn(Sequence[bytes]):
@@ -88,10 +96,7 @@ class PasswordColumn(Sequence[bytes]):
         while block := list(islice(rows, JOIN_BLOCK)):
             pieces.append(b"".join(block))
             lengths.append(np.fromiter(map(len, block), dtype=np.int64, count=len(block)))
-        pieces.append(_PAD)
-        data = b"".join(pieces)
-        del pieces
-        self._set(data, _column_offsets(lengths))
+        self._set(*_joined(pieces, lengths))
 
     def _set(self, data: bytes, offsets: np.ndarray) -> None:
         offsets.flags.writeable = False
@@ -101,9 +106,12 @@ class PasswordColumn(Sequence[bytes]):
 
     @classmethod
     def from_pieces(cls, pieces: list[bytes], lengths: Sequence[np.ndarray]) -> "PasswordColumn":
-        """The column of the rows joined in ``pieces``, one array of row lengths per piece."""
+        """The column of the rows joined in ``pieces``, one array of row lengths per piece.
+
+        ``pieces`` is emptied.
+        """
         column = cls.__new__(cls)
-        column._set(b"".join(pieces + [_PAD]), _column_offsets(lengths))
+        column._set(*_joined(pieces, lengths))
         return column
 
     def __len__(self) -> int:
