@@ -8,11 +8,12 @@ a time: ``read_credentials`` keeps each user's last non-whitespace entry,
 and ``stream_table`` ranks the kept passwords by descending use count with
 a seeded pseudo-random tie-break so runs are reproducible.
 
-A ranked table holds its passwords as a :class:`PasswordColumn`: one bytes
-buffer and an int64 offset per row, with no Python object per password.
-Table files are read into it and written from it a block of rows at a
-time, and duplicates are found by sorting 64-bit row hashes
-(:func:`row_hashes`), comparing bytes only where hashes are equal.
+A ranked table holds its passwords as a
+:class:`~pwdist.column.PasswordColumn`: one bytes buffer and an int64
+offset per row, with no Python object per password. Table files are read
+into it and written from it a block of rows at a time, and ``validate``
+finds duplicates by sorting 64-bit row hashes, comparing bytes only where
+hashes are equal.
 """
 
 from __future__ import annotations
