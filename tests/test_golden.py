@@ -45,6 +45,19 @@ def _awkward(k: int) -> bytes:
     return pw
 
 
+def _awkward_user(k: int) -> bytes:
+    """User ``k``'s name; some hold a backslash, an inner CR, NUL or high bytes."""
+    if k % 5 == 1:
+        return b"back\\slash%d" % k
+    if k % 7 == 2:
+        return b"in\rner%d" % k
+    if k % 11 == 3:
+        return b"nul\x00%d" % k
+    if k % 13 == 4:
+        return b"\xff\xfehigh%d\\" % k
+    return b"user%d" % k
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -67,6 +80,15 @@ def inputs(tmp_path_factory):
             for i in range(15000)
         )
     )
+    # Users holding backslashes, inner CRs, NUL and high bytes, with passwords that escape.
+    escaped_users = root / "escaped-users.tsv"
+    escaped_users.write_bytes(
+        b"".join(
+            _awkward_user(i % 2400) + b"\t" + _awkward(_zipf_like(b"e", i, 2500))
+            + (b"\r\n" if i % 6 == 0 else b"\n")
+            for i in range(3000)
+        )
+    )
     mixed_table = root / "ingest-mixed" / "table.tsv"
     assert main(
         ["ingest", str(mixed), "--seed", "2", "--out-dir", str(mixed_table.parent)]
@@ -77,7 +99,7 @@ def inputs(tmp_path_factory):
     assert main(["ingest", str(corpus), "--seed", "4", "--out-dir", str(table.parent)]) == EXIT_OK
     return {
         "root": root, "table": table, "users": users, "bans": bans, "mixed": mixed,
-        "mixed_table": mixed_table,
+        "mixed_table": mixed_table, "escaped_users": escaped_users,
     }
 
 
@@ -211,6 +233,17 @@ CASES = {
             "counters": "e1c47eaf8e5dbc51",
         },
     ),
+    "crack-corpus-escapes": (
+        ["crack", "--corpus", "{escaped_users}", "--format", "user-tab-password",
+         "--salt-count", "8", "--ordering", "{mixed_table}", "--seed", "7"],
+        {
+            "cracked.tsv": "16a4679f762199ce",
+            "curve_distinct.tsv": "debf35b5e265543e",
+            "curve_users.tsv": "6b054942ff229902",
+            "hashes.tsv": "693a0ebc2348e1b6",
+            "counters": "e1c47eaf8e5dbc51",
+        },
+    ),
 }
 
 
@@ -218,7 +251,10 @@ CASES = {
 def test_outputs_match_golden_digests(inputs, case):
     argv, expected = CASES[case]
     out = inputs["root"] / case
-    paths = {key: str(inputs[key]) for key in ("table", "users", "bans", "mixed", "mixed_table")}
+    paths = {
+        key: str(inputs[key])
+        for key in ("table", "users", "bans", "mixed", "mixed_table", "escaped_users")
+    }
     argv = [arg.format(**paths) for arg in argv] + ["--out-dir", str(out)]
     assert main(argv) == EXIT_OK
     assert _digests(out) == expected
