@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, crack as crack_mod, crossguess, ingest, mh_uniform, stats, zipf_fit
+from . import __version__, ingest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,6 +30,18 @@ MH_ZIPF_S = 0.78
 MH_ZIPF_RANKS = 100000
 # crack --corpus's salts where --salt-count is not given.
 CRACK_SALT_COUNT = 64
+# The parser's choices and defaults that belong to stage modules, repeated
+# here so that building the parser imports none of them; a test checks each
+# against its module. A subcommand imports only the modules it calls.
+METRICS = ("users", "distinct-passwords")  # crossguess.METRICS
+DEFAULT_ALPHA = 0.85  # stats.DEFAULT_ALPHA
+MH_BACKENDS = ("exact", "count-min")  # mh_uniform.BACKEND_EXACT, BACKEND_COUNT_MIN
+MH_SKETCH_WIDTH = 1 << 18  # mh_uniform.DEFAULT_SKETCH_WIDTH
+MH_SKETCH_DEPTH = 4  # mh_uniform.DEFAULT_SKETCH_DEPTH
+MH_RETRY_CAP = 100  # mh_uniform.DEFAULT_RETRY_CAP
+# The errors that exit with EXIT_NUMERIC, by module. A run that raised one
+# has imported its module, so they are looked up in sys.modules.
+NUMERIC_ERRORS = (("pwdist.zipf_fit", "FitError"), ("pwdist.mh_uniform", "BannedExhaustionError"))
 MANIFEST_NAME = "manifest.json"
 PARTIAL_SUFFIX = ".partial"
 
@@ -111,8 +123,16 @@ def _read_words(path: Path) -> list[bytes]:
         return [line for lines in ingest.line_blocks(fh) for line in lines if line]
 
 
+def _numeric_errors() -> tuple[type, ...]:
+    return tuple(
+        getattr(sys.modules[module], name) for module, name in NUMERIC_ERRORS if module in sys.modules
+    )
+
+
 def _ordering(args) -> crossguess.GuessOrdering | None:
     """The guess order given by ``--ordering`` (a table) or ``--wordlist``, if any."""
+    from . import crossguess
+
     if args.ordering:
         path = _input(args, args.ordering)
         return crossguess.GuessOrdering.from_table(ingest.read_table_tsv(path), label=path.name)
@@ -140,6 +160,8 @@ def cmd_ingest(args) -> tuple[dict, dict]:
 
 
 def cmd_fit(args) -> tuple[dict, dict]:
+    from . import zipf_fit
+
     table = ingest.read_table_tsv(_input(args, args.table))
     cc = ingest.count_of_counts(table)
     fits: list[zipf_fit.ZipfFit] = []
@@ -171,6 +193,8 @@ def cmd_fit(args) -> tuple[dict, dict]:
 
 
 def cmd_stats(args) -> tuple[dict, dict]:
+    from . import stats, zipf_fit
+
     table = ingest.read_table_tsv(_input(args, args.table))
     if args.s is not None:
         fit = zipf_fit.ZipfFit(s=args.s, method=zipf_fit.METHOD_MLE, truncation_N=table.distinct_count)
@@ -184,6 +208,8 @@ def cmd_stats(args) -> tuple[dict, dict]:
 
 
 def cmd_curve(args) -> tuple[dict, dict]:
+    from . import crossguess
+
     target = ingest.read_table_tsv(_input(args, args.target))
     if args.truncate is not None:
         target = crossguess.truncate_reaggregate(target, args.truncate, tie_break_seed=args.seed)
@@ -204,6 +230,9 @@ def cmd_curve(args) -> tuple[dict, dict]:
 
 
 def cmd_crack(args) -> tuple[dict, dict]:
+    from . import crack as crack_mod, crossguess
+    from .column import PasswordColumn
+
     parameters = {"seed": args.seed, "log_spaced": args.log_spaced}
     counters = {}
     if args.corpus:
@@ -211,7 +240,9 @@ def cmd_crack(args) -> tuple[dict, dict]:
         salt_count = CRACK_SALT_COUNT if args.salt_count is None else args.salt_count
         with open(_input(args, args.corpus), "rb") as fh:
             latest, read_stats = ingest.read_credentials(fh, corpus_format)
-        corpus = crack_mod.hash_corpus(list(latest), list(latest.values()), args.seed, salt_count)
+        corpus = crack_mod.hash_corpus(
+            PasswordColumn(latest), PasswordColumn(latest.values()), args.seed, salt_count
+        )
         del latest  # the replay needs only the hashed corpus
         crack_mod.write_hashes_tsv(corpus, _stage(args, "hashes.tsv"))
         print(
@@ -246,6 +277,8 @@ def cmd_crack(args) -> tuple[dict, dict]:
 
 
 def cmd_mhsim(args) -> tuple[dict, dict]:
+    from . import mh_uniform, stats
+
     if args.backend == mh_uniform.BACKEND_EXACT:
         for option, value in (("width", args.width), ("depth", args.depth)):
             if value is not None:
@@ -253,8 +286,8 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
         store = mh_uniform.ExactFrequencyStore()
         sketch = {}
     else:
-        width = mh_uniform.DEFAULT_SKETCH_WIDTH if args.width is None else args.width
-        depth = mh_uniform.DEFAULT_SKETCH_DEPTH if args.depth is None else args.depth
+        width = MH_SKETCH_WIDTH if args.width is None else args.width
+        depth = MH_SKETCH_DEPTH if args.depth is None else args.depth
         store = mh_uniform.CountMinStore(width=width, depth=depth, master_seed=args.seed)
         sketch = {"width": width, "depth": depth}
 
@@ -379,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("stats", cmd_stats, "guesswork and entropy statistics")
     p.add_argument("--table", required=True)
-    p.add_argument("--alpha", type=float, default=stats.DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--s", type=float, default=None, help="Zipf exponent; None fits it by MLE")
 
     p = command("curve", cmd_curve, "self or cross guessing curves")
@@ -387,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     order = p.add_mutually_exclusive_group()
     order.add_argument("--reference", dest="ordering", help="table whose ordering drives the guessing")
     order.add_argument("--wordlist", help="dictionary file, guessed in lexical order")
-    p.add_argument("--metric", choices=crossguess.METRICS, default=crossguess.METRIC_USERS)
+    p.add_argument("--metric", choices=METRICS, default=METRICS[0])
     p.add_argument("--truncate", type=int, default=None, help="truncate-and-reaggregate the target first")
     p.add_argument("--log-spaced", action="store_true", help="sample the curve at log-spaced indices")
 
@@ -423,19 +456,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-users", type=int, default=10000, help="users to enrol")
     p.add_argument(
         "--backend",
-        choices=(mh_uniform.BACKEND_EXACT, mh_uniform.BACKEND_COUNT_MIN),
-        default=mh_uniform.BACKEND_EXACT,
+        choices=MH_BACKENDS,
+        default=MH_BACKENDS[0],
         help="frequency store",
     )
     p.add_argument(
         "--width", type=int, default=None,
-        help=f"count-min width for backend=count-min; None means {mh_uniform.DEFAULT_SKETCH_WIDTH}",
+        help=f"count-min width for backend=count-min; None means {MH_SKETCH_WIDTH}",
     )
     p.add_argument(
         "--depth", type=int, default=None,
-        help=f"count-min depth for backend=count-min; None means {mh_uniform.DEFAULT_SKETCH_DEPTH}",
+        help=f"count-min depth for backend=count-min; None means {MH_SKETCH_DEPTH}",
     )
-    p.add_argument("--retry-cap", type=int, default=mh_uniform.DEFAULT_RETRY_CAP, help="asks per session")
+    p.add_argument("--retry-cap", type=int, default=MH_RETRY_CAP, help="asks per session")
     p.add_argument("--ban-file", default=None, help="passwords never accepted")
 
     return parser
@@ -468,7 +501,7 @@ def main(argv=None) -> int:
     except (ingest.CorpusError, OSError) as exc:
         _error_line("input", str(exc))
         return EXIT_INPUT
-    except (zipf_fit.FitError, mh_uniform.BannedExhaustionError) as exc:
+    except _numeric_errors() as exc:
         _error_line("numeric", str(exc))
         return EXIT_NUMERIC
     except ValueError as exc:

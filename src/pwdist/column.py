@@ -1,10 +1,11 @@
 """A column of byte strings: one buffer plus int64 offsets.
 
-Tables hold their passwords, and guess orderings their guesses, as a
-:class:`PasswordColumn`, so that a row costs its bytes plus an 8-byte
-offset instead of a Python ``bytes`` object. Duplicates are found, and two
-columns joined, by sorting a vectorised 64-bit hash of each row
-(:func:`row_hashes`) and comparing bytes only where hashes are equal.
+Tables hold their passwords, guess orderings their guesses and hashed
+corpora their users as a :class:`PasswordColumn`, so that a row costs its
+bytes plus an 8-byte offset instead of a Python ``bytes`` object.
+Duplicates are found, and two columns joined, by sorting a vectorised
+64-bit hash of each row (:func:`row_hashes`) and comparing bytes only
+where hashes are equal.
 """
 
 from __future__ import annotations
@@ -163,6 +164,24 @@ class PasswordColumn(Sequence[bytes]):
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    def take(self, rows: np.ndarray) -> "PasswordColumn":
+        """The column of the given rows of this one, in the order given.
+
+        The bytes are gathered in numpy, ``JOIN_BLOCK`` rows at a time.
+        """
+        data = np.frombuffer(self.data, dtype=np.uint8)
+        pieces: list[bytes] = []
+        lengths: list[np.ndarray] = []
+        for start in range(0, len(rows), JOIN_BLOCK):
+            block = rows[start : start + JOIN_BLOCK]
+            begin = self.offsets[block]
+            length = self.offsets[block + 1] - begin
+            # Byte k of the piece is byte k - (where its row starts in the piece) of its row.
+            at = np.repeat(begin - (np.cumsum(length) - length), length) + np.arange(length.sum())
+            pieces.append(data[at].tobytes())
+            lengths.append(length)
+        return PasswordColumn.from_pieces(pieces, lengths)
+
     def hash_order(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's :func:`row_hashes` value, and the rows in ascending hash order."""
         if self._hashes is None:
@@ -211,6 +230,11 @@ class PasswordColumn(Sequence[bytes]):
                     found[probe_order[k]] = j
                     break
         return found
+
+
+def as_column(rows: Iterable[bytes]) -> PasswordColumn:
+    """``rows`` if it is a :class:`PasswordColumn`, else a column built from it."""
+    return rows if isinstance(rows, PasswordColumn) else PasswordColumn(rows)
 
 
 def row_hashes(column: PasswordColumn) -> np.ndarray:

@@ -5,15 +5,21 @@ crypt(3) (8-byte truncation, two-character salts from the crypt alphabet)
 without implementing it: the digest is a 64-bit FNV-1a over salt bytes then
 the password's first 8 bytes, finished with the splitmix64 avalanche, so
 independent implementations interoperate bit for bit. A hashed corpus is
-held as columns (users, a salt index and a digest per row). The cracking
-loop hashes each fresh guess once per salt that still has uncracked rows,
-which is exactly why real salted corpora cost thousands of hash calls per
-guess. Hashing is batched: a block of fresh guesses is hashed against every
-live salt as one ``(guesses x salts)`` array.
+held as columns: its users in a :class:`~pwdist.column.PasswordColumn`,
+and a salt index and a digest per row. Passwords and guesses are hashed
+from the first 8 bytes of each row, read as one word of their column. The
+cracking loop hashes each fresh guess once per salt that still has
+uncracked rows, which is exactly why real salted corpora cost thousands of
+hash calls per guess. Hashing is batched: a block of fresh guesses is
+hashed against every live salt as one ``(guesses x salts)`` array, and
+the block's hits are resolved into cracked rows by index arrays. The
+cracked users and guesses are two columns, and ``hashes.tsv`` and
+``cracked.tsv`` are laid out a block of rows at a time in numpy.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .crossguess import GuessCurve, GuessOrdering, METRIC_DISTINCT, METRIC_USERS, curve_from_increments
-from .column import splitmix64
-from .ingest import WRITE_BLOCK, CorpusError, line_blocks
-from .tsvio import escape_field, unescape_field
+from .column import PasswordColumn, _low_bytes, _words, as_column, splitmix64
+from .ingest import WRITE_BLOCK, CorpusError, _password_bytes, line_blocks
+from .tsvio import unescape_field
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -46,16 +52,20 @@ PREFILTER_BITS = 20
 class HashedCorpus:
     """A salted hashed corpus held as columns, one row per user.
 
-    Row i is user ``users[i]``, hashed under ``salts[salt_index[i]]`` to
-    the 8-byte digest ``digests[i]`` (a big-endian digest read as a
+    Row i is user ``users[i]`` (a :class:`PasswordColumn`, built from any
+    sequence of bytes given), hashed under ``salts[salt_index[i]]`` to the
+    8-byte digest ``digests[i]`` (a big-endian digest read as a
     ``uint64``). ``salts`` holds each salt once, in the order of the first
     row that uses it.
     """
 
-    users: list[bytes]
+    users: PasswordColumn
     salts: list[bytes]
     salt_index: np.ndarray
     digests: np.ndarray
+
+    def __post_init__(self):
+        self.users = as_column(self.users)
 
     def __len__(self) -> int:
         return len(self.users)
@@ -94,25 +104,51 @@ def _trunc8_mix64(salt: bytes, password: bytes) -> bytes:
     return _avalanche64(h).to_bytes(8, "big")
 
 
-def _trunc8_mix64_many(salts: Sequence[bytes], passwords: Sequence[bytes]) -> np.ndarray:
-    """``trunc8-mix64`` of every (password, salt) pair as a uint64 array.
+def _heads(column: PasswordColumn) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first 8 bytes, the bytes the hash reads, and how many there are.
 
-    The FNV state after each salt is computed once; the at most 8 password
-    bytes are then folded into a ``(passwords, salts)`` array of states, a
-    length mask leaving a state alone once its password has run out.
-    uint64 multiplication wraps, which is the ``& _MASK64`` of the scalar code.
+    The bytes are a little-endian uint64 read from the column's word view,
+    NUL past the row's end.
     """
-    n = len(passwords)
-    state = np.array([_fnv1a64(salt) for salt in salts], dtype=np.uint64)
-    head = b"".join(pw[:8].ljust(8, b"\0") for pw in passwords)
-    pw_bytes = np.frombuffer(head, dtype=np.uint8).reshape(n, 8).astype(np.uint64)
-    lengths = np.fromiter((len(pw) for pw in passwords), dtype=np.int64, count=n)
-    h = np.broadcast_to(state, (n, len(state))).copy()
+    lengths = np.minimum(column.lengths(), 8)
+    return _words(column.data)[column.offsets[:-1]] & _low_bytes(lengths), lengths
+
+
+def _head_column(heads: np.ndarray, lengths: np.ndarray) -> PasswordColumn:
+    """The column whose row i is the first ``lengths[i]`` bytes of ``heads[i]``."""
+    raw = heads.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return PasswordColumn.from_pieces([raw[np.arange(8) < lengths[:, None]].tobytes()], [lengths])
+
+
+def _fold_heads(state: np.ndarray, heads: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``trunc8-mix64`` digests: FNV-1a continued from ``state`` over the first
+    ``lengths`` bytes of each head, then the splitmix64 finaliser.
+
+    The arguments broadcast. A length mask leaves a state alone once its
+    password has run out; uint64 multiplication wraps, which is the
+    ``& _MASK64`` of the scalar code.
+    """
+    h = np.array(np.broadcast_to(state, np.broadcast_shapes(state.shape, heads.shape)))
     prime = np.uint64(_FNV_PRIME)
     for k in range(8):
-        folded = (h ^ pw_bytes[:, k, None]) * prime
-        h = np.where((lengths > k)[:, None], folded, h)
+        byte = (heads >> np.uint64(8 * k)) & np.uint64(0xFF)
+        np.copyto(h, (h ^ byte) * prime, where=lengths > k)
     return splitmix64(h)
+
+
+def _salt_states(salts: Sequence[bytes]) -> np.ndarray:
+    """The FNV-1a state after each salt."""
+    return np.array([_fnv1a64(salt) for salt in salts], dtype=np.uint64)
+
+
+def _trunc8_mix64_many(salts: Sequence[bytes], passwords: Sequence[bytes]) -> np.ndarray:
+    """``trunc8-mix64`` of every (password, salt) pair as a ``(passwords, salts)`` uint64 array.
+
+    The FNV state after each salt is computed once, and the passwords'
+    heads are folded into it in one numpy pass per byte position.
+    """
+    heads, lengths = _heads(as_column(passwords))
+    return _fold_heads(_salt_states(salts)[None, :], heads[:, None], lengths[:, None])
 
 
 def generate_salts(salt_seed: int, salt_count: int) -> list[bytes]:
@@ -167,27 +203,59 @@ def hash_corpus(
     """Hash each user's password under a salt drawn uniformly from a seeded set.
 
     Salts are drawn in row order, one ``randrange(salt_count)`` per user.
-    Rows are grouped by their drawn salt and each group is hashed with one
-    ``_trunc8_mix64_many`` call.
+    Every row is hashed in one numpy pass per byte of its password's head,
+    read from the password column's words.
     """
+    users, passwords = as_column(users), as_column(passwords)
     if len(users) != len(passwords):
         raise ValueError("need exactly one password per user")
     salts = generate_salts(salt_seed, salt_count)
     rng = random.Random((salt_seed ^ 0x5A17) & _MASK64)
     drawn = draw_below(rng, salt_count, len(users))
     # Renumber the drawn salts by first use.
-    used = list(dict.fromkeys(drawn.tolist()))
+    used, first = np.unique(drawn, return_index=True)
+    used = used[np.argsort(first)]
     renumber = np.zeros(salt_count, dtype=np.int64)
     renumber[used] = np.arange(len(used))
-    salt_index = renumber[drawn]
-    digests = np.empty(len(users), dtype=np.uint64)
-    for j, salt in enumerate(used):
-        rows = np.flatnonzero(salt_index == j)
-        group = [passwords[i] for i in rows.tolist()]
-        digests[rows] = _trunc8_mix64_many([salts[salt]], group)[:, 0]
+    heads, lengths = _heads(passwords)
     return HashedCorpus(
-        users=list(users), salts=[salts[j] for j in used], salt_index=salt_index, digests=digests
+        users=users,
+        salts=[salts[j] for j in used.tolist()],
+        salt_index=renumber[drawn],
+        digests=_fold_heads(_salt_states(salts)[drawn], heads, lengths),
     )
+
+
+@dataclass(eq=False)
+class CrackedRows(Sequence[tuple[bytes, bytes]]):
+    """The ``(user, truncated guess)`` rows a replay cracked, in order, as two columns.
+
+    ``users`` and ``guesses`` are :class:`PasswordColumn` s of one row per
+    cracked user. It reads like a list of byte pairs: ``len``, an int index
+    gives a pair, a slice gives rows, iteration, and ``==`` against a list
+    or another ``CrackedRows``.
+    """
+
+    users: PasswordColumn
+    guesses: PasswordColumn
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return CrackedRows(self.users[key], self.guesses[key])
+        return self.users[key], self.guesses[key]
+
+    def __iter__(self):
+        return zip(self.users, self.guesses)
+
+    def __eq__(self, other):
+        if isinstance(other, CrackedRows):
+            return self.users == other.users and self.guesses == other.guesses
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
 
 
 @dataclass
@@ -201,7 +269,7 @@ class CrackReport:
 
     curve_users: GuessCurve
     curve_distinct: GuessCurve
-    cracked: list[tuple[bytes, bytes]]
+    cracked: CrackedRows
     uncracked_count: int
 
 
@@ -214,88 +282,118 @@ def crack(corpus: HashedCorpus, ordering: GuessOrdering) -> CrackReport:
     evaluation, and ``cracked`` holds the cut guess. Fresh
     guesses are hashed in blocks of ``GUESS_BLOCK`` against every salt that
     still has uncracked rows; a salt left with none retires before the
-    next block. Hits are resolved guess by guess, within a guess in the
-    order of ``corpus.salts``, and within a salt in row order, so a row
-    goes to the first guess that matches it and ``cracked`` has the same
-    order in every process.
+    next block. A block's hits are resolved in numpy: every row in a hit's
+    digest run that has the hit's salt and is not cracked yet goes to the
+    hit, taking hits guess by guess, within a guess in the order of
+    ``corpus.salts``, and within a salt in row order. So a row goes to the
+    first guess that matches it, and ``cracked`` has the same order in
+    every process.
     """
     n = len(corpus)
     # Rows sorted by digest, then salt, then row: the rows one (salt, guess)
     # hit cracks are the ones of its salt in its digest's run.
     order = np.lexsort((corpus.salt_index, corpus.digests))
     sorted_digests = corpus.digests[order]
+    sorted_salts = corpus.salt_index[order]
     # Whether any row's digest has given top PREFILTER_BITS bits: most
     # (guess, salt) digests are ruled out by this before the sorted search.
     top = np.uint64(64 - PREFILTER_BITS)
     present = np.zeros(1 << PREFILTER_BITS, dtype=bool)
     present[corpus.digests >> top] = True
-    salt_at = corpus.salt_index[order].tolist()
-    user_at = [corpus.users[i] for i in order.tolist()]
-    done = bytearray(n)
+    done = np.zeros(n, dtype=bool)
     # Uncracked rows per salt.
-    left = np.bincount(corpus.salt_index, minlength=len(corpus.salts)).tolist()
-    fresh: list[bytes] = []
-    fresh_at: list[int] = []
-    tried: set[bytes] = set()
-    for i, guess in enumerate(ordering.guesses):
-        truncated = guess[:8]
-        if truncated not in tried:
-            tried.add(truncated)
-            fresh.append(truncated)
-            fresh_at.append(i)
-    live = [j for j, rows_left in enumerate(left) if rows_left]
-    users_inc = np.zeros(len(ordering.guesses), dtype=np.int64)
-    cracked: list[tuple[bytes, bytes]] = []
+    left = np.bincount(corpus.salt_index, minlength=len(corpus.salts))
+    # The first guess of each cut: a stable sort brings equal cuts together in guess order.
+    heads, cut_lengths = _heads(ordering.guesses)
+    by_cut = np.lexsort((heads, cut_lengths))
+    new_cut = np.ones(len(by_cut), dtype=bool)
+    new_cut[1:] = (np.diff(heads[by_cut]) != 0) | (np.diff(cut_lengths[by_cut]) != 0)
+    fresh_at = np.sort(by_cut[new_cut])
+    fresh = _head_column(heads[fresh_at], cut_lengths[fresh_at])
+    live = np.flatnonzero(left)
+    cracked_at: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    cracked_by: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     for start in range(0, len(fresh), GUESS_BLOCK):
-        if not live:
+        if not len(live):
             break
         block = fresh[start : start + GUESS_BLOCK]
-        digests = _trunc8_mix64_many([corpus.salts[j] for j in live], block)
-        rows, cols = np.nonzero(present[digests >> top])
-        found = digests[rows, cols]
-        run_starts = np.searchsorted(sorted_digests, found)
-        hit = run_starts < n
-        hit[hit] = sorted_digests[run_starts[hit]] == found[hit]
-        rows, cols, found, run_starts = rows[hit], cols[hit], found[hit], run_starts[hit]
-        run_ends = np.searchsorted(sorted_digests, found, side="right")
-        for g, s, lo, hi in zip(rows.tolist(), cols.tolist(), run_starts.tolist(), run_ends.tolist()):
-            salt = live[s]
-            users = []
-            for q in range(lo, hi):
-                if salt_at[q] == salt and not done[q]:
-                    done[q] = 1
-                    users.append(user_at[q])
-            if users:
-                users_inc[fresh_at[start + g]] += len(users)
-                left[salt] -= len(users)
-                cracked.extend((u, block[g]) for u in users)
-        live = [j for j in live if left[j]]
+        digests = _trunc8_mix64_many([corpus.salts[j] for j in live.tolist()], block)
+        guess, col = np.nonzero(present[digests >> top])
+        found = digests[guess, col]
+        lo = np.searchsorted(sorted_digests, found)
+        run = np.searchsorted(sorted_digests, found, side="right") - lo
+        # Every row of every hit's digest run, hit by hit, as sorted positions.
+        hit = np.repeat(np.arange(len(run)), run)
+        at = np.repeat(lo - (np.cumsum(run) - run), run) + np.arange(len(hit))
+        keep = (sorted_salts[at] == live[col[hit]]) & ~done[at]
+        at, hit = at[keep], hit[keep]
+        # Two guesses of a block whose digests collide under one salt: the first wins.
+        first = np.unique(at, return_index=True)[1]
+        if len(first) < len(at):
+            first.sort()
+            at, hit = at[first], hit[first]
+        done[at] = True
+        left -= np.bincount(sorted_salts[at], minlength=len(left))
+        live = live[left[live] > 0]
+        cracked_at.append(at)
+        cracked_by.append(start + guess[hit])
+    at = np.concatenate(cracked_at)
+    by = np.concatenate(cracked_by)
+    users_inc = np.bincount(fresh_at[by], minlength=len(ordering.guesses))
     distinct_inc = (users_inc > 0).astype(np.int64)
     distinct_recovered = int(distinct_inc.sum())
-    uncracked_count = n - len(cracked)
+    uncracked_count = n - len(at)
     return CrackReport(
         curve_users=curve_from_increments(users_inc, n, METRIC_USERS),
         curve_distinct=curve_from_increments(
             distinct_inc, distinct_recovered + uncracked_count, METRIC_DISTINCT
         ),
-        cracked=cracked,
+        cracked=CrackedRows(corpus.users.take(order[at]), fresh.take(by)),
         uncracked_count=uncracked_count,
     )
 
 
+def _lay_out(fields: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Rows laid end to end as uint8: row i is piece i of each field in turn.
+
+    A field is its pieces' bytes joined, as uint8, and each piece's length.
+    """
+    runs = np.stack([lengths for _, lengths in fields], axis=1).ravel()
+    field_of = np.repeat(np.tile(np.arange(len(fields), dtype=np.uint8), len(runs) // len(fields)), runs)
+    out = np.empty(len(field_of), dtype=np.uint8)
+    for k, (data, _) in enumerate(fields):
+        out[field_of == k] = data
+    return out
+
+
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_NIBBLE_SHIFTS = np.arange(60, -1, -4, dtype=np.uint64)
+
+
 def write_hashes_tsv(corpus: HashedCorpus, path) -> None:
-    """Export as ``user<TAB>salt-hex<TAB>digest-hex``, a block of rows per write."""
-    salt_hex = [salt.hex().encode() for salt in corpus.salts]
+    """Export as ``user<TAB>salt-hex<TAB>digest-hex``, laid out a block of rows at a time.
+
+    Each ``WRITE_BLOCK`` of rows is one uint8 buffer: each user's bytes,
+    escaped only where they hold a byte to escape, then a tail of TAB, salt
+    hex, TAB, digest hex and LF that numpy formats for all rows at once.
+    """
+    # Each salt's tail bytes up to its digest, NUL-padded to the longest.
+    salt_width = 2 * max(map(len, corpus.salts), default=0) + 2
+    salt_tails = np.zeros((len(corpus.salts), salt_width), dtype=np.uint8)
+    for j, salt in enumerate(corpus.salts):
+        salt_tails[j, : 2 * len(salt) + 2] = np.frombuffer(b"\t%s\t" % salt.hex().encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(HASHES_HEADER + b"\n")
         for start in range(0, len(corpus), WRITE_BLOCK):
             stop = start + WRITE_BLOCK
-            rows = zip(
-                map(escape_field, corpus.users[start:stop]),
-                map(salt_hex.__getitem__, corpus.salt_index[start:stop].tolist()),
-                corpus.digests[start:stop].tolist(),
-            )
-            fh.write(b"".join([b"%s\t%s\t%016x\n" % row for row in rows]))
+            digests = corpus.digests[start:stop]
+            tails = np.empty((len(digests), salt_width + 17), dtype=np.uint8)
+            tails[:, :salt_width] = salt_tails[corpus.salt_index[start:stop]]
+            tails[:, salt_width:-1] = _HEX_DIGITS[(digests[:, None] >> _NIBBLE_SHIFTS) & np.uint64(15)]
+            tails[:, -1] = 0x0A
+            kept = tails != 0
+            users = _password_bytes(corpus.users[start:stop])
+            fh.write(_lay_out([users, (tails[kept], np.count_nonzero(kept, axis=1))]))
 
 
 def _hashes_row(line: bytes) -> tuple[bytes, bytes, bytes]:
@@ -318,9 +416,11 @@ def read_hashes_tsv(path) -> HashedCorpus:
 
     CRLF rows and blank lines are accepted; a wrong header, a row without
     exactly three fields, a bad escape or hex field, or a digest that is
-    not 8 bytes raises :class:`CorpusError`.
+    not 8 bytes raises :class:`CorpusError`. Each block of rows read is
+    joined into the users column.
     """
-    users: list[bytes] = []
+    pieces: list[bytes] = []
+    lengths: list[np.ndarray] = []
     salt_ids: dict[bytes, int] = {}
     salt_index: list[int] = []
     digests: list[bytes] = []
@@ -328,14 +428,17 @@ def read_hashes_tsv(path) -> HashedCorpus:
         if fh.readline().rstrip(b"\r\n") != HASHES_HEADER:
             raise CorpusError(f"not a hashed-corpus file: {path}")
         for lines in line_blocks(fh):
+            users = []
             for line in lines:
                 if line:
                     user, salt, digest = _hashes_row(line)
                     users.append(user)
                     salt_index.append(salt_ids.setdefault(salt, len(salt_ids)))
                     digests.append(digest)
+            pieces.append(b"".join(users))
+            lengths.append(np.fromiter(map(len, users), dtype=np.int64, count=len(users)))
     return HashedCorpus(
-        users=users,
+        users=PasswordColumn.from_pieces(pieces, lengths),
         salts=list(salt_ids),
         salt_index=np.array(salt_index, dtype=np.int64),
         digests=np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64),
@@ -343,8 +446,21 @@ def read_hashes_tsv(path) -> HashedCorpus:
 
 
 def write_cracked_tsv(report: CrackReport, path) -> None:
+    """Export as ``user<TAB>password``, the cut guess, laid out a block of rows at a time.
+
+    Each ``WRITE_BLOCK`` of rows is one uint8 buffer of users and guesses,
+    each escaped only where it holds a byte to escape, between TABs and LFs.
+    """
+    cracked = report.cracked
     with open(path, "wb") as fh:
         fh.write(b"user\tpassword\n")
-        for start in range(0, len(report.cracked), WRITE_BLOCK):
-            rows = report.cracked[start : start + WRITE_BLOCK]
-            fh.write(b"".join([b"%s\t%s\n" % (escape_field(u), escape_field(p)) for u, p in rows]))
+        for start in range(0, len(cracked), WRITE_BLOCK):
+            rows = cracked[start : start + WRITE_BLOCK]
+            ones = np.ones(len(rows), dtype=np.int64)
+            fields = [
+                _password_bytes(rows.users),
+                (np.full(len(rows), 0x09, dtype=np.uint8), ones),
+                _password_bytes(rows.guesses),
+                (np.full(len(rows), 0x0A, dtype=np.uint8), ones),
+            ]
+            fh.write(_lay_out(fields))

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .column import PasswordColumn
+from .column import PasswordColumn, as_column
 from .ingest import WRITE_BLOCK, RankFrequencyTable, _put_decimal, table_from_counter
 
 METRIC_USERS = "users"
@@ -40,8 +40,7 @@ class GuessOrdering:
     source_label: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.guesses, PasswordColumn):
-            self.guesses = PasswordColumn(self.guesses)
+        self.guesses = as_column(self.guesses)
         if self.guesses.has_duplicates():
             raise ValueError("guess ordering contains duplicate passwords")
 

@@ -27,7 +27,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .column import PasswordColumn
+from .column import PasswordColumn, as_column
 from .tsvio import escape_field, unescape_field
 
 FORMAT_USER_TAB_PASSWORD = "user-tab-password"
@@ -70,8 +70,7 @@ class RankFrequencyTable:
     tie_break_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.passwords, PasswordColumn):
-            self.passwords = PasswordColumn(self.passwords)
+        self.passwords = as_column(self.passwords)
         self.counts = np.asarray(self.counts, dtype=np.int64)
 
     @property

@@ -132,15 +132,13 @@ class CountMinStore:
         """
         offsets = np.empty((len(keys), self.depth), dtype=np.int64)
         for row, (base, row_hash) in enumerate(self._rows):
-            copy = row_hash.copy
-
-            def digest(key: bytes) -> bytes:
-                h = copy()
+            digests = []
+            for key in keys:
+                h = row_hash.copy()
                 h.update(key)
-                return h.digest()
-
-            digests = np.frombuffer(b"".join(map(digest, keys)), dtype=">u8")
-            offsets[:, row] = digests % np.uint64(self.width) + np.uint64(base)
+                digests.append(h.digest())
+            keyed = np.frombuffer(b"".join(digests), dtype=">u8")
+            offsets[:, row] = keyed % np.uint64(self.width) + np.uint64(base)
         return offsets
 
     def _key_offsets(self, key: bytes) -> list[int]:

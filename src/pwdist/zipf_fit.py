@@ -204,22 +204,40 @@ def ls_nk(cc: CountOfCounts, binned: bool = False) -> ZipfFit:
 # ---------------------------------------------------------------------------
 
 
-def _log_ranks(n: int) -> np.ndarray:
-    return np.log(np.arange(1, n + 1, dtype=np.float64))
+@dataclass(frozen=True)
+class _LogRanks:
+    """ln r for ranks r = 1..n, its square, and a buffer that the weights r^-s are written into.
+
+    The fits of one table, of its bootstrap replicates and of one debias
+    round share one, so that no pass over the ranks allocates: ``[:k]``
+    gives the first k ranks, sharing the arrays.
+    """
+
+    lr: np.ndarray
+    lr2: np.ndarray
+    w: np.ndarray
+
+    def __getitem__(self, key: slice) -> "_LogRanks":
+        return _LogRanks(self.lr[key], self.lr2[key], self.w[key])
 
 
-def _rank_weights(s: float, lr: np.ndarray) -> np.ndarray:
-    """r^-s as exp(-s ln r), computed in place in one new array."""
-    w = lr * -s
+def _log_ranks(n: int) -> _LogRanks:
+    lr = np.log(np.arange(1, n + 1, dtype=np.float64))
+    return _LogRanks(lr, lr * lr, np.empty(n))
+
+
+def _rank_weights(s: float, ranks: _LogRanks) -> np.ndarray:
+    """r^-s as exp(-s ln r), written into the ranks' weights buffer."""
+    w = np.multiply(ranks.lr, -s, out=ranks.w)
     return np.exp(w, out=w)
 
 
 def _mle_core(
-    counts: np.ndarray, lr: np.ndarray | None = None, s0: float = 0.0
+    counts: np.ndarray, ranks: _LogRanks | None = None, s0: float = 0.0
 ) -> tuple[float, float, str | None]:
     """Fit non-increasing counts by safeguarded Newton; returns (s, stderr, flag).
 
-    ``lr`` holds at least ``len(counts)`` ln ranks to share between calls;
+    ``ranks`` covers at least ``len(counts)`` ranks, to share between calls;
     ``s0`` is a warm start. One pass gives g and the observed information
     -g'. A step that leaves the bracket bisects it, or doubles s while it
     has no upper end; the solve stops at a step below _STEP_TOL * max(1, s),
@@ -227,17 +245,17 @@ def _mle_core(
     The stderr is 1 / sqrt(information) at the root.
     """
     n = len(counts)
-    lr = _log_ranks(n) if lr is None else lr[:n]
+    ranks = _log_ranks(n) if ranks is None else ranks[:n]
+    lr, lr2 = ranks.lr, ranks.lr2
     m = float(counts.sum())
     a = float(counts @ lr)
     # g(0) = -N * Cov(f, ln r) is exactly 0 for equal counts, whatever sign
     # the rounded sums give it, and positive otherwise.
     flat = counts[0] == counts[-1]
     s = 0.0 if flat else s0
-    lr2 = lr * lr
     lo, hi = -math.inf, math.inf
     for _ in range(_MAX_PASSES):
-        w = _rank_weights(s, lr)
+        w = _rank_weights(s, ranks)
         h = float(w.sum())
         m1 = float(w @ lr) / h
         g, info = -a + m * m1, m * (float(w @ lr2) / h - m1 * m1)
@@ -268,7 +286,7 @@ def _mle_core(
     return s, (1.0 / math.sqrt(info) if info > 0.0 else math.inf), flag
 
 
-def _golden_s(counts: np.ndarray, lr: np.ndarray, s0: float = 0.0) -> float:
+def _golden_s(counts: np.ndarray, ranks: _LogRanks, s0: float = 0.0) -> float:
     """The s that a golden-section search on the likelihood returns, bit for bit.
 
     The debiased exponent is defined with this search: bracket [0, 10],
@@ -284,18 +302,19 @@ def _golden_s(counts: np.ndarray, lr: np.ndarray, s0: float = 0.0) -> float:
     did: about 19 of its 52 passes on a 40,000-rank table, after about 4
     for the Newton solve.
     """
-    s_root, stderr, _ = _mle_core(counts, lr, s0)
+    s_root, stderr, _ = _mle_core(counts, ranks, s0)
     n = len(counts)
-    lr = lr[:n]
+    ranks = ranks[:n]
+    lr = ranks.lr
     m = float(counts.sum())
     a = float(counts @ lr)
 
     def score(s: float) -> float:
-        w = _rank_weights(s, lr)
+        w = _rank_weights(s, ranks)
         return -a + m * float(w @ lr) / float(w.sum())
 
     def neg_loglik(s: float) -> float:
-        return s * a + m * math.log(float(_rank_weights(s, lr).sum()))
+        return s * a + m * math.log(float(_rank_weights(s, ranks).sum()))
 
     if score(0.0) <= 0.0:
         return 0.0
@@ -355,6 +374,16 @@ def _zipf_probs(s: float, n_ranks: int) -> np.ndarray:
     return p
 
 
+def _sorted_table(sample: np.ndarray) -> np.ndarray:
+    """The non-zero counts of ``sample`` in descending order, as a sorted table's counts.
+
+    A view of ``sample``, sorted in place, so that a replicate or a debias
+    simulation holds no array past its draw.
+    """
+    sample.sort()
+    return sample[::-1][: np.count_nonzero(sample)]
+
+
 def sample_zipf_counts(s: float, n_ranks: int, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """Per-rank counts of n_draws i.i.d. draws from truncated Zipf(s, n_ranks)."""
     return rng.multinomial(n_draws, _zipf_probs(s, n_ranks))
@@ -378,13 +407,12 @@ def _indirect_inference(counts: np.ndarray, seed: int) -> float:
     s, n = s_naive, n_obs
     for round_idx in range(_CORRECTION_ROUNDS):
         sims = _CORRECTION_SIMS_FINAL if round_idx >= _CORRECTION_ROUNDS - 2 else _CORRECTION_SIMS
-        lr = _log_ranks(n)
+        ranks = _log_ranks(n)
         p = _zipf_probs(s, n)
         fit_sum, distinct_sum = 0.0, 0
         for _ in range(sims):
-            sample = rng.multinomial(m, p)
-            rep = np.sort(sample[sample > 0])[::-1]
-            fit_sum += _golden_s(rep, lr, s)
+            rep = _sorted_table(rng.multinomial(m, p))
+            fit_sum += _golden_s(rep, ranks, s)
             distinct_sum += len(rep)
         s = max(s + (s_naive - fit_sum / sims), 0.0)
         n = max(int(round(n + (n_obs - distinct_sum / sims))), n_obs)
@@ -418,23 +446,37 @@ def mle_truncated_zipf(
     )
 
 
-def _ad_ks_statistic(counts: np.ndarray, s: float, lr: np.ndarray) -> float:
+def _statistic_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for :func:`_ad_ks_statistic` on up to n ranks."""
+    return np.empty(n), np.empty(n)
+
+
+def _ad_ks_statistic(
+    counts: np.ndarray, s: float, ranks: _LogRanks, buffers: tuple[np.ndarray, np.ndarray]
+) -> float:
     """Anderson-Darling-weighted KS distance between rank CDFs.
 
     Sup over ranks of |empirical - model| / sqrt(model * (1 - model)),
     which weights tail discrepancies as heavily as the middle. The last
     rank, where both CDFs are exactly 1, is excluded. The survival term
-    is accumulated from the tail to dodge cancellation. ``lr`` holds at
-    least ``len(counts)`` ln ranks.
+    is accumulated from the tail to dodge cancellation. ``ranks`` and the
+    :func:`_statistic_buffers` cover at least ``len(counts)`` ranks. The
+    model's CDFs are computed in the buffers and the empirical CDF in the
+    ranks' weights buffer, once the weights are summed.
     """
-    w = _rank_weights(s, lr[: len(counts)])
+    n = len(counts)
+    cdf, surv = (buffer[:n] for buffer in buffers)
+    w = _rank_weights(s, ranks[:n])
     h = w.sum()
-    cdf = np.cumsum(w) / h
-    surv = np.cumsum(w[::-1])[::-1] / h
-    emp = np.cumsum(counts) / counts.sum()
-    num = np.abs(emp[:-1] - cdf[:-1])
-    den = np.sqrt(cdf[:-1] * surv[1:])
-    return float(np.max(num / den))
+    np.divide(np.cumsum(w, out=cdf), h, out=cdf)
+    np.cumsum(w[::-1], out=surv[::-1])
+    np.divide(surv, h, out=surv)
+    # Summed in float64; exact, as every partial sum is an integer below 2^53.
+    emp = np.cumsum(counts, out=w)
+    np.divide(emp, counts.sum(), out=emp)
+    num = np.abs(np.subtract(emp[:-1], cdf[:-1], out=emp[:-1]), out=emp[:-1])
+    den = np.sqrt(np.multiply(cdf[:-1], surv[1:], out=cdf[:-1]), out=cdf[:-1])
+    return float(np.max(np.divide(num, den, out=num)))
 
 
 def bootstrap_p_value(
@@ -455,17 +497,17 @@ def bootstrap_p_value(
         raise ValueError("p-value is defined for mle fits")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    lr = _log_ranks(table.distinct_count)
-    s = _mle_core(table.counts, lr)[0] if fit.flag == FLAG_DEBIASED else fit.s
-    observed = _ad_ks_statistic(table.counts, s, lr)
+    ranks = _log_ranks(table.distinct_count)
+    buffers = _statistic_buffers(table.distinct_count)
+    s = _mle_core(table.counts, ranks)[0] if fit.flag == FLAG_DEBIASED else fit.s
+    observed = _ad_ks_statistic(table.counts, s, ranks, buffers)
     p = _zipf_probs(s, table.distinct_count)
     exceed = 0
     for i in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        sample = rng.multinomial(table.total_users, p)
-        rep = np.sort(sample[sample > 0])[::-1]
-        s_rep, _, _ = _mle_core(rep, lr, s)
-        if _ad_ks_statistic(rep, s_rep, lr) > observed:
+        rep = _sorted_table(rng.multinomial(table.total_users, p))
+        s_rep, _, _ = _mle_core(rep, ranks, s)
+        if _ad_ks_statistic(rep, s_rep, ranks, buffers) > observed:
             exceed += 1
     return exceed / replicates
 

@@ -1,10 +1,12 @@
 """Entry-at-a-time reference implementations of the hashed-corpus layer.
 
-``pwdist.crack`` holds a hashed corpus as columns and draws every salt in
-one bulk read of the generator. These are the straightforward versions it
-must match exactly: one ``randrange`` and one ``HashedEntry`` per user,
-and a cracking loop over per-salt dict buckets, with the scalar
-``_trunc8_mix64`` for every pair.
+``pwdist.crack`` holds a hashed corpus as columns, draws every salt in
+one bulk read of the generator, resolves a block of hits in numpy and
+lays out a block of output rows at a time. These are the straightforward
+versions it must match exactly: one ``randrange`` and one ``HashedEntry``
+per user, a cracking loop over per-salt dict buckets with the scalar
+``_trunc8_mix64`` for every pair, and writers that format and escape
+one row at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from pwdist.crack import HashedCorpus, _trunc8_mix64, generate_salts
+from pwdist.crack import HASHES_HEADER, CrackReport, HashedCorpus, _trunc8_mix64, generate_salts
+from pwdist.tsvio import escape_field
 
 _MASK64 = (1 << 64) - 1
 
@@ -73,3 +76,20 @@ def crack(
                     cracked.extend((user, truncated) for user in users)
         increments.append(hits)
     return increments, cracked
+
+
+def write_hashes_tsv(corpus: HashedCorpus, path) -> None:
+    """``user<TAB>salt-hex<TAB>digest-hex`` rows, ``%``-formatted one row at a time."""
+    salt_hex = [salt.hex().encode() for salt in corpus.salts]
+    rows = zip(map(escape_field, corpus.users), map(salt_hex.__getitem__, corpus.salt_index.tolist()),
+               corpus.digests.tolist())
+    with open(path, "wb") as fh:
+        fh.write(HASHES_HEADER + b"\n")
+        fh.write(b"".join([b"%s\t%s\t%016x\n" % row for row in rows]))
+
+
+def write_cracked_tsv(report: CrackReport, path) -> None:
+    """``user<TAB>password`` rows, escaped one field at a time."""
+    with open(path, "wb") as fh:
+        fh.write(b"user\tpassword\n")
+        fh.write(b"".join([b"%s\t%s\n" % (escape_field(u), escape_field(p)) for u, p in report.cracked]))

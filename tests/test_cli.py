@@ -56,6 +56,14 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert "pwdist-error\tnumeric" in capsys.readouterr().err
 
+    def test_banned_exhaustion_is_numeric_error(self, tmp_path, capsys):
+        bans = tmp_path / "bans.txt"
+        bans.write_bytes(b"p00000001\np00000002\n")
+        argv = ["mh-sim", "--n-ranks", "2", "--n-users", "3", "--ban-file", str(bans),
+                "--out-dir", str(tmp_path / "m")]
+        assert main(argv) == EXIT_NUMERIC
+        assert "pwdist-error\tnumeric" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
@@ -459,6 +467,46 @@ def test_stages_do_not_import_numpy_ma(tmp_path, corpus):
         env=env, check=True, capture_output=True, text=True, timeout=120,
     )
     assert out.stdout.splitlines()[-1] == "False"
+
+
+# The modules every stage imports: the CLI, the corpus and table reader, and what it uses.
+BASE_MODULES = {"pwdist", "pwdist.cli", "pwdist.ingest", "pwdist.column", "pwdist.tsvio"}
+
+
+@pytest.mark.parametrize("stage", ["ingest", "curve"])
+def test_stages_import_only_their_modules(tmp_path, corpus, stage):
+    """Building the parser imports no stage module; a stage imports the ones it calls."""
+    table = ingest_table(tmp_path, corpus)
+    argv, imported = {
+        "ingest": (["ingest", str(corpus), "--out-dir", str(tmp_path / "i")], set()),
+        "curve": (["curve", "--target", str(table), "--reference", str(table),
+                   "--out-dir", str(tmp_path / "c")], {"pwdist.crossguess"}),
+    }[stage]
+    script = (
+        "import json, sys\n"
+        "from pwdist.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'pwdist')))\n"
+    )
+    src = str(Path(pwdist.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert set(json.loads(out.stdout.splitlines()[-1])) == BASE_MODULES | imported
+
+
+def test_parser_constants_match_their_modules():
+    from pwdist import cli, crossguess, mh_uniform, stats
+
+    assert cli.METRICS == crossguess.METRICS and cli.METRICS[0] == crossguess.METRIC_USERS
+    assert cli.DEFAULT_ALPHA == stats.DEFAULT_ALPHA
+    assert cli.MH_BACKENDS == (mh_uniform.BACKEND_EXACT, mh_uniform.BACKEND_COUNT_MIN)
+    assert cli.MH_SKETCH_WIDTH == mh_uniform.DEFAULT_SKETCH_WIDTH
+    assert cli.MH_SKETCH_DEPTH == mh_uniform.DEFAULT_SKETCH_DEPTH
+    assert cli.MH_RETRY_CAP == mh_uniform.DEFAULT_RETRY_CAP
 
 
 class TestMhSim:

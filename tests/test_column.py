@@ -65,6 +65,15 @@ class TestPasswordColumn:
         with pytest.raises(IndexError):
             col[len(items)]
 
+    @given(st.lists(awkward_rows, max_size=30), st.data())
+    def test_take_gathers_rows(self, items, data):
+        col = PasswordColumn(items)[1:]
+        rows = data.draw(st.lists(st.integers(0, len(col) - 1), max_size=40) if len(col) else st.just([]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(column, "JOIN_BLOCK", data.draw(st.sampled_from([1, 3, column.JOIN_BLOCK])))
+            taken = col.take(np.array(rows, dtype=np.int64))
+        assert taken == [items[1:][i] for i in rows]
+
     @given(st.lists(awkward_rows, min_size=1, max_size=30))
     def test_row_hash_depends_only_on_the_row(self, items):
         hashes = row_hashes(PasswordColumn(items))

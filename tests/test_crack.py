@@ -12,6 +12,7 @@ from pwdist import crack as crack_mod
 from pwdist.crack import (
     CRYPT_SALT_ALPHABET,
     SALT_LEN,
+    HashedCorpus,
     _trunc8_mix64,
     _trunc8_mix64_many,
     crack,
@@ -19,6 +20,7 @@ from pwdist.crack import (
     generate_salts,
     hash_corpus,
     read_hashes_tsv,
+    write_cracked_tsv,
     write_hashes_tsv,
 )
 from pwdist.crossguess import (
@@ -282,6 +284,116 @@ class TestCrackOracle:
         expected = curve_from_increments(np.array(increments, dtype=np.int64), len(entries), METRIC_USERS)
         assert report.curve_users == expected
         assert report.uncracked_count == len(entries) - len(cracked)
+
+
+def weak_digest(salt: bytes, password: bytes) -> bytes:
+    """A 2-bit stand-in for ``_trunc8_mix64``: distinct guesses collide under one salt."""
+    return ((sum(password[:8]) + sum(salt)) % 4).to_bytes(8, "big")
+
+
+def weak_digests(salts, passwords):
+    return np.array(
+        [[int.from_bytes(weak_digest(salt, pw), "big") for salt in salts] for pw in passwords],
+        dtype=np.uint64,
+    ).reshape(len(passwords), len(salts))
+
+
+class TestCrackSharedDigestRuns:
+    """``crack`` resolves hits as the bucket loop does where one digest run
+    holds rows of several salts, and where guesses collide."""
+
+    SALTS = [b"s0", b"s1", b"s2", b"s3"]
+    PASSWORDS = [b"a", b"b", b"abcdefgh1", b"abcdefgh2", b"", b"\x80\xff"]
+    GUESSES = [b"a", b"b", b"abcdefgh", b"abcdefghZ", b"", b"zz", b"\x80\xff"]
+
+    @classmethod
+    def corpus(cls, rows, digest):
+        """Row i of ``rows`` is (salt, salt of its digest, password).
+
+        Where the two salts differ, the row shares its digest with the rows
+        of the other salt and no guess can crack it.
+        """
+        used = list(dict.fromkeys(j for j, _, _ in rows))
+        return HashedCorpus(
+            users=[b"u%d" % i for i in range(len(rows))],
+            salts=[cls.SALTS[j] for j in used],
+            salt_index=np.array([used.index(j) for j, _, _ in rows], dtype=np.int64),
+            digests=np.array(
+                [int.from_bytes(digest(cls.SALTS[k], pw), "big") for _, k, pw in rows], dtype=np.uint64
+            ),
+        )
+
+    def check(self, corpus, guesses, block):
+        increments, cracked = oracle.crack(oracle.entries_of(corpus), guesses)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crack_mod, "GUESS_BLOCK", block)
+            report = crack(corpus, GuessOrdering(guesses=guesses))
+        assert report.cracked == cracked
+        expected = curve_from_increments(np.array(increments, dtype=np.int64), len(corpus), METRIC_USERS)
+        assert report.curve_users == expected
+        assert report.uncracked_count == len(corpus) - len(cracked)
+
+    rows = st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(PASSWORDS)), max_size=50
+    )
+    guesses = st.lists(st.sampled_from(GUESSES), max_size=7, unique=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=rows, guesses=guesses, block=st.sampled_from([1, 2, 256]))
+    def test_matches_bucket_loop(self, rows, guesses, block):
+        self.check(self.corpus(rows, _trunc8_mix64), guesses, block)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=rows, guesses=guesses, block=st.sampled_from([1, 3, 256]))
+    def test_first_of_colliding_guesses_wins(self, rows, guesses, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crack_mod, "_trunc8_mix64_many", weak_digests)
+            mp.setattr(oracle, "_trunc8_mix64", weak_digest)
+            self.check(self.corpus(rows, weak_digest), guesses, block)
+
+
+# Fields holding the bytes the TSV files escape, NUL, high bytes, and the empty string.
+awkward = st.lists(
+    st.sampled_from([b"\\", b"\t", b"\r", b"\n", b"\x00", b"\xff", b"\xe9", b"a", b"pw", b"abcdefgh"]),
+    max_size=5,
+).map(b"".join)
+
+
+class TestColumnWriters:
+    """The block writers give the bytes of the row-at-a-time oracles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        credentials=st.lists(st.tuples(awkward, awkward), max_size=30),
+        salt_count=st.integers(1, 5),
+        salt_seed=st.integers(0, 2**64 - 1),
+        block=st.sampled_from([1, crack_mod.WRITE_BLOCK]),
+    )
+    def test_match_row_oracles(self, tmp_path_factory, credentials, salt_count, salt_seed, block):
+        corpus = hashed(credentials, salt_seed, salt_count)
+        report = crack(corpus, GuessOrdering(guesses=list(dict.fromkeys(pw for _, pw in credentials))))
+        d = tmp_path_factory.mktemp("writers")
+        oracle.write_hashes_tsv(corpus, d / "expected-hashes.tsv")
+        oracle.write_cracked_tsv(report, d / "expected-cracked.tsv")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crack_mod, "WRITE_BLOCK", block)
+            write_hashes_tsv(corpus, d / "hashes.tsv")
+            write_cracked_tsv(report, d / "cracked.tsv")
+        assert (d / "hashes.tsv").read_bytes() == (d / "expected-hashes.tsv").read_bytes()
+        assert (d / "cracked.tsv").read_bytes() == (d / "expected-cracked.tsv").read_bytes()
+        assert read_hashes_tsv(d / "hashes.tsv") == corpus
+
+    def test_salts_of_any_length(self, tmp_path):
+        corpus = HashedCorpus(
+            users=[b"a", b"b\\", b"", b"d"],
+            salts=[b"", b"\x00", b"abc"],
+            salt_index=np.array([0, 1, 2, 1]),
+            digests=np.array([0, 1, 2**64 - 1, 0x0123456789ABCDEF], dtype=np.uint64),
+        )
+        write_hashes_tsv(corpus, tmp_path / "hashes.tsv")
+        oracle.write_hashes_tsv(corpus, tmp_path / "expected.tsv")
+        assert (tmp_path / "hashes.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+        assert read_hashes_tsv(tmp_path / "hashes.tsv") == corpus
 
 
 class TestHashesTsv:

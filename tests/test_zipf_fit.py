@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from pwdist import zipf_fit
 from pwdist.ingest import count_of_counts, table_from_counter, table_from_counts
+
+import zipf_oracles as oracle
 from pwdist.zipf_fit import (
     FLAG_BOUNDARY,
     FLAG_DEBIASED,
@@ -19,9 +21,13 @@ from pwdist.zipf_fit import (
     METHOD_NK_BINNED,
     METHOD_NK_RAW,
     ZipfFit,
+    _ad_ks_statistic,
     _golden_s,
     _log_ranks,
     _mle_core,
+    _sorted_table,
+    _statistic_buffers,
+    _zipf_probs,
     bin_dyadic_k,
     bin_dyadic_rank,
     bootstrap_p_value,
@@ -390,3 +396,61 @@ class TestBootstrap:
         table = table_from_counts(np.sort(sample[sample > 0])[::-1])
         fit = mle_truncated_zipf(table)
         assert bootstrap_p_value(table, fit, replicates=60, seed=2) < 0.05
+
+
+class TestSharedBuffersMatchFreshArrays:
+    """The fits and the statistic on shared ln-rank arrays and buffers equal
+    the fresh-array versions of ``zipf_oracles`` exactly."""
+
+    # Tables above 10,000 ranks, where OpenBLAS may split a dot product
+    # between threads, and below.
+    TABLES = [(0.78, 40000, 800000, 0), (0.78, 15000, 20000, 3), (0.7, 2000, 30000, 11), (2.5, 500, 3000, 2)]
+
+    @pytest.mark.parametrize("s_true,n,m,seed", TABLES)
+    def test_mle_core(self, s_true, n, m, seed):
+        counts = sorted_sample(s_true, n, m, seed)
+        shared = _log_ranks(n + 7)
+        expected = oracle.mle_core(counts)
+        assert _mle_core(counts) == expected
+        assert _mle_core(counts, shared) == expected
+        assert _mle_core(counts, shared, s_true) == oracle.mle_core(counts, oracle.log_ranks(n), s_true)
+
+    @pytest.mark.parametrize("s_true,n,m,seed", TABLES)
+    def test_golden_s(self, s_true, n, m, seed):
+        counts = sorted_sample(s_true, n, m, seed)
+        expected = oracle.golden_s(counts, oracle.log_ranks(n), s_true)
+        assert _golden_s(counts, _log_ranks(n), s_true) == expected
+
+    @pytest.mark.parametrize("s_true,n,m,seed", TABLES)
+    def test_statistic_across_replicates(self, s_true, n, m, seed):
+        # One table's buffers, reused by replicates of fewer ranks, as the bootstrap does.
+        counts = sorted_sample(s_true, n, m, seed)
+        ranks, buffers = _log_ranks(len(counts)), _statistic_buffers(len(counts))
+        lr = oracle.log_ranks(len(counts))
+        s = oracle.mle_core(counts)[0]
+        assert _ad_ks_statistic(counts, s, ranks, buffers) == oracle.ad_ks_statistic(counts, s, lr)
+        p = _zipf_probs(s, len(counts))
+        for i in range(3):
+            sample = np.random.default_rng(i).multinomial(m, p)
+            rep = np.sort(sample[sample > 0])[::-1]
+            s_rep = oracle.mle_core(rep, lr, s)[0]
+            assert _mle_core(rep, ranks, s)[0] == s_rep
+            assert _ad_ks_statistic(rep, s_rep, ranks, buffers) == oracle.ad_ks_statistic(rep, s_rep, lr)
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
+    def test_sorted_table(self, values):
+        sample = np.array(values, dtype=np.int64)
+        expected = np.sort(sample[sample > 0])[::-1]
+        assert np.array_equal(_sorted_table(sample.copy()), expected)
+
+    def test_bootstrap_p_value(self, monkeypatch):
+        table = table_from_counts(sorted_sample(0.78, 12000, 30000, 5))
+        fit = mle_truncated_zipf(table)
+        p = bootstrap_p_value(table, fit, replicates=6, seed=3)
+        monkeypatch.setattr(zipf_fit, "_mle_core", lambda c, ranks=None, s0=0.0: oracle.mle_core(c, None, s0))
+        monkeypatch.setattr(
+            zipf_fit,
+            "_ad_ks_statistic",
+            lambda c, s, ranks, buffers: oracle.ad_ks_statistic(c, s, oracle.log_ranks(len(c))),
+        )
+        assert bootstrap_p_value(table, fit, replicates=6, seed=3) == p
