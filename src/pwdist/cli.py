@@ -30,14 +30,16 @@ MH_ZIPF_S = 0.78
 MH_ZIPF_RANKS = 100000
 # crack --corpus's salts where --salt-count is not given.
 CRACK_SALT_COUNT = 64
+# mh-sim's frequency backends, and its count-min sketch size where --width
+# or --depth is not given.
+MH_BACKENDS = ("exact", "count-min")
+MH_SKETCH_WIDTH = 1 << 18
+MH_SKETCH_DEPTH = 4
 # The parser's choices and defaults that belong to stage modules, repeated
 # here so that building the parser imports none of them; a test checks each
 # against its module. A subcommand imports only the modules it calls.
 METRICS = ("users", "distinct-passwords")  # crossguess.METRICS
 DEFAULT_ALPHA = 0.85  # stats.DEFAULT_ALPHA
-MH_BACKENDS = ("exact", "count-min")  # mh_uniform.BACKEND_EXACT, BACKEND_COUNT_MIN
-MH_SKETCH_WIDTH = 1 << 18  # mh_uniform.DEFAULT_SKETCH_WIDTH
-MH_SKETCH_DEPTH = 4  # mh_uniform.DEFAULT_SKETCH_DEPTH
 MH_RETRY_CAP = 100  # mh_uniform.DEFAULT_RETRY_CAP
 # The errors that exit with EXIT_NUMERIC, by module. A run that raised one
 # has imported its module, so they are looked up in sys.modules.
@@ -279,16 +281,16 @@ def cmd_crack(args) -> tuple[dict, dict]:
 def cmd_mhsim(args) -> tuple[dict, dict]:
     from . import mh_uniform, stats
 
-    if args.backend == mh_uniform.BACKEND_EXACT:
+    if args.backend == "exact":
         for option, value in (("width", args.width), ("depth", args.depth)):
             if value is not None:
                 raise ValueError(f"{option} is read only with backend=count-min")
-        store = mh_uniform.ExactFrequencyStore()
+        store = None
         sketch = {}
     else:
         width = MH_SKETCH_WIDTH if args.width is None else args.width
         depth = MH_SKETCH_DEPTH if args.depth is None else args.depth
-        store = mh_uniform.CountMinStore(width=width, depth=depth, master_seed=args.seed)
+        store = mh_uniform.CountMinStore(width, depth, args.seed)
         sketch = {"width": width, "depth": depth}
 
     if args.source == "zipf":
@@ -309,7 +311,7 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
         table = ingest.read_table_tsv(table_path)
         model = stats.empirical_model(table)
         # The sessions look labels up per rank, which a list does at C speed;
-        # the table's column and row hashes are not needed past this point.
+        # the table's column is not needed past this point.
         passwords = list(table.passwords)
         del table
         source_desc = {"source": "table", "table": table_path.name}
@@ -325,13 +327,14 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
     ingest.write_table_tsv(report.accepted_table, _stage(args, "accepted.tsv"))
     ingest.write_table_tsv(report.free_table, _stage(args, "free.tsv"))
     mh_uniform.write_summary_tsv(report, _stage(args, "summary.tsv"))
+    asks = report.rejected_total + args.n_users
     counters = {
-        "asks": report.rejected_total + args.n_users,
+        "asks": asks,
         "rejected": report.rejected_total,
-        "hash_evaluations": store.hash_evaluations,
+        "hash_evaluations": 0 if store is None else store.hash_evaluations,
     }
-    if args.backend == mh_uniform.BACKEND_COUNT_MIN:
-        counters["sketch_error_bound"] = math.e * store.totals / store.width
+    if store is not None:
+        counters["sketch_error_bound"] = math.e * asks / store.width
     print(
         f"simulated {args.n_users} users: mean asks {report.mean_asks:.3f}, "
         f"max accepted frequency {report.accepted_table.counts[0]}, "

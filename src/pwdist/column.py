@@ -84,11 +84,10 @@ class PasswordColumn(Sequence[bytes]):
 
     Duplicates are found by sorting a 64-bit hash of each row
     (:func:`row_hashes`) and comparing bytes only where hashes are equal.
-    The hashes and their sorted order are computed once, on first use, and
-    kept: :meth:`has_duplicates` and :meth:`positions` share them.
+    The hashes are computed on each call that needs them, not kept.
     """
 
-    __slots__ = ("data", "offsets", "_hashes", "_order")
+    __slots__ = ("data", "offsets")
 
     def __init__(self, rows: Iterable[bytes] = ()):
         pieces: list[bytes] = []
@@ -103,7 +102,6 @@ class PasswordColumn(Sequence[bytes]):
         offsets.flags.writeable = False
         self.data = data
         self.offsets = offsets
-        self._hashes = self._order = None
 
     @classmethod
     def from_pieces(cls, pieces: list[bytes], lengths: Sequence[np.ndarray]) -> "PasswordColumn":
@@ -184,10 +182,8 @@ class PasswordColumn(Sequence[bytes]):
 
     def hash_order(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's :func:`row_hashes` value, and the rows in ascending hash order."""
-        if self._hashes is None:
-            self._hashes = row_hashes(self)
-            self._order = np.argsort(self._hashes)
-        return self._hashes, self._order
+        hashes = row_hashes(self)
+        return hashes, np.argsort(hashes)
 
     def has_duplicates(self) -> bool:
         """Whether two rows hold the same bytes.

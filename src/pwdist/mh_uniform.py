@@ -8,17 +8,13 @@ proposals therefore get rejected in proportion to how far above the
 comparison frequency they sit, and the accepted passwords spread toward a
 uniform distribution without any banned-word list.
 
-Two frequency backends implement the same interface: an exact counter and
-a count-min sketch, which never undercounts and keeps its counters in fixed
-memory. ``simulate`` runs its sessions over model rank indices and replays
-its seeded generator's raw stream in blocks. With either backend it counts
-each rank's proposals exactly, and reads sketch counters only for the few
-ranks that share a counter in every row; the sketch is handed the proposed
-ranks' counter offsets and counts at the end, and adds them into its
-counters only if they are read again. ``mh_session`` is the same rule over
-password bytes, one session at a time, calling the generator per draw and
-the store per ask, and is the reference that ``simulate`` must reproduce
-draw for draw.
+``simulate`` runs the sessions over model rank indices and replays its
+seeded generator's raw stream in blocks. F is either exact or a count-min
+sketch's estimate, which never undercounts and is read from a fixed
+number of counters; ``CountMinStore`` is the sketch's layout. Either way
+``simulate`` counts each rank's proposals exactly, for the length of the
+run, and keeps sketch counters only for the few ranks that share a
+counter in every row.
 Target weights generalise the rule to banned (weight 0) and soft-banned
 (weight below 1) passwords via the usual acceptance ratio; with the
 default all-ones weights the rule reduces exactly to u <= F(x).
@@ -27,7 +23,6 @@ default all-ones weights the rule reduces exactly to u <= F(x).
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -36,11 +31,6 @@ import numpy as np
 from .ingest import RankFrequencyTable, rank_passwords
 from .stats import ProbabilityModel
 
-BACKEND_EXACT = "exact"
-BACKEND_COUNT_MIN = "count-min"
-
-DEFAULT_SKETCH_WIDTH = 1 << 18
-DEFAULT_SKETCH_DEPTH = 4
 DEFAULT_RETRY_CAP = 100
 # Proposal draws taken from the generator at a time.
 PROPOSAL_BATCH = 8192
@@ -52,47 +42,17 @@ class BannedExhaustionError(Exception):
     """A session hit the retry cap without an acceptable proposal."""
 
 
-class ExactFrequencyStore:
-    """Exact proposal-frequency counts."""
-
-    backend = BACKEND_EXACT
-    hash_evaluations = 0
-
-    def __init__(self):
-        self._counts: Counter[bytes] = Counter()
-        self.totals = 0
-
-    def increment(self, key: bytes) -> int:
-        """Count one more ``key``; returns the count from before."""
-        count = self._counts[key]
-        self._counts[key] = count + 1
-        self.totals += 1
-        return count
-
-    def query(self, key: bytes) -> int:
-        return self._counts[key]
-
-
 class CountMinStore:
-    """Count-min sketch: fixed-size counters that never underestimate.
+    """The layout of a count-min sketch: which counters a key is counted on.
 
-    Each of ``depth`` rows hashes the key with its own seed and increments
-    one of ``width`` counters; a query takes the minimum across rows, so
-    collisions can only inflate the answer. Row seeds derive from a master
-    seed.
-
-    The counters are written lazily. ``simulate`` leaves the counter
-    offsets and exact counts of the ranks it proposed in ``_pending``, and
-    they are added into the counters the first time ``_flat`` is read (by
-    ``increment``, ``query`` or a later ``simulate``). A store that is not
-    read again never touches the pages of its counter array.
+    Each of ``depth`` rows hashes the key with its own seed and puts it on
+    one of ``width`` counters; a key's estimate is the minimum over its
+    counters, so collisions can only inflate it. Row seeds derive from a
+    master seed. The counters themselves are ``simulate``'s, for the
+    length of one run.
     """
 
-    backend = BACKEND_COUNT_MIN
-
-    def __init__(
-        self, width: int = DEFAULT_SKETCH_WIDTH, depth: int = DEFAULT_SKETCH_DEPTH, master_seed: int = 0
-    ):
+    def __init__(self, width: int, depth: int, master_seed: int = 0):
         if width < 1 or depth < 1:
             raise ValueError("width and depth must be positive")
         master = (master_seed & ((1 << 64) - 1)).to_bytes(8, "big")
@@ -100,32 +60,19 @@ class CountMinStore:
         self.width = width
         self.depth = depth
         self.seeds = tuple(int.from_bytes(h.digest(), "big") for h in keyed)
-        # Row r's counters are _flat[r * width : (r + 1) * width]; each row
-        # keeps a keyed blake2b that a key's hash is copied from.
+        # Row r's counters are [r * width, (r + 1) * width) of the flat
+        # counters; each row keeps a keyed blake2b that a key's hash is
+        # copied from.
         self._rows = [
             (row * width, hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "big")))
             for row, seed in enumerate(self.seeds)
         ]
-        self._counters = np.zeros(depth * width, dtype=np.int64)
-        # (offsets, counts) pairs not yet added in: ``counts[i]`` more on each
-        # of the ``depth`` counters ``offsets[i]``.
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self.totals = 0
-        # Keyed row hashes counted so far: ``depth`` per key an increment or
-        # a query hashes, and per rank that ``simulate`` proposes.
+        # Keyed row hashes counted so far: ``depth`` per rank that
+        # ``simulate`` proposes.
         self.hash_evaluations = 0
 
-    @property
-    def _flat(self) -> np.ndarray:
-        """The counters, with every pending count added in."""
-        for offsets, counts in self._pending:
-            for row in range(self.depth):
-                np.add.at(self._counters, offsets[:, row], counts)
-        self._pending.clear()
-        return self._counters
-
-    def _offsets(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Each key's counter in each row, as offsets into the flat counters.
+    def offsets(self, keys: Sequence[bytes]) -> np.ndarray:
+        """Each key's counter in each row, as offsets into ``depth * width`` flat counters.
 
         Returns a ``(len(keys), depth)`` array, hashing the keys in one pass
         per row; ``hash_evaluations`` is counted by the caller.
@@ -140,24 +87,6 @@ class CountMinStore:
             keyed = np.frombuffer(b"".join(digests), dtype=">u8")
             offsets[:, row] = keyed % np.uint64(self.width) + np.uint64(base)
         return offsets
-
-    def _key_offsets(self, key: bytes) -> list[int]:
-        self.hash_evaluations += self.depth
-        return self._offsets([key])[0].tolist()
-
-    def increment(self, key: bytes) -> int:
-        """Count one more ``key``; returns the estimate from before."""
-        flat = self._flat
-        offsets = self._key_offsets(key)
-        estimate = min([flat[o] for o in offsets])
-        for o in offsets:
-            flat[o] += 1
-        self.totals += 1
-        return int(estimate)
-
-    def query(self, key: bytes) -> int:
-        flat = self._flat
-        return int(min([flat[o] for o in self._key_offsets(key)]))
 
 
 @dataclass
@@ -187,85 +116,6 @@ class TargetWeight:
                 return 0.0
             return soft_map.get(pw, 1.0)
         return cls(fn=fn)
-
-
-class ProposalLog:
-    """Every distinct password ever proposed, in first-seen order."""
-
-    def __init__(self):
-        self._pool: list[bytes] = []
-        self._members: set[bytes] = set()
-
-    @property
-    def distinct_count(self) -> int:
-        return len(self._pool)
-
-    def record(self, password: bytes) -> None:
-        if password not in self._members:
-            self._members.add(password)
-            self._pool.append(password)
-
-    def sample_distinct(self, rng: np.random.Generator) -> bytes | None:
-        """Uniform over distinct seen passwords; None before any proposal.
-
-        Uniform over the seen support is a draw from the target
-        distribution itself, which is what lets the scheme skip a burn-in
-        period and is what reproduces the two-orders-of-magnitude
-        flattening. Weighting the comparison by proposal popularity
-        instead would only cap, rather than flatten, the head of the
-        distribution.
-        """
-        if not self._pool:
-            return None
-        return self._pool[int(rng.integers(0, len(self._pool)))]
-
-
-@dataclass
-class SessionOutcome:
-    accepted_password: bytes
-    asks: int
-
-
-def mh_session(
-    store,
-    seen: ProposalLog,
-    proposals: Iterator[bytes],
-    rng: np.random.Generator,
-    *,
-    weights: TargetWeight | None = None,
-    retry_cap: int = DEFAULT_RETRY_CAP,
-) -> SessionOutcome:
-    """Run one user's enrolment until a proposal is accepted.
-
-    The comparison password x and its frequency snapshot are fixed for the
-    whole session; each proposal x' is recorded and counted whether or not
-    it is accepted. The acceptance draw u is uniform on [0, F(x')] taken
-    before the increment, and the weighted rule accepts when
-    u * weight(x) <= F(x) * weight(x'), which is the usual acceptance
-    ratio and collapses to the plain u <= F(x) when weights are all 1.
-    A fresh store accepts the first proposal in one ask (u = 0 <= 0).
-
-    Raises BannedExhaustionError after ``retry_cap`` asks, which with a
-    weight-0 ban on everything the user will propose is a livelock guard.
-    """
-    if weights is None:
-        weights = TargetWeight()
-    x = seen.sample_distinct(rng)
-    fx = store.query(x) if x is not None else 0
-    wx = weights.weight(x) if x is not None else 1.0
-    asks = 0
-    for proposal in proposals:
-        asks += 1
-        f_prop = store.increment(proposal)
-        seen.record(proposal)
-        w_prop = weights.weight(proposal)
-        if w_prop > 0.0:
-            u = rng.random() * f_prop
-            if u * wx <= fx * w_prop:
-                return SessionOutcome(accepted_password=proposal, asks=asks)
-        if asks >= retry_cap:
-            raise BannedExhaustionError(f"no acceptable proposal after {retry_cap} asks")
-    raise BannedExhaustionError("proposal stream ended before an acceptable password")
 
 
 class _RawStream:
@@ -394,7 +244,7 @@ def simulate(
     passwords: Sequence[bytes],
     n_users: int,
     *,
-    store=None,
+    store: CountMinStore | None = None,
     weights: TargetWeight | None = None,
     seed: int = 0,
     retry_cap: int = DEFAULT_RETRY_CAP,
@@ -407,17 +257,22 @@ def simulate(
     gate, and shares the seeded tie-break so reports are reproducible
     byte for byte.
 
-    Sessions follow ``mh_session`` draw for draw but run over rank
-    indices: a rank stands for its label, and ranks whose labels repeat
-    count as the first of them. Its draws replay the seeded generator's raw
-    stream (``_RawStream``) rather than calling it per draw. Both stores
-    are run over exact per-rank counts, handed back to the store at the
-    end, also when a session raises ``BannedExhaustionError``. A count-min
-    store hashes each rank's key once, with the other new ranks of the
-    first proposal batch that holds it. A rank that is alone on a counter
-    that started at 0, in some row, is estimated by its own count, as that
-    row's counter would give; the sketch's counters are kept during the
-    run only for the other ranks, which take the min over their rows.
+    A session draws its comparison password x uniformly from the distinct
+    passwords proposed so far (none for the first user, whose F(x) is 0):
+    uniform over the seen support is a draw from the target distribution
+    itself, which is what lets the scheme skip a burn-in period and
+    flatten, rather than only cap, the head. x and F(x) are fixed for the
+    session. Each proposal x' is counted whether or not it is accepted; u
+    is uniform on [0, F(x')] from before the increment, and x' is accepted
+    when u * weight(x) <= F(x) * weight(x'). A session that reaches
+    ``retry_cap`` asks raises ``BannedExhaustionError``.
+
+    Sessions run over rank indices: a rank stands for its label, and ranks
+    whose labels repeat count as the first of them. The draws replay the
+    seeded generator's raw stream (``_RawStream``) rather than calling it
+    per draw. F is exact with ``store=None``, else the count-min estimate
+    of the sketch laid out by ``store``, whose ``hash_evaluations`` grows
+    by its depth per distinct proposed rank, also when a session raises.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
@@ -425,8 +280,6 @@ def simulate(
         raise ValueError("retry_cap must be >= 1")
     if len(passwords) != model.n_ranks:
         raise ValueError("need exactly one password label per model rank")
-    if store is None:
-        store = ExactFrequencyStore()
     accepted, free, asks_total, asks_sq = _run_sessions(
         model, passwords, n_users, store, weights, seed, retry_cap
     )
@@ -445,7 +298,7 @@ def _run_sessions(
     model: ProbabilityModel,
     passwords: Sequence[bytes],
     n_users: int,
-    store,
+    store: CountMinStore | None,
     weights: TargetWeight | None,
     seed: int,
     retry_cap: int,
@@ -453,38 +306,37 @@ def _run_sessions(
     """The sessions of ``simulate``: per-rank accepted and free counts, and
     the sum and the sum of squares of the asks per user.
 
-    On the way out a count-min store is handed the proposed ranks' counter
-    offsets and exact counts, which it adds into its counters only when
-    they are next read; the per-rank session state is freed on return,
-    before the output tables are sorted, which is what sets the peak
-    memory of a run.
+    Every rank's proposals are counted exactly. With a sketch, each rank's
+    key is hashed once, with the other new ranks of the first proposal
+    batch that holds it. All counters start at 0, so a rank that is alone
+    on a counter in some row is estimated by its own count, as that row's
+    counter would give; counters are kept only for the other ranks, which
+    take the min over their rows. The per-rank session state is freed on
+    return, before the output tables are sorted, which is what sets the
+    peak memory of a run.
     """
     n_ranks = model.n_ranks
-    sketch = store.backend == BACKEND_COUNT_MIN
+    sketch = store is not None
     weight = None if weights is None else weights.weight
     stream = _RawStream(np.random.default_rng(seed))
     random, below = stream.random, stream.below
     seen: list[int] = []
     is_seen = bytearray(n_ranks)
+    counts = [0] * n_ranks
     on_batch = None
-    if sketch or not store._counts:
-        counts = [0] * n_ranks
-    else:
-        counts = [store._counts[pw] for pw in passwords]
     if sketch:
         depth = store.depth
-        start = store._flat
+        n_counters = depth * store.width
         # Wide enough for any counter offset, rank + 1 and -2 - live index.
-        index_type = np.int32 if max(start.size, n_ranks) < 2**31 - 2 else np.int64
+        index_type = np.int32 if max(n_counters, n_ranks) < 2**31 - 2 else np.int64
         # Rank r's counter in each row, filled when a proposal batch first
         # holds r; ``hashed`` lists the ranks filled so far.
         offsets = np.zeros((n_ranks, depth), dtype=index_type)
         hashed = np.zeros(0, dtype=np.int64)
         # Per counter: 0 if no hashed rank is on it, r + 1 if rank r alone
-        # is, -1 if several are or it did not start at 0, and -2 - i if it
-        # is also read by a shared rank and kept as live[i].
-        owner = np.zeros(start.size, dtype=index_type)
-        owner[start != 0] = -1
+        # is, -1 if several are, and -2 - i if it is also read by a shared
+        # rank and kept as live[i].
+        owner = np.zeros(n_counters, dtype=index_type)
         # A shared rank has no clean row: its estimate is the min of its
         # counters, live[i] for i in reads[r]. Each rank on a live counter
         # lists it in its reads, and counts its asks into it.
@@ -508,7 +360,7 @@ def _run_sessions(
             fresh = fresh[np.diff(fresh, prepend=-1) != 0]
             if not fresh.size:
                 return
-            fresh_offsets = store._offsets([passwords[rank] for rank in fresh.tolist()])
+            fresh_offsets = store.offsets([passwords[rank] for rank in fresh.tolist()])
             offsets[fresh] = fresh_offsets
             hashed = np.concatenate((hashed, fresh))
             join(fresh, owner[fresh_offsets])
@@ -534,7 +386,7 @@ def _run_sessions(
             if counters.size:
                 went_live = -2 - len(live)
                 owner[counters] = went_live - np.arange(counters.size)
-                live.extend(start[counters].tolist())
+                live.extend([0] * counters.size)
                 # Only onto the counters that went live now: the fresh ranks
                 # are on the others already.
                 codes = owner[offsets[hashed]]
@@ -585,19 +437,10 @@ def _run_sessions(
             accepted[rank] += 1
             asks_total += asks
             asks_sq += asks * asks
-    except BannedExhaustionError:
-        asks_total += asks
-        raise
     finally:
-        store.totals += asks_total
         if sketch:
             # A rank's keyed row hashes count once, at its first proposal.
             store.hash_evaluations += depth * len(seen)
-            rank_counts = np.fromiter(map(counts.__getitem__, seen), np.int64, len(seen))
-            store._pending.append((offsets[np.array(seen, dtype=np.int64)], rank_counts))
-        else:
-            for rank in seen:
-                store._counts[passwords[rank]] = counts[rank]
     return accepted, free, asks_total, asks_sq
 
 

@@ -27,7 +27,7 @@ from pwdist.crossguess import (
     truncate_reaggregate,
 )
 from pwdist.ingest import table_from_counter, table_from_counts
-from pwdist.mh_uniform import CountMinStore, simulate
+from pwdist.mh_uniform import simulate
 from pwdist.stats import (
     ProbabilityModel,
     alpha_guesswork,
@@ -45,6 +45,7 @@ from pwdist.zipf_fit import (
 )
 
 from conftest import random_table
+from mh_oracles import CountMinCounter
 
 
 def report(n, message, started, budget):
@@ -215,7 +216,7 @@ def test_07_mh_flattening_at_scale():
 
 def test_08_count_min_soundness_at_default_size():
     started = time.time()
-    sketch = CountMinStore(width=1 << 18, depth=4, master_seed=3)
+    sketch = CountMinCounter(width=1 << 18, depth=4, master_seed=3)
     shadow: dict[bytes, int] = {}
     rng = np.random.default_rng(31)
     n_keys = 20000

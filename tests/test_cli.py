@@ -503,9 +503,6 @@ def test_parser_constants_match_their_modules():
 
     assert cli.METRICS == crossguess.METRICS and cli.METRICS[0] == crossguess.METRIC_USERS
     assert cli.DEFAULT_ALPHA == stats.DEFAULT_ALPHA
-    assert cli.MH_BACKENDS == (mh_uniform.BACKEND_EXACT, mh_uniform.BACKEND_COUNT_MIN)
-    assert cli.MH_SKETCH_WIDTH == mh_uniform.DEFAULT_SKETCH_WIDTH
-    assert cli.MH_SKETCH_DEPTH == mh_uniform.DEFAULT_SKETCH_DEPTH
     assert cli.MH_RETRY_CAP == mh_uniform.DEFAULT_RETRY_CAP
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from itertools import chain
 from unittest.mock import patch
 
 import numpy as np
@@ -11,22 +10,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwdist import mh_uniform
-from pwdist.ingest import table_from_counter
 from pwdist.mh_uniform import (
     DEFAULT_RETRY_CAP,
     PROPOSAL_BATCH,
     BannedExhaustionError,
     CountMinStore,
-    ExactFrequencyStore,
-    ProposalLog,
-    SimulationReport,
     TargetWeight,
-    mh_session,
     simulate,
 )
 from pwdist.stats import uniform_model, zipf_model
 
 from conftest import rows
+from mh_oracles import (
+    CountMinCounter,
+    ExactCounter,
+    ProposalLog,
+    mh_session,
+    reference_simulate,
+)
 
 
 class FakeRng:
@@ -45,11 +46,11 @@ class FakeRng:
 
 class TestExactStore:
     def test_fresh_key_is_zero(self):
-        store = ExactFrequencyStore()
+        store = ExactCounter()
         assert store.query(b"nothing") == 0
 
     def test_counts_increments(self):
-        store = ExactFrequencyStore()
+        store = ExactCounter()
         for _ in range(3):
             store.increment(b"k")
         assert store.query(b"k") == 3
@@ -58,30 +59,30 @@ class TestExactStore:
 
 class TestCountMin:
     def test_fresh_key_is_zero(self):
-        store = CountMinStore(width=64, depth=3, master_seed=1)
+        store = CountMinCounter(width=64, depth=3, master_seed=1)
         assert store.query(b"nothing") == 0
 
     def test_exact_when_alone(self):
-        store = CountMinStore(width=2048, depth=4, master_seed=1)
+        store = CountMinCounter(width=2048, depth=4, master_seed=1)
         for _ in range(5):
             store.increment(b"solo")
         assert store.query(b"solo") == 5
 
     def test_increment_then_query(self):
-        sketch = CountMinStore(width=32, depth=2, master_seed=0)
+        sketch = CountMinCounter(width=32, depth=2, master_seed=0)
         sketch.increment(b"k")
         assert sketch.query(b"k") == 1
 
     def test_hash_evaluations_count_row_hashes(self):
-        sketch = CountMinStore(width=32, depth=3, master_seed=0)
+        sketch = CountMinCounter(width=32, depth=3, master_seed=0)
         sketch.increment(b"k")
         sketch.query(b"k")
         assert sketch.hash_evaluations == 6
-        assert ExactFrequencyStore().hash_evaluations == 0
+        assert ExactCounter().hash_evaluations == 0
 
     def test_never_underestimates_and_bounded_overestimate(self):
         rng = np.random.default_rng(12)
-        sketch = CountMinStore(width=2048, depth=4, master_seed=7)
+        sketch = CountMinCounter(width=2048, depth=4, master_seed=7)
         shadow: Counter[bytes] = Counter()
         keys = [b"key%05d" % i for i in range(1500)]
         weights = 1.0 / np.arange(1, len(keys) + 1)
@@ -113,13 +114,13 @@ class TestBatchOffsets:
     def test_match_keyed_row_hashes_and_count_nothing(self):
         store = CountMinStore(width=1000, depth=3, master_seed=5)
         keys = [b"", b"key", b"\xff" * 40, b"key"]
-        offsets = store._offsets(keys)
+        offsets = store.offsets(keys)
         assert offsets.shape == (4, 3)
         for i, key in enumerate(keys):
             for row, seed in enumerate(store.seeds):
                 digest = hashlib.blake2b(key, digest_size=8, key=seed.to_bytes(8, "big")).digest()
                 assert offsets[i, row] == row * 1000 + int.from_bytes(digest, "big") % 1000
-        assert store._offsets([]).shape == (0, 3)
+        assert store.offsets([]).shape == (0, 3)
         assert store.hash_evaluations == 0
 
 
@@ -129,7 +130,7 @@ class TestIncrementReturnsPriorEstimate:
     @settings(max_examples=50, deadline=None)
     @given(keys=keys)
     def test_exact_store(self, keys):
-        store = ExactFrequencyStore()
+        store = ExactCounter()
         for key in keys:
             before = store.query(key)
             assert store.increment(key) == before
@@ -140,7 +141,7 @@ class TestIncrementReturnsPriorEstimate:
         keys=keys, width=st.integers(1, 8), depth=st.integers(1, 4), seed=st.integers(0, 2**64 - 1)
     )
     def test_count_min_store(self, keys, width, depth, seed):
-        store = CountMinStore(width=width, depth=depth, master_seed=seed)
+        store = CountMinCounter(width=width, depth=depth, master_seed=seed)
         for key in keys:
             before = store.query(key)
             assert store.increment(key) == before
@@ -148,13 +149,13 @@ class TestIncrementReturnsPriorEstimate:
         assert store.totals == len(keys)
 
     def test_count_min_layout_is_keyed_blake2b_per_row(self):
-        store = CountMinStore(width=1000, depth=3, master_seed=5)
+        store = CountMinCounter(width=1000, depth=3, master_seed=5)
         store.increment(b"key")
-        for row, seed in enumerate(store.seeds):
+        for row, seed in enumerate(store.layout.seeds):
             digest = hashlib.blake2b(b"key", digest_size=8, key=seed.to_bytes(8, "big")).digest()
             col = int.from_bytes(digest, "big") % store.width
-            assert store._flat[row * store.width + col] == 1
-        assert int(store._flat.sum()) == store.depth
+            assert store.counters[row * store.width + col] == 1
+        assert int(store.counters.sum()) == store.depth
 
 
 class TestTargetWeight:
@@ -196,7 +197,7 @@ class TestProposalLog:
 
 class TestSession:
     def test_cold_start_accepts_first_proposal(self):
-        store = ExactFrequencyStore()
+        store = ExactCounter()
         log = ProposalLog()
         rng = np.random.default_rng(0)
         outcome = mh_session(store, log, iter([b"first"]), rng)
@@ -206,7 +207,7 @@ class TestSession:
 
     def test_popular_proposal_rejected_when_comparison_unseen(self):
         # F(x) = 0 against a popular proposal: acceptance chance F(x)/F(x') = 0
-        store = ExactFrequencyStore()
+        store = ExactCounter()
         log = ProposalLog()
         for _ in range(50):
             store.increment(b"123456")
@@ -220,7 +221,7 @@ class TestSession:
     def test_acceptance_is_exactly_u_below_comparison_frequency(self):
         # F(x) = 2, F(x') = 5: accept iff 5u <= 2
         def session_with(u):
-            store = ExactFrequencyStore()
+            store = ExactCounter()
             log = ProposalLog()
             for _ in range(2):
                 store.increment(b"x")
@@ -234,7 +235,7 @@ class TestSession:
         assert session_with(0.401).accepted_password == b"fallback"  # u = 2.005 > 2
 
     def test_banned_proposal_never_accepted(self):
-        store = ExactFrequencyStore()
+        store = ExactCounter()
         log = ProposalLog()
         rng = np.random.default_rng(3)
         weights = TargetWeight.with_bans(banned=[b"banned"])
@@ -243,7 +244,7 @@ class TestSession:
         assert outcome.asks == 2
 
     def test_all_banned_hits_retry_cap(self):
-        store = ExactFrequencyStore()
+        store = ExactCounter()
         log = ProposalLog()
         rng = np.random.default_rng(3)
         weights = TargetWeight.with_bans(banned=[b"bad"])
@@ -253,7 +254,7 @@ class TestSession:
         assert store.query(b"bad") == 10  # every ask recorded before rejection
 
     def test_exhausted_stream_raises(self):
-        store = ExactFrequencyStore()
+        store = ExactCounter()
         log = ProposalLog()
         for _ in range(9):
             store.increment(b"hot")
@@ -351,50 +352,6 @@ class TestFirstRanks:
             assert canon.tolist() == expected
 
 
-def reference_proposals(model, passwords, rng, batch):
-    """Batched inverse-CDF draws, yielded as labels."""
-    cum = np.cumsum(model.probs)
-    cum[-1] = 1.0
-    while True:
-        for rank in np.searchsorted(cum, rng.random(batch), side="right"):
-            yield passwords[rank]
-
-
-def reference_simulate(model, passwords, n_users, *, store, weights=None, seed=0,
-                       retry_cap=DEFAULT_RETRY_CAP, batch=PROPOSAL_BATCH, seen=None):
-    """``mh_session`` per user over a bytes-keyed store: what ``simulate`` must match.
-
-    Returns the report and the proposal log; ``seen``, if given, is the log
-    to record into, which a caller can read after a ``BannedExhaustionError``.
-    """
-    rng = np.random.default_rng(seed)
-    if seen is None:
-        seen = ProposalLog()
-    proposals = reference_proposals(model, passwords, rng, batch)
-    accepted: Counter[bytes] = Counter()
-    free: Counter[bytes] = Counter()
-    asks_total = 0
-    asks_sq = 0
-    for _ in range(n_users):
-        first = next(proposals)
-        free[first] += 1
-        outcome = mh_session(
-            store, seen, chain((first,), proposals), rng, weights=weights, retry_cap=retry_cap
-        )
-        accepted[outcome.accepted_password] += 1
-        asks_total += outcome.asks
-        asks_sq += outcome.asks * outcome.asks
-    mean = asks_total / n_users
-    report = SimulationReport(
-        accepted_table=table_from_counter(accepted, tie_break_seed=seed),
-        free_table=table_from_counter(free, tie_break_seed=seed),
-        mean_asks=mean,
-        var_asks=max(asks_sq / n_users - mean * mean, 0.0),
-        rejected_total=asks_total - n_users,
-    )
-    return report, seen
-
-
 LABELS = [b"a", b"b", b"c", b"", b"a\x00", b"\xff\xfe", b"pw123456", b"x" * 12]
 
 
@@ -438,22 +395,25 @@ def simulations(draw):
         retry_cap=draw(st.sampled_from([1, 2, 3, 5, DEFAULT_RETRY_CAP])),
         batch=draw(st.sampled_from([1, 2, 3, 7, PROPOSAL_BATCH])),
         sketch=sketch,
-        warm=draw(st.lists(st.sampled_from(LABELS), max_size=6)),
     )
 
 
-def _store(sketch, warm):
-    """A fresh store with one count per ``warm`` key already in it."""
-    store = ExactFrequencyStore() if sketch is None else CountMinStore(**sketch)
-    for key in warm:
-        store.increment(key)
-    return store
+def _stores(sketch):
+    """The bytes-keyed counter of the reference and the store ``simulate``
+    takes for ``sketch``, which is None for exact counts."""
+    if sketch is None:
+        return ExactCounter(), None
+    return CountMinCounter(**sketch), CountMinStore(**sketch)
 
 
-def _store_state(store):
-    if isinstance(store, CountMinStore):
-        return store.totals, store._flat.tolist()
-    return store.totals, dict(store._counts)
+def _assert_counted(report, n_users, counter, store, seen):
+    """The asks of ``report`` (None if a session raised) are the reference
+    counter's increments, and ``store`` hashed each distinct proposed
+    password once per row."""
+    if report is not None:
+        assert report.rejected_total + n_users == counter.totals
+    if store is not None:
+        assert store.hash_evaluations == store.depth * seen.distinct_count
 
 
 RAW_BOUNDS = [1, 2, 3, 2**31 - 5, 2**31 + 5, 2**32 - 1, 2**32]
@@ -515,41 +475,27 @@ class TestSimulateMatchesSessionReference:
     def test_same_report_and_store(self, case):
         # Small batches put a batch draw between any two other draws, so
         # a change in the order of the generator calls changes the report.
-        sketch, batch, warm = case.pop("sketch"), case.pop("batch"), case.pop("warm")
-        ref_store, store = _store(sketch, warm), _store(sketch, warm)
+        sketch, batch = case.pop("sketch"), case.pop("batch")
+        counter, store = _stores(sketch)
+        seen = ProposalLog()
         try:
-            expected, _ = reference_simulate(**case, store=ref_store, batch=batch)
+            expected, _ = reference_simulate(**case, store=counter, batch=batch, seen=seen)
         except BannedExhaustionError:
             expected = None
         with patch.object(mh_uniform, "PROPOSAL_BATCH", batch):
             if expected is None:
                 with pytest.raises(BannedExhaustionError):
                     simulate(**case, store=store)
+                report = None
             else:
-                assert simulate(**case, store=store) == expected
-        assert _store_state(store) == _store_state(ref_store)
-
-    def test_counters_are_written_when_next_read(self):
-        # simulate leaves its counts pending; a read (here a second, warm
-        # simulate, then _store_state) adds them in first.
-        model = zipf_model(0.9, 2000)
-        passwords = [b"p%08d" % i for i in range(1, 2001)]
-        reference = CountMinStore(width=1 << 10, depth=3, master_seed=4)
-        store = CountMinStore(width=1 << 10, depth=3, master_seed=4)
-        for seed in (4, 5):
-            expected, _ = reference_simulate(model, passwords, 1500, store=reference, seed=seed)
-            assert simulate(model, passwords, 1500, store=store, seed=seed) == expected
-            assert len(store._pending) == 1
-            if seed == 4:
-                assert not store._counters.any()
-        assert _store_state(store) == _store_state(reference)
-        assert not store._pending
-        assert store.query(passwords[0]) == reference.query(passwords[0])
+                report = simulate(**case, store=store)
+                assert report == expected
+        _assert_counted(report, case["n_users"], counter, store, seen)
 
     def test_hash_evaluations_are_depth_per_distinct_rank(self):
         model = zipf_model(0.78, 3000)
         passwords = [b"p%08d" % i for i in range(1, 3001)]
-        reference = CountMinStore(width=1 << 12, depth=4, master_seed=7)
+        reference = CountMinCounter(width=1 << 12, depth=4, master_seed=7)
         ref_report, seen = reference_simulate(model, passwords, 3000, store=reference, seed=7)
         store = CountMinStore(width=1 << 12, depth=4, master_seed=7)
         report = simulate(model, passwords, 3000, store=store, seed=7)
@@ -559,46 +505,41 @@ class TestSimulateMatchesSessionReference:
         assert reference.hash_evaluations == 4 * (3000 + report.rejected_total + 3000 - 1)
 
     @pytest.mark.parametrize(
-        "warm, banned, retry_cap",
+        "banned, retry_cap",
         [
-            pytest.param(0, 0, DEFAULT_RETRY_CAP, id="cold"),
-            pytest.param(400, 0, DEFAULT_RETRY_CAP, id="warm"),
-            pytest.param(0, 20, 5, id="banned-exhaustion"),
+            pytest.param(0, DEFAULT_RETRY_CAP, id="cold"),
+            pytest.param(20, 5, id="banned-exhaustion"),
         ],
     )
-    def test_clean_and_shared_ranks(self, warm, banned, retry_cap):
+    def test_clean_and_shared_ranks(self, banned, retry_cap):
         # At width 2^11 and depth 3 a few thousand proposed ranks include
         # both ranks with a counter of their own in some row and ranks that
-        # share a counter in every row (or whose own counter is warm).
+        # share a counter in every row.
         n = 4000
         model = zipf_model(0.7, n)
         passwords = [b"p%08d" % i for i in range(n)]
-        sketch = {"width": 1 << 11, "depth": 3, "master_seed": 3}
-        warm_keys = [b"w%d" % i for i in range(warm)]
-        ref_store, store = _store(sketch, warm_keys), _store(sketch, warm_keys)
-        start = store._flat.copy()
+        counter, store = _stores({"width": 1 << 11, "depth": 3, "master_seed": 3})
         weights = TargetWeight.with_bans(banned=passwords[:banned]) if banned else None
         case = dict(weights=weights, seed=5, retry_cap=retry_cap)
         seen = ProposalLog()
         if banned:
             with pytest.raises(BannedExhaustionError):
-                reference_simulate(model, passwords, 3000, store=ref_store, seen=seen, **case)
+                reference_simulate(model, passwords, 3000, store=counter, seen=seen, **case)
             with pytest.raises(BannedExhaustionError):
                 simulate(model, passwords, 3000, store=store, **case)
-            assert store.totals > 1000  # many sessions ran before the one that failed
+            report = None
+            assert counter.totals > 1000  # many sessions ran before the one that failed
         else:
-            expected, _ = reference_simulate(model, passwords, 3000, store=ref_store, seen=seen, **case)
-            assert simulate(model, passwords, 3000, store=store, **case) == expected
-        assert _store_state(store) == _store_state(ref_store)
+            expected, _ = reference_simulate(model, passwords, 3000, store=counter, seen=seen, **case)
+            report = simulate(model, passwords, 3000, store=store, **case)
+            assert report == expected
+        _assert_counted(report, 3000, counter, store, seen)
         # The seen ranks' counters: a rank is clean if, in some row, no other
-        # seen rank shares its counter and that counter started at 0.
-        offsets = store._offsets(seen._pool)
-        owners = np.bincount(offsets.ravel(), minlength=start.size)[offsets]
-        alone = owners == 1
-        clean = (alone & (start[offsets] == 0)).any(axis=1)
+        # seen rank shares its counter.
+        offsets = store.offsets(seen._pool)
+        owners = np.bincount(offsets.ravel(), minlength=store.depth * store.width)[offsets]
+        clean = (owners == 1).any(axis=1)
         assert 0 < clean.sum() < len(clean)
-        if warm:
-            assert (alone.any(axis=1) & ~clean).any()
 
     @pytest.mark.parametrize("batch", [PROPOSAL_BATCH, 1000])
     @pytest.mark.parametrize("sketch", [None, {"width": 1 << 12, "depth": 3, "master_seed": 11}])
@@ -609,10 +550,11 @@ class TestSimulateMatchesSessionReference:
         model = zipf_model(0.7, n)
         passwords = [b"p%08d" % i for i in range(n)]
         weights = TargetWeight.with_bans(banned=[b"p00000000"], soft={b"p00000001": 0.5})
-        ref_store, store = _store(sketch, []), _store(sketch, [])
-        expected, _ = reference_simulate(
-            model, passwords, n, store=ref_store, weights=weights, seed=13, batch=batch
+        counter, store = _stores(sketch)
+        expected, seen = reference_simulate(
+            model, passwords, n, store=counter, weights=weights, seed=13, batch=batch
         )
         with patch.object(mh_uniform, "PROPOSAL_BATCH", batch):
-            assert simulate(model, passwords, n, store=store, weights=weights, seed=13) == expected
-        assert _store_state(store) == _store_state(ref_store)
+            report = simulate(model, passwords, n, store=store, weights=weights, seed=13)
+        assert report == expected
+        _assert_counted(report, n, counter, store, seen)
