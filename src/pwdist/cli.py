@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, ingest
+from . import __version__, ingest, tsvio
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,7 +122,7 @@ def _input(args, name: str) -> Path:
 def _read_words(path: Path) -> list[bytes]:
     """The non-empty lines of a word list or ban file."""
     with open(path, "rb") as fh:
-        return [line for lines in ingest.line_blocks(fh) for line in lines if line]
+        return [line for chunk in tsvio.line_chunks(fh) for line in tsvio.chunk_lines(chunk) if line]
 
 
 def _numeric_errors() -> tuple[type, ...]:

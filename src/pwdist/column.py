@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 _FNV_OFFSET = 0xCBF29CE484222325
+_MASK64 = (1 << 64) - 1
 # Rows joined per piece when a column is built from a sequence of rows.
 JOIN_BLOCK = 1 << 13
 # Rows longer than this are hashed and compared one at a time, not 8 bytes
@@ -226,6 +227,25 @@ class PasswordColumn(Sequence[bytes]):
                     found[probe_order[k]] = j
                     break
         return found
+
+
+def keyed_hashes(rows: Sequence[bytes], key: int) -> np.ndarray:
+    """The 8-byte blake2b of each row keyed by ``key`` mod 2**64 as 8 big-endian
+    bytes, read big-endian into a ``>u8`` array.
+
+    The digests are joined ``JOIN_BLOCK`` rows at a time into the array, so
+    no digest object outlives its block.
+    """
+    keyed = hashlib.blake2b(digest_size=8, key=(key & _MASK64).to_bytes(8, "big"))
+    out = np.empty(len(rows), dtype=">u8")
+    for start in range(0, len(rows), JOIN_BLOCK):
+        digests = []
+        for row in rows[start : start + JOIN_BLOCK]:
+            h = keyed.copy()
+            h.update(row)
+            digests.append(h.digest())
+        out[start : start + len(digests)] = np.frombuffer(b"".join(digests), dtype=">u8")
+    return out
 
 
 def as_column(rows: Iterable[bytes]) -> PasswordColumn:

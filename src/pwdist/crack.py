@@ -13,8 +13,10 @@ uncracked rows, which is exactly why real salted corpora cost thousands of
 hash calls per guess. Hashing is batched: a block of fresh guesses is
 hashed against every live salt as one ``(guesses x salts)`` array, and
 the block's hits are resolved into cracked rows by index arrays. The
-cracked users and guesses are two columns, and ``hashes.tsv`` and
-``cracked.tsv`` are laid out a block of rows at a time in numpy.
+cracked users and guesses are two columns. ``hashes.tsv`` and
+``cracked.tsv`` are written, and ``hashes.tsv`` read, a block of rows at a
+time by the row codec of :mod:`pwdist.tsvio`, with hex fields formatted
+and decoded in numpy.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tsvio
 from .crossguess import GuessCurve, GuessOrdering, METRIC_DISTINCT, METRIC_USERS, curve_from_increments
 from .column import PasswordColumn, _low_bytes, _words, as_column, splitmix64
-from .ingest import WRITE_BLOCK, CorpusError, _password_bytes, line_blocks
-from .tsvio import unescape_field
+from .tsvio import CorpusError
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -353,20 +355,11 @@ def crack(corpus: HashedCorpus, ordering: GuessOrdering) -> CrackReport:
     )
 
 
-def _lay_out(fields: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Rows laid end to end as uint8: row i is piece i of each field in turn.
-
-    A field is its pieces' bytes joined, as uint8, and each piece's length.
-    """
-    runs = np.stack([lengths for _, lengths in fields], axis=1).ravel()
-    field_of = np.repeat(np.tile(np.arange(len(fields), dtype=np.uint8), len(runs) // len(fields)), runs)
-    out = np.empty(len(field_of), dtype=np.uint8)
-    for k, (data, _) in enumerate(fields):
-        out[field_of == k] = data
-    return out
-
-
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# The value of each hex digit byte, either case; 16 for every other byte.
+_HEX_VALUES = np.array(
+    [int(chr(b), 16) if chr(b) in "0123456789abcdefABCDEF" else 16 for b in range(256)], dtype=np.uint8
+)
 _NIBBLE_SHIFTS = np.arange(60, -1, -4, dtype=np.uint64)
 
 
@@ -378,70 +371,97 @@ def write_hashes_tsv(corpus: HashedCorpus, path) -> None:
     hex, TAB, digest hex and LF that numpy formats for all rows at once.
     """
     # Each salt's tail bytes up to its digest, NUL-padded to the longest.
-    salt_width = 2 * max(map(len, corpus.salts), default=0) + 2
-    salt_tails = np.zeros((len(corpus.salts), salt_width), dtype=np.uint8)
-    for j, salt in enumerate(corpus.salts):
-        salt_tails[j, : 2 * len(salt) + 2] = np.frombuffer(b"\t%s\t" % salt.hex().encode(), dtype=np.uint8)
+    salt_tails = np.array([b"\t%s\t" % salt.hex().encode() for salt in corpus.salts], dtype=bytes)
+    salt_width = salt_tails.itemsize
+    salt_tails = salt_tails.view(np.uint8).reshape(len(corpus.salts), salt_width)
     with open(path, "wb") as fh:
         fh.write(HASHES_HEADER + b"\n")
-        for start in range(0, len(corpus), WRITE_BLOCK):
-            stop = start + WRITE_BLOCK
+        for start in range(0, len(corpus), tsvio.WRITE_BLOCK):
+            stop = start + tsvio.WRITE_BLOCK
             digests = corpus.digests[start:stop]
             tails = np.empty((len(digests), salt_width + 17), dtype=np.uint8)
             tails[:, :salt_width] = salt_tails[corpus.salt_index[start:stop]]
             tails[:, salt_width:-1] = _HEX_DIGITS[(digests[:, None] >> _NIBBLE_SHIFTS) & np.uint64(15)]
             tails[:, -1] = 0x0A
-            kept = tails != 0
-            users = _password_bytes(corpus.users[start:stop])
-            fh.write(_lay_out([users, (tails[kept], np.count_nonzero(kept, axis=1))]))
+            fh.write(tsvio.lay_out([tsvio.escaped(corpus.users[start:stop]), tsvio.packed(tails)]))
 
 
-def _hashes_row(line: bytes) -> tuple[bytes, bytes, bytes]:
-    """The user, salt and digest of one ``hashes.tsv`` row."""
-    parts = line.split(b"\t")
-    if len(parts) != 3:
-        raise CorpusError(f"malformed hashes row: {line!r}")
-    user, salt_hex, digest_hex = parts
+def _hex_values(raw: np.ndarray, start: np.ndarray, stop: np.ndarray, name: str) -> np.ndarray:
+    """The hex field ``[start, stop)`` of every row as a matrix of digit values, 0 past a
+    row's end; a field of odd length or with a byte that is not a hex digit raises."""
+    at = start[:, None] + np.arange((stop - start).max(initial=0))
+    inside = at < stop[:, None]
+    values = np.where(inside, _HEX_VALUES[raw[np.where(inside, at, 0)]], 0)
+    if ((stop - start) % 2).any() or (values > 15).any():
+        raise CorpusError(f"malformed hashes row: {name} is not whole bytes of hex digits")
+    return values
+
+
+def _hashes_fields(
+    chunk: bytes, salt_ids: dict[bytes, int]
+) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """A chunk of ``hashes.tsv`` rows: the users unescaped and joined, their lengths,
+    salt ids (a new salt is added to ``salt_ids``) and digests.
+
+    CRLF rows lose their CR and blank lines are dropped before the rows are
+    cut by :mod:`~pwdist.tsvio`. Hex is decoded in numpy: a digest must be
+    exactly 16 hex digits, a salt any even number of them.
+    """
+    raw = np.frombuffer(chunk, dtype=np.uint8)
+    fields = tsvio.cut_rows(raw, b"\t\t\n") if b"\r" not in chunk else None
+    if fields is None:
+        lines = [line for line in tsvio.chunk_lines(chunk) if line]
+        raw = np.frombuffer(b"".join(line + b"\n" for line in lines), dtype=np.uint8)
+        fields = tsvio.cut_rows(raw, b"\t\t\n")
+        if fields is None:
+            bad = next(line for line in lines if line.count(b"\t") != 2)
+            raise CorpusError(f"malformed hashes row: {bad!r}")
+    user, salt, digest = fields
     try:
-        row = unescape_field(user), bytes.fromhex(salt_hex.decode()), bytes.fromhex(digest_hex.decode())
+        users, lengths = tsvio.gather(raw, *user)
     except ValueError as exc:
-        raise CorpusError(f"malformed hashes row {line!r}: {exc}") from exc
-    if len(row[2]) != 8:
-        raise CorpusError(f"malformed hashes row {line!r}: digest is not 8 bytes")
-    return row
+        raise CorpusError(f"malformed hashes row: {exc}") from exc
+    if (digest[1] - digest[0] != 16).any():
+        raise CorpusError("malformed hashes row: digest is not 8 bytes")
+    nibbles = _hex_values(raw, *digest, "digest").reshape(-1, 16).astype(np.uint64)
+    digests = np.bitwise_or.reduce(nibbles << _NIBBLE_SHIFTS, axis=1)
+    nibbles = _hex_values(raw, *salt, "salt")
+    # Each salt's bytes, then a 1 and NUL padding: one opaque byte string per distinct salt.
+    keys = np.zeros((len(nibbles), nibbles.shape[1] // 2 + 1), dtype=np.uint8)
+    keys[:, :-1] = nibbles[:, 0::2] << 4 | nibbles[:, 1::2]
+    salt_lengths = (salt[1] - salt[0]) // 2
+    keys[np.arange(len(keys)), salt_lengths] = 1
+    as_strings = keys.view(f"V{keys.shape[1]}").ravel()
+    _, first, index = np.unique(as_strings, return_index=True, return_inverse=True)
+    ids = np.empty(len(first), dtype=np.int64)
+    for k in np.argsort(first).tolist():
+        ids[k] = salt_ids.setdefault(keys[first[k], : salt_lengths[first[k]]].tobytes(), len(salt_ids))
+    return users, lengths, ids[index.ravel()], digests
 
 
 def read_hashes_tsv(path) -> HashedCorpus:
-    """Load a file written by :func:`write_hashes_tsv`.
+    """Load a file written by :func:`write_hashes_tsv`, a block of rows at a time.
 
     CRLF rows and blank lines are accepted; a wrong header, a row without
-    exactly three fields, a bad escape or hex field, or a digest that is
-    not 8 bytes raises :class:`CorpusError`. Each block of rows read is
-    joined into the users column.
+    three fields, a bad escape or a bad hex field raises :class:`CorpusError`.
     """
     pieces: list[bytes] = []
     lengths: list[np.ndarray] = []
     salt_ids: dict[bytes, int] = {}
-    salt_index: list[int] = []
-    digests: list[bytes] = []
+    salt_index: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    digests: list[np.ndarray] = [np.zeros(0, dtype=np.uint64)]
     with open(path, "rb") as fh:
         if fh.readline().rstrip(b"\r\n") != HASHES_HEADER:
             raise CorpusError(f"not a hashed-corpus file: {path}")
-        for lines in line_blocks(fh):
-            users = []
-            for line in lines:
-                if line:
-                    user, salt, digest = _hashes_row(line)
-                    users.append(user)
-                    salt_index.append(salt_ids.setdefault(salt, len(salt_ids)))
-                    digests.append(digest)
-            pieces.append(b"".join(users))
-            lengths.append(np.fromiter(map(len, users), dtype=np.int64, count=len(users)))
+        for chunk in tsvio.line_chunks(fh):
+            fields = _hashes_fields(chunk, salt_ids)
+            for out, field in zip((pieces, lengths, salt_index, digests), fields):
+                out.append(field)
     return HashedCorpus(
         users=PasswordColumn.from_pieces(pieces, lengths),
         salts=list(salt_ids),
-        salt_index=np.array(salt_index, dtype=np.int64),
-        digests=np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64),
+        salt_index=np.concatenate(salt_index),
+        digests=np.concatenate(digests),
     )
 
 
@@ -454,13 +474,6 @@ def write_cracked_tsv(report: CrackReport, path) -> None:
     cracked = report.cracked
     with open(path, "wb") as fh:
         fh.write(b"user\tpassword\n")
-        for start in range(0, len(cracked), WRITE_BLOCK):
-            rows = cracked[start : start + WRITE_BLOCK]
-            ones = np.ones(len(rows), dtype=np.int64)
-            fields = [
-                _password_bytes(rows.users),
-                (np.full(len(rows), 0x09, dtype=np.uint8), ones),
-                _password_bytes(rows.guesses),
-                (np.full(len(rows), 0x0A, dtype=np.uint8), ones),
-            ]
-            fh.write(_lay_out(fields))
+        for start in range(0, len(cracked), tsvio.WRITE_BLOCK):
+            rows = cracked[start : start + tsvio.WRITE_BLOCK]
+            fh.write(tsvio.lay_out([tsvio.escaped(rows.users), 0x09, tsvio.escaped(rows.guesses), 0x0A]))

@@ -21,8 +21,9 @@ from typing import Iterable
 
 import numpy as np
 
+from . import tsvio
 from .column import PasswordColumn, as_column
-from .ingest import WRITE_BLOCK, RankFrequencyTable, _put_decimal, table_from_counter
+from .ingest import RankFrequencyTable, table_from_counter
 
 METRIC_USERS = "users"
 METRIC_DISTINCT = "distinct-passwords"
@@ -182,8 +183,8 @@ def write_curve_tsv(curve: GuessCurve, path, log_spaced: bool = False) -> None:
     fracs = cums / denom if denom else np.zeros(len(cums))
     with open(path, "wb") as fh:
         fh.write(b"t\tcumulative\tfraction\n")
-        for start in range(0, len(ts), WRITE_BLOCK):
-            block = slice(start, start + WRITE_BLOCK)
+        for start in range(0, len(ts), tsvio.WRITE_BLOCK):
+            block = slice(start, start + tsvio.WRITE_BLOCK)
             fh.write(_curve_rows(ts[block], cums[block], fracs[block]))
 
 
@@ -202,9 +203,9 @@ def _curve_rows(ts: np.ndarray, cums: np.ndarray, fracs: np.ndarray) -> bytes:
     c_width = len(b"%d" % cums[-1])
     f_width = text.itemsize
     rows = np.zeros((len(ts), t_width + c_width + f_width + 3), dtype=np.uint8)
-    _put_decimal(rows[:, :t_width], ts)
+    tsvio.put_decimal(rows[:, :t_width], ts)
     rows[:, t_width] = 0x09
-    _put_decimal(rows[:, t_width + 1 : t_width + 1 + c_width], cums)
+    tsvio.put_decimal(rows[:, t_width + 1 : t_width + 1 + c_width], cums)
     rows[:, t_width + 1 + c_width] = 0x09
     runs = text.view(np.uint8).reshape(len(text), f_width)
     rows[:, -1 - f_width : -1] = runs[np.cumsum(run_start) - 1]

@@ -22,12 +22,12 @@ default all-ones weights the rule reduces exactly to u <= F(x).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .column import keyed_hashes
 from .ingest import RankFrequencyTable, rank_passwords
 from .stats import ProbabilityModel
 
@@ -55,18 +55,11 @@ class CountMinStore:
     def __init__(self, width: int, depth: int, master_seed: int = 0):
         if width < 1 or depth < 1:
             raise ValueError("width and depth must be positive")
-        master = (master_seed & ((1 << 64) - 1)).to_bytes(8, "big")
-        keyed = (hashlib.blake2b(row.to_bytes(4, "big"), digest_size=8, key=master) for row in range(depth))
         self.width = width
         self.depth = depth
-        self.seeds = tuple(int.from_bytes(h.digest(), "big") for h in keyed)
-        # Row r's counters are [r * width, (r + 1) * width) of the flat
-        # counters; each row keeps a keyed blake2b that a key's hash is
-        # copied from.
-        self._rows = [
-            (row * width, hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "big")))
-            for row, seed in enumerate(self.seeds)
-        ]
+        # Row r hashes keys under its seed onto counters [r * width, (r + 1) * width).
+        rows = [row.to_bytes(4, "big") for row in range(depth)]
+        self.seeds = tuple(keyed_hashes(rows, master_seed).tolist())
         # Keyed row hashes counted so far: ``depth`` per rank that
         # ``simulate`` proposes.
         self.hash_evaluations = 0
@@ -78,14 +71,8 @@ class CountMinStore:
         per row; ``hash_evaluations`` is counted by the caller.
         """
         offsets = np.empty((len(keys), self.depth), dtype=np.int64)
-        for row, (base, row_hash) in enumerate(self._rows):
-            digests = []
-            for key in keys:
-                h = row_hash.copy()
-                h.update(key)
-                digests.append(h.digest())
-            keyed = np.frombuffer(b"".join(digests), dtype=">u8")
-            offsets[:, row] = keyed % np.uint64(self.width) + np.uint64(base)
+        for row, seed in enumerate(self.seeds):
+            offsets[:, row] = keyed_hashes(keys, seed) % np.uint64(self.width) + np.uint64(row * self.width)
         return offsets
 
 
@@ -182,50 +169,21 @@ class _RawStream:
 def _proposal_ranks(
     probs: np.ndarray,
     randoms: Callable[[int], np.ndarray],
-    canon: np.ndarray | None,
     batch: int,
     on_batch: Callable[[np.ndarray], None] | None = None,
 ) -> Iterator[int]:
     """I.i.d. rank draws from a finite distribution, ``batch`` at a time.
 
-    A batch is drawn when the first of its ranks is asked for. ``canon``,
-    if given, maps each rank to the rank a draw is reported as;
+    A batch is drawn when the first of its ranks is asked for.
     ``on_batch``, if given, sees each batch of ranks before any is yielded.
     """
     cum = np.cumsum(np.asarray(probs, dtype=np.float64))
     cum[-1] = 1.0
     while True:
         ranks = np.searchsorted(cum, randoms(batch), side="right")
-        if canon is not None:
-            ranks = canon[ranks]
         if on_batch is not None:
             on_batch(ranks)
         yield from ranks.tolist()
-
-
-def _first_ranks(passwords: Sequence[bytes]) -> np.ndarray | None:
-    """Map each rank to the first rank with an equal label; None if all differ.
-
-    Labels are grouped by sorting their hashes, and only labels whose hash
-    collides are compared, so no set of every label is built.
-    """
-    hashes = np.fromiter(map(hash, passwords), dtype=np.int64, count=len(passwords))
-    order = np.argsort(hashes, kind="stable")
-    sorted_hashes = hashes[order]
-    clash = np.flatnonzero(sorted_hashes[1:] == sorted_hashes[:-1])
-    clashing = np.zeros(len(passwords), dtype=bool)
-    clashing[order[clash]] = True
-    clashing[order[clash + 1]] = True
-    canon = None
-    first: dict[bytes, int] = {}
-    # Ascending, so the first rank seen with a label is its lowest.
-    for rank in np.flatnonzero(clashing).tolist():
-        label_rank = first.setdefault(passwords[rank], rank)
-        if label_rank != rank:
-            if canon is None:
-                canon = np.arange(len(passwords))
-            canon[rank] = label_rank
-    return canon
 
 
 @dataclass
@@ -267,8 +225,8 @@ def simulate(
     when u * weight(x) <= F(x) * weight(x'). A session that reaches
     ``retry_cap`` asks raises ``BannedExhaustionError``.
 
-    Sessions run over rank indices: a rank stands for its label, and ranks
-    whose labels repeat count as the first of them. The draws replay the
+    The labels must be distinct; this is not checked. Sessions run over
+    rank indices, a rank standing for its label. The draws replay the
     seeded generator's raw stream (``_RawStream``) rather than calling it
     per draw. F is exact with ``store=None``, else the count-min estimate
     of the sketch laid out by ``store``, whose ``hash_evaluations`` grows
@@ -392,9 +350,7 @@ def _run_sessions(
                 codes = owner[offsets[hashed]]
                 join(hashed, np.where(codes <= went_live, codes, 0))
 
-    take = _proposal_ranks(
-        model.probs, stream.randoms, _first_ranks(passwords), PROPOSAL_BATCH, on_batch
-    ).__next__
+    take = _proposal_ranks(model.probs, stream.randoms, PROPOSAL_BATCH, on_batch).__next__
     accepted = [0] * n_ranks
     free = [0] * n_ranks
     asks_total = 0
@@ -445,8 +401,7 @@ def _run_sessions(
 
 
 def _table(rank_counts: list[int], passwords: Sequence[bytes], seed: int) -> RankFrequencyTable:
-    # Only the first rank of a repeated label is ever counted, so the labels
-    # of the counted ranks are distinct.
+    # simulate's labels are distinct, so the counted ranks' labels are too.
     counts = np.array(rank_counts, dtype=np.int64)
     ranks = np.flatnonzero(counts)
     return rank_passwords([passwords[r] for r in ranks.tolist()], counts[ranks], seed)

@@ -39,9 +39,9 @@ class ProbabilityModel:
         p = self.probs
         if len(p) == 0:
             raise ValueError("model has no ranks")
-        if np.any(p <= 0.0):
+        if not np.all(p > 0.0):
             raise ValueError("probabilities must be positive")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
+        if not abs(float(p.sum()) - 1.0) <= 1e-9:
             raise ValueError("probabilities must sum to 1 within 1e-9")
         if np.any(np.diff(p) > 0.0):
             raise ValueError("probabilities must be non-increasing in rank")
@@ -68,7 +68,7 @@ def zipf_model(s: float, n: int) -> ProbabilityModel:
     """P_i = K * i^-s over ranks 1..n, K the normalising constant."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError("s must be >= 0")
     probs = np.arange(1, n + 1, dtype=np.float64)
     np.power(probs, -s, out=probs)

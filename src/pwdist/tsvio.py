@@ -1,17 +1,40 @@
-"""Binary TSV helpers.
+"""Binary TSV rows: the one codec of every row file.
 
-Passwords are arbitrary byte strings, so table files are written in binary
-mode and the few bytes that would break a tab-separated, newline-delimited
-layout are backslash-escaped.
+Passwords are arbitrary byte strings, so row files are binary and the bytes
+that would break a tab-separated, newline-delimited layout are
+backslash-escaped. Files are read ``READ_BLOCK`` bytes at a time, cut after
+the last LF, and written ``WRITE_BLOCK`` rows at a time, in numpy with no
+``bytes`` object per row: :func:`lay_out` writes a block of fields, and
+:func:`cut_rows` and :func:`gather` take one apart. Only rows that hold a
+byte to escape, or a backslash to unescape, are rewritten one at a time.
 """
 
 from __future__ import annotations
 
 import re
+from typing import BinaryIO, Callable, Iterator, Sequence
+
+import numpy as np
+
+# Bytes per read when streaming a corpus or a row file. A line that
+# crosses a block boundary is carried into the next block.
+READ_BLOCK = 1 << 16
+# Rows laid out per write.
+WRITE_BLOCK = 1 << 13
 
 _UNESCAPES = {b"\\": b"\\", b"t": b"\t", b"n": b"\n", b"r": b"\r"}
 # A backslash and the byte after it, or the end of the field for a dangling one.
 _ESCAPE = re.compile(rb"\\(.?)", re.DOTALL)
+# A bytes.translate table that maps the bytes escape_field rewrites to 1, all others to 0.
+_ESCAPED_BYTES = bytes(int(b in b"\t\n\r\\") for b in range(256))
+
+
+class CorpusError(Exception):
+    """Unusable corpus input. ``byte_offset`` locates stream failures."""
+
+    def __init__(self, message: str, byte_offset: int | None = None):
+        super().__init__(message)
+        self.byte_offset = byte_offset
 
 
 def escape_field(raw: bytes) -> bytes:
@@ -38,3 +61,151 @@ def unescape_field(raw: bytes) -> bytes:
         if not follower:
             raise ValueError("dangling backslash escape in TSV field") from None
         raise ValueError(f"unknown TSV escape: \\{chr(follower[0])}") from None
+
+
+def line_chunks(stream: BinaryIO) -> Iterator[bytes]:
+    """``READ_BLOCK``-byte reads of ``stream``, each cut after its last LF.
+
+    The bytes after a cut are carried and joined once, when an LF arrives, so
+    each chunk but the last ends in an LF and costs time linear in its length.
+    """
+    carried: list[bytes] = []
+    offset = 0
+    while True:
+        try:
+            block = stream.read(READ_BLOCK)
+        except OSError as exc:
+            raise CorpusError(f"unreadable corpus stream: {exc}", byte_offset=offset) from exc
+        if not block:
+            break
+        offset += len(block)
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            carried.append(block)
+            continue
+        yield b"".join([*carried, block[:cut]])
+        carried = [block[cut:]]
+    if any(carried):
+        yield b"".join(carried)
+
+
+def chunk_lines(chunk: bytes) -> list[bytes]:
+    """The lines of a chunk, without LF and one trailing CR."""
+    lines = chunk.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line[:-1] if line[-1:] == b"\r" else line for line in lines]
+
+
+def _rewrite_rows(
+    joined: bytes, lengths: np.ndarray, marks: np.ndarray, fn: Callable[[bytes], bytes]
+) -> bytes:
+    """``joined``, rows of ``lengths`` end to end, with each row that holds a byte
+    offset of ``marks`` replaced by ``fn`` of it.
+
+    ``marks`` ascend; ``lengths`` is updated in place.
+    """
+    if not len(marks):
+        return joined
+    ends = np.cumsum(lengths)
+    rows = np.searchsorted(ends, marks, side="right")
+    ends = ends.tolist()
+    pieces = []
+    done = 0
+    for i in dict.fromkeys(rows.tolist()):
+        start = ends[i] - int(lengths[i])
+        new = fn(joined[start : ends[i]])
+        pieces += (joined[done:start], new)
+        lengths[i] = len(new)
+        done = ends[i]
+    pieces.append(joined[done:])
+    return b"".join(pieces)
+
+
+def escaped(column) -> tuple[np.ndarray, np.ndarray]:
+    """A :class:`~pwdist.column.PasswordColumn`'s rows escaped and joined, as uint8,
+    and each one's escaped length; only rows holding a byte to escape go
+    through :func:`escape_field`."""
+    lengths = column.lengths()
+    joined = column.view().tobytes()
+    special = np.flatnonzero(np.frombuffer(joined.translate(_ESCAPED_BYTES), dtype=np.uint8))
+    return np.frombuffer(_rewrite_rows(joined, lengths, special, escape_field), dtype=np.uint8), lengths
+
+
+def put_decimal(out: np.ndarray, values: np.ndarray) -> None:
+    """Write non-negative ``values`` as right-aligned ASCII decimals into the uint8 rows of ``out``.
+
+    ``out`` has one row per value and at least as many columns as the
+    longest value has digits; the columns left of each value are set to NUL.
+    """
+    rest, digit = np.divmod(values, 10)
+    out[:, -1] = digit + 0x30
+    for col in range(out.shape[1] - 2, -1, -1):
+        live = rest > 0
+        rest, digit = np.divmod(rest, 10)
+        out[:, col] = np.where(live, digit + 0x30, 0)
+
+
+def packed(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a NUL-padded uint8 matrix with their NULs dropped, joined, and each one's length."""
+    kept = rows != 0
+    return rows[kept], np.count_nonzero(kept, axis=1)
+
+
+def lay_out(fields: Sequence[tuple[np.ndarray, np.ndarray] | int]) -> np.ndarray:
+    """Rows laid end to end as uint8: row i is piece i of each field in turn.
+
+    A field is its pieces' bytes joined, as uint8, and each piece's length,
+    or one byte (a TAB, an LF) that every row holds once; one field at least
+    is of the first kind. One ``repeat`` marks every byte with its field. A
+    one-byte field's mark is its byte, so the marking lays it out; each other
+    field's bytes go in by a mask of a mark no one-byte field uses.
+    """
+    singles = {field for field in fields if isinstance(field, int)}
+    free = (mark for mark in range(256) if mark not in singles)
+    marks = [field if isinstance(field, int) else next(free) for field in fields]
+    n = next(len(field[1]) for field in fields if not isinstance(field, int))
+    runs = np.column_stack([np.ones(n, np.int64) if isinstance(f, int) else f[1] for f in fields])
+    out = np.repeat(np.tile(np.array(marks, dtype=np.uint8), n), runs.ravel())
+    # Every mask is taken before any field's bytes overwrite the marks.
+    masks = [(out == mark, field[0]) for mark, field in zip(marks, fields) if not isinstance(field, int)]
+    for mask, data in masks:
+        out[mask] = data
+    return out
+
+
+def cut_rows(raw: np.ndarray, separators: bytes) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The ``(start, stop)`` offsets in ``raw`` of each field of every row, or None
+    unless ``raw`` is plain rows: each row its fields, each field followed by
+    its separator (``b"\\t\\t\\n"`` for three), and no other TAB or LF.
+    """
+    width = len(separators)
+    at = np.flatnonzero((raw == 0x09) | (raw == 0x0A))
+    if len(at) % width or (len(raw) and raw[-1] != 0x0A):
+        return None
+    if not (raw[at].reshape(-1, width) == np.frombuffer(separators, dtype=np.uint8)).all():
+        return None
+    # A field starts just past the separator before it.
+    starts = np.concatenate(([0], at + 1))[:-1]
+    return list(zip(*(np.ascontiguousarray(bounds.reshape(-1, width).T) for bounds in (starts, at))))
+
+
+def gather(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The field ``[start, stop)`` of every row of ``raw``, unescaped and joined, and each one's length.
+
+    The field's bytes are taken out by one mask of the runs between the
+    bounds. Only rows that hold a backslash go through
+    :func:`unescape_field`, whose ``ValueError`` a bad escape raises.
+    """
+    lengths = stop - start
+    # Runs of other bytes and of field bytes in turn: before row 0's field, row 0's field, ...
+    runs = np.empty(2 * len(start) + 1, dtype=np.int64)
+    runs[0:-1:2] = start
+    runs[2:-1:2] -= stop[:-1]
+    runs[1::2] = lengths
+    runs[-1] = len(raw) - (stop[-1] if len(stop) else 0)
+    in_field = np.zeros(len(runs), dtype=bool)
+    in_field[1::2] = True
+    joined = raw[np.repeat(in_field, runs)].tobytes()
+    marks = np.flatnonzero(np.frombuffer(joined, dtype=np.uint8) == 0x5C)
+    return _rewrite_rows(joined, lengths, marks, unescape_field), lengths

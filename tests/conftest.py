@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pwdist.crossguess import GuessCurve
 from pwdist.ingest import RankFrequencyTable, table_from_counter
@@ -15,6 +16,11 @@ def rows(table: RankFrequencyTable) -> list[tuple[bytes, int]]:
 def steps(curve: GuessCurve) -> list[tuple[int, int]]:
     """The curve's stored steps as (t, cumulative) pairs."""
     return list(zip(curve.t.tolist(), curve.cumulative.tolist()))
+
+
+def rarely(draw, usual, unusual):
+    """Draw from ``usual``, or one time in ten from ``usual + unusual``."""
+    return draw(st.sampled_from(usual + unusual if draw(st.integers(0, 9)) == 0 else usual))
 
 
 def table_of(counts: dict[bytes, int], seed: int = 0) -> RankFrequencyTable:

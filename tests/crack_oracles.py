@@ -2,21 +2,25 @@
 
 ``pwdist.crack`` holds a hashed corpus as columns, draws every salt in
 one bulk read of the generator, resolves a block of hits in numpy and
-lays out a block of output rows at a time. These are the straightforward
-versions it must match exactly: one ``randrange`` and one ``HashedEntry``
-per user, a cracking loop over per-salt dict buckets with the scalar
-``_trunc8_mix64`` for every pair, and writers that format and escape
-one row at a time.
+lays out and reads a block of rows at a time. These are the
+straightforward versions it must match exactly: one ``randrange`` and one
+``HashedEntry`` per user, a cracking loop over per-salt dict buckets with
+the scalar ``_trunc8_mix64`` for every pair, writers that format and
+escape one row at a time, and a reader that splits, unescapes and
+``bytes.fromhex``-decodes one row at a time.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from pwdist.crack import HASHES_HEADER, CrackReport, HashedCorpus, _trunc8_mix64, generate_salts
-from pwdist.tsvio import escape_field
+from pwdist.tsvio import CorpusError, escape_field, unescape_field
 
 _MASK64 = (1 << 64) - 1
 
@@ -93,3 +97,56 @@ def write_cracked_tsv(report: CrackReport, path) -> None:
     with open(path, "wb") as fh:
         fh.write(b"user\tpassword\n")
         fh.write(b"".join([b"%s\t%s\n" % (escape_field(u), escape_field(p)) for u, p in report.cracked]))
+
+
+_HEX = re.compile(rb"[0-9a-fA-F]*")
+
+
+def _hashes_row(line: bytes) -> tuple[bytes, bytes, bytes]:
+    """The user, salt and digest of one ``hashes.tsv`` row.
+
+    Hex fields must be hex digits only: ``bytes.fromhex`` alone would also
+    skip whitespace between digits.
+    """
+    parts = line.split(b"\t")
+    if len(parts) != 3:
+        raise CorpusError(f"malformed hashes row: {line!r}")
+    user, salt_hex, digest_hex = parts
+    if not (_HEX.fullmatch(salt_hex) and _HEX.fullmatch(digest_hex)):
+        raise CorpusError(f"malformed hashes row {line!r}: a hex field holds a byte that is not a hex digit")
+    try:
+        row = unescape_field(user), bytes.fromhex(salt_hex.decode()), bytes.fromhex(digest_hex.decode())
+    except ValueError as exc:
+        raise CorpusError(f"malformed hashes row {line!r}: {exc}") from exc
+    if len(row[2]) != 8:
+        raise CorpusError(f"malformed hashes row {line!r}: digest is not 8 bytes")
+    return row
+
+
+def read_hashes(path) -> HashedCorpus:
+    """``hashes.tsv`` read one row at a time.
+
+    Each line loses its LF and one trailing CR, blank lines are skipped,
+    and salts are numbered by first use.
+    """
+    users: list[bytes] = []
+    salt_ids: dict[bytes, int] = {}
+    salt_index: list[int] = []
+    digests: list[bytes] = []
+    with open(path, "rb") as fh:
+        if fh.readline().rstrip(b"\r\n") != HASHES_HEADER:
+            raise CorpusError(f"not a hashed-corpus file: {path}")
+        lines = fh.read().split(b"\n")
+    for line in lines:
+        line = line[:-1] if line.endswith(b"\r") else line
+        if line:
+            user, salt, digest = _hashes_row(line)
+            users.append(user)
+            salt_index.append(salt_ids.setdefault(salt, len(salt_ids)))
+            digests.append(digest)
+    return HashedCorpus(
+        users=users,
+        salts=list(salt_ids),
+        salt_index=np.array(salt_index, dtype=np.int64),
+        digests=np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64),
+    )

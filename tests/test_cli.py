@@ -68,6 +68,26 @@ class TestExitCodes:
         assert main(["--help"]) == 0
 
     @pytest.mark.parametrize(
+        "argv, config_line",
+        [(["stats", "--s", "nan"], None), (["mh-sim", "--s", "nan"], None), (["mh-sim"], "s = nan")],
+        ids=["stats-flag", "mh-sim-flag", "mh-sim-config"],
+    )
+    def test_nan_exponent_is_usage_error(self, tmp_path, corpus, capsys, argv, config_line):
+        # Every comparison with NaN is false, so the range checks must be written to fail on it.
+        if argv[0] == "stats":
+            argv = [*argv, "--table", str(ingest_table(tmp_path, corpus))]
+        else:
+            argv = [*argv, "--n-users", "100", "--n-ranks", "50"]
+        if config_line is not None:
+            config = tmp_path / "sim.cfg"
+            config.write_text(config_line + "\n")
+            argv += ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE
+        assert "pwdist-error\tusage\ts must be >= 0" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
         "bad_row", [b"1\tmany\tpw", b"x\t3\tpw", b"1\t3\tbad\\q", b"1\t3\tdangling\\"]
     )
     def test_malformed_table_is_input_error(self, tmp_path, capsys, bad_row):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import table_oracles as oracle
-from pwdist import column, ingest
+from pwdist import column, tsvio
 from pwdist.cli import EXIT_INPUT, EXIT_OK, main
 from pwdist.column import PasswordColumn, row_hashes
 from pwdist.ingest import (
@@ -25,7 +25,7 @@ from pwdist.ingest import (
 from conftest import rows
 
 # Block sizes small enough that lines and rows cross block boundaries.
-SMALL_BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 64, ingest.READ_BLOCK])
+SMALL_BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 64, tsvio.READ_BLOCK])
 
 # Rows with the bytes the table codec escapes, NUL and high bytes, and rows
 # on both sides of the length at which hashing leaves numpy.
@@ -90,7 +90,7 @@ class TestPasswordColumn:
     @given(
         st.lists(awkward_rows, min_size=1, max_size=40, unique=True),
         st.integers(0, 2**32),
-        st.sampled_from([1, 3, 7, ingest.WRITE_BLOCK]),
+        st.sampled_from([1, 3, 7, tsvio.WRITE_BLOCK]),
         SMALL_BLOCKS,
     )
     def test_round_trip_arbitrary_bytes(
@@ -100,8 +100,8 @@ class TestPasswordColumn:
         table = table_from_counter(counts, tie_break_seed=seed)
         path = tmp_path_factory.mktemp("column") / "table.tsv"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "WRITE_BLOCK", write_block)
-            mp.setattr(ingest, "READ_BLOCK", read_block)
+            mp.setattr(tsvio, "WRITE_BLOCK", write_block)
+            mp.setattr(tsvio, "READ_BLOCK", read_block)
             write_table_tsv(table, path)
             loaded = read_table_tsv(path)
         assert loaded.passwords == PasswordColumn(pw for pw, _ in oracle.read_table(path))

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
-from pwdist import crack as crack_mod
+from pwdist import crack as crack_mod, tsvio
 from pwdist.crack import (
     CRYPT_SALT_ALPHABET,
+    HASHES_HEADER,
     SALT_LEN,
     HashedCorpus,
     _trunc8_mix64,
@@ -33,6 +34,7 @@ from pwdist.crossguess import (
 from pwdist.ingest import CorpusError, table_from_counter
 
 import crack_oracles as oracle
+from conftest import rarely
 
 
 # Frozen vectors recomputed by hand from the documented constants:
@@ -367,7 +369,7 @@ class TestColumnWriters:
         credentials=st.lists(st.tuples(awkward, awkward), max_size=30),
         salt_count=st.integers(1, 5),
         salt_seed=st.integers(0, 2**64 - 1),
-        block=st.sampled_from([1, crack_mod.WRITE_BLOCK]),
+        block=st.sampled_from([1, tsvio.WRITE_BLOCK]),
     )
     def test_match_row_oracles(self, tmp_path_factory, credentials, salt_count, salt_seed, block):
         corpus = hashed(credentials, salt_seed, salt_count)
@@ -376,7 +378,7 @@ class TestColumnWriters:
         oracle.write_hashes_tsv(corpus, d / "expected-hashes.tsv")
         oracle.write_cracked_tsv(report, d / "expected-cracked.tsv")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(crack_mod, "WRITE_BLOCK", block)
+            mp.setattr(tsvio, "WRITE_BLOCK", block)
             write_hashes_tsv(corpus, d / "hashes.tsv")
             write_cracked_tsv(report, d / "cracked.tsv")
         assert (d / "hashes.tsv").read_bytes() == (d / "expected-hashes.tsv").read_bytes()
@@ -405,7 +407,7 @@ class TestHashesTsv:
         assert read_hashes_tsv(path) == corpus
 
     def test_round_trip_across_write_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(crack_mod, "WRITE_BLOCK", 3)
+        monkeypatch.setattr(tsvio, "WRITE_BLOCK", 3)
         credentials = [(b"u%d" % i, b"pw%d" % i) for i in range(10)]
         corpus = hashed(credentials, salt_seed=1, salt_count=5)
         path = tmp_path / "hashes.tsv"
@@ -430,6 +432,9 @@ class TestHashesTsv:
             b"alice\t2e2e\t00112233445566778899",  # a 10-byte digest
             b"alice\t2e2e",  # a missing field
             b"alice\tzz\t0011223344556677",  # salt not hex
+            b"alice\t2e 2e\t0011223344556677",  # a space inside the salt, which bytes.fromhex skips
+            b"alice\t2e2e\t00112233 44556677",  # a space inside the digest
+            b"alice\t2e2\t0011223344556677",  # an odd number of salt digits
             b"al\\qice\t2e2e\t0011223344556677",  # bad escape
         ],
     )
@@ -445,3 +450,60 @@ class TestHashesTsv:
         write_hashes_tsv(corpus, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
         assert read_hashes_tsv(path) == corpus
+
+
+@st.composite
+def hashes_files(draw) -> bytes:
+    """``hashes.tsv`` files, mostly well formed, with the row variants a reader must judge."""
+    eol = [b"\n", b"\r\n"]
+    out = [rarely(draw, [HASHES_HEADER], [b"user\tsalt-hex"]), draw(st.sampled_from(eol))]
+    for _ in range(draw(st.integers(0, 8))):
+        out.append(rarely(draw, [b""], [b"\n", b"\r\n", b"\r\r\n"]))
+        out += [
+            b"".join(
+                rarely(draw, [b"a", b"\xff", b" ", b"\r", b"\\\\", b"\\t", b"\\n"], [b"\\q", b"\\", b"\t"])
+                for _ in range(draw(st.integers(0, 3)))
+            ),
+            rarely(draw, [b"\t"], [b""]),
+            rarely(draw, [b"", b"2e2e", b"2E2e", b"00", b"abcdef"], [b"2", b"zz", b"2e 2e", b" 2e", b"\xff\xfe"]),
+            b"\t",
+            rarely(
+                draw,
+                [b"0011223344556677", b"FFEEDDCCBBAA9988", b"a1b2c3d4e5f60718"],
+                [b"abcd", b"00112233445566778899", b"0011223344556677 ", b"001122334455667g", b""],
+            ),
+            rarely(draw, [b""], [b"\tx", b"\t"]),
+            draw(st.sampled_from(eol)),
+        ]
+    data = b"".join(out)
+    return data[:-1] if draw(st.booleans()) and data.endswith(b"\n") else data
+
+
+class TestReadHashesBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(data=hashes_files(), block=st.sampled_from([1, 2, 3, 5, 8, 64, tsvio.READ_BLOCK]))
+    def test_accepts_and_rejects_like_row_loop(self, tmp_path_factory, data, block):
+        path = tmp_path_factory.mktemp("read") / "hashes.tsv"
+        path.write_bytes(data)
+        try:
+            expected = oracle.read_hashes(path)
+        except CorpusError:
+            expected = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tsvio, "READ_BLOCK", block)
+            if expected is None:
+                with pytest.raises(CorpusError):
+                    read_hashes_tsv(path)
+                return
+            corpus = read_hashes_tsv(path)
+        assert corpus == expected
+
+    def test_plain_rows_are_cut_without_a_row_loop(self, tmp_path, monkeypatch):
+        corpus = hashed([(b"u%d" % i, b"pw%d" % i) for i in range(50)], salt_seed=2, salt_count=4)
+        write_hashes_tsv(corpus, tmp_path / "hashes.tsv")
+
+        def refuse(chunk):
+            raise AssertionError("a plain chunk was split into lines")
+
+        monkeypatch.setattr(tsvio, "chunk_lines", refuse)
+        assert read_hashes_tsv(tmp_path / "hashes.tsv") == corpus

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import table_oracles as oracle
-from pwdist import column, crossguess
+from pwdist import column, tsvio
 from pwdist.crossguess import (
     GuessCurve,
     GuessOrdering,
@@ -223,7 +223,7 @@ class TestCurveExport:
         st.lists(st.tuples(st.integers(1, 40), st.integers(0, 9)), max_size=12),
         st.integers(0, 60),
         st.booleans(),
-        st.sampled_from([1, 2, 7, crossguess.WRITE_BLOCK]),
+        st.sampled_from([1, 2, 7, tsvio.WRITE_BLOCK]),
     )
     def test_bytes_match_bisect_loop(self, tmp_path_factory, steps, denominator, log_spaced, block):
         # A step curve: strictly increasing t, non-decreasing cumulative values.
@@ -240,7 +240,7 @@ class TestCurveExport:
             ts = range(1, total + 1)
         d = tmp_path_factory.mktemp("curve")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(crossguess, "WRITE_BLOCK", block)
+            mp.setattr(tsvio, "WRITE_BLOCK", block)
             write_curve_tsv(curve, d / "new.tsv", log_spaced=log_spaced)
         oracle.write_curve(points, denominator, d / "old.tsv", ts)
         assert (d / "new.tsv").read_bytes() == (d / "old.tsv").read_bytes()
@@ -250,7 +250,7 @@ class TestCurveExport:
         st.lists(st.tuples(st.integers(1, 3000), st.integers(0, 40)), max_size=10),
         st.sampled_from([0, 1, 7, 99_991, 10**6, 123_456_789, 10**12]),
         st.booleans(),
-        st.sampled_from([1, 3, crossguess.WRITE_BLOCK]),
+        st.sampled_from([1, 3, tsvio.WRITE_BLOCK]),
     )
     def test_bytes_match_percent_format(
         self, tmp_path_factory, steps, denominator, log_spaced, block
@@ -275,7 +275,7 @@ class TestCurveExport:
             expected.append(b"%d\t%d\t%.8g\n" % (at, cum, fraction))
         path = tmp_path_factory.mktemp("curve") / "curve.tsv"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(crossguess, "WRITE_BLOCK", block)
+            mp.setattr(tsvio, "WRITE_BLOCK", block)
             write_curve_tsv(curve, path, log_spaced=log_spaced)
         assert path.read_bytes() == b"".join(expected)
 

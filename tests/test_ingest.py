@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import table_oracles as oracle
-from pwdist import ingest
+from pwdist import column, ingest, tsvio
 from pwdist.ingest import (
     CORPUS_FORMATS,
     TABLE_HEADER,
@@ -29,10 +29,10 @@ from pwdist.ingest import (
 )
 from pwdist.tsvio import escape_field, unescape_field
 
-from conftest import rows
+from conftest import rarely, rows
 
 # Block sizes small enough that lines and rows cross block boundaries.
-SMALL_BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 64, ingest.READ_BLOCK])
+SMALL_BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 64, tsvio.READ_BLOCK])
 
 
 def user_tab(*pairs: tuple[bytes, bytes]) -> bytes:
@@ -173,7 +173,7 @@ class TestReadCredentialsOracle:
             (rec.user.encode("latin-1"), rec.password) for rec in oracle.cleanup(parsed.records)
         ]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "READ_BLOCK", block)
+            mp.setattr(tsvio, "READ_BLOCK", block)
             latest, read_stats = read_credentials(io.BytesIO(raw), corpus_format)
         assert list(latest.items()) == expected
         assert read_stats.lines == len(io.BytesIO(raw).readlines())
@@ -182,7 +182,7 @@ class TestReadCredentialsOracle:
     def test_long_line_is_read_in_linear_time(self, monkeypatch):
         # 65,536 small reads without an LF: joining the carried blocks once is
         # linear, appending each block to the carried bytes was quadratic (~10 s).
-        monkeypatch.setattr(ingest, "READ_BLOCK", 64)
+        monkeypatch.setattr(tsvio, "READ_BLOCK", 64)
         line = b"x" * (4 << 20)
         start = time.perf_counter()
         latest, read_stats = read_credentials(io.BytesIO(b"alice\t" + line), FORMAT_USER_TAB_PASSWORD)
@@ -349,18 +349,19 @@ class TestTableFromCounter:
 
     @given(
         st.dictionaries(st.binary(max_size=4), st.integers(1, 5), min_size=1, max_size=40),
-        st.sampled_from([1, 2, 3, 7, ingest.WRITE_BLOCK]),
+        st.sampled_from([1, 2, 3, 7, tsvio.WRITE_BLOCK]),
     )
     def test_tie_keys_across_write_blocks(self, counts, block):
-        # The keys are joined one write block at a time.
+        # The keys are joined one column block, and the ranked rows one write block, at a time.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "WRITE_BLOCK", block)
+            mp.setattr(column, "JOIN_BLOCK", block)
+            mp.setattr(tsvio, "WRITE_BLOCK", block)
             table = table_from_counter(counts, tie_break_seed=9)
         assert rows(table) == oracle.rank_rows(counts, 9)
 
     def test_equal_tie_keys_fall_back_to_password_bytes(self, monkeypatch):
         monkeypatch.setattr(
-            ingest, "_tie_keys", lambda passwords, seed: np.zeros(len(passwords), dtype=np.uint64)
+            ingest, "keyed_hashes", lambda passwords, seed: np.zeros(len(passwords), dtype=np.uint64)
         )
         table = table_from_counter({b"b": 1, b"a": 1, b"c": 2, b"d": 1, b"e": 2})
         assert rows(table) == [(b"c", 2), (b"e", 2), (b"a", 1), (b"b", 1), (b"d", 1)]
@@ -373,7 +374,7 @@ class TestTableFromCounter:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
                 ingest,
-                "_tie_keys",
+                "keyed_hashes",
                 lambda passwords, seed: np.array([len(p) % 2 for p in passwords], dtype=np.uint64),
             )
             table = table_from_counter(counts)
@@ -397,7 +398,7 @@ class TestStreamTableBlocks:
         parsed = oracle.parse_corpus(raw, corpus_format)
         records = oracle.cleanup(parsed.records)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "READ_BLOCK", block)
+            mp.setattr(tsvio, "READ_BLOCK", block)
             if not records:
                 with pytest.raises(CorpusError):
                     stream_table(io.BytesIO(raw), corpus_format, tie_break_seed=4)
@@ -414,22 +415,17 @@ def _int_forms(value: int) -> list[bytes]:
     return [digits, b" " + digits, b"+" + digits, digits + b" ", b"0" + digits, b"0_" + digits]
 
 
-def _rarely(draw, usual, unusual):
-    """Draw from ``usual``, or one time in ten from ``usual + unusual``."""
-    return draw(st.sampled_from(usual + unusual if draw(st.integers(0, 9)) == 0 else usual))
-
-
 @st.composite
 def table_files(draw) -> bytes:
     """Table files, mostly well formed, with the row variants a reader must judge."""
     eol = [b"\n", b"\r\n"]
-    out = [_rarely(draw, [TABLE_HEADER], [b"rank\tcount"]), draw(st.sampled_from(eol))]
+    out = [rarely(draw, [TABLE_HEADER], [b"rank\tcount"]), draw(st.sampled_from(eol))]
     count = draw(st.integers(3, 9))
-    for rank in range(1, _rarely(draw, list(range(1, 9)), [0]) + 1):
-        out.append(_rarely(draw, [b""], [b"\n", b"\r\n", b"\r\r\n", b"1\t1\n"]))
-        count -= _rarely(draw, [0, 1], [-1, count])
+    for rank in range(1, rarely(draw, list(range(1, 9)), [0]) + 1):
+        out.append(rarely(draw, [b""], [b"\n", b"\r\n", b"\r\r\n", b"1\t1\n"]))
+        count -= rarely(draw, [0, 1], [-1, count])
         password = b"".join(
-            _rarely(
+            rarely(
                 draw,
                 [b"a", b"\t", b"\r", b" ", b"\\\\", b"\\t", b"\\n", b"\\r"],
                 [b"\\q", b"\\"],
@@ -437,11 +433,11 @@ def table_files(draw) -> bytes:
             for _ in range(draw(st.integers(0, 3)))
         )
         out += [
-            _rarely(draw, _int_forms(rank), [b"x", b"", b"%d" % (rank + 1)]),
+            rarely(draw, _int_forms(rank), [b"x", b"", b"%d" % (rank + 1)]),
             b"\t",
-            _rarely(draw, _int_forms(count), [b"y", b"", b"1.0"]),
+            rarely(draw, _int_forms(count), [b"y", b"", b"1.0"]),
             b"\t",
-            password + _rarely(draw, [b"%d" % rank], [b""]),
+            password + rarely(draw, [b"%d" % rank], [b""]),
             draw(st.sampled_from(eol)),
         ]
     data = b"".join(out)
@@ -458,7 +454,7 @@ class TestReadTableBlocks:
         except CorpusError:
             expected = None
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "READ_BLOCK", block)
+            mp.setattr(tsvio, "READ_BLOCK", block)
             if expected is None:
                 with pytest.raises(CorpusError):
                     read_table_tsv(path)
@@ -497,18 +493,18 @@ class TestWriteTableBlocks:
         st.dictionaries(
             st.binary(max_size=5), st.integers(1, 4), min_size=1, max_size=30
         ),
-        st.sampled_from([1, 2, 3, ingest.WRITE_BLOCK]),
+        st.sampled_from([1, 2, 3, tsvio.WRITE_BLOCK]),
     )
     def test_bytes_match_row_loop(self, tmp_path_factory, counts, block):
         table = table_from_counter(counts)
         d = tmp_path_factory.mktemp("write")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "WRITE_BLOCK", block)
+            mp.setattr(tsvio, "WRITE_BLOCK", block)
             write_table_tsv(table, d / "new.tsv")
         oracle.write_table(rows(table), d / "old.tsv")
         assert (d / "new.tsv").read_bytes() == (d / "old.tsv").read_bytes()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "READ_BLOCK", 3)
+            mp.setattr(tsvio, "READ_BLOCK", 3)
             assert read_table_tsv(d / "new.tsv") == table
 
     @given(st.binary(max_size=12))
@@ -555,12 +551,12 @@ def _digit_boundary_table(top: int) -> RankFrequencyTable:
 
 class TestTableCodecEdges:
     @pytest.mark.parametrize("top", [2**62, 10**18 - 1], ids=["19-digits", "18-digits"])
-    @pytest.mark.parametrize("write_block", [1, ingest.WRITE_BLOCK])
-    @pytest.mark.parametrize("read_block", [1, ingest.READ_BLOCK])
+    @pytest.mark.parametrize("write_block", [1, tsvio.WRITE_BLOCK])
+    @pytest.mark.parametrize("read_block", [1, tsvio.READ_BLOCK])
     def test_digit_length_boundaries(self, tmp_path, monkeypatch, top, write_block, read_block):
         table = _digit_boundary_table(top)
-        monkeypatch.setattr(ingest, "WRITE_BLOCK", write_block)
-        monkeypatch.setattr(ingest, "READ_BLOCK", read_block)
+        monkeypatch.setattr(tsvio, "WRITE_BLOCK", write_block)
+        monkeypatch.setattr(tsvio, "READ_BLOCK", read_block)
         write_table_tsv(table, tmp_path / "new.tsv")
         oracle.write_table(rows(table), tmp_path / "old.tsv")
         assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
@@ -588,15 +584,15 @@ class TestTableCodecEdges:
             min_size=1,
             max_size=30,
         ),
-        st.sampled_from([1, 2, ingest.WRITE_BLOCK]),
-        st.sampled_from([1, 7, ingest.READ_BLOCK]),
+        st.sampled_from([1, 2, tsvio.WRITE_BLOCK]),
+        st.sampled_from([1, 7, tsvio.READ_BLOCK]),
     )
     def test_all_special_passwords(self, tmp_path_factory, counts, write_block, read_block):
         table = table_from_counter(counts)
         d = tmp_path_factory.mktemp("special")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "WRITE_BLOCK", write_block)
-            mp.setattr(ingest, "READ_BLOCK", read_block)
+            mp.setattr(tsvio, "WRITE_BLOCK", write_block)
+            mp.setattr(tsvio, "READ_BLOCK", read_block)
             write_table_tsv(table, d / "new.tsv")
             loaded = read_table_tsv(d / "new.tsv")
         oracle.write_table(rows(table), d / "old.tsv")
@@ -621,8 +617,8 @@ class TestCodecMemory:
         ``validate`` builds to find duplicate passwords by a block's work
         only. Small blocks make a cost of even 8 bytes a row stand out.
         """
-        monkeypatch.setattr(ingest, "WRITE_BLOCK", 1 << 10)
-        monkeypatch.setattr(ingest, "READ_BLOCK", 1 << 13)
+        monkeypatch.setattr(tsvio, "WRITE_BLOCK", 1 << 10)
+        monkeypatch.setattr(tsvio, "READ_BLOCK", 1 << 13)
         n = 100_000
         table = table_from_counter(
             {(b"pw\t%d\\" if i % 3 else b"pw%d") % i: (n - i) // 7 + 1 for i in range(n)}
@@ -638,8 +634,8 @@ class TestCodecMemory:
             _, duplicate_check, _ = _traced_peak(set, loaded.passwords)
         finally:
             tracemalloc.stop()
-        write_bound = 512 * ingest.WRITE_BLOCK
-        read_bound = 16 * ingest.READ_BLOCK
+        write_bound = 512 * tsvio.WRITE_BLOCK
+        read_bound = 16 * tsvio.READ_BLOCK
         assert loaded == table
         # Holding the whole file, or a byte of work per byte of it, breaks both bounds.
         assert path.stat().st_size > write_bound + read_bound

@@ -328,37 +328,14 @@ class TestSimulate:
             simulate(uniform_model(3), [b"a", b"b", b"c"], 10, retry_cap=0)
 
 
-class TestFirstRanks:
-    def test_distinct_labels_need_no_map(self):
-        assert mh_uniform._first_ranks([b"a", b"b", b"", b"a\x00"]) is None
-
-    def test_repeats_map_to_first_rank_past_hash_collisions(self, monkeypatch):
-        # every two-byte label collides under this hash; only equal labels merge
-        monkeypatch.setattr(mh_uniform, "hash", len, raising=False)
-        canon = mh_uniform._first_ranks([b"ab", b"cd", b"ab", b"x", b"cd", b"ab"])
-        assert canon.tolist() == [0, 1, 0, 3, 1, 0]
-
-    @given(st.lists(st.sampled_from([b"a", b"b", b"cc", b"dd", b"eee"]), max_size=20))
-    def test_matches_first_seen_dict(self, labels):
-        first: dict[bytes, int] = {}
-        expected = [first.setdefault(label, rank) for rank, label in enumerate(labels)]
-        with pytest.MonkeyPatch.context() as mp:
-            # few hash values, so most labels collide with another
-            mp.setattr(mh_uniform, "hash", len, raising=False)
-            canon = mh_uniform._first_ranks(labels)
-        if canon is None:
-            assert expected == list(range(len(labels)))
-        else:
-            assert canon.tolist() == expected
-
-
 LABELS = [b"a", b"b", b"c", b"", b"a\x00", b"\xff\xfe", b"pw123456", b"x" * 12]
 
 
 @st.composite
 def simulations(draw):
-    n_ranks = draw(st.integers(1, 10))
-    passwords = draw(st.lists(st.sampled_from(LABELS), min_size=n_ranks, max_size=n_ranks))
+    # simulate takes distinct labels.
+    n_ranks = draw(st.integers(1, len(LABELS)))
+    passwords = draw(st.lists(st.sampled_from(LABELS), min_size=n_ranks, max_size=n_ranks, unique=True))
     model = draw(
         st.sampled_from([zipf_model(1.1, n_ranks), zipf_model(0.5, n_ranks), uniform_model(n_ranks)])
     )
