@@ -16,7 +16,8 @@ the block's hits are resolved into cracked rows by index arrays. The
 cracked users and guesses are two columns. ``hashes.tsv`` and
 ``cracked.tsv`` are written, and ``hashes.tsv`` read, a block of rows at a
 time by the row codec of :mod:`pwdist.tsvio`, with hex fields formatted
-and decoded in numpy.
+and decoded in numpy. ``hashes.tsv`` is read by the same path as
+``table.tsv``, CRLF rows and blank lines included.
 """
 
 from __future__ import annotations
@@ -397,30 +398,13 @@ def _hex_values(raw: np.ndarray, start: np.ndarray, stop: np.ndarray, name: str)
     return values
 
 
-def _hashes_fields(
-    chunk: bytes, salt_ids: dict[bytes, int]
-) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
-    """A chunk of ``hashes.tsv`` rows: the users unescaped and joined, their lengths,
-    salt ids (a new salt is added to ``salt_ids``) and digests.
+def _hashes_block(raw: np.ndarray, fields, salt_ids: dict[bytes, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A block of ``hashes.tsv`` rows' salt ids (a new salt is added to ``salt_ids``) and digests.
 
-    CRLF rows lose their CR and blank lines are dropped before the rows are
-    cut by :mod:`~pwdist.tsvio`. Hex is decoded in numpy: a digest must be
-    exactly 16 hex digits, a salt any even number of them.
+    Hex is decoded in numpy: a digest must be exactly 16 hex digits, a salt
+    any even number of them.
     """
-    raw = np.frombuffer(chunk, dtype=np.uint8)
-    fields = tsvio.cut_rows(raw, b"\t\t\n") if b"\r" not in chunk else None
-    if fields is None:
-        lines = [line for line in tsvio.chunk_lines(chunk) if line]
-        raw = np.frombuffer(b"".join(line + b"\n" for line in lines), dtype=np.uint8)
-        fields = tsvio.cut_rows(raw, b"\t\t\n")
-        if fields is None:
-            bad = next(line for line in lines if line.count(b"\t") != 2)
-            raise CorpusError(f"malformed hashes row: {bad!r}")
-    user, salt, digest = fields
-    try:
-        users, lengths = tsvio.gather(raw, *user)
-    except ValueError as exc:
-        raise CorpusError(f"malformed hashes row: {exc}") from exc
+    _, salt, digest = fields
     if (digest[1] - digest[0] != 16).any():
         raise CorpusError("malformed hashes row: digest is not 8 bytes")
     nibbles = _hex_values(raw, *digest, "digest").reshape(-1, 16).astype(np.uint64)
@@ -436,33 +420,21 @@ def _hashes_fields(
     ids = np.empty(len(first), dtype=np.int64)
     for k in np.argsort(first).tolist():
         ids[k] = salt_ids.setdefault(keys[first[k], : salt_lengths[first[k]]].tobytes(), len(salt_ids))
-    return users, lengths, ids[index.ravel()], digests
+    return ids[index.ravel()], digests
 
 
 def read_hashes_tsv(path) -> HashedCorpus:
-    """Load a file written by :func:`write_hashes_tsv`, a block of rows at a time.
+    """Load a file written by :func:`write_hashes_tsv`, a block of rows at a time
+    by :func:`~pwdist.tsvio.read_rows`, which also takes CRLF rows and blank lines.
 
-    CRLF rows and blank lines are accepted; a wrong header, a row without
-    three fields, a bad escape or a bad hex field raises :class:`CorpusError`.
+    A wrong header, a row without three fields, a bad escape or a bad hex
+    field raises :class:`CorpusError`.
     """
-    pieces: list[bytes] = []
-    lengths: list[np.ndarray] = []
     salt_ids: dict[bytes, int] = {}
-    salt_index: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    digests: list[np.ndarray] = [np.zeros(0, dtype=np.uint64)]
-    with open(path, "rb") as fh:
-        if fh.readline().rstrip(b"\r\n") != HASHES_HEADER:
-            raise CorpusError(f"not a hashed-corpus file: {path}")
-        for chunk in tsvio.line_chunks(fh):
-            fields = _hashes_fields(chunk, salt_ids)
-            for out, field in zip((pieces, lengths, salt_index, digests), fields):
-                out.append(field)
-    return HashedCorpus(
-        users=PasswordColumn.from_pieces(pieces, lengths),
-        salts=list(salt_ids),
-        salt_index=np.concatenate(salt_index),
-        digests=np.concatenate(digests),
+    users, (salt_index, digests) = tsvio.read_rows(
+        path, HASHES_HEADER, "hashes", 0, lambda raw, fields, _: _hashes_block(raw, fields, salt_ids)
     )
+    return HashedCorpus(users=users, salts=list(salt_ids), salt_index=salt_index, digests=digests)
 
 
 def write_cracked_tsv(report: CrackReport, path) -> None:

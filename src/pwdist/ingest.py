@@ -12,8 +12,10 @@ A ranked table holds its passwords as a
 :class:`~pwdist.column.PasswordColumn`: one bytes buffer and an int64
 offset per row, with no Python object per password. Table files are read
 into it and written from it a block of rows at a time by the row codec of
-:mod:`pwdist.tsvio`, and ``validate`` finds duplicates by sorting 64-bit
-row hashes, comparing bytes only where hashes are equal.
+:mod:`pwdist.tsvio`, with no Python object per row, CRLF rows and blank
+lines included; rank and count are plain decimal digits, read in numpy.
+``validate`` finds duplicates by sorting 64-bit row hashes, comparing
+bytes only where hashes are equal.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping
 
 import numpy as np
 
 from . import tsvio
 from .column import PasswordColumn, as_column, keyed_hashes
-from .tsvio import CorpusError, unescape_field
+from .tsvio import CorpusError
 
 FORMAT_USER_TAB_PASSWORD = "user-tab-password"
 FORMAT_PASSWORD_PER_LINE = "password-per-line"
@@ -311,117 +313,59 @@ def write_table_tsv(table: RankFrequencyTable, path) -> None:
             fh.write(tsvio.lay_out([fields, tsvio.escaped(table.passwords[start:stop]), 0x0A]))
 
 
-# Longest decimal field parsed from its digits; any int64 of 18 digits fits.
-_MAX_DIGITS = 18
+# Longest decimal field read: 19 digits hold every int64, and every
+# 19-digit number fits a uint64.
+_MAX_DIGITS = 19
 
 
-def _digit_values(digits: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
-    """The fields ``[start, stop)`` of a chunk as decimal numbers, or None.
+def _digit_values(digits: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The fields ``[start, stop)`` of a chunk as decimal numbers, as int64.
 
     ``digits`` is the chunk's bytes minus ``0x30``, so a digit byte is its
-    value and every other byte is above 9. None means some field is empty,
-    is longer than ``_MAX_DIGITS`` or holds a byte that is not a digit. The
-    fields are right-aligned and read one digit position per pass.
+    value and every other byte is above 9. A field that is empty, is
+    longer than ``_MAX_DIGITS``, holds a byte that is not a digit or is
+    above 2**63 - 1 raises ``ValueError``. The fields are right-aligned and
+    read one digit position per pass, in uint64 so that no field overflows.
     """
     width = stop - start
-    if not len(width):
-        return np.zeros(0, dtype=np.int64)
-    widest = int(width.max())
-    if width.min() < 1 or widest > _MAX_DIGITS:
-        return None
-    values = np.zeros(len(width), dtype=np.int64)
+    widest = int(width.max(initial=0))
+    if width.min(initial=1) < 1 or widest > _MAX_DIGITS:
+        raise ValueError(f"rank or count is not 1 to {_MAX_DIGITS} digits")
+    values = np.zeros(len(width), dtype=np.uint64)
     for k in range(widest, 0, -1):
         digit = digits[np.maximum(stop - k, 0)]
         digit[width < k] = 0
         if (digit > 9).any():
-            return None
+            raise ValueError("rank or count holds a byte that is not a digit")
         values *= 10
         values += digit
-    return values
+    # Only a 19-digit field can exceed the int64 range.
+    if widest == _MAX_DIGITS and (values >> np.uint64(63)).any():
+        raise ValueError("rank or count is above 2**63 - 1")
+    return values.view(np.int64)
 
 
-def _int_values(fields: Sequence[bytes]) -> np.ndarray:
-    try:
-        return np.fromiter(map(int, fields), dtype=np.int64, count=len(fields))
-    except (ValueError, OverflowError) as exc:
-        raise CorpusError(f"malformed table row: {exc}") from exc
-
-
-def _check_ranks(ranks: np.ndarray, first_rank: int, rank_field: Callable[[int], bytes]) -> None:
-    out_of_sequence = np.flatnonzero(ranks != np.arange(first_rank, first_rank + len(ranks)))
-    if len(out_of_sequence):
-        raise CorpusError(
-            f"table ranks are not consecutive at row {rank_field(int(out_of_sequence[0]))!r}"
-        )
-
-
-def _table_fields(chunk: bytes, first_rank: int) -> tuple[np.ndarray, bytes, np.ndarray]:
-    """The counts of ``chunk``'s rows, and their unescaped passwords joined and each one's length.
-
-    The rows must be ranked from ``first_rank`` on. A chunk of plain rows
-    (each ``rank TAB count TAB password LF``, no CR, no blank line) whose
-    rank and count fields are 1 to 18 ASCII digits is cut and its
-    passwords gathered by :mod:`~pwdist.tsvio`, so no ``bytes`` object is
-    made per row. Any other chunk goes row by row: a trailing CR is
-    stripped, blank lines are skipped, each row splits at its first two
-    TABs, and rank and count are read by ``int()`` (``+3``, `` 1``, ``1_0``).
-    """
-    raw = np.frombuffer(chunk, dtype=np.uint8)
-    fields = tsvio.cut_rows(raw, b"\t\t\n") if b"\r" not in chunk else None
-    if fields is not None:
-        (rank_start, rank_stop), (count_start, count_stop), password = fields
-        digits = raw - np.uint8(0x30)
-        ranks = _digit_values(digits, rank_start, rank_stop)
-        counts = _digit_values(digits, count_start, count_stop)
-        if ranks is not None and counts is not None:
-            try:
-                passwords, lengths = tsvio.gather(raw, *password)
-            except ValueError as exc:
-                raise CorpusError(f"malformed table row: {exc}") from exc
-            _check_ranks(ranks, first_rank, lambda i: chunk[rank_start[i] : rank_stop[i]])
-            return counts, passwords, lengths
-    rows = [line.split(b"\t", 2) for line in tsvio.chunk_lines(chunk) if line]
-    bad = next((row for row in rows if len(row) != 3), None)
-    if bad is not None:
-        row = b"\t".join(bad)
-        raise CorpusError(f"malformed table row: {row!r}")
-    rank_fields = [row[0] for row in rows]
-    try:
-        passwords = [unescape_field(row[2]) for row in rows]
-    except ValueError as exc:
-        raise CorpusError(f"malformed table row: {exc}") from exc
-    ranks = _int_values(rank_fields)
-    counts = _int_values([row[1] for row in rows])
-    _check_ranks(ranks, first_rank, rank_fields.__getitem__)
-    lengths = np.fromiter(map(len, passwords), dtype=np.int64, count=len(passwords))
-    return counts, b"".join(passwords), lengths
+def _table_block(raw: np.ndarray, fields, first_row: int) -> tuple[np.ndarray]:
+    """The counts of a block of table rows, whose ranks must run on from ``first_row``."""
+    (rank_start, rank_stop), (count_start, count_stop), _ = fields
+    digits = raw - np.uint8(0x30)
+    ranks = _digit_values(digits, rank_start, rank_stop)
+    wrong = np.flatnonzero(ranks != np.arange(first_row + 1, first_row + 1 + len(ranks)))
+    if len(wrong):
+        raise CorpusError(f"table ranks are not consecutive at rank {int(ranks[wrong[0]])}")
+    return (_digit_values(digits, count_start, count_stop),)
 
 
 def read_table_tsv(path) -> RankFrequencyTable:
     """Load a table written by :func:`write_table_tsv`.
 
-    Parses ``READ_BLOCK`` bytes of rows at a time into the password column.
-    CRLF rows and blank lines are accepted, and rank and count fields are
-    read as ``int()`` reads them; a malformed row, a bad escape, a rank out
-    of sequence or a table that fails :meth:`RankFrequencyTable.validate`
-    raises :class:`CorpusError`.
+    Reads ``READ_BLOCK`` bytes of rows at a time into the password column
+    by :func:`~pwdist.tsvio.read_rows`, which also takes CRLF rows and blank
+    lines. Rank and count must be plain decimal digits. A malformed row, a
+    bad escape, a rank out of sequence or a table that fails
+    :meth:`RankFrequencyTable.validate` raises :class:`CorpusError`.
     """
-    pieces: list[bytes] = []
-    length_blocks: list[np.ndarray] = []
-    count_blocks: list[np.ndarray] = []
-    rows = 0
-    with open(path, "rb") as fh:
-        if fh.readline().rstrip(b"\r\n") != TABLE_HEADER:
-            raise CorpusError(f"not a rank-frequency table file: {path}")
-        for chunk in tsvio.line_chunks(fh):
-            counts, passwords, lengths = _table_fields(chunk, rows + 1)
-            rows += len(counts)
-            pieces.append(passwords)
-            length_blocks.append(lengths)
-            count_blocks.append(counts)
-    counts = np.concatenate(count_blocks) if count_blocks else np.zeros(0, dtype=np.int64)
-    column = PasswordColumn.from_pieces(pieces, length_blocks)
-    del pieces, length_blocks, count_blocks
+    column, (counts,) = tsvio.read_rows(path, TABLE_HEADER, "table", 2, _table_block)
     table = RankFrequencyTable(passwords=column, counts=counts, total_users=int(counts.sum()))
     table.validate()
     return table

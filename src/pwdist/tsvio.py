@@ -5,16 +5,21 @@ that would break a tab-separated, newline-delimited layout are
 backslash-escaped. Files are read ``READ_BLOCK`` bytes at a time, cut after
 the last LF, and written ``WRITE_BLOCK`` rows at a time, in numpy with no
 ``bytes`` object per row: :func:`lay_out` writes a block of fields, and
-:func:`cut_rows` and :func:`gather` take one apart. Only rows that hold a
-byte to escape, or a backslash to unescape, are rewritten one at a time.
+:func:`read_rows` takes a three-field file apart by :func:`cut_rows` and
+:func:`gather`, with no step per row for CRLF rows or blank lines either.
+Only rows that hold a byte to escape, or a backslash to unescape, are
+rewritten one at a time.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
+
+from .column import PasswordColumn
 
 # Bytes per read when streaming a corpus or a row file. A line that
 # crosses a block boundary is carried into the next block.
@@ -209,3 +214,69 @@ def gather(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple[bytes,
     joined = raw[np.repeat(in_field, runs)].tobytes()
     marks = np.flatnonzero(np.frombuffer(joined, dtype=np.uint8) == 0x5C)
     return _rewrite_rows(joined, lengths, marks, unescape_field), lengths
+
+
+def _normalised(raw: np.ndarray) -> np.ndarray:
+    """A chunk's rows by :func:`chunk_lines`' rules, as uint8 with an LF after each:
+    an LF is added at the end if there is none, a CR just before an LF is
+    dropped, and so is an LF that starts a line, a blank line's."""
+    if len(raw) and raw[-1] != 0x0A:
+        raw = np.append(raw, np.uint8(0x0A))
+    lf = raw == 0x0A
+    cr = np.zeros(len(raw), dtype=bool)
+    cr[:-1] = (raw[:-1] == 0x0D) & lf[1:]
+    raw, lf = raw[~cr], lf[~cr]
+    blank = lf.copy()
+    blank[1:] &= lf[:-1]
+    return raw[~blank]
+
+
+def read_rows(
+    path, header: bytes, kind: str, text: int, decode: Callable[..., tuple[np.ndarray, ...]]
+) -> tuple[PasswordColumn, list[np.ndarray]]:
+    """A file of ``header`` then rows of three TAB-separated fields, read a
+    block of rows at a time: field ``text`` of every row unescaped, as a
+    column, and each array ``decode`` returns, joined over the blocks.
+
+    Lines are taken by :func:`chunk_lines`' rules with no step per row. A
+    block is cut by :func:`cut_rows`, and a CR just before an LF is cut off
+    the last field of its row. A block that does not cut (blank lines, no
+    final LF) is normalised in numpy and cut again.
+    ``decode(raw, fields, first_row)`` gets a block's bytes, its fields'
+    bounds from :func:`cut_rows` and the number of rows before it. A wrong
+    header, a row without three fields, a bad escape, or a ``ValueError``
+    from ``decode`` raises :class:`CorpusError` that names ``kind``.
+    """
+    pieces: list[bytes] = []
+    lengths: list[np.ndarray] = []
+    blocks: list[tuple[np.ndarray, ...]] = []
+    rows = 0
+    with open(path, "rb") as fh:
+        if fh.readline().rstrip(b"\r\n") != header:
+            raise CorpusError(f"not a {kind} file: {path}")
+        # An empty block first gives each joined array its dtype in a file of no rows.
+        for chunk in chain([b""], line_chunks(fh)):
+            raw = np.frombuffer(chunk, dtype=np.uint8)
+            fields = cut_rows(raw, b"\t\t\n")
+            if fields is None:
+                raw = _normalised(raw)
+                fields = cut_rows(raw, b"\t\t\n")
+                if fields is None:
+                    bad = next(line for line in raw.tobytes().split(b"\n") if line.count(b"\t") != 2)
+                    raise CorpusError(f"malformed {kind} row: {bad!r}")
+            elif b"\r" in chunk:
+                # The CR of a CRLF row is the last byte of its last field.
+                stop = fields[-1][1]
+                stop -= raw[stop - 1] == 0x0D
+            try:
+                joined, length = gather(raw, *fields[text])
+                blocks.append(decode(raw, fields, rows))
+            except ValueError as exc:
+                raise CorpusError(f"malformed {kind} row: {exc}") from exc
+            pieces.append(joined)
+            lengths.append(length)
+            rows += len(length)
+    # Joining the decoded blocks and freeing them before the column is built lowers the peak.
+    arrays = [np.concatenate(parts) for parts in zip(*blocks)]
+    del blocks
+    return PasswordColumn.from_pieces(pieces, lengths), arrays

@@ -23,6 +23,16 @@ def rarely(draw, usual, unusual):
     return draw(st.sampled_from(usual + unusual if draw(st.integers(0, 9)) == 0 else usual))
 
 
+def crlf_forms(data: bytes) -> list[bytes]:
+    """A row file with CRLF rows, and with CRLF rows, blank lines (CRLF and LF)
+    after the header and after every row, and no line end after the last row."""
+    header, body = data.split(b"\n", 1)
+    return [
+        data.replace(b"\n", b"\r\n"),
+        header + b"\r\n\n\r\n" + body.replace(b"\n", b"\r\n\r\n\n").rstrip(b"\r\n"),
+    ]
+
+
 def table_of(counts: dict[bytes, int], seed: int = 0) -> RankFrequencyTable:
     return table_from_counter(counts, tie_break_seed=seed)
 

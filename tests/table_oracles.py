@@ -160,7 +160,12 @@ def write_table(rows: list[tuple[bytes, int]], path) -> None:
 
 
 def read_table(path) -> list[tuple[bytes, int]]:
-    """Parse and validate a table file row by row; raises CorpusError."""
+    """Parse and validate a table file row by row; raises CorpusError.
+
+    A row is exactly three TAB-separated fields, and rank and count are 1 to
+    19 ASCII digits worth at most 2**63 - 1. A trailing CR is stripped and
+    blank lines are skipped.
+    """
     entries: list[tuple[bytes, int]] = []
     with open(path, "rb") as fh:
         header = fh.readline().rstrip(b"\r\n")
@@ -172,13 +177,16 @@ def read_table(path) -> list[tuple[bytes, int]]:
                 line = line[:-1]
             if not line:
                 continue
-            parts = line.split(b"\t", 2)
+            parts = line.split(b"\t")
             if len(parts) != 3:
                 raise CorpusError(f"malformed table row: {line!r}")
             rank, count, pw = parts
+            for field in (rank, count):
+                if not (field.isdigit() and len(field) <= 19 and int(field) < 1 << 63):
+                    raise CorpusError(f"malformed table row {line!r}: {field!r} is not a plain decimal")
+            if int(rank) != len(entries) + 1:
+                raise CorpusError(f"table ranks are not consecutive at row {rank!r}")
             try:
-                if int(rank) != len(entries) + 1:
-                    raise CorpusError(f"table ranks are not consecutive at row {rank!r}")
                 entries.append((unescape_field(pw), int(count)))
             except ValueError as exc:
                 raise CorpusError(f"malformed table row {line!r}: {exc}") from exc

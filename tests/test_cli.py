@@ -97,6 +97,23 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "pwdist-error\tinput\t" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["fit", "stats"])
+    @pytest.mark.parametrize(
+        "first_row",
+        [b" 1\t12\t123456", b"1\t+12\t123456", b"1\t1_2\t123456", b"1\t12\t123\t456", b"1\t%d\t123456" % 2**63],
+        ids=["space", "plus", "underscore", "raw-tab", "above-int64"],
+    )
+    def test_table_field_not_plain_is_input_error(self, tmp_path, corpus, capsys, stage, first_row):
+        # Rank and count are plain digits up to 2**63 - 1, and a password's TABs are escaped.
+        lines = ingest_table(tmp_path, corpus).read_bytes().split(b"\n")
+        assert lines[1] == b"1\t12\t123456"
+        table = tmp_path / "table.tsv"
+        table.write_bytes(b"\n".join([lines[0], first_row, *lines[2:]]))
+        out = tmp_path / "out"
+        assert main([stage, "--table", str(table), "--out-dir", str(out)]) == EXIT_INPUT
+        assert "pwdist-error\tinput\t" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestOutDir:
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, corpus):

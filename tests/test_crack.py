@@ -34,7 +34,7 @@ from pwdist.crossguess import (
 from pwdist.ingest import CorpusError, table_from_counter
 
 import crack_oracles as oracle
-from conftest import rarely
+from conftest import crlf_forms, rarely
 
 
 # Frozen vectors recomputed by hand from the documented constants:
@@ -503,7 +503,12 @@ class TestReadHashesBlocks:
         write_hashes_tsv(corpus, tmp_path / "hashes.tsv")
 
         def refuse(chunk):
-            raise AssertionError("a plain chunk was split into lines")
+            raise AssertionError("a chunk was split into lines")
 
         monkeypatch.setattr(tsvio, "chunk_lines", refuse)
         assert read_hashes_tsv(tmp_path / "hashes.tsv") == corpus
+        for data in crlf_forms((tmp_path / "hashes.tsv").read_bytes()):
+            (tmp_path / "crlf.tsv").write_bytes(data)
+            for block in (7, tsvio.READ_BLOCK):
+                monkeypatch.setattr(tsvio, "READ_BLOCK", block)
+                assert read_hashes_tsv(tmp_path / "crlf.tsv") == corpus

@@ -29,7 +29,7 @@ from pwdist.ingest import (
 )
 from pwdist.tsvio import escape_field, unescape_field
 
-from conftest import rarely, rows
+from conftest import crlf_forms, rarely, rows
 
 # Block sizes small enough that lines and rows cross block boundaries.
 SMALL_BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 64, tsvio.READ_BLOCK])
@@ -409,10 +409,15 @@ class TestStreamTableBlocks:
         assert parse_stats.malformed == parsed.malformed
 
 
+def _plain_forms(value: int) -> list[bytes]:
+    """Spellings of ``value`` in plain digits, which a reader takes."""
+    return [b"%d" % value, b"0%d" % value]
+
+
 def _int_forms(value: int) -> list[bytes]:
-    """Spellings that int() reads as ``value``."""
+    """Other spellings that int() reads as ``value``, which a reader refuses."""
     digits = b"%d" % value
-    return [digits, b" " + digits, b"+" + digits, digits + b" ", b"0" + digits, b"0_" + digits]
+    return [b" " + digits, b"+" + digits, digits + b" ", b"0_" + digits]
 
 
 @st.composite
@@ -427,15 +432,15 @@ def table_files(draw) -> bytes:
         password = b"".join(
             rarely(
                 draw,
-                [b"a", b"\t", b"\r", b" ", b"\\\\", b"\\t", b"\\n", b"\\r"],
-                [b"\\q", b"\\"],
+                [b"a", b"\r", b" ", b"\\\\", b"\\t", b"\\n", b"\\r"],
+                [b"\\q", b"\\", b"\t"],
             )
             for _ in range(draw(st.integers(0, 3)))
         )
         out += [
-            rarely(draw, _int_forms(rank), [b"x", b"", b"%d" % (rank + 1)]),
+            rarely(draw, _plain_forms(rank), [*_int_forms(rank), b"x", b"", b"%d" % (rank + 1)]),
             b"\t",
-            rarely(draw, _int_forms(count), [b"y", b"", b"1.0"]),
+            rarely(draw, _plain_forms(count), [*_int_forms(count), b"y", b"", b"1.0", b"9" * 19]),
             b"\t",
             password + rarely(draw, [b"%d" % rank], [b""]),
             draw(st.sampled_from(eol)),
@@ -479,13 +484,14 @@ class TestReadTableBlocks:
     def test_int_forms_and_raw_tab(self, tmp_path, lines, eol):
         path = tmp_path / "t.tsv"
         path.write_bytes(eol.join([TABLE_HEADER, *lines, b""]))
-        try:
-            expected = oracle.read_table(path)
-        except CorpusError:
+        # Rank and count are plain digits and a password holds no raw TAB, or the table is refused.
+        if lines not in ([b"1\t3\tpw"], [b"1\t3\t\\\\q"]):
+            with pytest.raises(CorpusError):
+                oracle.read_table(path)
             with pytest.raises(CorpusError):
                 read_table_tsv(path)
             return
-        assert rows(read_table_tsv(path)) == expected
+        assert rows(read_table_tsv(path)) == oracle.read_table(path)
 
 
 class TestWriteTableBlocks:
@@ -562,15 +568,20 @@ class TestTableCodecEdges:
         assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
         assert read_table_tsv(tmp_path / "new.tsv") == table
 
-    def test_plain_digits_are_not_read_by_int(self, tmp_path, monkeypatch):
-        table = _digit_boundary_table(10**18 - 1)
+    def test_crlf_rows_are_cut_without_a_row_loop(self, tmp_path, monkeypatch):
+        table = _digit_boundary_table(2**62)
         write_table_tsv(table, tmp_path / "t.tsv")
 
-        def refuse(fields):
-            raise AssertionError(f"int() fallback used for {fields[:3]!r}")
+        def refuse(chunk):
+            raise AssertionError("a chunk was split into lines")
 
-        monkeypatch.setattr(ingest, "_int_values", refuse)
+        monkeypatch.setattr(tsvio, "chunk_lines", refuse)
         assert read_table_tsv(tmp_path / "t.tsv") == table
+        for data in crlf_forms((tmp_path / "t.tsv").read_bytes()):
+            (tmp_path / "crlf.tsv").write_bytes(data)
+            for block in (7, tsvio.READ_BLOCK):
+                monkeypatch.setattr(tsvio, "READ_BLOCK", block)
+                assert read_table_tsv(tmp_path / "crlf.tsv") == table
 
     def test_negative_count_is_refused(self, tmp_path):
         table = RankFrequencyTable(passwords=[b"a"], counts=np.array([-1]), total_users=-1)
