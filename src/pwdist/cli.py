@@ -195,18 +195,19 @@ def cmd_fit(args) -> tuple[dict, dict]:
 
 
 def cmd_stats(args) -> tuple[dict, dict]:
-    from . import stats, zipf_fit
+    from . import stats
 
     table = ingest.read_table_tsv(_input(args, args.table))
-    if args.s is not None:
-        fit = zipf_fit.ZipfFit(s=args.s, method=zipf_fit.METHOD_MLE, truncation_N=table.distinct_count)
-    else:
-        fit = zipf_fit.mle_truncated_zipf(table)
-    report = stats.stats_report(table, fit, alpha=args.alpha)
+    s = args.s
+    if s is None:
+        from . import zipf_fit
+
+        s = zipf_fit.mle_truncated_zipf(table).s
+    report = stats.stats_report(table, s, alpha=args.alpha)
     stats.write_stats_tsv(report, _stage(args, "stats.tsv"))
     for kind, st in report.items():
         print(f"{kind}: G = {st.guesswork_G:.6g}, H = {st.shannon_H:.6g}")
-    return {"seed": args.seed, "alpha": args.alpha, "s": fit.s}, {}
+    return {"seed": args.seed, "alpha": args.alpha, "s": s}, {}
 
 
 def cmd_curve(args) -> tuple[dict, dict]:
@@ -298,7 +299,7 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
             raise ValueError("table is read only with source=table")
         s = MH_ZIPF_S if args.s is None else args.s
         n_ranks = MH_ZIPF_RANKS if args.n_ranks is None else args.n_ranks
-        model = stats.zipf_model(s, n_ranks)
+        probs = stats.zipf_model(s, n_ranks)
         passwords = [b"p%08d" % i for i in range(1, n_ranks + 1)]
         source_desc = {"source": "zipf", "s": s, "n_ranks": n_ranks}
     else:
@@ -309,7 +310,7 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
                 raise ValueError(f"{option} is read only with source=zipf")
         table_path = _input(args, args.table)
         table = ingest.read_table_tsv(table_path)
-        model = stats.empirical_model(table)
+        probs = stats.empirical_model(table)
         # The sessions look labels up per rank, which a list does at C speed;
         # the table's column is not needed past this point.
         passwords = list(table.passwords)
@@ -318,10 +319,12 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
 
     weights = None
     if args.ban_file:
-        weights = mh_uniform.TargetWeight.with_bans(banned=_read_words(_input(args, args.ban_file)))
+        # A banned rank weighs 0 and every other rank 1; a ban word that labels no rank is ignored.
+        banned = frozenset(_read_words(_input(args, args.ban_file)))
+        weights = [0.0 if pw in banned else 1.0 for pw in passwords]
 
     report = mh_uniform.simulate(
-        model, passwords, args.n_users, store=store, weights=weights, seed=args.seed,
+        probs, passwords, args.n_users, store=store, weights=weights, seed=args.seed,
         retry_cap=args.retry_cap,
     )
     ingest.write_table_tsv(report.accepted_table, _stage(args, "accepted.tsv"))

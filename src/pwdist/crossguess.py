@@ -6,8 +6,9 @@ C(t given a reference ordering) otherwise. Matching is exact byte
 equality; a password absent from the target simply contributes nothing.
 An ordering holds its guesses in a :class:`~pwdist.column.PasswordColumn`
 (shared with the table it comes from), and a reference is joined to the
-target by the sorted row hashes both columns keep from their duplicate
-check, comparing bytes only where hashes match.
+target by :meth:`~pwdist.column.PasswordColumn.positions`, which hashes
+both columns' rows on each call, sorts the hashes and compares bytes only
+where hashes match.
 Curves are stored sparsely (only the steps where the cumulative value
 changes, plus the final guess index) because full-scale corpora produce
 tens of millions of points.

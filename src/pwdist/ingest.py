@@ -37,6 +37,7 @@ FORMAT_PASSWORD_PER_LINE = "password-per-line"
 CORPUS_FORMATS = (FORMAT_USER_TAB_PASSWORD, FORMAT_PASSWORD_PER_LINE)
 
 TABLE_HEADER = b"rank\tcount\tpassword"
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(eq=False)
@@ -53,7 +54,6 @@ class RankFrequencyTable:
     passwords: PasswordColumn
     counts: np.ndarray
     total_users: int
-    tie_break_seed: int = 0
 
     def __post_init__(self):
         self.passwords = as_column(self.passwords)
@@ -70,7 +70,6 @@ class RankFrequencyTable:
             self.passwords == other.passwords
             and np.array_equal(self.counts, other.counts)
             and self.total_users == other.total_users
-            and self.tie_break_seed == other.tie_break_seed
         )
 
     def validate(self) -> None:
@@ -85,7 +84,15 @@ class RankFrequencyTable:
             raise CorpusError("table counts increase with rank")
         if self.passwords.has_duplicates():
             raise CorpusError("table contains a duplicate password")
-        if int(counts.sum()) != self.total_users:
+        # The counts are non-increasing, so rank 1's count times the rows
+        # bounds their sum; only a bound past int64 needs the exact sum.
+        if int(counts[0]) * len(counts) <= _INT64_MAX:
+            total = int(counts.sum())
+        else:
+            total = sum(counts.tolist())
+            if total > _INT64_MAX:
+                raise CorpusError("table counts sum past 2**63 - 1")
+        if total != self.total_users:
             raise CorpusError("table counts do not sum to total_users")
 
 
@@ -133,7 +140,6 @@ def rank_passwords(
         passwords=PasswordColumn(ranked),
         counts=ranked_values,
         total_users=int(values.sum()),
-        tie_break_seed=tie_break_seed,
     )
 
 
@@ -251,32 +257,12 @@ def cap_ranks(table: RankFrequencyTable, max_ranks: int) -> RankFrequencyTable:
         passwords=table.passwords[:max_ranks],
         counts=counts,
         total_users=int(counts.sum()),
-        tie_break_seed=table.tie_break_seed,
     )
 
 
-@dataclass
-class CountOfCounts:
-    """How many passwords were used by exactly k users, per observed k."""
-
-    pairs: list[tuple[int, int]]
-
-    @property
-    def total_users(self) -> int:
-        return sum(k * n for k, n in self.pairs)
-
-    @property
-    def distinct_count(self) -> int:
-        return sum(n for _, n in self.pairs)
-
-
-def count_of_counts(table: RankFrequencyTable) -> CountOfCounts:
-    counts = np.sort(table.counts)
-    run_start = np.ones(len(counts), dtype=bool)
-    run_start[1:] = counts[1:] != counts[:-1]
-    starts = np.flatnonzero(run_start)
-    runs = np.diff(np.append(starts, len(counts)))
-    return CountOfCounts(pairs=list(zip(counts[starts].tolist(), runs.tolist())))
+def count_of_counts(table: RankFrequencyTable) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, n_k)``: each count k the table holds, ascending, and how many passwords have it."""
+    return np.unique(table.counts, return_counts=True)
 
 
 def _decimal_fields(first_rank: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,28 +8,27 @@ proposals therefore get rejected in proportion to how far above the
 comparison frequency they sit, and the accepted passwords spread toward a
 uniform distribution without any banned-word list.
 
-``simulate`` runs the sessions over model rank indices and replays its
+``simulate`` runs the sessions over rank indices and replays its
 seeded generator's raw stream in blocks. F is either exact or a count-min
 sketch's estimate, which never undercounts and is read from a fixed
 number of counters; ``CountMinStore`` is the sketch's layout. Either way
 ``simulate`` counts each rank's proposals exactly, for the length of the
 run, and keeps sketch counters only for the few ranks that share a
 counter in every row.
-Target weights generalise the rule to banned (weight 0) and soft-banned
-(weight below 1) passwords via the usual acceptance ratio; with the
-default all-ones weights the rule reduces exactly to u <= F(x).
+Per-rank weights in [0, 1] generalise the rule to banned (weight 0) and
+soft-banned (weight below 1) passwords via the usual acceptance ratio;
+with no weights, which is all ones, the rule is exactly u <= F(x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .column import keyed_hashes
 from .ingest import RankFrequencyTable, rank_passwords
-from .stats import ProbabilityModel
 
 DEFAULT_RETRY_CAP = 100
 # Proposal draws taken from the generator at a time.
@@ -74,35 +73,6 @@ class CountMinStore:
         for row, seed in enumerate(self.seeds):
             offsets[:, row] = keyed_hashes(keys, seed) % np.uint64(self.width) + np.uint64(row * self.width)
         return offsets
-
-
-@dataclass
-class TargetWeight:
-    """Relative target probability per password.
-
-    1 everywhere by default; exactly 0 bans a password outright, a value
-    in (0, 1) soft-bans it.
-    """
-
-    fn: Callable[[bytes], float] | None = None
-
-    def weight(self, password: bytes) -> float:
-        return 1.0 if self.fn is None else float(self.fn(password))
-
-    @classmethod
-    def with_bans(
-        cls, banned: Iterable[bytes] = (), soft: dict[bytes, float] | None = None
-    ) -> "TargetWeight":
-        banned_set = frozenset(banned)
-        soft_map = dict(soft or {})
-        for pw, w in soft_map.items():
-            if not 0.0 < w < 1.0:
-                raise ValueError(f"soft-ban weight for {pw!r} must be in (0, 1)")
-        def fn(pw: bytes) -> float:
-            if pw in banned_set:
-                return 0.0
-            return soft_map.get(pw, 1.0)
-        return cls(fn=fn)
 
 
 class _RawStream:
@@ -198,22 +168,22 @@ class SimulationReport:
 
 
 def simulate(
-    model: ProbabilityModel,
+    probs: np.ndarray,
     passwords: Sequence[bytes],
     n_users: int,
     *,
     store: CountMinStore | None = None,
-    weights: TargetWeight | None = None,
+    weights: np.ndarray | Sequence[float] | None = None,
     seed: int = 0,
     retry_cap: int = DEFAULT_RETRY_CAP,
 ) -> SimulationReport:
-    """Simulate n_users enrolments with i.i.d. proposals from a model.
+    """Simulate n_users enrolments with i.i.d. proposals from a distribution.
 
-    Each user proposes passwords drawn from ``model`` (labelled by
-    ``passwords``) until their session accepts. The free-choice table
-    counts every user's first proposal, i.e. what would be in use with no
-    gate, and shares the seeded tie-break so reports are reproducible
-    byte for byte.
+    Each user proposes ranks drawn from the probabilities ``probs``, most
+    probable first (labelled by ``passwords``), until their session
+    accepts. The free-choice table counts every user's first proposal,
+    i.e. what would be in use with no gate, and shares the seeded
+    tie-break so reports are reproducible byte for byte.
 
     A session draws its comparison password x uniformly from the distinct
     passwords proposed so far (none for the first user, whose F(x) is 0):
@@ -222,7 +192,8 @@ def simulate(
     flatten, rather than only cap, the head. x and F(x) are fixed for the
     session. Each proposal x' is counted whether or not it is accepted; u
     is uniform on [0, F(x')] from before the increment, and x' is accepted
-    when u * weight(x) <= F(x) * weight(x'). A session that reaches
+    when u * w(x) <= F(x) * w(x'), w being ``weights``, one per rank in
+    [0, 1], or 1 for every rank if None. A session that reaches
     ``retry_cap`` asks raises ``BannedExhaustionError``.
 
     The labels must be distinct; this is not checked. Sessions run over
@@ -236,10 +207,18 @@ def simulate(
         raise ValueError("n_users must be >= 1")
     if retry_cap < 1:
         raise ValueError("retry_cap must be >= 1")
-    if len(passwords) != model.n_ranks:
-        raise ValueError("need exactly one password label per model rank")
+    if len(passwords) != len(probs):
+        raise ValueError("need exactly one password label per rank")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (len(probs),):
+            raise ValueError("need exactly one weight per rank")
+        if not np.all((weights >= 0.0) & (weights <= 1.0)):
+            raise ValueError("weights must be in [0, 1]")
+        # The sessions read a rank's weight per ask, which a list does at C speed.
+        weights = weights.tolist()
     accepted, free, asks_total, asks_sq = _run_sessions(
-        model, passwords, n_users, store, weights, seed, retry_cap
+        probs, passwords, n_users, store, weights, seed, retry_cap
     )
     mean = asks_total / n_users
     var = asks_sq / n_users - mean * mean
@@ -253,11 +232,11 @@ def simulate(
 
 
 def _run_sessions(
-    model: ProbabilityModel,
+    probs: np.ndarray,
     passwords: Sequence[bytes],
     n_users: int,
     store: CountMinStore | None,
-    weights: TargetWeight | None,
+    weights: list[float] | None,
     seed: int,
     retry_cap: int,
 ) -> tuple[list[int], list[int], int, int]:
@@ -273,9 +252,8 @@ def _run_sessions(
     return, before the output tables are sorted, which is what sets the
     peak memory of a run.
     """
-    n_ranks = model.n_ranks
+    n_ranks = len(probs)
     sketch = store is not None
-    weight = None if weights is None else weights.weight
     stream = _RawStream(np.random.default_rng(seed))
     random, below = stream.random, stream.below
     seen: list[int] = []
@@ -350,7 +328,7 @@ def _run_sessions(
                 codes = owner[offsets[hashed]]
                 join(hashed, np.where(codes <= went_live, codes, 0))
 
-    take = _proposal_ranks(model.probs, stream.randoms, PROPOSAL_BATCH, on_batch).__next__
+    take = _proposal_ranks(probs, stream.randoms, PROPOSAL_BATCH, on_batch).__next__
     accepted = [0] * n_ranks
     free = [0] * n_ranks
     asks_total = 0
@@ -365,7 +343,7 @@ def _run_sessions(
                     fx = min(map(live.__getitem__, reads[x]))
                 else:
                     fx = counts[x]
-                wx = 1.0 if weight is None else weight(passwords[x])
+                wx = 1.0 if weights is None else weights[x]
             else:
                 fx = 0
                 wx = 1.0
@@ -384,7 +362,7 @@ def _run_sessions(
                             f_prop = min(map(live.__getitem__, row_reads))
                         for i in row_reads:
                             live[i] += 1
-                w_prop = 1.0 if weight is None else weight(passwords[rank])
+                w_prop = 1.0 if weights is None else weights[rank]
                 if w_prop > 0.0 and random() * f_prop * wx <= fx * w_prop:
                     break
                 if asks >= retry_cap:

@@ -2,7 +2,9 @@
 
 All statistics are functions of the probability sequence alone, evaluated
 under three models of a corpus: the empirical frequencies, a uniform model
-over the distinct passwords, and a fitted Zipf model over the same ranks.
+over the distinct passwords, and a Zipf model over the same ranks. A model
+is its float64 array of probabilities, most probable first, as
+:func:`check_probs` accepts it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import RankFrequencyTable
-from .zipf_fit import ZipfFit
 
 KIND_EMPIRICAL = "empirical"
 KIND_UNIFORM = "uniform"
@@ -21,50 +22,33 @@ KIND_ZIPF = "zipf"
 DEFAULT_ALPHA = 0.85
 
 
-@dataclass
-class ProbabilityModel:
-    """A finite distribution over ranks, most probable first."""
-
-    probs: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-
-    @property
-    def n_ranks(self) -> int:
-        return len(self.probs)
-
-    def validate(self) -> None:
-        p = self.probs
-        if len(p) == 0:
-            raise ValueError("model has no ranks")
-        if not np.all(p > 0.0):
-            raise ValueError("probabilities must be positive")
-        if not abs(float(p.sum()) - 1.0) <= 1e-9:
-            raise ValueError("probabilities must sum to 1 within 1e-9")
-        if np.any(np.diff(p) > 0.0):
-            raise ValueError("probabilities must be non-increasing in rank")
+def check_probs(p) -> np.ndarray:
+    """``p`` as a float64 array, if it is a finite distribution over ranks, most probable first."""
+    p = np.asarray(p, dtype=np.float64)
+    if len(p) == 0:
+        raise ValueError("model has no ranks")
+    if not np.all(p > 0.0):
+        raise ValueError("probabilities must be positive")
+    if not abs(float(p.sum()) - 1.0) <= 1e-9:
+        raise ValueError("probabilities must sum to 1 within 1e-9")
+    if np.any(np.diff(p) > 0.0):
+        raise ValueError("probabilities must be non-increasing in rank")
+    return p
 
 
-def empirical_model(table: RankFrequencyTable) -> ProbabilityModel:
+def empirical_model(table: RankFrequencyTable) -> np.ndarray:
     """P_i = f_i / total_users, in table order."""
-    probs = table.counts.astype(np.float64) / table.total_users
-    model = ProbabilityModel(probs=probs, kind=KIND_EMPIRICAL)
-    model.validate()
-    return model
+    return check_probs(table.counts.astype(np.float64) / table.total_users)
 
 
-def uniform_model(n: int) -> ProbabilityModel:
+def uniform_model(n: int) -> np.ndarray:
     """Every one of n passwords equally likely."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    model = ProbabilityModel(probs=np.full(n, 1.0 / n), kind=KIND_UNIFORM)
-    model.validate()
-    return model
+    return check_probs(np.full(n, 1.0 / n))
 
 
-def zipf_model(s: float, n: int) -> ProbabilityModel:
+def zipf_model(s: float, n: int) -> np.ndarray:
     """P_i = K * i^-s over ranks 1..n, K the normalising constant."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -73,18 +57,15 @@ def zipf_model(s: float, n: int) -> ProbabilityModel:
     probs = np.arange(1, n + 1, dtype=np.float64)
     np.power(probs, -s, out=probs)
     probs *= 1.0 / float(probs.sum())
-    model = ProbabilityModel(probs=probs, kind=KIND_ZIPF)
-    model.validate()
-    return model
+    return check_probs(probs)
 
 
-def guesswork(model: ProbabilityModel) -> float:
+def guesswork(p: np.ndarray) -> float:
     """Mean guesses to hit a random user's password, guessing in rank order."""
-    p = model.probs
     return float(np.arange(1, len(p) + 1, dtype=np.float64) @ p)
 
 
-def alpha_guesswork(model: ProbabilityModel, alpha: float) -> tuple[int, float]:
+def alpha_guesswork(p: np.ndarray, alpha: float) -> tuple[int, float]:
     """Guessing effort when the attacker stops at cumulative mass alpha.
 
     Returns (r_alpha, G_alpha): the smallest rank whose cumulative
@@ -92,7 +73,6 @@ def alpha_guesswork(model: ProbabilityModel, alpha: float) -> tuple[int, float]:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    p = model.probs
     cum = np.cumsum(p)
     idx = int(np.searchsorted(cum, alpha, side="left"))
     r = min(idx + 1, len(p))
@@ -100,19 +80,18 @@ def alpha_guesswork(model: ProbabilityModel, alpha: float) -> tuple[int, float]:
     return r, g
 
 
-def shannon_entropy(model: ProbabilityModel) -> float:
-    p = model.probs
+def shannon_entropy(p: np.ndarray) -> float:
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum())
 
 
-def min_entropy(model: ProbabilityModel) -> float:
-    return float(-np.log2(model.probs.max()))
+def min_entropy(p: np.ndarray) -> float:
+    return float(-np.log2(p.max()))
 
 
-def renyi_half_entropy(model: ProbabilityModel) -> float:
+def renyi_half_entropy(p: np.ndarray) -> float:
     """Order-1/2 Renyi entropy, 2 * log2 sum sqrt(P_i), in bits."""
-    return float(2.0 * np.log2(np.sqrt(model.probs).sum()))
+    return float(2.0 * np.log2(np.sqrt(p).sum()))
 
 
 @dataclass
@@ -126,23 +105,23 @@ class GuessStats:
     renyi_R: float
 
 
-def compute_stats(model: ProbabilityModel, alpha: float = DEFAULT_ALPHA) -> GuessStats:
-    r_alpha, g_alpha = alpha_guesswork(model, alpha)
+def compute_stats(p: np.ndarray, alpha: float = DEFAULT_ALPHA) -> GuessStats:
+    r_alpha, g_alpha = alpha_guesswork(p, alpha)
     return GuessStats(
-        guesswork_G=guesswork(model),
+        guesswork_G=guesswork(p),
         alpha=alpha,
         r_alpha=r_alpha,
         alpha_guesswork=g_alpha,
-        shannon_H=shannon_entropy(model),
-        min_entropy=min_entropy(model),
-        renyi_R=renyi_half_entropy(model),
+        shannon_H=shannon_entropy(p),
+        min_entropy=min_entropy(p),
+        renyi_R=renyi_half_entropy(p),
     )
 
 
 def stats_report(
-    table: RankFrequencyTable, fit: ZipfFit, alpha: float = DEFAULT_ALPHA
+    table: RankFrequencyTable, s: float, alpha: float = DEFAULT_ALPHA
 ) -> dict[str, GuessStats]:
-    """All statistics under the uniform, empirical and Zipf models.
+    """All statistics under the uniform, empirical and Zipf(``s``) models.
 
     The uniform and Zipf models share the table's distinct_count as their
     support so the three columns are comparable.
@@ -151,7 +130,7 @@ def stats_report(
     return {
         KIND_UNIFORM: compute_stats(uniform_model(n), alpha),
         KIND_EMPIRICAL: compute_stats(empirical_model(table), alpha),
-        KIND_ZIPF: compute_stats(zipf_model(fit.s, n), alpha),
+        KIND_ZIPF: compute_stats(zipf_model(s, n), alpha),
     }
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import CountOfCounts, RankFrequencyTable
+from .ingest import RankFrequencyTable
 
 METHOD_LS_RAW = "ls-raw"
 METHOD_LS_BINNED = "ls-binned"
@@ -37,9 +37,6 @@ METHOD_MLE = "mle"
 FLAG_FLAT_SLOPE = "flat-slope"
 FLAG_BOUNDARY = "boundary"
 FLAG_DEBIASED = "debiased"
-
-BIN_RULE_RANK = "dyadic-rank"
-BIN_RULE_K = "dyadic-k"
 
 _S_CAP = 64.0
 _STEP_TOL = 1e-12
@@ -80,14 +77,6 @@ class ZipfFit:
     flag: str | None = None
 
 
-@dataclass
-class BinnedSeries:
-    """Log-binned (x, y) points; empty or incomplete bins are omitted."""
-
-    points: list[tuple[float, float]]
-    bin_rule: str
-
-
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
     yc = y - y.mean()
@@ -109,7 +98,7 @@ def ls_raw_rank(table: RankFrequencyTable) -> ZipfFit:
     return ZipfFit(s=max(s, 0.0), method=METHOD_LS_RAW, truncation_N=n, flag=flag)
 
 
-def _bin_dyadic(x: np.ndarray, y: np.ndarray, bin_rule: str) -> BinnedSeries:
+def _bin_dyadic(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dyadic bins over ascending positive ``x``: bin n spans 2^n .. 2^(n+1)-1.
 
     The ordinate is the total of ``y`` in the bin over the bin's width, so an
@@ -119,34 +108,34 @@ def _bin_dyadic(x: np.ndarray, y: np.ndarray, bin_rule: str) -> BinnedSeries:
     spaces the points exactly one unit apart in log2 and keeps exact dyadic
     data exactly collinear. A final bin that would run past the largest x
     is dropped rather than averaged short, and a bin whose total is zero is
-    omitted.
+    omitted. The points come back as two float64 arrays, ``(x, y)``.
     """
     x_max = int(x[-1]) if len(x) else 0
-    points: list[tuple[float, float]] = []
+    xs: list[float] = []
+    ys: list[float] = []
     n = 0
     while (hi := (2 << n) - 1) <= x_max:
         lo = 1 << n
         i, j = np.searchsorted(x, (lo, hi + 1))
         total = int(y[i:j].sum())
         if total > 0:
-            points.append((math.sqrt(lo * (hi + 1)), total / (hi - lo + 1)))
+            xs.append(math.sqrt(lo * (hi + 1)))
+            ys.append(total / (hi - lo + 1))
         n += 1
-    return BinnedSeries(points=points, bin_rule=bin_rule)
+    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
 
 
-def bin_dyadic_rank(table: RankFrequencyTable) -> BinnedSeries:
+def bin_dyadic_rank(table: RankFrequencyTable) -> tuple[np.ndarray, np.ndarray]:
     """Dyadic rank bins: the mean frequency over ranks 2^n .. 2^(n+1)-1."""
-    return _bin_dyadic(np.arange(1, table.distinct_count + 1), table.counts, BIN_RULE_RANK)
+    return _bin_dyadic(np.arange(1, table.distinct_count + 1), table.counts)
 
 
 def ls_binned_rank(table: RankFrequencyTable) -> ZipfFit:
     """Least squares on the dyadically binned rank-frequency points."""
-    series = bin_dyadic_rank(table)
-    if len(series.points) < 2:
+    x, y = bin_dyadic_rank(table)
+    if len(x) < 2:
         raise FitError("need at least 2 complete dyadic bins")
-    x = np.log2(np.array([p[0] for p in series.points]))
-    y = np.log2(np.array([p[1] for p in series.points]))
-    slope = _ols_slope(x, y)
+    slope = _ols_slope(np.log2(x), np.log2(y))
     s = -slope
     flag = FLAG_FLAT_SLOPE if s <= 0.0 else None
     return ZipfFit(
@@ -154,41 +143,33 @@ def ls_binned_rank(table: RankFrequencyTable) -> ZipfFit:
     )
 
 
-def bin_dyadic_k(cc: CountOfCounts) -> BinnedSeries:
+def bin_dyadic_k(cc: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Dyadic bins over the multiplicity k: the mean n_k over k = 2^n .. 2^(n+1)-1.
 
-    Multiplicities that occur for no password count as zero inside a bin;
-    bins whose total is zero are omitted entirely.
+    ``cc`` is ``(k, n_k)`` as :func:`~pwdist.ingest.count_of_counts` gives
+    it. Multiplicities that occur for no password count as zero inside a
+    bin; bins whose total is zero are omitted entirely.
     """
-    ks = np.array([k for k, _ in cc.pairs], dtype=np.int64)
-    ns = np.array([n for _, n in cc.pairs], dtype=np.int64)
-    return _bin_dyadic(ks, ns, BIN_RULE_K)
+    return _bin_dyadic(*cc)
 
 
-def ls_nk(cc: CountOfCounts, binned: bool = False) -> ZipfFit:
-    """Fit the count-of-counts view: log2 n_k against log2 k.
+def ls_nk(cc: tuple[np.ndarray, np.ndarray], binned: bool = False) -> ZipfFit:
+    """Fit the count-of-counts view ``cc = (k, n_k)``: log2 n_k against log2 k.
 
     Under Zipf the slope is m = -(1 + 1/s); a slope at or above -1 has no
     corresponding positive s and is rejected.
     """
-    if binned:
-        points = bin_dyadic_k(cc).points
-        if len(points) < 2:
-            raise FitError("need at least 2 complete dyadic k-bins")
-        x = np.log2(np.array([p[0] for p in points]))
-        y = np.log2(np.array([p[1] for p in points]))
-    else:
-        if len(cc.pairs) < 2:
-            raise FitError("need at least 2 (k, n_k) points")
-        x = np.log2(np.array([k for k, _ in cc.pairs], dtype=np.float64))
-        y = np.log2(np.array([n for _, n in cc.pairs], dtype=np.float64))
-    slope_m = _ols_slope(x, y)
+    x, y = bin_dyadic_k(cc) if binned else (c.astype(np.float64) for c in cc)
+    if len(x) < 2:
+        what = "complete dyadic k-bins" if binned else "(k, n_k) points"
+        raise FitError(f"need at least 2 {what}")
+    slope_m = _ols_slope(np.log2(x), np.log2(y))
     if slope_m >= -1.0:
         raise FitError(f"slope {slope_m:.4g} incompatible with Zipf (needs m < -1)")
     return ZipfFit(
         s=1.0 / (-slope_m - 1.0),
         method=METHOD_NK_BINNED if binned else METHOD_NK_RAW,
-        truncation_N=cc.distinct_count,
+        truncation_N=int(cc[1].sum()),
         slope_m=slope_m,
     )
 
@@ -529,9 +510,9 @@ def write_fit_tsv(fits: list[ZipfFit], path) -> None:
             )
 
 
-def write_binned_tsv(series: BinnedSeries, path) -> None:
-    """Export binned points as ``x<TAB>y`` rows for plotting."""
+def write_binned_tsv(series: tuple[np.ndarray, np.ndarray], path) -> None:
+    """Export binned points ``(x, y)`` as ``x<TAB>y`` rows for plotting."""
     with open(path, "w", newline="\n") as fh:
         fh.write("x\ty\n")
-        for x, y in series.points:
+        for x, y in zip(*(a.tolist() for a in series)):
             fh.write(f"{x:.10g}\t{y:.10g}\n")

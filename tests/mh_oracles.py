@@ -6,7 +6,8 @@ and keeps sketch counters only for ranks that share a counter in every
 row. These are the straightforward versions it must match draw for draw:
 frequency counters keyed by password bytes with one ``increment`` per ask
 and one ``query`` per comparison, a proposal log of the distinct passwords
-seen, and one ``mh_session`` per user that calls the ``Generator`` itself.
+seen, and one ``mh_session`` per user that calls the ``Generator`` itself,
+looking weights up by password.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from pwdist.mh_uniform import (
     BannedExhaustionError,
     CountMinStore,
     SimulationReport,
-    TargetWeight,
 )
 
 
@@ -117,7 +117,7 @@ def mh_session(
     proposals: Iterator[bytes],
     rng: np.random.Generator,
     *,
-    weights: TargetWeight | None = None,
+    weights: Mapping[bytes, float] | None = None,
     retry_cap: int = DEFAULT_RETRY_CAP,
 ) -> SessionOutcome:
     """Run one user's enrolment until a proposal is accepted.
@@ -126,23 +126,24 @@ def mh_session(
     whole session; each proposal x' is recorded and counted whether or not
     it is accepted. The acceptance draw u is uniform on [0, F(x')] taken
     before the increment, and the weighted rule accepts when
-    u * weight(x) <= F(x) * weight(x'). A fresh store accepts the first
+    u * w(x) <= F(x) * w(x'), w(x) being ``weights[x]``, or 1 if x has
+    no entry or ``weights`` is None. A fresh store accepts the first
     proposal in one ask (u = 0 <= 0).
 
     Raises BannedExhaustionError after ``retry_cap`` asks, or when the
     proposals run out.
     """
     if weights is None:
-        weights = TargetWeight()
+        weights = {}
     x = seen.sample_distinct(rng)
     fx = store.query(x) if x is not None else 0
-    wx = weights.weight(x) if x is not None else 1.0
+    wx = weights.get(x, 1.0) if x is not None else 1.0
     asks = 0
     for proposal in proposals:
         asks += 1
         f_prop = store.increment(proposal)
         seen.record(proposal)
-        w_prop = weights.weight(proposal)
+        w_prop = weights.get(proposal, 1.0)
         if w_prop > 0.0:
             u = rng.random() * f_prop
             if u * wx <= fx * w_prop:
@@ -152,26 +153,29 @@ def mh_session(
     raise BannedExhaustionError("proposal stream ended before an acceptable password")
 
 
-def reference_proposals(model, passwords, rng, batch):
+def reference_proposals(probs, passwords, rng, batch):
     """Batched inverse-CDF draws, yielded as labels."""
-    cum = np.cumsum(model.probs)
+    cum = np.cumsum(probs)
     cum[-1] = 1.0
     while True:
         for rank in np.searchsorted(cum, rng.random(batch), side="right"):
             yield passwords[rank]
 
 
-def reference_simulate(model, passwords, n_users, *, store, weights=None, seed=0,
+def reference_simulate(probs, passwords, n_users, *, store, weights=None, seed=0,
                        retry_cap=DEFAULT_RETRY_CAP, batch=PROPOSAL_BATCH, seen=None):
     """``mh_session`` per user over a bytes-keyed counter: what ``simulate`` must match.
 
-    Returns the report and the proposal log; ``seen``, if given, is the log
-    to record into, which a caller can read after a ``BannedExhaustionError``.
+    ``weights``, one per rank or None, are looked up by password. Returns
+    the report and the proposal log; ``seen``, if given, is the log to
+    record into, which a caller can read after a ``BannedExhaustionError``.
     """
     rng = np.random.default_rng(seed)
     if seen is None:
         seen = ProposalLog()
-    proposals = reference_proposals(model, passwords, rng, batch)
+    if weights is not None:
+        weights = dict(zip(passwords, np.asarray(weights, dtype=np.float64).tolist()))
+    proposals = reference_proposals(probs, passwords, rng, batch)
     accepted: Counter[bytes] = Counter()
     free: Counter[bytes] = Counter()
     asks_total = 0

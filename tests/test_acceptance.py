@@ -29,7 +29,6 @@ from pwdist.crossguess import (
 from pwdist.ingest import table_from_counter, table_from_counts
 from pwdist.mh_uniform import simulate
 from pwdist.stats import (
-    ProbabilityModel,
     alpha_guesswork,
     guesswork,
     min_entropy,
@@ -61,13 +60,12 @@ def test_01_statistics_match_brute_force_oracle():
         k = int(rng.integers(1, 9))
         p = np.sort(rng.random(k) + 1e-6)[::-1]
         p /= p.sum()
-        model = ProbabilityModel(probs=p, kind="empirical")
         probs = p.tolist()
         alpha = float(rng.uniform(0.05, 1.0))
-        assert guesswork(model) == pytest.approx(
+        assert guesswork(p) == pytest.approx(
             math.fsum(i * q for i, q in enumerate(probs, 1)), abs=1e-12
         )
-        r_a, g_a = alpha_guesswork(model, alpha)
+        r_a, g_a = alpha_guesswork(p, alpha)
         cum = 0.0
         r_oracle = len(probs)
         for i, q in enumerate(probs, 1):
@@ -79,11 +77,11 @@ def test_01_statistics_match_brute_force_oracle():
         assert g_a == pytest.approx(
             math.fsum(i * q for i, q in enumerate(probs[:r_a], 1)), abs=1e-12
         )
-        assert shannon_entropy(model) == pytest.approx(
+        assert shannon_entropy(p) == pytest.approx(
             -math.fsum(q * math.log2(q) for q in probs), abs=1e-12
         )
-        assert min_entropy(model) == pytest.approx(-math.log2(max(probs)), abs=1e-12)
-        assert renyi_half_entropy(model) == pytest.approx(
+        assert min_entropy(p) == pytest.approx(-math.log2(max(probs)), abs=1e-12)
+        assert renyi_half_entropy(p) == pytest.approx(
             2 * math.log2(math.fsum(math.sqrt(q) for q in probs)), abs=1e-12
         )
     # exhaustive optimality of the sorted order over all 8! orderings
@@ -91,7 +89,7 @@ def test_01_statistics_match_brute_force_oracle():
         p = rng.random(8) + 1e-6
         p /= p.sum()
         p_sorted = np.sort(p)[::-1]
-        g = guesswork(ProbabilityModel(probs=p_sorted, kind="empirical"))
+        g = guesswork(p_sorted)
         for perm in permutations(range(8)):
             assert g <= sum((i + 1) * p_sorted[j] for i, j in enumerate(perm)) + 1e-12
     report(1, "statistics equal brute-force oracles; sorted order optimal over 8!", started, 10)
@@ -198,9 +196,9 @@ def test_06_crack_curve_equals_truncated_self_curve():
 def test_07_mh_flattening_at_scale():
     started = time.time()
     n = 10**5
-    model = zipf_model(0.78, n)
+    probs = zipf_model(0.78, n)
     passwords = [b"p%08d" % i for i in range(1, n + 1)]
-    result = simulate(model, passwords, 10**5, seed=42)
+    result = simulate(probs, passwords, 10**5, seed=42)
     max_accepted = result.accepted_table.counts[0]
     max_free = result.free_table.counts[0]
     assert max_free >= 50 * max_accepted

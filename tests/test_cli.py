@@ -114,6 +114,17 @@ class TestExitCodes:
         assert "pwdist-error\tinput\t" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("stage", ["fit", "stats", "curve"])
+    def test_counts_summing_past_int64_are_input_error(self, tmp_path, capsys, stage):
+        # Each count fits int64, but 2**62 + 2**62 wraps an int64 sum to -2**63.
+        table = tmp_path / "table.tsv"
+        table.write_bytes(b"rank\tcount\tpassword\n1\t%d\ta\n2\t%d\tb\n" % (2**62, 2**62))
+        out = tmp_path / "out"
+        flag = "--target" if stage == "curve" else "--table"
+        assert main([stage, flag, str(table), "--out-dir", str(out)]) == EXIT_INPUT
+        assert "pwdist-error\tinput\ttable counts sum past 2**63 - 1" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestOutDir:
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, corpus):
@@ -510,14 +521,22 @@ def test_stages_do_not_import_numpy_ma(tmp_path, corpus):
 BASE_MODULES = {"pwdist", "pwdist.cli", "pwdist.ingest", "pwdist.column", "pwdist.tsvio"}
 
 
-@pytest.mark.parametrize("stage", ["ingest", "curve"])
+@pytest.mark.parametrize("stage", ["ingest", "curve", "mh-sim", "stats-s"])
 def test_stages_import_only_their_modules(tmp_path, corpus, stage):
     """Building the parser imports no stage module; a stage imports the ones it calls."""
     table = ingest_table(tmp_path, corpus)
+    bans = tmp_path / "bans.txt"
+    bans.write_bytes(b"123456\n")
     argv, imported = {
         "ingest": (["ingest", str(corpus), "--out-dir", str(tmp_path / "i")], set()),
         "curve": (["curve", "--target", str(table), "--reference", str(table),
                    "--out-dir", str(tmp_path / "c")], {"pwdist.crossguess"}),
+        # Neither builds a fit, so neither loads zipf_fit.
+        "mh-sim": (["mh-sim", "--source", "table", "--table", str(table), "--ban-file", str(bans),
+                    "--n-users", "50", "--out-dir", str(tmp_path / "m")],
+                   {"pwdist.mh_uniform", "pwdist.stats"}),
+        "stats-s": (["stats", "--table", str(table), "--s", "0.8", "--out-dir", str(tmp_path / "s")],
+                    {"pwdist.stats"}),
     }[stage]
     script = (
         "import json, sys\n"

@@ -15,7 +15,6 @@ from pwdist.mh_uniform import (
     PROPOSAL_BATCH,
     BannedExhaustionError,
     CountMinStore,
-    TargetWeight,
     simulate,
 )
 from pwdist.stats import uniform_model, zipf_model
@@ -158,19 +157,49 @@ class TestIncrementReturnsPriorEstimate:
         assert int(store.counters.sum()) == store.depth
 
 
-class TestTargetWeight:
-    def test_default_is_one(self):
-        assert TargetWeight().weight(b"anything") == 1.0
+def ban_weights(passwords, banned=(), soft=None):
+    """One weight per rank: 0 for a banned label, else its ``soft`` weight, else 1."""
+    soft = soft or {}
+    return np.array([0.0 if pw in banned else soft.get(pw, 1.0) for pw in passwords])
+
+
+class TestWeights:
+    """``simulate`` takes one weight per rank, each in [0, 1]."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            pytest.param([1.0, 1.0], id="wrong-length"),
+            pytest.param([1.0, 1.5, 1.0], id="above-one"),
+            pytest.param([1.0, -0.5, 1.0], id="below-zero"),
+            pytest.param([1.0, np.nan, 1.0], id="nan"),
+        ],
+    )
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="weight"):
+            simulate(uniform_model(3), [b"a", b"b", b"c"], 10, weights=np.array(weights))
+
+    def test_all_ones_is_no_weights(self):
+        probs = zipf_model(0.9, 200)
+        passwords = [b"p%03d" % i for i in range(200)]
+        weighted = simulate(probs, passwords, 2000, weights=np.ones(200), seed=3)
+        assert weighted == simulate(probs, passwords, 2000, seed=3)
 
     def test_bans_and_soft_bans(self):
-        w = TargetWeight.with_bans(banned=[b"123456"], soft={b"qwerty": 0.25})
-        assert w.weight(b"123456") == 0.0
-        assert w.weight(b"qwerty") == 0.25
-        assert w.weight(b"other") == 1.0
-
-    def test_soft_weight_range_checked(self):
-        with pytest.raises(ValueError):
-            TargetWeight.with_bans(soft={b"x": 1.5})
+        probs = zipf_model(1.0, 50)
+        passwords = [b"p%02d" % i for i in range(50)]
+        weights = ban_weights(passwords, banned=[b"p00"], soft={b"p01": 0.25})
+        assert weights[:3].tolist() == [0.0, 0.25, 1.0]
+        report = simulate(probs, passwords, 3000, weights=weights, seed=4)
+        expected, _ = reference_simulate(
+            probs, passwords, 3000, store=ExactCounter(), weights=weights, seed=4
+        )
+        assert report == expected
+        accepted = dict(rows(report.accepted_table))
+        assert b"p00" not in accepted
+        # A weight of 1/4 on rank 2 cuts its accepted share well below its free share.
+        free = dict(rows(report.free_table))
+        assert accepted[b"p01"] / accepted[b"p02"] < free[b"p01"] / free[b"p02"]
 
 
 class TestProposalLog:
@@ -238,7 +267,7 @@ class TestSession:
         store = ExactCounter()
         log = ProposalLog()
         rng = np.random.default_rng(3)
-        weights = TargetWeight.with_bans(banned=[b"banned"])
+        weights = {b"banned": 0.0}
         outcome = mh_session(store, log, iter([b"banned", b"ok"]), rng, weights=weights)
         assert outcome.accepted_password == b"ok"
         assert outcome.asks == 2
@@ -247,7 +276,7 @@ class TestSession:
         store = ExactCounter()
         log = ProposalLog()
         rng = np.random.default_rng(3)
-        weights = TargetWeight.with_bans(banned=[b"bad"])
+        weights = {b"bad": 0.0}
         stream = iter(lambda: b"bad", None)  # endless banned proposals
         with pytest.raises(BannedExhaustionError):
             mh_session(store, log, stream, rng, weights=weights, retry_cap=10)
@@ -270,20 +299,20 @@ class TestSimulate:
         # the online frequency estimate, which fades as roughly
         # 1/sqrt(users per rank): ~1.09 mean asks at 1e4 users over 100
         # ranks, inside 1.05 by 1e5 users
-        model = uniform_model(100)
+        probs = uniform_model(100)
         passwords = [b"p%03d" % i for i in range(100)]
-        small = simulate(model, passwords, 10**4, seed=6)
+        small = simulate(probs, passwords, 10**4, seed=6)
         assert 1.0 <= small.mean_asks <= 1.15
         assert small.rejected_total == round((small.mean_asks - 1) * 10**4)
-        large = simulate(model, passwords, 10**5, seed=6)
+        large = simulate(probs, passwords, 10**5, seed=6)
         assert 1.0 <= large.mean_asks <= 1.05
         assert large.mean_asks < small.mean_asks
 
     def test_flattens_zipf_source(self):
-        model = zipf_model(0.78, 2000)
+        probs = zipf_model(0.78, 2000)
         passwords = [b"p%05d" % i for i in range(2000)]
         # 10 users per rank rejects hard; the default cap can trip here
-        report = simulate(model, passwords, 20000, seed=9, retry_cap=1000)
+        report = simulate(probs, passwords, 20000, seed=9, retry_cap=1000)
         max_accepted = report.accepted_table.counts[0]
         max_free = report.free_table.counts[0]
         assert max_accepted < max_free
@@ -291,10 +320,10 @@ class TestSimulate:
         assert report.free_table.total_users == 20000
 
     def test_reproducible(self):
-        model = zipf_model(0.9, 300)
+        probs = zipf_model(0.9, 300)
         passwords = [b"p%04d" % i for i in range(300)]
-        a = simulate(model, passwords, 2000, seed=42)
-        b = simulate(model, passwords, 2000, seed=42)
+        a = simulate(probs, passwords, 2000, seed=42)
+        b = simulate(probs, passwords, 2000, seed=42)
         assert rows(a.accepted_table) == rows(b.accepted_table)
         assert rows(a.free_table) == rows(b.free_table)
         assert (a.mean_asks, a.var_asks, a.rejected_total) == (
@@ -304,17 +333,17 @@ class TestSimulate:
         )
 
     def test_count_min_backend_flattens_too(self):
-        model = zipf_model(0.8, 500)
+        probs = zipf_model(0.8, 500)
         passwords = [b"p%04d" % i for i in range(500)]
         store = CountMinStore(width=1 << 14, depth=4, master_seed=1)
-        report = simulate(model, passwords, 5000, store=store, seed=11)
+        report = simulate(probs, passwords, 5000, store=store, seed=11)
         assert report.accepted_table.counts[0] < report.free_table.counts[0]
 
     def test_banned_password_absent_from_accepted_table(self):
-        model = zipf_model(1.0, 50)
+        probs = zipf_model(1.0, 50)
         passwords = [b"p%02d" % i for i in range(50)]
-        weights = TargetWeight.with_bans(banned=[passwords[0]])
-        report = simulate(model, passwords, 3000, weights=weights, seed=4)
+        weights = ban_weights(passwords, banned=[passwords[0]])
+        report = simulate(probs, passwords, 3000, weights=weights, seed=4)
         accepted = dict(rows(report.accepted_table))
         assert passwords[0] not in accepted
         assert passwords[0] in dict(rows(report.free_table))
@@ -336,16 +365,17 @@ def simulations(draw):
     # simulate takes distinct labels.
     n_ranks = draw(st.integers(1, len(LABELS)))
     passwords = draw(st.lists(st.sampled_from(LABELS), min_size=n_ranks, max_size=n_ranks, unique=True))
-    model = draw(
+    probs = draw(
         st.sampled_from([zipf_model(1.1, n_ranks), zipf_model(0.5, n_ranks), uniform_model(n_ranks)])
     )
     labels = st.lists(st.sampled_from(LABELS), max_size=3)
     weights = draw(
         st.one_of(
             st.none(),
-            st.builds(TargetWeight.with_bans, banned=labels),
+            st.builds(ban_weights, st.just(passwords), banned=labels),
             st.builds(
-                TargetWeight.with_bans,
+                ban_weights,
+                st.just(passwords),
                 banned=labels,
                 soft=st.dictionaries(st.sampled_from(LABELS), st.sampled_from([0.1, 0.5, 0.9])),
             ),
@@ -364,7 +394,7 @@ def simulations(draw):
         )
     )
     return dict(
-        model=model,
+        probs=probs,
         passwords=passwords,
         n_users=draw(st.integers(1, 80)),
         weights=weights,
@@ -470,12 +500,12 @@ class TestSimulateMatchesSessionReference:
         _assert_counted(report, case["n_users"], counter, store, seen)
 
     def test_hash_evaluations_are_depth_per_distinct_rank(self):
-        model = zipf_model(0.78, 3000)
+        probs = zipf_model(0.78, 3000)
         passwords = [b"p%08d" % i for i in range(1, 3001)]
         reference = CountMinCounter(width=1 << 12, depth=4, master_seed=7)
-        ref_report, seen = reference_simulate(model, passwords, 3000, store=reference, seed=7)
+        ref_report, seen = reference_simulate(probs, passwords, 3000, store=reference, seed=7)
         store = CountMinStore(width=1 << 12, depth=4, master_seed=7)
-        report = simulate(model, passwords, 3000, store=store, seed=7)
+        report = simulate(probs, passwords, 3000, store=store, seed=7)
         assert report == ref_report
         assert store.hash_evaluations == 4 * seen.distinct_count
         # the bytes-keyed path hashes on every ask and every comparison query
@@ -493,22 +523,22 @@ class TestSimulateMatchesSessionReference:
         # both ranks with a counter of their own in some row and ranks that
         # share a counter in every row.
         n = 4000
-        model = zipf_model(0.7, n)
+        probs = zipf_model(0.7, n)
         passwords = [b"p%08d" % i for i in range(n)]
         counter, store = _stores({"width": 1 << 11, "depth": 3, "master_seed": 3})
-        weights = TargetWeight.with_bans(banned=passwords[:banned]) if banned else None
+        weights = ban_weights(passwords, banned=passwords[:banned]) if banned else None
         case = dict(weights=weights, seed=5, retry_cap=retry_cap)
         seen = ProposalLog()
         if banned:
             with pytest.raises(BannedExhaustionError):
-                reference_simulate(model, passwords, 3000, store=counter, seen=seen, **case)
+                reference_simulate(probs, passwords, 3000, store=counter, seen=seen, **case)
             with pytest.raises(BannedExhaustionError):
-                simulate(model, passwords, 3000, store=store, **case)
+                simulate(probs, passwords, 3000, store=store, **case)
             report = None
             assert counter.totals > 1000  # many sessions ran before the one that failed
         else:
-            expected, _ = reference_simulate(model, passwords, 3000, store=counter, seen=seen, **case)
-            report = simulate(model, passwords, 3000, store=store, **case)
+            expected, _ = reference_simulate(probs, passwords, 3000, store=counter, seen=seen, **case)
+            report = simulate(probs, passwords, 3000, store=store, **case)
             assert report == expected
         _assert_counted(report, 3000, counter, store, seen)
         # The seen ranks' counters: a rank is clean if, in some row, no other
@@ -524,14 +554,14 @@ class TestSimulateMatchesSessionReference:
         # Far past the Hypothesis cases: tens of thousands of seen ranks in
         # the comparison draw, and many proposal batches.
         n = 20000
-        model = zipf_model(0.7, n)
+        probs = zipf_model(0.7, n)
         passwords = [b"p%08d" % i for i in range(n)]
-        weights = TargetWeight.with_bans(banned=[b"p00000000"], soft={b"p00000001": 0.5})
+        weights = ban_weights(passwords, banned=[b"p00000000"], soft={b"p00000001": 0.5})
         counter, store = _stores(sketch)
         expected, seen = reference_simulate(
-            model, passwords, n, store=counter, weights=weights, seed=13, batch=batch
+            probs, passwords, n, store=counter, weights=weights, seed=13, batch=batch
         )
         with patch.object(mh_uniform, "PROPOSAL_BATCH", batch):
-            report = simulate(model, passwords, n, store=store, weights=weights, seed=13)
+            report = simulate(probs, passwords, n, store=store, weights=weights, seed=13)
         assert report == expected
         _assert_counted(report, n, counter, store, seen)

@@ -12,8 +12,8 @@ from pwdist.stats import (
     KIND_EMPIRICAL,
     KIND_UNIFORM,
     KIND_ZIPF,
-    ProbabilityModel,
     alpha_guesswork,
+    check_probs,
     compute_stats,
     empirical_model,
     guesswork,
@@ -69,38 +69,47 @@ probs_strategy = (
 class TestModels:
     def test_empirical_hand_values(self):
         model = empirical_model(table_from_counts([2, 1, 1]))
-        assert model.probs == pytest.approx([0.5, 0.25, 0.25])
-        assert model.kind == KIND_EMPIRICAL
+        assert model == pytest.approx([0.5, 0.25, 0.25])
 
     def test_empirical_single(self):
-        assert empirical_model(table_from_counts([7])).probs == pytest.approx([1.0])
+        assert empirical_model(table_from_counts([7])) == pytest.approx([1.0])
 
     def test_empirical_symmetric(self):
-        assert empirical_model(table_from_counts([1, 1])).probs == pytest.approx([0.5, 0.5])
+        assert empirical_model(table_from_counts([1, 1])) == pytest.approx([0.5, 0.5])
 
     def test_uniform(self):
-        assert uniform_model(4).probs == pytest.approx([0.25] * 4)
-        assert uniform_model(1).probs == pytest.approx([1.0])
+        assert uniform_model(4) == pytest.approx([0.25] * 4)
+        assert uniform_model(1) == pytest.approx([1.0])
         with pytest.raises(ValueError):
             uniform_model(0)
 
     def test_zipf_s0_is_uniform(self):
-        assert zipf_model(0.0, 5).probs == pytest.approx([0.2] * 5)
+        assert zipf_model(0.0, 5) == pytest.approx([0.2] * 5)
 
     def test_zipf_hand_values(self):
         model = zipf_model(1.0, 2)
-        assert model.probs == pytest.approx([2 / 3, 1 / 3])
-        assert model.probs[0] == pytest.approx(2 / 3)  # P_1 = K
-        assert zipf_model(1.0, 1).probs == pytest.approx([1.0])
+        assert model == pytest.approx([2 / 3, 1 / 3])
+        assert model[0] == pytest.approx(2 / 3)  # P_1 = K
+        assert zipf_model(1.0, 1) == pytest.approx([1.0])
 
     def test_zipf_s0_matches_uniform_elementwise(self):
-        z = zipf_model(0.0, 1000).probs
-        u = uniform_model(1000).probs
+        z = zipf_model(0.0, 1000)
+        u = uniform_model(1000)
         assert np.max(np.abs(z - u)) < 1e-12
 
     def test_validation_rejects_increasing(self):
         with pytest.raises(ValueError):
-            ProbabilityModel(probs=np.array([0.2, 0.8]), kind=KIND_EMPIRICAL).validate()
+            check_probs(np.array([0.2, 0.8]))
+
+    @pytest.mark.parametrize("probs", [[], [1.0, 0.0], [0.5, 0.4], [0.5, np.nan]])
+    def test_validation_rejects_non_distributions(self, probs):
+        with pytest.raises(ValueError):
+            check_probs(probs)
+
+    def test_builders_return_float64_arrays(self):
+        for p in (empirical_model(table_from_counts([2, 1, 1])), uniform_model(3), zipf_model(0.5, 3)):
+            assert isinstance(p, np.ndarray) and p.dtype == np.float64
+            assert check_probs(p) is p
 
 
 class TestGuesswork:
@@ -118,14 +127,13 @@ class TestGuesswork:
         rng = np.random.default_rng(123)
         for _ in range(50):
             p = sorted_random_probs(rng, int(rng.integers(1, 9)))
-            model = ProbabilityModel(probs=p, kind=KIND_EMPIRICAL)
-            assert guesswork(model) == pytest.approx(oracle_guesswork(p.tolist()), abs=1e-12)
+            assert guesswork(p) == pytest.approx(oracle_guesswork(p.tolist()), abs=1e-12)
 
     def test_sorted_order_is_optimal_small(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             p = sorted_random_probs(rng, 5)
-            g = guesswork(ProbabilityModel(probs=p, kind=KIND_EMPIRICAL))
+            g = guesswork(p)
             for perm in permutations(range(5)):
                 permuted = sum((i + 1) * p[j] for i, j in enumerate(perm))
                 assert g <= permuted + 1e-12
@@ -133,8 +141,7 @@ class TestGuesswork:
 
 class TestAlphaGuesswork:
     def test_stops_at_first_rank(self):
-        model = ProbabilityModel(probs=np.array([0.9, 0.1]), kind=KIND_EMPIRICAL)
-        assert alpha_guesswork(model, 0.85) == (1, pytest.approx(0.9))
+        assert alpha_guesswork(np.array([0.9, 0.1]), 0.85) == (1, pytest.approx(0.9))
 
     def test_runs_to_the_end(self):
         model = empirical_model(table_from_counts([2, 1, 1]))
@@ -146,10 +153,9 @@ class TestAlphaGuesswork:
         rng = np.random.default_rng(55)
         for _ in range(20):
             p = sorted_random_probs(rng, int(rng.integers(1, 12)))
-            model = ProbabilityModel(probs=p, kind=KIND_EMPIRICAL)
-            r, g = alpha_guesswork(model, 1.0)
+            r, g = alpha_guesswork(p, 1.0)
             assert r == len(p)
-            assert g == guesswork(model)
+            assert g == guesswork(p)
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
@@ -179,7 +185,7 @@ class TestEntropies:
 
     @given(probs_strategy)
     def test_entropy_chain(self, probs):
-        model = ProbabilityModel(probs=np.array(probs), kind=KIND_EMPIRICAL)
+        model = np.array(probs)
         h = shannon_entropy(model)
         assert min_entropy(model) <= h + 1e-12
         assert h <= renyi_half_entropy(model) + 1e-12
@@ -196,7 +202,7 @@ class TestStatsReport:
     def test_uniform_table_collapses_models(self):
         table = table_from_counts([1] * 16)
         fit = mle_truncated_zipf(table)  # boundary fit, s = 0
-        report = stats_report(table, fit)
+        report = stats_report(table, fit.s)
         for field in ("guesswork_G", "shannon_H", "min_entropy", "renyi_R"):
             vals = {kind: getattr(report[kind], field) for kind in report}
             assert vals[KIND_UNIFORM] == pytest.approx(vals[KIND_EMPIRICAL], abs=1e-9)
@@ -207,7 +213,7 @@ class TestStatsReport:
         sample = sample_zipf_counts(0.78, 20000, 60000, rng)
         table = table_from_counts(np.sort(sample[sample > 0])[::-1])
         fit = mle_truncated_zipf(table)
-        report = stats_report(table, fit)
+        report = stats_report(table, fit.s)
         ratio = report[KIND_EMPIRICAL].guesswork_G / report[KIND_ZIPF].guesswork_G
         assert 0.5 <= ratio <= 2.0
 
@@ -215,9 +221,9 @@ class TestStatsReport:
         # a skewed table: the uniform model predicts more required guesses
         table = table_from_counts([500, 120, 40, 20] + [1] * 400)
         fit = mle_truncated_zipf(table)
-        report = stats_report(table, fit)
+        report = stats_report(table, fit.s)
         assert report[KIND_UNIFORM].guesswork_G > report[KIND_EMPIRICAL].guesswork_G
 
     def test_alpha_recorded(self, four_rank_table):
-        report = stats_report(four_rank_table, mle_truncated_zipf(four_rank_table), alpha=0.6)
+        report = stats_report(four_rank_table, mle_truncated_zipf(four_rank_table).s, alpha=0.6)
         assert all(st.alpha == 0.6 for st in report.values())

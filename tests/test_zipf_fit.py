@@ -139,25 +139,23 @@ class TestLsRaw:
 
 class TestDyadicRankBins:
     def test_hand_traced_bins(self, four_rank_table):
-        series = bin_dyadic_rank(four_rank_table)
-        assert len(series.points) == 2  # bin {4..7} is incomplete and dropped
-        (x0, y0), (x1, y1) = series.points
+        # bin {4..7} is incomplete and dropped
+        (x0, x1), (y0, y1) = bin_dyadic_rank(four_rank_table)
         assert y0 == 12.0 and y1 == 5.0
         assert x0 == pytest.approx(math.sqrt(2))
         assert x1 == pytest.approx(math.sqrt(2 * 4))
 
     def test_single_rank_single_bin(self):
-        series = bin_dyadic_rank(table_from_counts([9]))
-        assert len(series.points) == 1
-        assert series.points[0][1] == 9.0
+        x, y = bin_dyadic_rank(table_from_counts([9]))
+        assert x.tolist() == [math.sqrt(2)] and y.tolist() == [9.0]
 
     def test_seven_ranks_three_bins(self):
-        series = bin_dyadic_rank(table_from_counts([7, 6, 5, 4, 3, 2, 1]))
-        assert len(series.points) == 3
+        x, y = bin_dyadic_rank(table_from_counts([7, 6, 5, 4, 3, 2, 1]))
+        assert len(x) == len(y) == 3
 
     def test_eight_ranks_still_three_bins(self):
-        series = bin_dyadic_rank(table_from_counts([8, 7, 6, 5, 4, 3, 2, 1]))
-        assert len(series.points) == 3  # bin {8..15} incomplete
+        x, y = bin_dyadic_rank(table_from_counts([8, 7, 6, 5, 4, 3, 2, 1]))
+        assert len(x) == len(y) == 3  # bin {8..15} incomplete
 
 
 class TestLsBinned:
@@ -196,7 +194,7 @@ class TestLsNk:
         cc = count_of_counts(
             table_from_counter({b"p%d" % i: 1 for i in range(8)} | {b"q1": 2, b"q2": 2})
         )
-        assert cc.pairs == [(1, 8), (2, 2)]
+        assert [a.tolist() for a in cc] == [[1, 2], [8, 2]]
         fit = ls_nk(cc, binned=False)
         assert fit.method == METHOD_NK_RAW
         assert fit.slope_m == pytest.approx(-2.0, abs=1e-9)
@@ -209,7 +207,7 @@ class TestLsNk:
 
     def test_shallow_slope_rejected(self):
         cc = count_of_counts(table_from_counter({b"a": 1, b"b": 1, b"c": 2, b"d": 2}))
-        assert cc.pairs == [(1, 2), (2, 2)]  # slope 0 has no Zipf exponent
+        assert [a.tolist() for a in cc] == [[1, 2], [2, 2]]  # slope 0 has no Zipf exponent
         with pytest.raises(FitError):
             ls_nk(cc, binned=False)
 
@@ -221,8 +219,8 @@ class TestLsNk:
         counter |= {b"d%03d" % i: 4 for i in range(7)}
         counter |= {b"e000": 7}
         cc = count_of_counts(table_from_counter(counter))
-        series = bin_dyadic_k(cc)
-        assert [y for _, y in series.points] == [32.0, 8.0, 2.0]
+        x, y = bin_dyadic_k(cc)
+        assert y.tolist() == [32.0, 8.0, 2.0]
         fit = ls_nk(cc, binned=True)
         assert fit.method == METHOD_NK_BINNED
         assert fit.slope_m == pytest.approx(-2.0, abs=1e-9)
@@ -230,9 +228,9 @@ class TestLsNk:
 
     def test_incomplete_k_bin_dropped(self):
         cc = count_of_counts(table_from_counter({b"a": 1, b"b": 1, b"c": 2, b"d": 5}))
-        series = bin_dyadic_k(cc)
+        x, y = bin_dyadic_k(cc)
         # k bins {1} and {2,3}; {4..7} incomplete because k_max = 5
-        assert len(series.points) == 2
+        assert len(x) == len(y) == 2
 
 
 class TestMle:
