@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, ingest, tsvio
 
 EXIT_OK = 0
@@ -293,6 +295,8 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
         depth = MH_SKETCH_DEPTH if args.depth is None else args.depth
         store = mh_uniform.CountMinStore(width, depth, args.seed)
         sketch = {"width": width, "depth": depth}
+    # Checked before the source is built, which costs memory per rank.
+    mh_uniform.count_type(args.n_users, args.retry_cap)
 
     if args.source == "zipf":
         if args.table:
@@ -300,7 +304,7 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
         s = MH_ZIPF_S if args.s is None else args.s
         n_ranks = MH_ZIPF_RANKS if args.n_ranks is None else args.n_ranks
         probs = stats.zipf_model(s, n_ranks)
-        passwords = [b"p%08d" % i for i in range(1, n_ranks + 1)]
+        passwords = mh_uniform.zipf_labels(np.arange(1, n_ranks + 1))
         source_desc = {"source": "zipf", "s": s, "n_ranks": n_ranks}
     else:
         if not args.table:
@@ -311,9 +315,7 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
         table_path = _input(args, args.table)
         table = ingest.read_table_tsv(table_path)
         probs = stats.empirical_model(table)
-        # The sessions look labels up per rank, which a list does at C speed;
-        # the table's column is not needed past this point.
-        passwords = list(table.passwords)
+        passwords = table.passwords
         del table
         source_desc = {"source": "table", "table": table_path.name}
 
@@ -321,7 +323,9 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
     if args.ban_file:
         # A banned rank weighs 0 and every other rank 1; a ban word that labels no rank is ignored.
         banned = frozenset(_read_words(_input(args, args.ban_file)))
-        weights = [0.0 if pw in banned else 1.0 for pw in passwords]
+        weights = np.fromiter(
+            (pw not in banned for pw in passwords), dtype=np.float64, count=len(passwords)
+        )
 
     report = mh_uniform.simulate(
         probs, passwords, args.n_users, store=store, weights=weights, seed=args.seed,

@@ -22,12 +22,14 @@ with no weights, which is all ones, the rule is exactly u <= F(x).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .column import keyed_hashes
+from .column import JOIN_BLOCK, PasswordColumn, as_column, keyed_hashes
 from .ingest import RankFrequencyTable, rank_passwords
 
 DEFAULT_RETRY_CAP = 100
@@ -35,6 +37,8 @@ DEFAULT_RETRY_CAP = 100
 PROPOSAL_BATCH = 8192
 # Raw generator words read at a time for the per-session draws.
 RAW_BLOCK = 1024
+# 10**8 .. 10**18: a rank at or past each takes one more digit than 8.
+_POWERS_PAST_8 = 10 ** np.arange(8, 19, dtype=np.int64)
 
 
 class BannedExhaustionError(Exception):
@@ -75,65 +79,58 @@ class CountMinStore:
         return offsets
 
 
-class _RawStream:
-    """The draws of a fresh PCG64 ``Generator``, replayed from its raw output.
+def zipf_labels(ranks: np.ndarray) -> PasswordColumn:
+    """The column of ``b"p%08d" % r`` for each rank number r >= 0 in ``ranks``.
 
-    numpy makes ``random()`` of the next 64-bit word x as ``(x >> 11) *
-    2**-53``, and ``integers(0, n)`` for n <= 2**32 by Lemire's multiply-and-
-    reject method on 32-bit draws; PCG64 gives a 32-bit draw as the low half
-    of a fresh word and keeps the high half for the next one. Reading the
-    words in blocks through ``random_raw`` gives every draw exactly, in the
-    same order, without one generator call per draw. The stream reads ahead
-    of the draws it has returned, so the generator is not to be drawn from
-    directly once a stream is made from it.
+    The labels are laid out in numpy, ``JOIN_BLOCK`` ranks at a time, one
+    pass per digit position: a rank's decimal digits, zero-padded to 8.
     """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.size and ranks.min() < 0:
+        raise ValueError("rank numbers must be >= 0")
+    pieces: list[bytes] = []
+    lengths: list[np.ndarray] = []
+    for start in range(0, len(ranks), JOIN_BLOCK):
+        block = ranks[start : start + JOIN_BLOCK]
+        digits = 8 + np.searchsorted(_POWERS_PAST_8, block, side="right")
+        length = digits + 1
+        end = np.cumsum(length)
+        piece = np.empty(int(end[-1]), dtype=np.uint8)
+        piece[end - length] = ord("p")
+        for k in range(int(digits.max())):
+            rows = digits > k
+            piece[end[rows] - 1 - k] = ord("0") + block[rows] // 10**k % 10
+        pieces.append(piece.tobytes())
+        lengths.append(length)
+    return PasswordColumn.from_pieces(pieces, lengths)
 
-    def __init__(self, rng: np.random.Generator, block: int = RAW_BLOCK):
-        self._raw = rng.bit_generator.random_raw
-        self._block = block
-        self._words: list[int] = []
-        self._pos = 0
-        self._high: int | None = None
 
-    def _word(self) -> int:
-        pos = self._pos
-        if pos == len(self._words):
-            self._words = self._raw(self._block).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return self._words[pos]
+def _raw_words(rng: np.random.Generator) -> tuple[Callable[[], int], Callable[[int], np.ndarray]]:
+    """The raw 64-bit words of a fresh PCG64 ``Generator``, read in blocks.
 
-    def random(self) -> float:
-        """``Generator.random()``."""
-        return (self._word() >> 11) * 2.0**-53
+    Returns ``next_word``, which gives the next word as an int, and
+    ``randoms``, which is ``Generator.random(size)`` of the next ``size``
+    words: the rest of the block read ahead, then fresh ones. Both read
+    one stream, in the order called, so the generator is not to be drawn
+    from directly once its words are read here.
+    """
+    raw = rng.bit_generator.random_raw
+    block: Iterator[int] = iter(())
 
-    def randoms(self, size: int) -> np.ndarray:
-        """``Generator.random(size)``: the words read ahead, then fresh ones."""
-        ahead = self._words[self._pos : self._pos + size]
-        self._pos += len(ahead)
-        raw = np.array(ahead, dtype=np.uint64)
-        if len(ahead) < size:
-            raw = np.concatenate((raw, self._raw(size - len(ahead))))
-        return (raw >> np.uint64(11)) * 2.0**-53
-
-    def below(self, n: int) -> int:
-        """``int(Generator.integers(0, n))`` for 1 <= n <= 2**32; n = 1 draws nothing."""
-        if n == 1:
-            return 0
-        if not 1 < n <= 1 << 32:
-            raise ValueError(f"cannot replay integers(0, {n})")
-        threshold = ((1 << 32) - n) % n
+    def blocks() -> Iterator[Iterator[int]]:
+        nonlocal block
         while True:
-            x = self._high
-            if x is None:
-                word = self._word()
-                self._high = word >> 32
-                x = word & 0xFFFFFFFF
-            else:
-                self._high = None
-            m = x * n
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
+            block = iter(raw(RAW_BLOCK).tolist())
+            yield block
+
+    def randoms(size: int) -> np.ndarray:
+        ahead = list(islice(block, size))
+        words = np.array(ahead, dtype=np.uint64)
+        if len(ahead) < size:
+            words = np.concatenate((words, raw(size - len(ahead))))
+        return (words >> np.uint64(11)) * 2.0**-53
+
+    return chain.from_iterable(blocks()).__next__, randoms
 
 
 def _proposal_ranks(
@@ -167,6 +164,24 @@ class SimulationReport:
     rejected_total: int
 
 
+def count_type(n_users: int, retry_cap: int) -> str:
+    """The ``array`` typecode of ``simulate``'s per-rank counts for a run.
+
+    No count passes the run's asks, at most ``n_users * retry_cap``: the
+    counts are uint32 when that fits, else uint64. A run whose bound
+    passes 2**63 - 1, or with ``n_users`` or ``retry_cap`` below 1, raises
+    ``ValueError``.
+    """
+    if n_users < 1:
+        raise ValueError("n_users must be >= 1")
+    if retry_cap < 1:
+        raise ValueError("retry_cap must be >= 1")
+    asks = n_users * retry_cap
+    if asks > 2**63 - 1:
+        raise ValueError(f"n_users * retry_cap must be <= 2**63 - 1, got {asks}")
+    return "I" if asks < 2**32 else "Q"
+
+
 def simulate(
     probs: np.ndarray,
     passwords: Sequence[bytes],
@@ -196,17 +211,22 @@ def simulate(
     [0, 1], or 1 for every rank if None. A session that reaches
     ``retry_cap`` asks raises ``BannedExhaustionError``.
 
-    The labels must be distinct; this is not checked. Sessions run over
-    rank indices, a rank standing for its label. The draws replay the
-    seeded generator's raw stream (``_RawStream``) rather than calling it
-    per draw. F is exact with ``store=None``, else the count-min estimate
-    of the sketch laid out by ``store``, whose ``hash_evaluations`` grows
-    by its depth per distinct proposed rank, also when a session raises.
+    ``passwords`` is any sequence of distinct labels, one per rank; that
+    they are distinct is not checked. A ``PasswordColumn`` is used as
+    given, and any other sequence is joined into one. Sessions run over
+    rank indices, a rank standing for its label, and labels are read only
+    to hash a batch's fresh ranks into the sketch and to build the two
+    tables. The per-rank counts are sized by ``count_type``, which raises
+    ``ValueError`` for a run whose counts could pass 2**63 - 1, and at most
+    2**32 ranks are taken. F is exact with ``store=None``, else the
+    count-min estimate of the sketch laid out by ``store``, whose
+    ``hash_evaluations`` grows by its depth per distinct proposed rank,
+    also when a session raises.
     """
-    if n_users < 1:
-        raise ValueError("n_users must be >= 1")
-    if retry_cap < 1:
-        raise ValueError("retry_cap must be >= 1")
+    counts_type = count_type(n_users, retry_cap)
+    if len(probs) > 2**32:
+        raise ValueError("simulate takes at most 2**32 ranks")
+    passwords = as_column(passwords)
     if len(passwords) != len(probs):
         raise ValueError("need exactly one password label per rank")
     if weights is not None:
@@ -215,10 +235,10 @@ def simulate(
             raise ValueError("need exactly one weight per rank")
         if not np.all((weights >= 0.0) & (weights <= 1.0)):
             raise ValueError("weights must be in [0, 1]")
-        # The sessions read a rank's weight per ask, which a list does at C speed.
-        weights = weights.tolist()
+        # The sessions read a rank's weight per ask as a float, with no copy.
+        weights = memoryview(weights)
     accepted, free, asks_total, asks_sq = _run_sessions(
-        probs, passwords, n_users, store, weights, seed, retry_cap
+        probs, passwords, n_users, store, weights, seed, retry_cap, counts_type
     )
     mean = asks_total / n_users
     var = asks_sq / n_users - mean * mean
@@ -233,32 +253,40 @@ def simulate(
 
 def _run_sessions(
     probs: np.ndarray,
-    passwords: Sequence[bytes],
+    passwords: PasswordColumn,
     n_users: int,
     store: CountMinStore | None,
-    weights: list[float] | None,
+    weights: memoryview | None,
     seed: int,
     retry_cap: int,
-) -> tuple[list[int], list[int], int, int]:
+    counts_type: str,
+) -> tuple[array, array, int, int]:
     """The sessions of ``simulate``: per-rank accepted and free counts, and
     the sum and the sum of squares of the asks per user.
 
-    Every rank's proposals are counted exactly. With a sketch, each rank's
-    key is hashed once, with the other new ranks of the first proposal
-    batch that holds it. All counters start at 0, so a rank that is alone
-    on a counter in some row is estimated by its own count, as that row's
-    counter would give; counters are kept only for the other ranks, which
-    take the min over their rows. The per-rank session state is freed on
-    return, before the output tables are sorted, which is what sets the
-    peak memory of a run.
+    Every rank's proposals are counted exactly. The per-rank state is
+    typed arrays: the counts of type ``counts_type``, the seen pool as
+    uint32 ranks and a seen flag per rank. The draws replay the seeded
+    generator's raw words (``_raw_words``) as numpy derives them: a
+    uniform is ``(word >> 11) * 2**-53``, and the comparison draw is
+    ``integers(0, n)`` by Lemire's multiply-and-reject method on 32-bit
+    draws, the low half of a fresh word first and its high half kept for
+    the next one.
+
+    With a sketch, each rank's key is hashed once, with the other new
+    ranks of the first proposal batch that holds it. All counters start at
+    0, so a rank that is alone on a counter in some row is estimated by its
+    own count, as that row's counter would give; counters are kept only
+    for the other ranks, which take the min over their rows. The per-rank
+    session state is freed on return, before the output tables are sorted,
+    which is what sets the peak memory of a run.
     """
     n_ranks = len(probs)
     sketch = store is not None
-    stream = _RawStream(np.random.default_rng(seed))
-    random, below = stream.random, stream.below
-    seen: list[int] = []
+    next_word, randoms = _raw_words(np.random.default_rng(seed))
+    seen = array("I")
     is_seen = bytearray(n_ranks)
-    counts = [0] * n_ranks
+    counts = array(counts_type, [0]) * n_ranks
     on_batch = None
     if sketch:
         depth = store.depth
@@ -277,7 +305,7 @@ def _run_sessions(
         # counters, live[i] for i in reads[r]. Each rank on a live counter
         # lists it in its reads, and counts its asks into it.
         shared = bytearray(n_ranks)
-        reads: list[list[int] | None] = [None] * n_ranks
+        reads: dict[int, list[int]] = {}
         live: list[int] = []
         seen_flags = np.frombuffer(is_seen, dtype=np.uint8)  # a view: is_seen as it stands
 
@@ -286,7 +314,7 @@ def _run_sessions(
             rows, cols = np.nonzero(codes < -1)
             for rank, i in zip(ranks[rows].tolist(), (-2 - codes[rows, cols]).tolist()):
                 live[i] += counts[rank]
-                reads[rank] = (reads[rank] or []) + [i]
+                reads.setdefault(rank, []).append(i)
 
         def on_batch(ranks: np.ndarray) -> None:
             nonlocal hashed
@@ -296,7 +324,8 @@ def _run_sessions(
             fresh = fresh[np.diff(fresh, prepend=-1) != 0]
             if not fresh.size:
                 return
-            fresh_offsets = store.offsets([passwords[rank] for rank in fresh.tolist()])
+            # A list: the sketch iterates the labels once per row.
+            fresh_offsets = store.offsets(list(passwords.take(fresh)))
             offsets[fresh] = fresh_offsets
             hashed = np.concatenate((hashed, fresh))
             join(fresh, owner[fresh_offsets])
@@ -328,17 +357,34 @@ def _run_sessions(
                 codes = owner[offsets[hashed]]
                 join(hashed, np.where(codes <= went_live, codes, 0))
 
-    take = _proposal_ranks(probs, stream.randoms, PROPOSAL_BATCH, on_batch).__next__
-    accepted = [0] * n_ranks
-    free = [0] * n_ranks
+    take = _proposal_ranks(probs, randoms, PROPOSAL_BATCH, on_batch).__next__
+    accepted = array(counts_type, [0]) * n_ranks
+    free = array(counts_type, [0]) * n_ranks
     asks_total = 0
     asks_sq = 0
+    # The high half of the last word split for a 32-bit draw, or None.
+    high = None
     try:
         for _ in range(n_users):
             rank = take()
             free[rank] += 1
-            if seen:
-                x = seen[below(len(seen))]
+            n_seen = len(seen)
+            if n_seen:
+                m = 0
+                if n_seen > 1:
+                    # integers(0, n_seen) draws nothing when n_seen is 1.
+                    threshold = ((1 << 32) - n_seen) % n_seen
+                    while True:
+                        if high is None:
+                            word = next_word()
+                            high = word >> 32
+                            m = (word & 0xFFFFFFFF) * n_seen
+                        else:
+                            m = high * n_seen
+                            high = None
+                        if m & 0xFFFFFFFF >= threshold:
+                            break
+                x = seen[m >> 32]
                 if sketch and shared[x]:
                     fx = min(map(live.__getitem__, reads[x]))
                 else:
@@ -356,14 +402,14 @@ def _run_sessions(
                 f_prop = counts[rank]
                 counts[rank] = f_prop + 1
                 if sketch:
-                    row_reads = reads[rank]
+                    row_reads = reads.get(rank)
                     if row_reads is not None:
                         if shared[rank]:
                             f_prop = min(map(live.__getitem__, row_reads))
                         for i in row_reads:
                             live[i] += 1
                 w_prop = 1.0 if weights is None else weights[rank]
-                if w_prop > 0.0 and random() * f_prop * wx <= fx * w_prop:
+                if w_prop > 0.0 and (next_word() >> 11) * 2.0**-53 * f_prop * wx <= fx * w_prop:
                     break
                 if asks >= retry_cap:
                     raise BannedExhaustionError(f"no acceptable proposal after {retry_cap} asks")
@@ -378,11 +424,11 @@ def _run_sessions(
     return accepted, free, asks_total, asks_sq
 
 
-def _table(rank_counts: list[int], passwords: Sequence[bytes], seed: int) -> RankFrequencyTable:
-    # simulate's labels are distinct, so the counted ranks' labels are too.
-    counts = np.array(rank_counts, dtype=np.int64)
+def _table(rank_counts: array, passwords: PasswordColumn, seed: int) -> RankFrequencyTable:
+    counts = np.frombuffer(rank_counts, dtype=rank_counts.typecode)
     ranks = np.flatnonzero(counts)
-    return rank_passwords([passwords[r] for r in ranks.tolist()], counts[ranks], seed)
+    # simulate's labels are distinct, so the counted ranks' labels are too.
+    return rank_passwords(list(passwords.take(ranks)), counts[ranks].astype(np.int64), seed)
 
 
 def write_summary_tsv(report: SimulationReport, path) -> None:

@@ -7,7 +7,9 @@ row. These are the straightforward versions it must match draw for draw:
 frequency counters keyed by password bytes with one ``increment`` per ask
 and one ``query`` per comparison, a proposal log of the distinct passwords
 seen, and one ``mh_session`` per user that calls the ``Generator`` itself,
-looking weights up by password.
+looking weights up by password. ``RawStream`` is the replay of the
+``Generator``'s draws from its raw words, one method per kind of draw,
+that ``simulate``'s session loop does inline.
 """
 
 from __future__ import annotations
@@ -23,10 +25,72 @@ from pwdist.ingest import table_from_counter
 from pwdist.mh_uniform import (
     DEFAULT_RETRY_CAP,
     PROPOSAL_BATCH,
+    RAW_BLOCK,
     BannedExhaustionError,
     CountMinStore,
     SimulationReport,
 )
+
+
+class RawStream:
+    """The draws of a fresh PCG64 ``Generator``, replayed from its raw output.
+
+    numpy makes ``random()`` of the next 64-bit word x as ``(x >> 11) *
+    2**-53``, and ``integers(0, n)`` for n <= 2**32 by Lemire's multiply-and-
+    reject method on 32-bit draws; PCG64 gives a 32-bit draw as the low half
+    of a fresh word and keeps the high half for the next one. Reading the
+    words in blocks through ``random_raw`` gives every draw exactly, in the
+    same order, without one generator call per draw. The stream reads ahead
+    of the draws it has returned, so the generator is not to be drawn from
+    directly once a stream is made from it.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int = RAW_BLOCK):
+        self._raw = rng.bit_generator.random_raw
+        self._block = block
+        self._words: list[int] = []
+        self._pos = 0
+        self._high: int | None = None
+
+    def _word(self) -> int:
+        pos = self._pos
+        if pos == len(self._words):
+            self._words = self._raw(self._block).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._words[pos]
+
+    def random(self) -> float:
+        """``Generator.random()``."""
+        return (self._word() >> 11) * 2.0**-53
+
+    def randoms(self, size: int) -> np.ndarray:
+        """``Generator.random(size)``: the words read ahead, then fresh ones."""
+        ahead = self._words[self._pos : self._pos + size]
+        self._pos += len(ahead)
+        raw = np.array(ahead, dtype=np.uint64)
+        if len(ahead) < size:
+            raw = np.concatenate((raw, self._raw(size - len(ahead))))
+        return (raw >> np.uint64(11)) * 2.0**-53
+
+    def below(self, n: int) -> int:
+        """``int(Generator.integers(0, n))`` for 1 <= n <= 2**32; n = 1 draws nothing."""
+        if n == 1:
+            return 0
+        if not 1 < n <= 1 << 32:
+            raise ValueError(f"cannot replay integers(0, {n})")
+        threshold = ((1 << 32) - n) % n
+        while True:
+            x = self._high
+            if x is None:
+                word = self._word()
+                self._high = word >> 32
+                x = word & 0xFFFFFFFF
+            else:
+                self._high = None
+            m = x * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
 
 
 class ExactCounter:

@@ -641,6 +641,27 @@ class TestMhSim:
         assert main(args + ["--retry-cap", "0", "--out-dir", str(tmp_path / "sim")]) == EXIT_USAGE
         assert "pwdist-error\tusage\tretry_cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["zipf", "table"])
+    def test_counts_past_int64_are_usage_error_before_any_rank(
+        self, tmp_path, corpus, capsys, monkeypatch, source
+    ):
+        # n_users * retry_cap asks could pass any int64 count: the run stops
+        # before the source's probabilities or labels are built.
+        from pwdist import ingest, stats
+
+        def per_rank(*args, **kwargs):
+            raise AssertionError("built a per-rank source")
+
+        argv = ["mh-sim", "--n-users", str(2**62), "--retry-cap", "4"]
+        if source == "table":
+            argv += ["--source", "table", "--table", str(ingest_table(tmp_path, corpus))]
+        monkeypatch.setattr(stats, "zipf_model", per_rank)
+        monkeypatch.setattr(ingest, "read_table_tsv", per_rank)
+        out = tmp_path / "sim"
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE
+        assert "pwdist-error\tusage\tn_users * retry_cap must be <= 2**63 - 1" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize(
         "line", ["bogus-key = 3", "n-user = 100000", "out-dir = x", "config = y"]
     )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from unittest.mock import patch
 
@@ -15,7 +16,9 @@ from pwdist.mh_uniform import (
     PROPOSAL_BATCH,
     BannedExhaustionError,
     CountMinStore,
+    count_type,
     simulate,
+    zipf_labels,
 )
 from pwdist.stats import uniform_model, zipf_model
 
@@ -24,6 +27,7 @@ from mh_oracles import (
     CountMinCounter,
     ExactCounter,
     ProposalLog,
+    RawStream,
     mh_session,
     reference_simulate,
 )
@@ -357,6 +361,97 @@ class TestSimulate:
             simulate(uniform_model(3), [b"a", b"b", b"c"], 10, retry_cap=0)
 
 
+class TestZipfLabels:
+    @pytest.mark.parametrize(
+        "ranks",
+        [
+            pytest.param([1, 2, 9, 10, 12345678, 99999999, 100000000, 100000001], id="8-to-9-digits"),
+            pytest.param([0, 10**9 - 1, 10**9, 2**63 - 1, 5], id="wide-and-unsorted"),
+            pytest.param(range(1, 20001), id="several-blocks"),
+            pytest.param(range(99990000, 100010000), id="blocks-across-8-to-9-digits"),
+        ],
+    )
+    def test_equal_formatted_labels(self, ranks):
+        assert list(zipf_labels(np.array(ranks))) == [b"p%08d" % i for i in ranks]
+
+    def test_empty_and_negative(self):
+        assert len(zipf_labels(np.arange(0))) == 0
+        with pytest.raises(ValueError):
+            zipf_labels(np.array([3, -1]))
+
+
+class TestCountType:
+    """No per-rank count can wrap: its type holds every ask of the run."""
+
+    @pytest.mark.parametrize(
+        "n_users, retry_cap, typecode",
+        [
+            (1, 1, "I"),
+            (2**16, 2**16 - 1, "I"),
+            (2**16, 2**16, "Q"),
+            (2**32, DEFAULT_RETRY_CAP, "Q"),
+            (2**62, 1, "Q"),
+            (2**62 - 1, 2, "Q"),
+        ],
+    )
+    def test_type_holds_every_ask(self, n_users, retry_cap, typecode):
+        assert count_type(n_users, retry_cap) == typecode
+        assert 2 ** (8 * np.dtype(typecode).itemsize) > n_users * retry_cap
+
+    @pytest.mark.parametrize("n_users, retry_cap", [(2**62, 2), (2**63, 1), (2**40, 2**40)])
+    def test_past_int64_rejected_before_any_rank_is_read(self, n_users, retry_cap):
+        class Unread:
+            def __len__(self):
+                raise AssertionError("labels read")
+
+        with pytest.raises(ValueError, match="n_users \\* retry_cap"):
+            simulate(Unread(), Unread(), n_users, retry_cap=retry_cap)
+
+    @pytest.mark.parametrize("sketch", [None, {"width": 64, "depth": 3, "master_seed": 2}])
+    def test_wide_counts_give_the_same_report(self, sketch):
+        probs = zipf_model(0.9, 300)
+        passwords = zipf_labels(np.arange(1, 301))
+        reports = []
+        for typecode in ("I", "Q"):
+            _, store = _stores(sketch)
+            with patch.object(mh_uniform, "count_type", lambda n_users, retry_cap: typecode):
+                reports.append(simulate(probs, passwords, 3000, store=store, seed=8))
+        assert reports[0] == reports[1]
+
+
+class TestPerRankMemory:
+    """``simulate`` costs a few fixed-size array slots per rank, not Python objects.
+
+    The peak that ``tracemalloc`` traces while it runs, per rank of a
+    3 * 10**5-rank Zipf label column that 500 users barely touch; the
+    probabilities and labels are made before tracing starts. Measured at
+    24.7 B/rank (exact) and 51.9 B/rank (count-min); the bounds lie below
+    the 36.7 and 70.5 B/rank that lists of counts and one ``bytes`` per
+    label cost.
+    """
+
+    N_RANKS = 300_000
+
+    @pytest.mark.parametrize(
+        "sketch, bound",
+        [
+            pytest.param(None, 31.0, id="exact"),
+            pytest.param({"width": 1 << 12, "depth": 4, "master_seed": 1}, 61.0, id="count-min"),
+        ],
+    )
+    def test_peak_bytes_per_rank(self, sketch, bound):
+        probs = zipf_model(0.78, self.N_RANKS)
+        passwords = zipf_labels(np.arange(1, self.N_RANKS + 1))
+        _, store = _stores(sketch)
+        tracemalloc.start()
+        try:
+            simulate(probs, passwords, 500, store=store, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / self.N_RANKS < bound
+
+
 LABELS = [b"a", b"b", b"c", b"", b"a\x00", b"\xff\xfe", b"pw123456", b"x" * 12]
 
 
@@ -442,7 +537,7 @@ class TestRawStream:
     @given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 9), draws=draws)
     def test_matches_generator(self, seed, block, draws):
         rng = np.random.default_rng(seed)
-        stream = mh_uniform._RawStream(np.random.default_rng(seed), block=block)
+        stream = RawStream(np.random.default_rng(seed), block=block)
         for kind, arg in draws:
             if kind == "random":
                 assert stream.random() == rng.random()
@@ -457,7 +552,7 @@ class TestRawStream:
         # about half of the 32-bit draws.
         pick = np.random.default_rng(seed + 100)
         rng = np.random.default_rng(seed)
-        stream = mh_uniform._RawStream(np.random.default_rng(seed))
+        stream = RawStream(np.random.default_rng(seed))
         for _ in range(20000):
             kind = int(pick.integers(0, 4))
             if kind == 0:
@@ -471,9 +566,26 @@ class TestRawStream:
                 )
                 assert stream.below(n) == int(rng.integers(0, n))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        block=st.integers(1, 9),
+        draws=st.lists(st.integers(0, 40) | st.none(), max_size=120),
+    )
+    def test_raw_words_match_generator(self, seed, block, draws):
+        # simulate's reads: one word per uniform, and batches of uniforms.
+        rng = np.random.default_rng(seed)
+        with patch.object(mh_uniform, "RAW_BLOCK", block):
+            next_word, randoms = mh_uniform._raw_words(np.random.default_rng(seed))
+            for size in draws:
+                if size is None:
+                    assert (next_word() >> 11) * 2.0**-53 == rng.random()
+                else:
+                    assert np.array_equal(randoms(size), rng.random(size))
+
     def test_bound_above_two_to_the_32_is_refused(self):
         with pytest.raises(ValueError):
-            mh_uniform._RawStream(np.random.default_rng(0)).below(2**32 + 1)
+            RawStream(np.random.default_rng(0)).below(2**32 + 1)
 
 
 class TestSimulateMatchesSessionReference:
