@@ -142,7 +142,10 @@ def _ordering(args) -> crossguess.GuessOrdering | None:
         return crossguess.GuessOrdering.from_table(ingest.read_table_tsv(path), label=path.name)
     if args.wordlist:
         path = _input(args, args.wordlist)
-        return crossguess.dictionary_ordering(_read_words(path), label=path.name)
+        words = _read_words(path)
+        if not words:
+            raise ingest.CorpusError(f"word list {path.name} has no words")
+        return crossguess.dictionary_ordering(words, label=path.name)
     return None
 
 

@@ -367,24 +367,20 @@ _NIBBLE_SHIFTS = np.arange(60, -1, -4, dtype=np.uint64)
 def write_hashes_tsv(corpus: HashedCorpus, path) -> None:
     """Export as ``user<TAB>salt-hex<TAB>digest-hex``, laid out a block of rows at a time.
 
-    Each ``WRITE_BLOCK`` of rows is one uint8 buffer: each user's bytes,
-    escaped only where they hold a byte to escape, then a tail of TAB, salt
-    hex, TAB, digest hex and LF that numpy formats for all rows at once.
+    Each block of rows is one uint8 buffer: each user's bytes, escaped only
+    where they hold a byte to escape, then a tail of TAB, salt hex, TAB,
+    digest hex and LF that numpy lays out for all rows at once.
     """
     # Each salt's tail bytes up to its digest, NUL-padded to the longest.
     salt_tails = np.array([b"\t%s\t" % salt.hex().encode() for salt in corpus.salts], dtype=bytes)
-    salt_width = salt_tails.itemsize
-    salt_tails = salt_tails.view(np.uint8).reshape(len(corpus.salts), salt_width)
-    with open(path, "wb") as fh:
-        fh.write(HASHES_HEADER + b"\n")
-        for start in range(0, len(corpus), tsvio.WRITE_BLOCK):
-            stop = start + tsvio.WRITE_BLOCK
-            digests = corpus.digests[start:stop]
-            tails = np.empty((len(digests), salt_width + 17), dtype=np.uint8)
-            tails[:, :salt_width] = salt_tails[corpus.salt_index[start:stop]]
-            tails[:, salt_width:-1] = _HEX_DIGITS[(digests[:, None] >> _NIBBLE_SHIFTS) & np.uint64(15)]
-            tails[:, -1] = 0x0A
-            fh.write(tsvio.lay_out([tsvio.escaped(corpus.users[start:stop]), tsvio.packed(tails)]))
+    salt_tails = salt_tails.view(np.uint8).reshape(len(corpus.salts), salt_tails.itemsize)
+
+    def block(rows: slice) -> np.ndarray:
+        digest_hex = _HEX_DIGITS[(corpus.digests[rows, None] >> _NIBBLE_SHIFTS) & np.uint64(15)]
+        tails = tsvio.fixed_fields([salt_tails[corpus.salt_index[rows]], digest_hex, 0x0A])
+        return tsvio.lay_out([tsvio.escaped(corpus.users[rows]), tails])
+
+    tsvio.write_rows(path, HASHES_HEADER, len(corpus), block)
 
 
 def _hex_values(raw: np.ndarray, start: np.ndarray, stop: np.ndarray, name: str) -> np.ndarray:
@@ -440,12 +436,13 @@ def read_hashes_tsv(path) -> HashedCorpus:
 def write_cracked_tsv(report: CrackReport, path) -> None:
     """Export as ``user<TAB>password``, the cut guess, laid out a block of rows at a time.
 
-    Each ``WRITE_BLOCK`` of rows is one uint8 buffer of users and guesses,
-    each escaped only where it holds a byte to escape, between TABs and LFs.
+    Each block of rows is one uint8 buffer of users and guesses, each
+    escaped only where it holds a byte to escape, between TABs and LFs.
     """
     cracked = report.cracked
-    with open(path, "wb") as fh:
-        fh.write(b"user\tpassword\n")
-        for start in range(0, len(cracked), tsvio.WRITE_BLOCK):
-            rows = cracked[start : start + tsvio.WRITE_BLOCK]
-            fh.write(tsvio.lay_out([tsvio.escaped(rows.users), 0x09, tsvio.escaped(rows.guesses), 0x0A]))
+
+    def block(rows: slice) -> np.ndarray:
+        users, guesses = tsvio.escaped(cracked.users[rows]), tsvio.escaped(cracked.guesses[rows])
+        return tsvio.lay_out([users, 0x09, guesses, 0x0A])
+
+    tsvio.write_rows(path, b"user\tpassword", len(cracked), block)

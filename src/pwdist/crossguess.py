@@ -9,9 +9,9 @@ An ordering holds its guesses in a :class:`~pwdist.column.PasswordColumn`
 target by :meth:`~pwdist.column.PasswordColumn.positions`, which hashes
 both columns' rows on each call, sorts the hashes and compares bytes only
 where hashes match.
-Curves are stored sparsely (only the steps where the cumulative value
-changes, plus the final guess index) because full-scale corpora produce
-tens of millions of points.
+A curve is its cumulative count after every guess, the form every run
+writes: ``write_curve_tsv`` lays its rows out a block at a time straight
+from that array, through :func:`~pwdist.tsvio.write_rows`.
 """
 
 from __future__ import annotations
@@ -60,53 +60,44 @@ class GuessOrdering:
 
 @dataclass(eq=False)
 class GuessCurve:
-    """Cumulative recovery per guess index, sparsely encoded.
+    """Cumulative recovery per guess: ``cumulative[t - 1]`` after guess t.
 
-    Two int64 columns, ``t`` and ``cumulative``: one row at every guess
-    index where the cumulative count changes, plus the final index.
-    ``cumulative_at`` interpolates the steps and clamps past the end.
+    One int64 entry for every guess, the form ``write_curve_tsv`` writes.
+    ``cumulative_at`` is 0 before the first guess and clamps past the end.
     """
 
-    t: np.ndarray
     cumulative: np.ndarray
     denominator: int
     metric: str
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=np.int64)
         self.cumulative = np.asarray(self.cumulative, dtype=np.int64)
 
     def __eq__(self, other):
         if not isinstance(other, GuessCurve):
             return NotImplemented
         return (
-            np.array_equal(self.t, other.t)
-            and np.array_equal(self.cumulative, other.cumulative)
+            np.array_equal(self.cumulative, other.cumulative)
             and self.denominator == other.denominator
             and self.metric == other.metric
         )
 
     @property
     def total_guesses(self) -> int:
-        return int(self.t[-1]) if len(self.t) else 0
+        return len(self.cumulative)
 
     @property
     def final_cumulative(self) -> int:
         return int(self.cumulative[-1]) if len(self.cumulative) else 0
 
     def cumulative_at(self, t: int) -> int:
-        i = int(np.searchsorted(self.t, t, side="right"))
-        return int(self.cumulative[i - 1]) if i else 0
+        guesses = min(t, len(self.cumulative))
+        return int(self.cumulative[guesses - 1]) if guesses >= 1 else 0
 
 
 def curve_from_increments(increments: np.ndarray, denominator: int, metric: str) -> GuessCurve:
     """The curve of guesses that add ``increments[t - 1]`` each, for t = 1, 2, ..."""
-    increments = np.asarray(increments, dtype=np.int64)
-    stored = increments != 0
-    stored[-1:] = True  # the final guess, if any, is always stored
-    steps = np.flatnonzero(stored)
-    cumulative = np.cumsum(increments)[steps]
-    return GuessCurve(t=steps + 1, cumulative=cumulative, denominator=denominator, metric=metric)
+    return GuessCurve(np.cumsum(increments, dtype=np.int64), denominator, metric)
 
 
 def self_curve(table: RankFrequencyTable, metric: str = METRIC_USERS) -> GuessCurve:
@@ -166,49 +157,30 @@ def truncate_reaggregate(
 
 
 def write_curve_tsv(curve: GuessCurve, path, log_spaced: bool = False) -> None:
-    """Export as ``t<TAB>cumulative<TAB>fraction`` rows.
+    """Export as ``"%d\\t%d\\t%.8g\\n" % (t, cumulative, fraction)`` rows.
 
     Dense by default; ``log_spaced`` samples about 512 geometrically
-    spaced indices instead, which is what plotting wants at full scale.
+    spaced indices instead, which is what plotting wants at full scale. A
+    block of rows is read from ``curve.cumulative`` and laid out by
+    :func:`~pwdist.tsvio.fixed_fields`; each distinct fraction in it (they
+    come in runs, as the counts do) is formatted once by ``%``.
     """
     total = curve.total_guesses
-    if log_spaced and total >= 1:
+    ts = None
+    if log_spaced and total:
         ts = np.geomspace(1, total, num=512).round().astype(np.int64)
         # Rounding repeats neighbouring indices at the low end; keep one of each.
         ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
-    else:
-        ts = np.arange(1, total + 1, dtype=np.int64)
-    # The cumulative value at t is the one of the last step at or before t.
-    cums = np.concatenate(([0], curve.cumulative))[np.searchsorted(curve.t, ts, side="right")]
     denom = curve.denominator
-    fracs = cums / denom if denom else np.zeros(len(cums))
-    with open(path, "wb") as fh:
-        fh.write(b"t\tcumulative\tfraction\n")
-        for start in range(0, len(ts), tsvio.WRITE_BLOCK):
-            block = slice(start, start + tsvio.WRITE_BLOCK)
-            fh.write(_curve_rows(ts[block], cums[block], fracs[block]))
 
+    def block(rows: slice) -> np.ndarray:
+        t = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int64) if ts is None else ts[rows]
+        cums = curve.cumulative[t - 1]
+        fracs = cums / denom if denom else np.zeros(len(cums))
+        run_start = np.ones(len(fracs), dtype=bool)
+        run_start[1:] = fracs[1:] != fracs[:-1]
+        text = np.array([b"%.8g" % f for f in fracs[run_start].tolist()], dtype=bytes)
+        runs = text.view(np.uint8).reshape(len(text), text.itemsize)[np.cumsum(run_start) - 1]
+        return tsvio.fixed_fields([t, 0x09, cums, 0x09, runs, 0x0A])[0]
 
-def _curve_rows(ts: np.ndarray, cums: np.ndarray, fracs: np.ndarray) -> bytes:
-    """The rows ``"%d\\t%d\\t%.8g\\n" % (t, cumulative, fraction)``, joined.
-
-    numpy lays out the integer columns; each distinct fraction (they come in
-    runs, as the cumulative count does) is formatted once by ``%``, so the
-    text is that of the format by construction. The fields go into one
-    NUL-padded matrix, a row per curve row; dropping the NULs joins them.
-    """
-    run_start = np.ones(len(fracs), dtype=bool)
-    run_start[1:] = fracs[1:] != fracs[:-1]
-    text = np.array(["%.8g" % f for f in fracs[run_start].tolist()], dtype=bytes)
-    t_width = len(b"%d" % ts[-1])
-    c_width = len(b"%d" % cums[-1])
-    f_width = text.itemsize
-    rows = np.zeros((len(ts), t_width + c_width + f_width + 3), dtype=np.uint8)
-    tsvio.put_decimal(rows[:, :t_width], ts)
-    rows[:, t_width] = 0x09
-    tsvio.put_decimal(rows[:, t_width + 1 : t_width + 1 + c_width], cums)
-    rows[:, t_width + 1 + c_width] = 0x09
-    runs = text.view(np.uint8).reshape(len(text), f_width)
-    rows[:, -1 - f_width : -1] = runs[np.cumsum(run_start) - 1]
-    rows[:, -1] = 0x0A
-    return rows[rows != 0].tobytes()
+    tsvio.write_rows(path, b"t\tcumulative\tfraction", total if ts is None else len(ts), block)

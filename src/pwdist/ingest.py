@@ -4,7 +4,8 @@ Raw leak files come in two shapes: one password per line, or
 ``user<TAB>password`` pairs. Passwords stay raw bytes throughout; leak
 files mix encodings freely and any normalisation would merge passwords
 that users actually typed differently. Both are read a block of lines at
-a time: ``read_credentials`` keeps each user's last non-whitespace entry,
+a time, split by the one line rule of :func:`~pwdist.tsvio.chunk_lines`:
+``read_credentials`` keeps each user's last non-whitespace entry,
 and ``stream_table`` ranks the kept passwords by descending use count with
 a seeded pseudo-random tie-break so runs are reproducible.
 
@@ -13,7 +14,8 @@ A ranked table holds its passwords as a
 offset per row, with no Python object per password. Table files are read
 into it and written from it a block of rows at a time by the row codec of
 :mod:`pwdist.tsvio`, with no Python object per row, CRLF rows and blank
-lines included; rank and count are plain decimal digits, read in numpy.
+lines included; this module supplies only the fields of a block. Rank and
+count are plain decimal digits, read in numpy.
 ``validate`` finds duplicates by sorting 64-bit row hashes, comparing
 bytes only where hashes are equal.
 """
@@ -29,7 +31,7 @@ from typing import BinaryIO, Iterable, Mapping
 import numpy as np
 
 from . import tsvio
-from .column import PasswordColumn, as_column, keyed_hashes
+from .column import JOIN_BLOCK, PasswordColumn, as_column, keyed_hashes
 from .tsvio import CorpusError
 
 FORMAT_USER_TAB_PASSWORD = "user-tab-password"
@@ -115,7 +117,7 @@ def rank_passwords(
     """Distinct ``passwords``, ``passwords[i]`` used ``values[i]`` times, ranked as
     :func:`table_from_counter` ranks them.
 
-    The ranked column is joined one ``WRITE_BLOCK`` of rows at a time.
+    The ranked column is joined one ``JOIN_BLOCK`` of rows at a time.
     """
     if not passwords:
         raise CorpusError("cannot rank an empty corpus")
@@ -131,10 +133,9 @@ def rank_passwords(
         stops = clash[np.concatenate((gap, [True]))] + 2
         for a, b in zip(starts.tolist(), stops.tolist()):
             order[a:b] = sorted(order[a:b].tolist(), key=passwords.__getitem__)
-    block = tsvio.WRITE_BLOCK
     ranked = chain.from_iterable(
-        map(passwords.__getitem__, order[start : start + block].tolist())
-        for start in range(0, len(order), block)
+        map(passwords.__getitem__, order[start : start + JOIN_BLOCK].tolist())
+        for start in range(0, len(order), JOIN_BLOCK)
     )
     return RankFrequencyTable(
         passwords=PasswordColumn(ranked),
@@ -218,19 +219,9 @@ def stream_table(
     else:
         counts = Counter()
         n_lines = 0
-        saw_cr = False
-        for chunk in tsvio.line_chunks(_corpus_stream(raw, corpus_format)):
-            lines = chunk.split(b"\n")
-            if not lines[-1]:
-                lines.pop()
+        for lines in map(tsvio.chunk_lines, tsvio.line_chunks(_corpus_stream(raw, corpus_format))):
             n_lines += len(lines)
             counts.update(lines)
-            saw_cr = saw_cr or b"\r" in chunk
-        # Lines were counted raw: fold "pw\r" into "pw", then drop blank lines.
-        if saw_cr:
-            with_cr = [line for line in counts if line.endswith(b"\r")]
-            for line, n in [(line[:-1], counts.pop(line)) for line in with_cr]:
-                counts[line] += n
         for line in [k for k in counts if not k.strip()]:
             del counts[line]
         stats = StreamStats(lines=n_lines, malformed=0)
@@ -265,38 +256,21 @@ def count_of_counts(table: RankFrequencyTable) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(table.counts, return_counts=True)
 
 
-def _decimal_fields(first_rank: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes ``rank TAB count TAB`` of each row, joined as uint8, and each row's length.
-
-    Ranks run from ``first_rank`` on. Both columns go into one NUL-padded
-    matrix, a row per table row, which :func:`~pwdist.tsvio.packed` joins.
-    """
-    if len(counts) and counts.min() < 0:
-        raise ValueError("table contains a negative count")
-    n = len(counts)
-    rank_width = len(b"%d" % (first_rank + n - 1))
-    count_width = len(b"%d" % counts.max()) if n else 1
-    rows = np.zeros((n, rank_width + count_width + 2), dtype=np.uint8)
-    tsvio.put_decimal(rows[:, :rank_width], np.arange(first_rank, first_rank + n, dtype=np.int64))
-    rows[:, rank_width] = 0x09
-    tsvio.put_decimal(rows[:, rank_width + 1 : -1], counts)
-    rows[:, -1] = 0x09
-    return tsvio.packed(rows)
-
-
 def write_table_tsv(table: RankFrequencyTable, path) -> None:
     """Export as ``rank<TAB>count<TAB>password`` with escaped passwords.
 
-    Each ``WRITE_BLOCK`` of rows is laid out in one uint8 buffer by
-    :func:`~pwdist.tsvio.lay_out`: numpy formats the rank and count
-    columns, and only passwords holding a byte to escape are escaped.
+    Each block of rows is laid out in one uint8 buffer by
+    :func:`~pwdist.tsvio.lay_out`: the rank and count columns by
+    :func:`~pwdist.tsvio.fixed_fields`, and only passwords holding a byte to
+    escape are escaped.
     """
-    with open(path, "wb") as fh:
-        fh.write(TABLE_HEADER + b"\n")
-        for start in range(0, table.distinct_count, tsvio.WRITE_BLOCK):
-            stop = start + tsvio.WRITE_BLOCK
-            fields = _decimal_fields(start + 1, table.counts[start:stop])
-            fh.write(tsvio.lay_out([fields, tsvio.escaped(table.passwords[start:stop]), 0x0A]))
+
+    def block(rows: slice) -> np.ndarray:
+        ranks = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int64)
+        fields = tsvio.fixed_fields([ranks, 0x09, table.counts[rows], 0x09])
+        return tsvio.lay_out([fields, tsvio.escaped(table.passwords[rows]), 0x0A])
+
+    tsvio.write_rows(path, TABLE_HEADER, table.distinct_count, block)
 
 
 # Longest decimal field read: 19 digits hold every int64, and every

@@ -29,6 +29,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import tsvio
 from .column import JOIN_BLOCK, PasswordColumn, as_column, keyed_hashes
 from .ingest import RankFrequencyTable, rank_passwords
 
@@ -37,8 +38,6 @@ DEFAULT_RETRY_CAP = 100
 PROPOSAL_BATCH = 8192
 # Raw generator words read at a time for the per-session draws.
 RAW_BLOCK = 1024
-# 10**8 .. 10**18: a rank at or past each takes one more digit than 8.
-_POWERS_PAST_8 = 10 ** np.arange(8, 19, dtype=np.int64)
 
 
 class BannedExhaustionError(Exception):
@@ -82,8 +81,9 @@ class CountMinStore:
 def zipf_labels(ranks: np.ndarray) -> PasswordColumn:
     """The column of ``b"p%08d" % r`` for each rank number r >= 0 in ``ranks``.
 
-    The labels are laid out in numpy, ``JOIN_BLOCK`` ranks at a time, one
-    pass per digit position: a rank's decimal digits, zero-padded to 8.
+    The labels are laid out in numpy, ``JOIN_BLOCK`` ranks at a time, by
+    :func:`~pwdist.tsvio.fixed_fields`: a ``p``, then each rank's digits by
+    :func:`~pwdist.tsvio.put_decimal`, filled with ``0`` to 8 digits.
     """
     ranks = np.asarray(ranks, dtype=np.int64)
     if ranks.size and ranks.min() < 0:
@@ -92,14 +92,11 @@ def zipf_labels(ranks: np.ndarray) -> PasswordColumn:
     lengths: list[np.ndarray] = []
     for start in range(0, len(ranks), JOIN_BLOCK):
         block = ranks[start : start + JOIN_BLOCK]
-        digits = 8 + np.searchsorted(_POWERS_PAST_8, block, side="right")
-        length = digits + 1
-        end = np.cumsum(length)
-        piece = np.empty(int(end[-1]), dtype=np.uint8)
-        piece[end - length] = ord("p")
-        for k in range(int(digits.max())):
-            rows = digits > k
-            piece[end[rows] - 1 - k] = ord("0") + block[rows] // 10**k % 10
+        digits = np.empty((len(block), max(8, len(b"%d" % block.max()))), dtype=np.uint8)
+        tsvio.put_decimal(digits, block)
+        padding = digits[:, -8:]
+        padding[padding == 0] = ord("0")
+        piece, length = tsvio.fixed_fields([ord("p"), digits])
         pieces.append(piece.tobytes())
         lengths.append(length)
     return PasswordColumn.from_pieces(pieces, lengths)

@@ -1,12 +1,14 @@
-"""Binary TSV rows: the one codec of every row file.
+"""Binary TSV rows: the one codec of every row file, and the one line rule.
 
 Passwords are arbitrary byte strings, so row files are binary and the bytes
 that would break a tab-separated, newline-delimited layout are
 backslash-escaped. Files are read ``READ_BLOCK`` bytes at a time, cut after
-the last LF, and written ``WRITE_BLOCK`` rows at a time, in numpy with no
-``bytes`` object per row: :func:`lay_out` writes a block of fields, and
-:func:`read_rows` takes a three-field file apart by :func:`cut_rows` and
-:func:`gather`, with no step per row for CRLF rows or blank lines either.
+the last LF; corpora, word lists and ban files are split into lines by
+:func:`chunk_lines`. :func:`write_rows` writes ``WRITE_BLOCK`` rows at a
+time, in numpy with no ``bytes`` object per row: :func:`fixed_fields` and
+:func:`lay_out` write a block of fields, and :func:`read_rows` takes a
+three-field file apart by :func:`cut_rows` and :func:`gather`, with no step
+per row for CRLF rows or blank lines either.
 Only rows that hold a byte to escape, or a backslash to unescape, are
 rewritten one at a time.
 """
@@ -95,11 +97,13 @@ def line_chunks(stream: BinaryIO) -> Iterator[bytes]:
 
 
 def chunk_lines(chunk: bytes) -> list[bytes]:
-    """The lines of a chunk, without LF and one trailing CR."""
-    lines = chunk.split(b"\n")
-    if not lines[-1]:
-        lines.pop()
-    return [line[:-1] if line[-1:] == b"\r" else line for line in lines]
+    """The lines of a chunk, without LF and one trailing CR: the line rule of
+    corpora, word lists and ban files, applied in C but for a last line's CR."""
+    lines = chunk.replace(b"\r\n", b"\n").split(b"\n")
+    last = lines.pop()
+    if last:
+        lines.append(last[:-1] if last[-1:] == b"\r" else last)
+    return lines
 
 
 def _rewrite_rows(
@@ -137,24 +141,54 @@ def escaped(column) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(_rewrite_rows(joined, lengths, special, escape_field), dtype=np.uint8), lengths
 
 
-def put_decimal(out: np.ndarray, values: np.ndarray) -> None:
-    """Write non-negative ``values`` as right-aligned ASCII decimals into the uint8 rows of ``out``.
+def put_decimal(out: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Write non-negative ``values`` as right-aligned ASCII decimals into the uint8 rows of
+    ``out``, and return each one's number of digits.
 
     ``out`` has one row per value and at least as many columns as the
     longest value has digits; the columns left of each value are set to NUL.
     """
     rest, digit = np.divmod(values, 10)
     out[:, -1] = digit + 0x30
+    digits = np.ones(len(values), dtype=np.int64)
     for col in range(out.shape[1] - 2, -1, -1):
         live = rest > 0
+        digits += live
         rest, digit = np.divmod(rest, 10)
         out[:, col] = np.where(live, digit + 0x30, 0)
+    return digits
 
 
-def packed(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a NUL-padded uint8 matrix with their NULs dropped, joined, and each one's length."""
-    kept = rows != 0
-    return rows[kept], np.count_nonzero(kept, axis=1)
+def fixed_fields(fields: Sequence[np.ndarray | int]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of fields in one NUL-padded uint8 matrix, packed: the rows without
+    their NULs, joined, and each one's length. A field is a column of integers
+    >= 0, written by :func:`put_decimal` as wide as the largest; a uint8 matrix
+    of NUL-padded text; or one byte (a TAB, an LF) that every row holds."""
+    n = next(len(field) for field in fields if not isinstance(field, int))
+    fields = [np.full((n, 1), field, dtype=np.uint8) if isinstance(field, int) else field for field in fields]
+    widths = [field.shape[1] if field.ndim == 2 else len(b"%d" % field.max(initial=0)) for field in fields]
+    rows = np.empty((n, sum(widths)), dtype=np.uint8)
+    lengths = np.zeros(n, dtype=np.int64)
+    for field, part in zip(fields, np.split(rows, np.cumsum(widths)[:-1], axis=1)):
+        if field.ndim == 2:
+            part[:] = field
+            # Text with NULs is counted down a transposed copy: numpy counts along a short row slowly.
+            full = field.all()
+            lengths += field.shape[1] if full else np.count_nonzero(np.ascontiguousarray(field.T), axis=0)
+        else:
+            if field.min(initial=0) < 0:
+                raise ValueError("a decimal field holds a negative value")
+            lengths += put_decimal(part, field)
+    return rows[rows != 0], lengths
+
+
+def write_rows(path, header: bytes, n_rows: int, block: Callable[[slice], np.ndarray]) -> None:
+    """Write a row file: ``header`` and an LF, then the bytes ``block`` lays out
+    for each slice of ``WRITE_BLOCK`` of the ``n_rows`` rows, in turn."""
+    with open(path, "wb") as fh:
+        fh.write(header + b"\n")
+        for start in range(0, n_rows, WRITE_BLOCK):
+            fh.write(block(slice(start, min(start + WRITE_BLOCK, n_rows))))
 
 
 def lay_out(fields: Sequence[tuple[np.ndarray, np.ndarray] | int]) -> np.ndarray:

@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pwdist.crossguess import GuessCurve
 from pwdist.ingest import RankFrequencyTable, table_from_counter
 
 
 def rows(table: RankFrequencyTable) -> list[tuple[bytes, int]]:
     """The table as (password, count) pairs in rank order."""
     return list(zip(table.passwords, table.counts.tolist()))
-
-
-def steps(curve: GuessCurve) -> list[tuple[int, int]]:
-    """The curve's stored steps as (t, cumulative) pairs."""
-    return list(zip(curve.t.tolist(), curve.cumulative.tolist()))
 
 
 def rarely(draw, usual, unusual):

@@ -206,18 +206,23 @@ def read_table(path) -> list[tuple[bytes, int]]:
     return entries
 
 
-def curve_steps(increments: Iterable[int]) -> list[tuple[int, int]]:
-    """(t, cumulative) at each guess that adds something, plus the final guess."""
-    points: list[tuple[int, int]] = []
+def chunk_lines(chunk: bytes) -> list[bytes]:
+    """The lines of a chunk, a line at a time: split at LF, the empty piece after
+    a final LF dropped, and one trailing CR cut from each line."""
+    lines = chunk.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line[:-1] if line[-1:] == b"\r" else line for line in lines]
+
+
+def cumulative_counts(increments: Iterable[int]) -> list[int]:
+    """The cumulative count after each guess, by a running sum."""
+    counts: list[int] = []
     cum = 0
-    t = 0
-    for t, inc in enumerate(increments, start=1):
-        if inc:
-            cum += inc
-            points.append((t, cum))
-    if t >= 1 and (not points or points[-1][0] != t):
-        points.append((t, cum))
-    return points
+    for inc in increments:
+        cum += inc
+        counts.append(cum)
+    return counts
 
 
 def write_curve(points: list[tuple[int, int]], denom: int, path, ts) -> None:

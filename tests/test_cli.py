@@ -126,6 +126,22 @@ class TestExitCodes:
         assert not (out / "manifest.json").exists()
 
 
+    @pytest.mark.parametrize("stage", ["curve", "crack"])
+    @pytest.mark.parametrize("words", [b"", b"\n\r\n\n"], ids=["empty", "all-blank"])
+    def test_word_list_without_words_is_input_error(self, tmp_path, corpus, capsys, stage, words):
+        wordlist = tmp_path / "words.txt"
+        wordlist.write_bytes(words)
+        out = tmp_path / "out"
+        if stage == "curve":
+            argv = ["curve", "--target", str(ingest_table(tmp_path, corpus))]
+        else:
+            argv = ["crack", "--corpus", str(corpus)]
+        assert main([*argv, "--wordlist", str(wordlist), "--out-dir", str(out)]) == EXIT_INPUT
+        assert "pwdist-error\tinput\tword list words.txt has no words" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert list(out.iterdir()) == []
+
+
 class TestOutDir:
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, corpus):
         out = tmp_path / "out"

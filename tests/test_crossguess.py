@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -22,20 +23,20 @@ from pwdist.crossguess import (
 )
 from pwdist.ingest import table_from_counter
 
-from conftest import random_table, rows, steps, table_of
+from conftest import random_table, rows, table_of
 
 
 class TestSelfCurve:
     def test_users_partial_sums(self):
         table = table_of({b"a": 2, b"b": 1, b"c": 1})
         curve = self_curve(table, METRIC_USERS)
-        assert steps(curve) == [(1, 2), (2, 3), (3, 4)]
+        assert curve.cumulative.tolist() == [2, 3, 4]
         assert curve.denominator == 4
 
     def test_distinct_identity_line(self):
         table = table_of({b"a": 2, b"b": 1, b"c": 1})
         curve = self_curve(table, METRIC_DISTINCT)
-        assert steps(curve) == [(1, 1), (2, 2), (3, 3)]
+        assert curve.cumulative.tolist() == [1, 2, 3]
         assert curve.denominator == 3
 
     def test_users_exhausts_at_distinct_count(self):
@@ -48,7 +49,7 @@ class TestCurveFromIncrements:
     @given(st.lists(st.integers(0, 3), max_size=30), st.integers(0, 99))
     def test_matches_increment_loop(self, increments, denominator):
         curve = curve_from_increments(np.array(increments, dtype=np.int64), denominator, "users")
-        assert steps(curve) == oracle.curve_steps(increments)
+        assert curve.cumulative.tolist() == oracle.cumulative_counts(increments)
         assert curve.total_guesses == len(increments)
         assert curve.final_cumulative == sum(increments)
         for t in range(len(increments) + 2):
@@ -56,9 +57,10 @@ class TestCurveFromIncrements:
 
     def test_arrays_compare_by_value(self):
         a = curve_from_increments(np.array([2, 0, 1]), 3, METRIC_USERS)
-        assert a == GuessCurve(t=[1, 3], cumulative=[2, 3], denominator=3, metric=METRIC_USERS)
-        assert a != GuessCurve(t=[1, 3], cumulative=[2, 3], denominator=4, metric=METRIC_USERS)
-        assert a.t.dtype == a.cumulative.dtype == np.int64
+        assert a == GuessCurve(cumulative=[2, 2, 3], denominator=3, metric=METRIC_USERS)
+        assert a != GuessCurve(cumulative=[2, 2, 3], denominator=4, metric=METRIC_USERS)
+        assert a != GuessCurve(cumulative=[2, 3], denominator=3, metric=METRIC_USERS)
+        assert a.cumulative.dtype == np.int64
 
 
 class TestCrossCurve:
@@ -105,12 +107,12 @@ class TestCrossCurve:
                 assert cross.cumulative_at(t) <= own.cumulative_at(t)
 
 
-def _dict_join_steps(reference: list[bytes], target, metric: str) -> list[tuple[int, int]]:
-    """The cross curve's steps, looking each guess up in a dict of the target."""
+def _dict_join_cumulative(reference: list[bytes], target, metric: str) -> list[int]:
+    """The cross curve's cumulative counts, looking each guess up in a dict of the target."""
     lookup = dict(zip(target.passwords, target.counts.tolist()))
     if metric == METRIC_USERS:
-        return oracle.curve_steps(lookup.get(g, 0) for g in reference)
-    return oracle.curve_steps(int(g in lookup) for g in reference)
+        return oracle.cumulative_counts(lookup.get(g, 0) for g in reference)
+    return oracle.cumulative_counts(int(g in lookup) for g in reference)
 
 
 guess_bytes = st.one_of(
@@ -135,7 +137,7 @@ class TestCrossCurveJoin:
             if constant:
                 mp.setattr(column, "row_hashes", lambda column: np.zeros(len(column), np.uint64))
             curve = cross_curve(GuessOrdering(guesses=reference), target, metric)
-        assert steps(curve) == _dict_join_steps(reference, target, metric)
+        assert curve.cumulative.tolist() == _dict_join_cumulative(reference, target, metric)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_table_orderings_match_dict_join(self, seed):
@@ -145,7 +147,7 @@ class TestCrossCurveJoin:
         assert reference.guesses is source.passwords
         for metric in (METRIC_USERS, METRIC_DISTINCT):
             curve = cross_curve(reference, target, metric)
-            assert steps(curve) == _dict_join_steps(list(source.passwords), target, metric)
+            assert curve.cumulative.tolist() == _dict_join_cumulative(list(source.passwords), target, metric)
 
 
 class TestOrdering:
@@ -196,6 +198,15 @@ class TestTruncateReaggregate:
         assert merged.distinct_count <= table.distinct_count
 
 
+def _step_curve(points: list[tuple[int, int]], denominator: int) -> GuessCurve:
+    """The curve whose cumulative count steps to ``cum`` at each ``(t, cum)`` of
+    ``points`` (t increasing) and ends at the last t."""
+    cumulative = []
+    for t, cum in points:
+        cumulative += [cumulative[-1] if cumulative else 0] * (t - 1 - len(cumulative)) + [cum]
+    return GuessCurve(cumulative=cumulative, denominator=denominator, metric=METRIC_USERS)
+
+
 class TestCurveExport:
     def test_dense_rows(self, tmp_path):
         curve = self_curve(table_of({b"a": 3, b"b": 1}), METRIC_USERS)
@@ -231,8 +242,7 @@ class TestCurveExport:
         for dt, inc in steps:
             t, cum = t + dt, cum + inc
             points.append((t, cum))
-        t, cumulative = zip(*points) if points else ((), ())
-        curve = GuessCurve(t=t, cumulative=cumulative, denominator=denominator, metric=METRIC_USERS)
+        curve = _step_curve(points, denominator)
         total = curve.total_guesses
         if log_spaced and total >= 1:
             ts = sorted(set(np.geomspace(1, total, num=512).round().astype(int).tolist()))
@@ -261,7 +271,7 @@ class TestCurveExport:
             t, cum = t + dt, cum + inc
             points.append((t, cum))
         t, cumulative = zip(*points) if points else ((), ())
-        curve = GuessCurve(t=t, cumulative=cumulative, denominator=denominator, metric=METRIC_USERS)
+        curve = _step_curve(points, denominator)
         total = curve.total_guesses
         if log_spaced and total >= 1:
             ts = sorted(set(np.geomspace(1, total, num=512).round().astype(int).tolist()))
@@ -280,19 +290,30 @@ class TestCurveExport:
         assert path.read_bytes() == b"".join(expected)
 
     def test_exponent_form_fractions(self, tmp_path):
-        curve = GuessCurve(
-            t=[1, 2, 5], cumulative=[1, 3, 3], denominator=10**7, metric=METRIC_USERS
-        )
+        curve = GuessCurve(cumulative=[1, 3, 3, 3, 3], denominator=10**7, metric=METRIC_USERS)
         path = tmp_path / "curve.tsv"
         write_curve_tsv(curve, path)
         assert path.read_bytes().splitlines()[1:] == [
             b"1\t1\t1e-07", b"2\t3\t3e-07", b"3\t3\t3e-07", b"4\t3\t3e-07", b"5\t3\t3e-07"
         ]
 
-    def test_sparse_storage(self):
-        # only changes plus the final index are stored
-        target = table_of({b"a": 2})
-        reference = GuessOrdering(guesses=[b"a", b"x", b"y", b"z"])
-        curve = cross_curve(reference, target, METRIC_USERS)
-        assert steps(curve) == [(1, 2), (4, 2)]
-        assert curve.total_guesses == 4
+
+class TestCurveMemory:
+    @pytest.mark.parametrize("log_spaced", [False, True], ids=["dense", "log-spaced"])
+    def test_transient_memory_is_set_by_block_size(self, tmp_path, log_spaced):
+        """Writing a 10**6-guess curve needs memory for a block of rows, not for the curve.
+
+        Every 16th guess adds a user, so a block has 512 fractions to format.
+        """
+        n = 10**6
+        curve = curve_from_increments(np.arange(n) % 16 == 0, n, METRIC_USERS)
+        path = tmp_path / "curve.tsv"
+        # A first small write, so that one-time allocations are not counted.
+        write_curve_tsv(curve_from_increments(np.ones(50, dtype=np.int64), 50, METRIC_USERS), path, log_spaced)
+        tracemalloc.start()
+        try:
+            write_curve_tsv(curve, path, log_spaced=log_spaced)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * tsvio.WRITE_BLOCK

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import table_oracles as oracle
 from pwdist import column, ingest, tsvio
@@ -385,6 +385,21 @@ class TestTableFromCounter:
             )
             table = table_from_counter(counts)
         assert rows(table) == oracle.rank_rows(counts, key=parity)
+
+
+class TestLineRule:
+    """``tsvio.chunk_lines`` splits in C; the per-line form in ``table_oracles`` is the reference."""
+
+    @given(st.lists(st.sampled_from([b"a", b" ", b"\t", b"\n", b"\r", b"\r\n", b"\r\r\n"]), max_size=12))
+    @example([b"a", b"\n", b"b", b"\n"])  # LF
+    @example([b"a", b"\r\n", b"b", b"\r\n"])  # CRLF
+    @example([b"a", b"\r\r\n"])  # one CR is cut, the other kept
+    @example([b"a", b"\r", b"b", b"\n", b"\r"])  # a lone CR, inside a line and as the last line
+    @example([])  # an empty chunk
+    @example([b"a", b"\n", b"b", b"\r"])  # a final line without LF that ends in CR
+    def test_matches_per_line_form(self, pieces):
+        chunk = b"".join(pieces)
+        assert tsvio.chunk_lines(chunk) == oracle.chunk_lines(chunk)
 
 
 class TestStreamTableBlocks:
