@@ -248,10 +248,12 @@ def cmd_crack(args) -> tuple[dict, dict]:
         salt_count = CRACK_SALT_COUNT if args.salt_count is None else args.salt_count
         with open(_input(args, args.corpus), "rb") as fh:
             latest, read_stats = ingest.read_credentials(fh, corpus_format)
-        corpus = crack_mod.hash_corpus(
-            PasswordColumn(latest), PasswordColumn(latest.values()), args.seed, salt_count
-        )
-        del latest  # the replay needs only the hashed corpus
+        # The credential dict is let go before the hashing, and the password
+        # column once the corpus is hashed: the replay needs only the digests.
+        users, passwords = PasswordColumn(latest), PasswordColumn(latest.values())
+        del latest
+        corpus = crack_mod.hash_corpus(users, passwords, args.seed, salt_count)
+        del passwords
         crack_mod.write_hashes_tsv(corpus, _stage(args, "hashes.tsv"))
         print(
             f"hashed {len(corpus)} users from {read_stats.lines} lines "

@@ -38,6 +38,13 @@ DEFAULT_RETRY_CAP = 100
 PROPOSAL_BATCH = 8192
 # Raw generator words read at a time for the per-session draws.
 RAW_BLOCK = 1024
+# A sketch counter's state while ``simulate`` runs: no proposed rank is on
+# it, one is, several are, or several are and its count is kept. MARKED is
+# set on top of a state while a pass over the proposed ranks looks for it.
+EMPTY, ONE, SEVERAL, LIVE = 0, 1, 2, 3
+MARKED = 4
+# The most counters a sketch may have; every counter's offset, below it, is an int32.
+MAX_COUNTERS = 2**31 - 1
 
 
 class BannedExhaustionError(Exception):
@@ -50,13 +57,17 @@ class CountMinStore:
     Each of ``depth`` rows hashes the key with its own seed and puts it on
     one of ``width`` counters; a key's estimate is the minimum over its
     counters, so collisions can only inflate it. Row seeds derive from a
-    master seed. The counters themselves are ``simulate``'s, for the
-    length of one run.
+    master seed. A sketch has at most ``MAX_COUNTERS`` counters, so that
+    every counter's offset is an int32. The counters themselves are
+    ``simulate``'s, for the length of one run, with one byte of layout
+    state each.
     """
 
     def __init__(self, width: int, depth: int, master_seed: int = 0):
         if width < 1 or depth < 1:
             raise ValueError("width and depth must be positive")
+        if width * depth > MAX_COUNTERS:
+            raise ValueError(f"width * depth must be <= 2**31 - 1, got {width * depth}")
         self.width = width
         self.depth = depth
         # Row r hashes keys under its seed onto counters [r * width, (r + 1) * width).
@@ -67,12 +78,12 @@ class CountMinStore:
         self.hash_evaluations = 0
 
     def offsets(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Each key's counter in each row, as offsets into ``depth * width`` flat counters.
+        """Each key's counter in each row, as int32 offsets into ``depth * width`` flat counters.
 
         Returns a ``(len(keys), depth)`` array, hashing the keys in one pass
         per row; ``hash_evaluations`` is counted by the caller.
         """
-        offsets = np.empty((len(keys), self.depth), dtype=np.int64)
+        offsets = np.empty((len(keys), self.depth), dtype=np.int32)
         for row, seed in enumerate(self.seeds):
             offsets[:, row] = keyed_hashes(keys, seed) % np.uint64(self.width) + np.uint64(row * self.width)
         return offsets
@@ -274,9 +285,16 @@ def _run_sessions(
     ranks of the first proposal batch that holds it. All counters start at
     0, so a rank that is alone on a counter in some row is estimated by its
     own count, as that row's counter would give; counters are kept only
-    for the other ranks, which take the min over their rows. The per-rank
-    session state is freed on return, before the output tables are sorted,
-    which is what sets the peak memory of a run.
+    for the other ranks, which take the min over their rows. The layout
+    costs one byte per counter, its state: no hashed rank is on it, one
+    is, several are, or several are and it is kept (live). The hashed
+    ranks and their counters are listed in the order hashed. Rank ids are
+    read back from that list: when a batch's new ranks share counters
+    that one earlier rank had to itself, or when counters go live, those
+    counters are marked in their state, and one pass over the list,
+    ``JOIN_BLOCK`` ranks at a time, finds the ranks on them. The per-rank
+    session state is freed on return, before the output tables are
+    sorted, which is what sets the peak memory of a run.
     """
     n_ranks = len(probs)
     sketch = store is not None
@@ -287,34 +305,38 @@ def _run_sessions(
     on_batch = None
     if sketch:
         depth = store.depth
-        n_counters = depth * store.width
-        # Wide enough for any counter offset, rank + 1 and -2 - live index.
-        index_type = np.int32 if max(n_counters, n_ranks) < 2**31 - 2 else np.int64
-        # Rank r's counter in each row, filled when a proposal batch first
-        # holds r; ``hashed`` lists the ranks filled so far.
-        offsets = np.zeros((n_ranks, depth), dtype=index_type)
-        hashed = np.zeros(0, dtype=np.int64)
-        # Per counter: 0 if no hashed rank is on it, r + 1 if rank r alone
-        # is, -1 if several are, and -2 - i if it is also read by a shared
-        # rank and kept as live[i].
-        owner = np.zeros(n_counters, dtype=index_type)
-        # A shared rank has no clean row: its estimate is the min of its
-        # counters, live[i] for i in reads[r]. Each rank on a live counter
-        # lists it in its reads, and counts its asks into it.
+        # Each counter's state: EMPTY, ONE, SEVERAL or LIVE.
+        state = np.zeros(depth * store.width, dtype=np.uint8)
+        # The ranks hashed so far, in the order hashed, and each one's
+        # counter in each row, ``depth`` offsets a rank.
+        hashed = array("I")
+        hashed_offsets = array("i")
+        # A shared rank has no counter to itself: its estimate is the min
+        # of its counters, live[i] for i in reads[r]. Each rank on a live
+        # counter lists it in its reads, and counts its asks into it.
+        # ``live_index`` maps a live counter's offset to its index in ``live``.
         shared = bytearray(n_ranks)
         reads: dict[int, list[int]] = {}
         live: list[int] = []
+        live_index: dict[int, int] = {}
         seen_flags = np.frombuffer(is_seen, dtype=np.uint8)  # a view: is_seen as it stands
 
-        def join(ranks: np.ndarray, codes: np.ndarray) -> None:
-            """Put each rank on the live counters among its ``codes``."""
-            rows, cols = np.nonzero(codes < -1)
-            for rank, i in zip(ranks[rows].tolist(), (-2 - codes[rows, cols]).tolist()):
+        def join(ranks: np.ndarray, counters: np.ndarray) -> None:
+            """Put each rank on the live counter beside it in ``counters``."""
+            for rank, i in zip(ranks.tolist(), map(live_index.__getitem__, counters.tolist())):
                 live[i] += counts[rank]
                 reads.setdefault(rank, []).append(i)
 
+        def marked(offsets: np.ndarray, stop: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            """Where the first ``stop`` hashed ranks' ``offsets`` hold a marked
+            counter, ``JOIN_BLOCK`` ranks at a time: the ranks' positions in
+            ``hashed``, and the counters."""
+            for start in range(0, stop, JOIN_BLOCK):
+                block = offsets[start : min(start + JOIN_BLOCK, stop)].ravel()
+                hits = np.flatnonzero(state.take(block) >= MARKED)
+                yield start + hits // depth, block[hits]
+
         def on_batch(ranks: np.ndarray) -> None:
-            nonlocal hashed
             # Every rank of the earlier batches has been proposed by now, so
             # the ranks not seen yet are the ones not hashed yet.
             fresh = np.sort(ranks[seen_flags[ranks] == 0])
@@ -323,36 +345,47 @@ def _run_sessions(
                 return
             # A list: the sketch iterates the labels once per row.
             fresh_offsets = store.offsets(list(passwords.take(fresh)))
-            offsets[fresh] = fresh_offsets
-            hashed = np.concatenate((hashed, fresh))
-            join(fresh, owner[fresh_offsets])
+            old = len(hashed)
+            hashed.extend(fresh.tolist())
+            hashed_offsets.frombytes(fresh_offsets.tobytes())
+            # Views, let go on return so that the next batch can extend the arrays.
+            ranks_at = np.frombuffer(hashed, dtype=np.uint32)
+            offsets_at = np.frombuffer(hashed_offsets, dtype=np.int32).reshape(-1, depth)
             hits = fresh_offsets.ravel()
-            order = np.argsort(hits)
-            hits = hits[order]
+            on_live = np.flatnonzero(state.take(hits) == LIVE)
+            join(fresh[on_live // depth], hits[on_live])
+            hits = np.sort(hits)
             first = np.flatnonzero(np.diff(hits, prepend=-1) != 0)
             counters = hits[first]
-            before = owner[counters]
-            alone = (np.diff(first, append=hits.size) == 1) & (before == 0)
-            claim = np.repeat(fresh + 1, depth)[order][first]
-            owner[counters] = np.where(alone, claim, np.minimum(before, -1))
-            # Clean is recomputed for the fresh ranks and for the sole owners
-            # of counters a fresh rank now shares; a rank never turns clean again.
-            check = np.concatenate((fresh, before[before > 0] - 1))
-            turned = check[~(owner[offsets[check]] == check[:, None] + 1).any(axis=1)]
+            before = state[counters]
+            alone = (np.diff(first, append=hits.size) == 1) & (before == EMPTY)
+            state[counters] = np.where(alone, ONE, np.maximum(before, SEVERAL))
+            # Whether a rank has a counter to itself is recomputed for the
+            # fresh ranks and for the earlier sole owners of the counters a
+            # fresh rank now shares; a rank never gets one back.
+            check = [np.arange(old, len(hashed))]
+            taken = counters[before == ONE]
+            if taken.size:
+                state[taken] = SEVERAL | MARKED
+                check += [positions for positions, _ in marked(offsets_at, old)]
+                state[taken] = SEVERAL
+            check = np.concatenate(check)
+            turned = check[~(state.take(offsets_at[check]) == ONE).any(axis=1)]
             if not turned.size:
                 return
-            for rank in turned.tolist():
+            for rank in ranks_at[turned].tolist():
                 shared[rank] = 1
-            counters = np.sort(offsets[turned].ravel())
-            counters = counters[(np.diff(counters, prepend=-1) != 0) & (owner[counters] == -1)]
+            counters = np.sort(offsets_at[turned].ravel())
+            counters = counters[(np.diff(counters, prepend=-1) != 0) & (state[counters] == SEVERAL)]
             if counters.size:
-                went_live = -2 - len(live)
-                owner[counters] = went_live - np.arange(counters.size)
+                live_index.update(zip(counters.tolist(), range(len(live), len(live) + counters.size)))
                 live.extend([0] * counters.size)
                 # Only onto the counters that went live now: the fresh ranks
                 # are on the others already.
-                codes = owner[offsets[hashed]]
-                join(hashed, np.where(codes <= went_live, codes, 0))
+                state[counters] = LIVE | MARKED
+                for positions, went_live in marked(offsets_at, len(hashed)):
+                    join(ranks_at[positions], went_live)
+                state[counters] = LIVE
 
     take = _proposal_ranks(probs, randoms, PROPOSAL_BATCH, on_batch).__next__
     accepted = array(counts_type, [0]) * n_ranks

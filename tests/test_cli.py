@@ -512,6 +512,9 @@ def test_stages_do_not_import_numpy_ma(tmp_path, corpus):
         ["ingest", str(corpus), "--out-dir", str(table.parent)],
         ["fit", "--table", str(table), "--replicates", "3", "--out-dir", str(tmp_path / "f")],
         ["mh-sim", "--n-users", "300", "--n-ranks", "200", "--out-dir", str(tmp_path / "m")],
+        # A sketch this small puts counters live and runs every layout pass.
+        ["mh-sim", "--backend", "count-min", "--width", "64", "--depth", "3", "--n-users", "500",
+         "--n-ranks", "200", "--out-dir", str(tmp_path / "m-cm")],
         ["curve", "--target", str(table), "--log-spaced", "--out-dir", str(tmp_path / "c")],
         ["crack", "--corpus", str(corpus), "--ordering", str(table), "--log-spaced",
          "--out-dir", str(tmp_path / "k")],
@@ -676,6 +679,15 @@ class TestMhSim:
         out = tmp_path / "sim"
         assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE
         assert "pwdist-error\tusage\tn_users * retry_cap must be <= 2**63 - 1" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_sketch_past_int32_offsets_is_usage_error(self, tmp_path, capsys):
+        # 3 * 10**9 counters: refused before any counter is laid out.
+        out = tmp_path / "sim"
+        argv = ["mh-sim", "--backend", "count-min", "--width", "3000000000", "--depth", "1",
+                "--n-users", "10", "--n-ranks", "20", "--out-dir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "pwdist-error\tusage\twidth * depth must be <= 2**31 - 1" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(

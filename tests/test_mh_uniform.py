@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pwdist import mh_uniform
 from pwdist.mh_uniform import (
     DEFAULT_RETRY_CAP,
+    MAX_COUNTERS,
     PROPOSAL_BATCH,
     BannedExhaustionError,
     CountMinStore,
@@ -112,6 +113,13 @@ class TestCountMin:
         with pytest.raises(ValueError):
             CountMinStore(width=0, depth=1)
 
+    def test_counters_past_int32_offsets_refused(self):
+        # The constructor lays out no counters, so the largest sketch costs nothing here.
+        assert CountMinStore(width=MAX_COUNTERS, depth=1).width == 2**31 - 1
+        for width, depth in [(2**31, 1), (2**30, 2), (3 * 10**9, 1)]:
+            with pytest.raises(ValueError, match=r"width \* depth must be <= 2\*\*31 - 1"):
+                CountMinStore(width=width, depth=depth)
+
 
 class TestBatchOffsets:
     def test_match_keyed_row_hashes_and_count_nothing(self):
@@ -123,6 +131,7 @@ class TestBatchOffsets:
             for row, seed in enumerate(store.seeds):
                 digest = hashlib.blake2b(key, digest_size=8, key=seed.to_bytes(8, "big")).digest()
                 assert offsets[i, row] == row * 1000 + int.from_bytes(digest, "big") % 1000
+        assert offsets.dtype == np.int32
         assert store.offsets([]).shape == (0, 3)
         assert store.hash_evaluations == 0
 
@@ -419,15 +428,26 @@ class TestCountType:
         assert reports[0] == reports[1]
 
 
+def _traced_peak(probs, passwords, n_users, store, seed):
+    """The peak that ``tracemalloc`` traces while ``simulate`` runs."""
+    tracemalloc.start()
+    try:
+        simulate(probs, passwords, n_users, store=store, seed=seed)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPerRankMemory:
     """``simulate`` costs a few fixed-size array slots per rank, not Python objects.
 
     The peak that ``tracemalloc`` traces while it runs, per rank of a
     3 * 10**5-rank Zipf label column that 500 users barely touch; the
     probabilities and labels are made before tracing starts. Measured at
-    24.7 B/rank (exact) and 51.9 B/rank (count-min); the bounds lie below
-    the 36.7 and 70.5 B/rank that lists of counts and one ``bytes`` per
-    label cost.
+    24.7 B/rank (exact) and 34-36 B/rank (count-min); the bounds lie below
+    the 36.7 B/rank that lists of counts cost, and below the 51.9 B/rank
+    of a count-min run that lays out counter offsets for every rank, not
+    only for the ranks proposed.
     """
 
     N_RANKS = 300_000
@@ -436,20 +456,35 @@ class TestPerRankMemory:
         "sketch, bound",
         [
             pytest.param(None, 31.0, id="exact"),
-            pytest.param({"width": 1 << 12, "depth": 4, "master_seed": 1}, 61.0, id="count-min"),
+            pytest.param({"width": 1 << 12, "depth": 4, "master_seed": 1}, 45.0, id="count-min"),
         ],
     )
     def test_peak_bytes_per_rank(self, sketch, bound):
         probs = zipf_model(0.78, self.N_RANKS)
         passwords = zipf_labels(np.arange(1, self.N_RANKS + 1))
         _, store = _stores(sketch)
-        tracemalloc.start()
-        try:
-            simulate(probs, passwords, 500, store=store, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / self.N_RANKS < bound
+        assert _traced_peak(probs, passwords, 500, store, seed=1) / self.N_RANKS < bound
+
+    def test_peak_bytes_per_counter(self):
+        # 2**22 counters and 2,000 ranks: the sketch's layout is most of the
+        # peak. Measured at 1.30 B/counter with one byte of state a counter,
+        # against 4.34 with an int32 a counter.
+        probs = zipf_model(0.78, 2000)
+        passwords = zipf_labels(np.arange(1, 2001))
+        store = CountMinStore(1 << 20, 4, 1)
+        assert _traced_peak(probs, passwords, 500, store, seed=1) / (1 << 22) < 2.0
+
+    def test_peak_bytes_per_rank_as_counters_go_live(self):
+        # A flat source on a narrow sketch: tens of thousands of ranks are
+        # proposed, and counters go live batch after batch, each time onto
+        # every rank hashed so far. Measured at 64.2 B/rank joining a block
+        # of ranks at a time, against 77.7 for a join over all of them at once
+        # and counter offsets laid out for every rank.
+        n_ranks = 200_000
+        probs = zipf_model(0.5, n_ranks)
+        passwords = zipf_labels(np.arange(1, n_ranks + 1))
+        store = CountMinStore(1 << 16, 2, 3)
+        assert _traced_peak(probs, passwords, 60_000, store, seed=1) / n_ranks < 70.0
 
 
 LABELS = [b"a", b"b", b"c", b"", b"a\x00", b"\xff\xfe", b"pw123456", b"x" * 12]
@@ -516,6 +551,25 @@ def _assert_counted(report, n_users, counter, store, seen):
         assert report.rejected_total + n_users == counter.totals
     if store is not None:
         assert store.hash_evaluations == store.depth * seen.distinct_count
+
+
+def _batches_adding_live_counters(batches, store):
+    """How many of the batches of new ranks' counters make counters go live.
+
+    After each batch, a rank hashed so far is shared when no other rank
+    hashed so far leaves it a counter to itself; the live counters are the
+    shared ranks' counters.
+    """
+    offsets = np.zeros((0, store.depth), dtype=np.int64)
+    live: set[int] = set()
+    adding = 0
+    for batch in batches:
+        offsets = np.concatenate((offsets, batch))
+        owners = np.bincount(offsets.ravel(), minlength=store.depth * store.width)[offsets]
+        now = set(offsets[(owners > 1).all(axis=1)].ravel().tolist())
+        adding += bool(now - live)
+        live = now
+    return adding
 
 
 RAW_BOUNDS = [1, 2, 3, 2**31 - 5, 2**31 + 5, 2**32 - 1, 2**32]
@@ -673,7 +727,20 @@ class TestSimulateMatchesSessionReference:
         expected, seen = reference_simulate(
             probs, passwords, n, store=counter, weights=weights, seed=13, batch=batch
         )
+        hashed: list[np.ndarray] = []
+        if store is not None:
+            # simulate hashes each batch's new ranks in one call.
+            layout = store.offsets
+
+            def offsets(keys):
+                hashed.append(layout(keys))
+                return hashed[-1]
+
+            store.offsets = offsets
         with patch.object(mh_uniform, "PROPOSAL_BATCH", batch):
             report = simulate(probs, passwords, n, store=store, weights=weights, seed=13)
         assert report == expected
         _assert_counted(report, n, counter, store, seen)
+        if store is not None:
+            # Counters went live in several batches, not all in the first.
+            assert _batches_adding_live_counters(hashed, store) >= 3
