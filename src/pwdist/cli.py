@@ -133,13 +133,17 @@ def _numeric_errors() -> tuple[type, ...]:
     )
 
 
-def _ordering(args) -> crossguess.GuessOrdering | None:
-    """The guess order given by ``--ordering`` (a table) or ``--wordlist``, if any."""
+def _ordering(args, index: list | None = None) -> crossguess.GuessOrdering | None:
+    """The guess order given by ``--ordering`` (a table) or ``--wordlist``, if any.
+
+    A table's read puts its hash index in ``index``, as ``read_table_tsv`` does.
+    """
     from . import crossguess
 
     if args.ordering:
         path = _input(args, args.ordering)
-        return crossguess.GuessOrdering.from_table(ingest.read_table_tsv(path), label=path.name)
+        table = ingest.read_table_tsv(path, index=index)
+        return crossguess.GuessOrdering.from_table(table, label=path.name)
     if args.wordlist:
         path = _input(args, args.wordlist)
         words = _read_words(path)
@@ -170,6 +174,8 @@ def cmd_fit(args) -> tuple[dict, dict]:
     from . import zipf_fit
 
     table = ingest.read_table_tsv(_input(args, args.table))
+    # Every row fit writes depends only on the counts: the password bytes are let go.
+    table.passwords = None
     cc = ingest.count_of_counts(table)
     fits: list[zipf_fit.ZipfFit] = []
     errors: list[zipf_fit.FitError] = []
@@ -203,6 +209,8 @@ def cmd_stats(args) -> tuple[dict, dict]:
     from . import stats
 
     table = ingest.read_table_tsv(_input(args, args.table))
+    # Every row stats writes depends only on the counts: the password bytes are let go.
+    table.passwords = None
     s = args.s
     if s is None:
         from . import zipf_fit
@@ -218,12 +226,18 @@ def cmd_stats(args) -> tuple[dict, dict]:
 def cmd_curve(args) -> tuple[dict, dict]:
     from . import crossguess
 
-    target = ingest.read_table_tsv(_input(args, args.target))
+    # A join takes each table's hash index from its read, so no table is hashed twice.
+    target_index = [] if args.truncate is None and (args.ordering or args.wordlist) else None
+    target = ingest.read_table_tsv(_input(args, args.target), index=target_index)
     if args.truncate is not None:
         target = crossguess.truncate_reaggregate(target, args.truncate, tie_break_seed=args.seed)
-    reference = _ordering(args)
+    reference_index = []
+    reference = _ordering(args, reference_index)
     if reference is not None:
-        curve = crossguess.cross_curve(reference, target, metric=args.metric)
+        curve = crossguess.cross_curve(
+            reference, target, metric=args.metric,
+            reference_index=reference_index or None, target_index=target_index or None,
+        )
     else:
         curve = crossguess.self_curve(target, metric=args.metric)
     crossguess.write_curve_tsv(curve, _stage(args, "curve.tsv"), log_spaced=args.log_spaced)

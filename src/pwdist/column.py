@@ -5,7 +5,9 @@ corpora their users as a :class:`PasswordColumn`, so that a row costs its
 bytes plus an 8-byte offset instead of a Python ``bytes`` object.
 Duplicates are found, and two columns joined, by sorting a vectorised
 64-bit hash of each row (:func:`row_hashes`) and comparing bytes only
-where hashes are equal.
+where hashes are equal. A column is hashed once into its
+:meth:`~PasswordColumn.hash_index`, which its caller keeps for as long as
+it needs it: a table's read hands it back for a join.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ import numpy as np
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _MASK64 = (1 << 64) - 1
-# Rows joined per piece when a column is built from a sequence of rows.
+# Rows joined per piece when a column is built from a sequence of rows, and
+# probes searched per pass of a join.
 JOIN_BLOCK = 1 << 13
+# Rows hashed per call of row_hashes when a whole column is hashed.
+HASH_BLOCK = 1 << 16
 # Rows longer than this are hashed and compared one at a time, not 8 bytes
 # per numpy pass.
 WORD_PASS_MAX_LEN = 64
@@ -85,7 +90,7 @@ class PasswordColumn(Sequence[bytes]):
 
     Duplicates are found by sorting a 64-bit hash of each row
     (:func:`row_hashes`) and comparing bytes only where hashes are equal.
-    The hashes are computed on each call that needs them, not kept.
+    The sorted hashes are returned by :meth:`hash_index`, not kept.
     """
 
     __slots__ = ("data", "offsets")
@@ -166,7 +171,9 @@ class PasswordColumn(Sequence[bytes]):
     def take(self, rows: np.ndarray) -> "PasswordColumn":
         """The column of the given rows of this one, in the order given.
 
-        The bytes are gathered in numpy, ``JOIN_BLOCK`` rows at a time.
+        The bytes are gathered in numpy, ``JOIN_BLOCK`` rows at a time, by
+        one index per byte. The index is int32 wherever its values fit, so
+        it and its ``arange`` cost 8 bytes per gathered byte.
         """
         data = np.frombuffer(self.data, dtype=np.uint8)
         pieces: list[bytes] = []
@@ -175,58 +182,85 @@ class PasswordColumn(Sequence[bytes]):
             block = rows[start : start + JOIN_BLOCK]
             begin = self.offsets[block]
             length = self.offsets[block + 1] - begin
+            total = int(length.sum())
+            index_type = np.int32 if len(data) + total <= np.iinfo(np.int32).max else np.int64
             # Byte k of the piece is byte k - (where its row starts in the piece) of its row.
-            at = np.repeat(begin - (np.cumsum(length) - length), length) + np.arange(length.sum())
+            at = np.repeat((begin - (np.cumsum(length) - length)).astype(index_type), length)
+            at += np.arange(total, dtype=index_type)
             pieces.append(data[at].tobytes())
             lengths.append(length)
         return PasswordColumn.from_pieces(pieces, lengths)
 
-    def hash_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's :func:`row_hashes` value, and the rows in ascending hash order."""
-        hashes = row_hashes(self)
-        return hashes, np.argsort(hashes)
+    def hash_index(self, order: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """The rows' :func:`row_hashes` values in ascending order and, with ``order``,
+        the rows in that order (else ``None``).
 
-    def has_duplicates(self) -> bool:
-        """Whether two rows hold the same bytes.
-
-        Bytes are compared only within runs of equal hashes.
+        Each row is hashed once, ``HASH_BLOCK`` rows per call of
+        :func:`row_hashes`, into one uint64 array that is then sorted in
+        place: the index costs 8 bytes a row, or 16 with its order.
         """
-        hashes, order = self.hash_order()
-        sorted_hashes = hashes[order]
-        same = np.concatenate(([False], sorted_hashes[1:] == sorted_hashes[:-1], [False]))
-        edges = np.flatnonzero(np.diff(same.view(np.int8)))
-        for a, b in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
+        hashes = np.empty(len(self), dtype=np.uint64)
+        for start in range(0, len(self), HASH_BLOCK):
+            hashes[start : start + HASH_BLOCK] = row_hashes(self[start : start + HASH_BLOCK])
+        rows = np.argsort(hashes) if order else None
+        hashes.sort()
+        return hashes, rows
+
+    def has_duplicates(self, index: tuple[np.ndarray, np.ndarray | None] | None = None) -> bool:
+        """Whether two rows hold the same bytes, given this column's :meth:`hash_index` if built.
+
+        Bytes are compared only within runs of equal hashes. Finding the rows
+        of such a run takes the index's order; an index without one is built
+        again with it, which happens only when two hashes are equal.
+        """
+        sorted_hashes, order = self.hash_index() if index is None else index
+        equal = np.flatnonzero(sorted_hashes[1:] == sorted_hashes[:-1])
+        if not len(equal):
+            return False
+        if order is None:
+            order = self.hash_index(order=True)[1]
+        gap = np.diff(equal) > 1
+        starts = equal[np.concatenate(([True], gap))]
+        stops = equal[np.concatenate((gap, [True]))] + 2
+        for a, b in zip(starts.tolist(), stops.tolist()):
             run = [self[i] for i in order[a:b].tolist()]
             if len(set(run)) < len(run):
                 return True
         return False
 
-    def positions(self, probes: "PasswordColumn") -> np.ndarray:
-        """For each row of ``probes``, the index of the row of this column with its bytes, or -1.
+    def matches(
+        self,
+        index: tuple[np.ndarray, np.ndarray],
+        probes: "PasswordColumn",
+        probe_index: tuple[np.ndarray, np.ndarray],
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The rows of ``probes`` found in this column, and where, ``JOIN_BLOCK`` probes at a time.
 
-        A join by sorted hashes: the rows of this column must be distinct.
-        Bytes are compared only where the hashes match.
+        A join of the two columns' :meth:`hash_index` with order: each
+        ``(probe_rows, rows)`` pair says that ``probes[probe_rows[k]]`` holds
+        the bytes of ``self[rows[k]]``. The rows of this column must be
+        distinct. The probes are searched in ascending hash order, so the
+        searches stay in cache, and bytes are compared only where the hashes
+        match.
         """
-        hashes, order = self.hash_order()
-        sorted_hashes = hashes[order]
-        probe_hashes, probe_order = probes.hash_order()
-        # Searching in ascending order keeps the searches in cache.
-        sorted_probes = probe_hashes[probe_order]
-        lo = np.searchsorted(sorted_hashes, sorted_probes, side="left")
-        hi = np.searchsorted(sorted_hashes, sorted_probes, side="right")
-        found = np.full(len(probes), -1, dtype=np.int64)
-        single = np.flatnonzero(hi - lo == 1)
-        rows, candidates = probe_order[single], order[lo[single]]
-        same = _same_rows(probes, rows, self, candidates)
-        found[rows[same]] = candidates[same]
-        # Probes whose hash is shared by several rows here.
-        for k in np.flatnonzero(hi - lo > 1).tolist():
-            probe = probes[probe_order[k]]
-            for j in order[lo[k] : hi[k]].tolist():
-                if self[j] == probe:
-                    found[probe_order[k]] = j
-                    break
-        return found
+        sorted_hashes, order = index
+        probe_hashes, probe_order = probe_index
+        for start in range(0, len(probes), JOIN_BLOCK):
+            block = probe_hashes[start : start + JOIN_BLOCK]
+            rows = probe_order[start : start + JOIN_BLOCK]
+            lo = np.searchsorted(sorted_hashes, block, side="left")
+            hi = np.searchsorted(sorted_hashes, block, side="right")
+            single = np.flatnonzero(hi - lo == 1)
+            found, candidates = rows[single], order[lo[single]]
+            same = _same_rows(probes, found, self, candidates)
+            yield found[same], candidates[same]
+            # Probes whose hash is shared by several rows here.
+            for k in np.flatnonzero(hi - lo > 1).tolist():
+                probe = probes[rows[k]]
+                for j in order[lo[k] : hi[k]].tolist():
+                    if self[j] == probe:
+                        yield rows[k : k + 1], np.array([j])
+                        break
 
 
 def keyed_hashes(rows: Sequence[bytes], key: int) -> np.ndarray:

@@ -6,9 +6,10 @@ C(t given a reference ordering) otherwise. Matching is exact byte
 equality; a password absent from the target simply contributes nothing.
 An ordering holds its guesses in a :class:`~pwdist.column.PasswordColumn`
 (shared with the table it comes from), and a reference is joined to the
-target by :meth:`~pwdist.column.PasswordColumn.positions`, which hashes
-both columns' rows on each call, sorts the hashes and compares bytes only
-where hashes match.
+target by :meth:`~pwdist.column.PasswordColumn.matches`, over the sorted
+row hashes of both columns, comparing bytes only where hashes match. A
+column read from a table file comes with those hashes from its read, so
+each column is hashed once.
 A curve is its cumulative count after every guess, the form every run
 writes: ``write_curve_tsv`` lays its rows out a block at a time straight
 from that array, through :func:`~pwdist.tsvio.write_rows`.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -111,32 +112,49 @@ def self_curve(table: RankFrequencyTable, metric: str = METRIC_USERS) -> GuessCu
 
 
 def cross_curve(
-    reference: GuessOrdering, target: RankFrequencyTable, metric: str = METRIC_USERS
+    reference: GuessOrdering,
+    target: RankFrequencyTable,
+    metric: str = METRIC_USERS,
+    *,
+    reference_index: Sequence[np.ndarray] | None = None,
+    target_index: Sequence[np.ndarray] | None = None,
 ) -> GuessCurve:
     """Recovery curve when guessing the target in the reference's order.
 
     At step t the guess is the reference's t-th password; the users metric
     adds the target's count for that exact password (zero if absent), the
-    distinct metric adds one whenever the password is present.
+    distinct metric adds one whenever the password is present. Each index,
+    the :meth:`~pwdist.column.PasswordColumn.hash_index` with order of the
+    guesses or of the target's passwords, is built here if not given, as
+    :func:`~pwdist.ingest.read_table_tsv` hands it back.
     """
     if not len(reference.guesses):
         raise ValueError("reference ordering is empty")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    # The target's row of each guess, by the sorted hashes of both columns.
-    found = target.passwords.positions(reference.guesses)
-    if metric == METRIC_USERS:
-        increments = np.where(found >= 0, target.counts[found], 0)
-        denominator = target.total_users
-    else:
-        increments = found >= 0
-        denominator = target.distinct_count
-    return curve_from_increments(increments, denominator, metric)
+    guesses, passwords = reference.guesses, target.passwords
+    if reference_index is None:
+        reference_index = guesses.hash_index(order=True)
+    if target_index is None:
+        target_index = passwords.hash_index(order=True)
+    # Each guess's increment goes in place, and the curve is summed over them in place.
+    increments = np.zeros(len(guesses), dtype=np.int64)
+    for guess_rows, rows in passwords.matches(target_index, guesses, reference_index):
+        increments[guess_rows] = target.counts[rows] if metric == METRIC_USERS else 1
+    np.cumsum(increments, out=increments)
+    denominator = target.total_users if metric == METRIC_USERS else target.distinct_count
+    return GuessCurve(increments, denominator, metric)
 
 
 def dictionary_ordering(words: Iterable[bytes], label: str = "dictionary") -> GuessOrdering:
-    """Deduplicated words in byte-wise lexical order."""
-    return GuessOrdering(guesses=sorted(set(words)), source_label=label)
+    """Deduplicated words in byte-wise lexical order.
+
+    The words are distinct by construction, so no duplicate check is made,
+    and a join hashes them only once.
+    """
+    ordering = GuessOrdering.__new__(GuessOrdering)
+    ordering.guesses, ordering.source_label = PasswordColumn(sorted(set(words))), label
+    return ordering
 
 
 def truncate_reaggregate(

@@ -17,7 +17,8 @@ into it and written from it a block of rows at a time by the row codec of
 lines included; this module supplies only the fields of a block. Rank and
 count are plain decimal digits, read in numpy.
 ``validate`` finds duplicates by sorting 64-bit row hashes, comparing
-bytes only where hashes are equal.
+bytes only where hashes are equal, and a read hands those hashes back to a
+caller that joins against the table.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ class RankFrequencyTable:
     built from any sequence of bytes given) and their ``counts`` (int64).
     ``total_users`` is the number of observations (sum of counts) and
     ``distinct_count`` the number of distinct passwords; the two play
-    different roles downstream, so both are always available.
+    different roles downstream, so both are always available. A stage that
+    needs only the counts sets ``passwords`` to ``None`` once the table is
+    validated, which frees the password bytes.
     """
 
     passwords: PasswordColumn
@@ -63,7 +66,7 @@ class RankFrequencyTable:
 
     @property
     def distinct_count(self) -> int:
-        return len(self.passwords)
+        return len(self.counts)
 
     def __eq__(self, other):
         if not isinstance(other, RankFrequencyTable):
@@ -74,7 +77,13 @@ class RankFrequencyTable:
             and self.total_users == other.total_users
         )
 
-    def validate(self) -> None:
+    def validate(self, order: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """Check the table's invariants; raises :class:`CorpusError`.
+
+        Returns the password column's
+        :meth:`~pwdist.column.PasswordColumn.hash_index` that the duplicate
+        check built, with the rows' order if ``order`` is true.
+        """
         counts = self.counts
         if not len(self.passwords):
             raise CorpusError("rank-frequency table is empty")
@@ -84,7 +93,8 @@ class RankFrequencyTable:
             raise CorpusError("table contains a non-positive count")
         if np.any(counts[1:] > counts[:-1]):
             raise CorpusError("table counts increase with rank")
-        if self.passwords.has_duplicates():
+        index = self.passwords.hash_index(order)
+        if self.passwords.has_duplicates(index):
             raise CorpusError("table contains a duplicate password")
         # The counts are non-increasing, so rank 1's count times the rows
         # bounds their sum; only a bound past int64 needs the exact sum.
@@ -96,6 +106,7 @@ class RankFrequencyTable:
                 raise CorpusError("table counts sum past 2**63 - 1")
         if total != self.total_users:
             raise CorpusError("table counts do not sum to total_users")
+        return index
 
 
 def table_from_counter(counts: Mapping[bytes, int], tie_break_seed: int = 0) -> RankFrequencyTable:
@@ -316,7 +327,7 @@ def _table_block(raw: np.ndarray, fields, first_row: int) -> tuple[np.ndarray]:
     return (_digit_values(digits, count_start, count_stop),)
 
 
-def read_table_tsv(path) -> RankFrequencyTable:
+def read_table_tsv(path, index: list | None = None) -> RankFrequencyTable:
     """Load a table written by :func:`write_table_tsv`.
 
     Reads ``READ_BLOCK`` bytes of rows at a time into the password column
@@ -324,8 +335,14 @@ def read_table_tsv(path) -> RankFrequencyTable:
     lines. Rank and count must be plain decimal digits. A malformed row, a
     bad escape, a rank out of sequence or a table that fails
     :meth:`RankFrequencyTable.validate` raises :class:`CorpusError`.
+
+    ``validate`` hashes each row once. Given a list as ``index``, the read
+    puts the column's hash index with its order in it, ``[sorted_hashes,
+    order]``, so that a join against the table need not hash it again.
     """
     column, (counts,) = tsvio.read_rows(path, TABLE_HEADER, "table", 2, _table_block)
     table = RankFrequencyTable(passwords=column, counts=counts, total_users=int(counts.sum()))
-    table.validate()
+    found = table.validate(order=index is not None)
+    if index is not None:
+        index[:] = found
     return table

@@ -6,6 +6,8 @@ collides and only the byte comparisons can tell rows apart.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +43,15 @@ awkward_rows = st.one_of(
 
 def _constant_hashes(column):
     return np.zeros(len(column), dtype=np.uint64)
+
+
+def _positions(col: PasswordColumn, probes: PasswordColumn) -> list[int]:
+    """Each probe's row in ``col``, or -1, by ``matches`` over both hash indexes."""
+    found = np.full(len(probes), -1)
+    index, probe_index = col.hash_index(order=True), probes.hash_index(order=True)
+    for probe_rows, rows in col.matches(index, probes, probe_index):
+        found[probe_rows] = rows
+    return found.tolist()
 
 
 class TestPasswordColumn:
@@ -115,7 +126,7 @@ class TestPasswordColumn:
         assert PasswordColumn(rows_ + [prefix + b"7"]).has_duplicates()
         col = PasswordColumn(rows_)
         probes = PasswordColumn([prefix + b"3", prefix + b"x", prefix[:-1], b"p"])
-        assert col.positions(probes).tolist() == [3, -1, 21, -1]
+        assert _positions(col, probes) == [3, -1, 21, -1]
 
     @pytest.mark.parametrize("constant", [False, True], ids=["row-hash", "constant-hash"])
     def test_duplicate_password_is_an_input_error(self, tmp_path, monkeypatch, constant):
@@ -130,3 +141,26 @@ class TestPasswordColumn:
         with pytest.raises(CorpusError, match="duplicate"):
             read_table_tsv(bad)
         assert main(["stats", "--table", str(bad), "--out-dir", str(tmp_path / "no")]) == EXIT_INPUT
+
+
+class TestTakeMemory:
+    def test_transient_bytes_per_gathered_byte(self):
+        """``take`` gathers a block of rows by one int32 index per byte.
+
+        One ``JOIN_BLOCK`` of 16-byte rows, gathered in reverse: the peak
+        that ``tracemalloc`` traces above what the new column keeps, per
+        byte gathered. Measured at 7.5 B/byte here, against 15.5 for int64
+        per-byte index arrays built by ``np.repeat`` and ``np.arange``.
+        """
+        col = PasswordColumn(b"%016d" % i for i in range(column.JOIN_BLOCK))
+        rows_ = np.arange(len(col))[::-1].copy()
+        col.take(rows_[:10])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            taken = col.take(rows_)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert taken == list(col)[::-1]
+        assert (peak - kept) / len(taken.view()) < 9

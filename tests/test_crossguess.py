@@ -21,7 +21,8 @@ from pwdist.crossguess import (
     truncate_reaggregate,
     write_curve_tsv,
 )
-from pwdist.ingest import table_from_counter
+from pwdist.cli import EXIT_OK, main
+from pwdist.ingest import table_from_counter, write_table_tsv
 
 from conftest import random_table, rows, table_of
 
@@ -148,6 +149,32 @@ class TestCrossCurveJoin:
         for metric in (METRIC_USERS, METRIC_DISTINCT):
             curve = cross_curve(reference, target, metric)
             assert curve.cumulative.tolist() == _dict_join_cumulative(list(source.passwords), target, metric)
+
+
+    @pytest.mark.parametrize("metric", [METRIC_USERS, METRIC_DISTINCT])
+    def test_curve_run_hashes_each_table_once(self, tmp_path, monkeypatch, metric):
+        # Every row of both tables goes through row_hashes once, a few rows per call.
+        rng = np.random.default_rng(4)
+        target, source = random_table(rng, 40), random_table(rng, 40)
+        write_table_tsv(target, tmp_path / "target.tsv")
+        write_table_tsv(source, tmp_path / "reference.tsv")
+        calls = []
+        real = column.row_hashes
+
+        def counted(rows_):
+            calls.append(len(rows_))
+            return real(rows_)
+
+        monkeypatch.setattr(column, "row_hashes", counted)
+        monkeypatch.setattr(column, "HASH_BLOCK", 7)
+        argv = ["curve", "--target", str(tmp_path / "target.tsv"),
+                "--reference", str(tmp_path / "reference.tsv"), "--metric", metric]
+        assert main([*argv, "--out-dir", str(tmp_path / "curve")]) == EXIT_OK
+        assert sum(calls) == target.distinct_count + source.distinct_count
+        assert len(calls) > 2
+        written = (tmp_path / "curve" / "curve.tsv").read_bytes().splitlines()[1:]
+        expected = _dict_join_cumulative(list(source.passwords), target, metric)
+        assert [int(line.split(b"\t")[1]) for line in written] == expected
 
 
 class TestOrdering:
@@ -317,3 +344,43 @@ class TestCurveMemory:
         finally:
             tracemalloc.stop()
         assert peak < 512 * tsvio.WRITE_BLOCK
+
+    def test_cross_curve_bytes_per_row(self, monkeypatch):
+        """``cross_curve`` holds the two columns' hash indexes and one int64 per guess.
+
+        Each index is 16 bytes per row: sorted hashes and their order. The
+        curve is summed in place over its increments, and the join works a
+        block of guesses at a time. Shapes with ten times more target rows
+        than guesses, and the reverse, separate the two per-row costs.
+        Measured at about 16 B per target row and 24 B per guess here, with
+        both indexes built in the call; given them, as a ``curve`` run does,
+        it holds only the curve.
+        """
+        monkeypatch.setattr(column, "HASH_BLOCK", 1 << 10)
+        monkeypatch.setattr(column, "JOIN_BLOCK", 1 << 10)
+        block_bound = 64 * column.HASH_BLOCK + 128 * column.JOIN_BLOCK
+
+        def tables(n_target, n_guesses):
+            target = table_from_counter({b"pw%d" % i: 1 + (n_target - i) // 1000 for i in range(n_target)})
+            source = table_from_counter({b"pw%d" % (2 * i): 1 + (n_guesses - i) // 1000 for i in range(n_guesses)})
+            return GuessOrdering.from_table(source), target
+
+        cross_curve(*tables(100, 100))
+        for n_target, n_guesses in ((100_000, 10_000), (10_000, 100_000)):
+            reference, target = tables(n_target, n_guesses)
+            indexes = {
+                "reference_index": reference.guesses.hash_index(order=True),
+                "target_index": target.passwords.hash_index(order=True),
+            }
+            tracemalloc.start()
+            try:
+                cross_curve(reference, target)
+                built = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                curve = cross_curve(reference, target, **indexes)
+                given_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert curve == cross_curve(reference, target)
+            assert built < 17 * n_target + 25 * n_guesses + block_bound
+            assert given_peak < 8 * n_guesses + block_bound
