@@ -10,7 +10,6 @@ re-run with the same manifest reproduces every output byte for byte.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -62,6 +61,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path: Path) -> str:
+    # Imported here, so that a stage loads OpenSSL's libcrypto only when it
+    # writes its manifest.
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -12,8 +12,11 @@ it needs it: a table's read hands it back for a join.
 
 from __future__ import annotations
 
-import hashlib
 import operator
+# CPython's built-in BLAKE2, which hashlib.blake2b is: importing hashlib
+# would load OpenSSL's libcrypto, 3.4 MB resident, before a stage writes
+# its manifest.
+from _blake2 import blake2b
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -173,7 +176,10 @@ class PasswordColumn(Sequence[bytes]):
 
         The bytes are gathered in numpy, ``JOIN_BLOCK`` rows at a time, by
         one index per byte. The index is int32 wherever its values fit, so
-        it and its ``arange`` cost 8 bytes per gathered byte.
+        it and its ``arange`` cost 8 bytes per gathered byte. numpy casts a
+        non-``intp`` index in a slow buffered loop, so the gather goes
+        through ``intp`` copies of the index, ``JOIN_BLOCK`` entries at a
+        time.
         """
         data = np.frombuffer(self.data, dtype=np.uint8)
         pieces: list[bytes] = []
@@ -187,7 +193,10 @@ class PasswordColumn(Sequence[bytes]):
             # Byte k of the piece is byte k - (where its row starts in the piece) of its row.
             at = np.repeat((begin - (np.cumsum(length) - length)).astype(index_type), length)
             at += np.arange(total, dtype=index_type)
-            pieces.append(data[at].tobytes())
+            piece = np.empty(total, dtype=np.uint8)
+            for k in range(0, total, JOIN_BLOCK):
+                piece[k : k + JOIN_BLOCK] = data[at[k : k + JOIN_BLOCK].astype(np.intp, copy=False)]
+            pieces.append(piece.tobytes())
             lengths.append(length)
         return PasswordColumn.from_pieces(pieces, lengths)
 
@@ -270,7 +279,7 @@ def keyed_hashes(rows: Sequence[bytes], key: int) -> np.ndarray:
     The digests are joined ``JOIN_BLOCK`` rows at a time into the array, so
     no digest object outlives its block.
     """
-    keyed = hashlib.blake2b(digest_size=8, key=(key & _MASK64).to_bytes(8, "big"))
+    keyed = blake2b(digest_size=8, key=(key & _MASK64).to_bytes(8, "big"))
     out = np.empty(len(rows), dtype=">u8")
     for start in range(0, len(rows), JOIN_BLOCK):
         digests = []
@@ -314,7 +323,7 @@ def row_hashes(column: PasswordColumn) -> np.ndarray:
         rows = rows[remaining > 8]
         base += 8
     for i in np.flatnonzero(lengths > WORD_PASS_MAX_LEN).tolist():
-        hashes[i] = int.from_bytes(hashlib.blake2b(column[i], digest_size=8).digest(), "little")
+        hashes[i] = int.from_bytes(blake2b(column[i], digest_size=8).digest(), "little")
     return hashes
 
 

@@ -52,6 +52,8 @@ _EPS = float(np.finfo(np.float64).eps)
 _CORRECTION_ROUNDS = 8
 _CORRECTION_SIMS = 12
 _CORRECTION_SIMS_FINAL = 24
+# Ranks per block of the goodness-of-fit statistic's CDFs.
+_STAT_BLOCK = 1 << 13
 
 
 class FitError(Exception):
@@ -427,37 +429,56 @@ def mle_truncated_zipf(
     )
 
 
-def _statistic_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buffers for :func:`_ad_ks_statistic` on up to n ranks."""
-    return np.empty(n), np.empty(n)
-
-
-def _ad_ks_statistic(
-    counts: np.ndarray, s: float, ranks: _LogRanks, buffers: tuple[np.ndarray, np.ndarray]
-) -> float:
+def _ad_ks_statistic(counts: np.ndarray, s: float, ranks: _LogRanks) -> float:
     """Anderson-Darling-weighted KS distance between rank CDFs.
 
     Sup over ranks of |empirical - model| / sqrt(model * (1 - model)),
     which weights tail discrepancies as heavily as the middle. The last
     rank, where both CDFs are exactly 1, is excluded. The survival term
-    is accumulated from the tail to dodge cancellation. ``ranks`` and the
-    :func:`_statistic_buffers` cover at least ``len(counts)`` ranks. The
-    model's CDFs are computed in the buffers and the empirical CDF in the
-    ranks' weights buffer, once the weights are summed.
+    is accumulated from the tail to dodge cancellation. ``ranks`` covers
+    at least ``len(counts)`` ranks; the weights go into its buffer.
+
+    The sup is taken ``_STAT_BLOCK`` ranks at a time, so that no CDF
+    array spans the ranks. A first pass from the tail keeps the survival
+    sum at each block's end; each block's cumsum starts from the sum
+    before it, so every partial sum is the float that one cumsum over all
+    ranks gives.
     """
     n = len(counts)
-    cdf, surv = (buffer[:n] for buffer in buffers)
     w = _rank_weights(s, ranks[:n])
     h = w.sum()
-    np.divide(np.cumsum(w, out=cdf), h, out=cdf)
-    np.cumsum(w[::-1], out=surv[::-1])
-    np.divide(surv, h, out=surv)
-    # Summed in float64; exact, as every partial sum is an integer below 2^53.
-    emp = np.cumsum(counts, out=w)
-    np.divide(emp, counts.sum(), out=emp)
-    num = np.abs(np.subtract(emp[:-1], cdf[:-1], out=emp[:-1]), out=emp[:-1])
-    den = np.sqrt(np.multiply(cdf[:-1], surv[1:], out=cdf[:-1]), out=cdf[:-1])
-    return float(np.max(np.divide(num, den, out=num)))
+    total = counts.sum()
+    edges = list(range(0, n - 1, _STAT_BLOCK)) + [n - 1]
+    buf = np.empty(min(_STAT_BLOCK, n) + 1)
+
+    def carried(carry: float, values: np.ndarray) -> np.ndarray:
+        """The running sums of ``values`` from ``carry``, ``carry`` first, in ``buf``."""
+        run = buf[: len(values) + 1]
+        run[0] = carry
+        run[1:] = values
+        return np.cumsum(run, out=run)
+
+    # The survival sum at each block's end, over the ranks from there to the
+    # last, summed from the tail; found last block first.
+    surv_end = [w[n - 1]]
+    for k in range(len(edges) - 2, 0, -1):
+        surv_end.append(carried(surv_end[-1], w[edges[k] : edges[k + 1]][::-1])[-1])
+    surv_end.reverse()
+    sups = []
+    cdf_carry = emp_carry = 0.0
+    for a, b, end in zip(edges, edges[1:], surv_end):
+        run = carried(cdf_carry, w[a:b])
+        cdf_carry = run[-1]
+        cdf = run[1:] / h
+        # Summed in float64; exact, as every partial sum is an integer below 2^53.
+        run = carried(emp_carry, counts[a:b])
+        emp_carry = run[-1]
+        num = np.abs(np.subtract(np.divide(run[1:], total), cdf))
+        # The survival sums at ranks a + 1 .. b, summed from b down, in rank order.
+        surv = carried(end, w[a + 1 : b][::-1])[::-1]
+        den = np.sqrt(np.multiply(cdf, np.divide(surv, h, out=surv), out=cdf), out=cdf)
+        sups.append(np.max(np.divide(num, den, out=num)))
+    return float(np.max(sups))
 
 
 def bootstrap_p_value(
@@ -479,16 +500,15 @@ def bootstrap_p_value(
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     ranks = _log_ranks(table.distinct_count)
-    buffers = _statistic_buffers(table.distinct_count)
     s = _mle_core(table.counts, ranks)[0] if fit.flag == FLAG_DEBIASED else fit.s
-    observed = _ad_ks_statistic(table.counts, s, ranks, buffers)
+    observed = _ad_ks_statistic(table.counts, s, ranks)
     p = _zipf_probs(s, table.distinct_count)
     exceed = 0
     for i in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         rep = _sorted_table(rng.multinomial(table.total_users, p))
         s_rep, _, _ = _mle_core(rep, ranks, s)
-        if _ad_ks_statistic(rep, s_rep, ranks, buffers) > observed:
+        if _ad_ks_statistic(rep, s_rep, ranks) > observed:
             exceed += 1
     return exceed / replicates
 

@@ -24,6 +24,14 @@ def corpus(tmp_path):
     return path
 
 
+def child_env(**extra) -> dict[str, str]:
+    """The environment, with ``extra`` set, for a child Python that imports this pwdist."""
+    env = dict(os.environ, **extra)
+    src = str(Path(pwdist.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def ingest_table(tmp_path, corpus, name="t"):
     out = tmp_path / name
     assert main(["ingest", str(corpus), "--out-dir", str(out), "--seed", "3"]) == EXIT_OK
@@ -387,16 +395,13 @@ class TestCrack:
         corpus = tmp_path / "users.txt"
         corpus.write_bytes(b"123456\n" * 60 + b"qwerty\n" * 30 + b"dragon\n")
         table = ingest_table(tmp_path, corpus)
-        src = str(Path(pwdist.__file__).resolve().parents[1])
         cracked = []
         for hash_seed in ("1", "2"):
             out = tmp_path / f"crack-{hash_seed}"
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             subprocess.run(
                 [sys.executable, "-m", "pwdist.cli", "crack", "--corpus", str(corpus),
                  "--salt-count", "16", "--ordering", str(table), "--out-dir", str(out)],
-                env=env, check=True, capture_output=True, timeout=120,
+                env=child_env(PYTHONHASHSEED=hash_seed), check=True, capture_output=True, timeout=120,
             )
             cracked.append((out / "cracked.tsv").read_bytes())
         assert len(cracked[0].splitlines()) == 1 + 91
@@ -526,14 +531,56 @@ def test_stages_do_not_import_numpy_ma(tmp_path, corpus):
         "    assert main(argv) == 0, argv\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(pwdist.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", script, json.dumps(stages)],
-        env=env, check=True, capture_output=True, text=True, timeout=120,
+        env=child_env(), check=True, capture_output=True, text=True, timeout=120,
     )
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_hashing_before_the_manifest_does_not_load_openssl():
+    """OpenSSL's libcrypto costs 3.4 MB resident, and only the manifest's sha256 needs it.
+
+    The stages' BLAKE2b digests, keyed and keyless, and a corpus's read and
+    ranking leave ``_hashlib`` unloaded.
+    """
+    script = (
+        "import sys\n"
+        "import pwdist.cli\n"
+        "from pwdist import column, ingest\n"
+        "column.keyed_hashes([b'alice', b'bob'], 7)\n"
+        "column.row_hashes(column.PasswordColumn([b'x' * (column.WORD_PASS_MAX_LEN + 1), b'y']))\n"
+        "ingest.stream_table(b'pw1\\npw2\\npw1\\n', ingest.FORMAT_PASSWORD_PER_LINE)\n"
+        "ingest.stream_table(b'u1\\tpw1\\nu2\\tpw2\\n', ingest.FORMAT_USER_TAB_PASSWORD)\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=child_env(), check=True, capture_output=True, text=True, timeout=120
+    )
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_fit_and_stats_do_not_depend_on_blas_threads(tmp_path):
+    """``fit`` with replicates and ``stats`` write the same bytes on one OpenBLAS thread and on two.
+
+    The table has over 10,000 ranks, where OpenBLAS may split a dot product
+    between threads. ``--debias`` is left out: its fits do depend on the
+    thread count.
+    """
+    sample = zipf_fit.sample_zipf_counts(0.78, 60000, 100000, np.random.default_rng(4))
+    table = tmp_path / "table.tsv"
+    write_table_tsv(table_from_counts(np.sort(sample[sample > 0])[::-1]), table)
+    assert np.count_nonzero(sample) > 10000
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for argv in (["fit", "--replicates", "3"], ["stats"]):
+            subprocess.run(
+                [sys.executable, "-m", "pwdist.cli", *argv, "--table", str(table), "--out-dir", str(out)],
+                env=child_env(OPENBLAS_NUM_THREADS=threads), check=True, capture_output=True, timeout=120,
+            )
+        written[threads] = [(out / name).read_bytes() for name in ("fit.tsv", "stats.tsv")]
+    assert written["1"] == written["2"]
 
 
 # The modules every stage imports: the CLI, the corpus and table reader, and what it uses.
@@ -563,12 +610,9 @@ def test_stages_import_only_their_modules(tmp_path, corpus, stage):
         "assert main(json.loads(sys.argv[1])) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'pwdist')))\n"
     )
-    src = str(Path(pwdist.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argv)],
-        env=env, check=True, capture_output=True, text=True, timeout=120,
+        env=child_env(), check=True, capture_output=True, text=True, timeout=120,
     )
     assert set(json.loads(out.stdout.splitlines()[-1])) == BASE_MODULES | imported
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from pwdist.zipf_fit import (
     _log_ranks,
     _mle_core,
     _sorted_table,
-    _statistic_buffers,
     _zipf_probs,
     bin_dyadic_k,
     bin_dyadic_rank,
@@ -401,8 +401,23 @@ class TestSharedBuffersMatchFreshArrays:
     the fresh-array versions of ``zipf_oracles`` exactly."""
 
     # Tables above 10,000 ranks, where OpenBLAS may split a dot product
-    # between threads, and below.
-    TABLES = [(0.78, 40000, 800000, 0), (0.78, 15000, 20000, 3), (0.7, 2000, 30000, 11), (2.5, 500, 3000, 2)]
+    # between threads, and below; then tables of one rank less than a block
+    # of the statistic, one block, one rank more, and two blocks and a rank.
+    TABLES = [
+        (0.78, 40000, 800000, 0),
+        (0.78, 15000, 20000, 3),
+        (0.7, 2000, 30000, 11),
+        (2.5, 500, 3000, 2),
+        (0.78, 10000, 39000, 189),
+        (0.78, 10000, 39000, 43),
+        (0.78, 10000, 39000, 78),
+        (0.78, 20000, 79000, 179),
+    ]
+
+    def test_tables_straddle_statistic_blocks(self):
+        ranks = [len(sorted_sample(*table)) for table in self.TABLES[4:]]
+        block = zipf_fit._STAT_BLOCK
+        assert ranks == [block - 1, block, block + 1, 2 * block + 1]
 
     @pytest.mark.parametrize("s_true,n,m,seed", TABLES)
     def test_mle_core(self, s_true, n, m, seed):
@@ -421,19 +436,19 @@ class TestSharedBuffersMatchFreshArrays:
 
     @pytest.mark.parametrize("s_true,n,m,seed", TABLES)
     def test_statistic_across_replicates(self, s_true, n, m, seed):
-        # One table's buffers, reused by replicates of fewer ranks, as the bootstrap does.
+        # One table's ln ranks, reused by replicates of fewer ranks, as the bootstrap does.
         counts = sorted_sample(s_true, n, m, seed)
-        ranks, buffers = _log_ranks(len(counts)), _statistic_buffers(len(counts))
+        ranks = _log_ranks(len(counts))
         lr = oracle.log_ranks(len(counts))
         s = oracle.mle_core(counts)[0]
-        assert _ad_ks_statistic(counts, s, ranks, buffers) == oracle.ad_ks_statistic(counts, s, lr)
+        assert _ad_ks_statistic(counts, s, ranks) == oracle.ad_ks_statistic(counts, s, lr)
         p = _zipf_probs(s, len(counts))
         for i in range(3):
             sample = np.random.default_rng(i).multinomial(m, p)
             rep = np.sort(sample[sample > 0])[::-1]
             s_rep = oracle.mle_core(rep, lr, s)[0]
             assert _mle_core(rep, ranks, s)[0] == s_rep
-            assert _ad_ks_statistic(rep, s_rep, ranks, buffers) == oracle.ad_ks_statistic(rep, s_rep, lr)
+            assert _ad_ks_statistic(rep, s_rep, ranks) == oracle.ad_ks_statistic(rep, s_rep, lr)
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
     def test_sorted_table(self, values):
@@ -449,6 +464,25 @@ class TestSharedBuffersMatchFreshArrays:
         monkeypatch.setattr(
             zipf_fit,
             "_ad_ks_statistic",
-            lambda c, s, ranks, buffers: oracle.ad_ks_statistic(c, s, oracle.log_ranks(len(c))),
+            lambda c, s, ranks: oracle.ad_ks_statistic(c, s, oracle.log_ranks(len(c))),
         )
         assert bootstrap_p_value(table, fit, replicates=6, seed=3) == p
+
+    def test_bootstrap_memory_per_rank(self):
+        """The bootstrap's transient, as ``tracemalloc`` traces it, per rank of a
+        sparse table shaped like the sparse-tail benchmark's (about 187,000 ranks).
+
+        It holds ln r, its square, the weights, the model probabilities and a
+        replicate's draw, 40 B/rank, and peaks at 48 B/rank while it builds the
+        probabilities. Statistic buffers spanning the ranks would add 16 B/rank.
+        """
+        table = table_from_counts(sorted_sample(0.78, 600000, 400000, 1))
+        fit = mle_truncated_zipf(table)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bootstrap_p_value(table, fit, replicates=2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / table.distinct_count < 56.0

@@ -2,7 +2,7 @@
 
 ``pwdist.zipf_fit`` shares ln r, its square and the weights buffer between
 the fits of one table, its bootstrap replicates and its debias rounds, and
-gives the fit statistic buffers that last one ``bootstrap_p_value`` call.
+takes the fit statistic's sup one block of ranks at a time.
 These are the versions it must match exactly, bit for bit: each call makes
 its arrays afresh.
 """
