@@ -42,9 +42,6 @@ MH_SKETCH_DEPTH = 4
 METRICS = ("users", "distinct-passwords")  # crossguess.METRICS
 DEFAULT_ALPHA = 0.85  # stats.DEFAULT_ALPHA
 MH_RETRY_CAP = 100  # mh_uniform.DEFAULT_RETRY_CAP
-# The errors that exit with EXIT_NUMERIC, by module. A run that raised one
-# has imported its module, so they are looked up in sys.modules.
-NUMERIC_ERRORS = (("pwdist.zipf_fit", "FitError"), ("pwdist.mh_uniform", "BannedExhaustionError"))
 MANIFEST_NAME = "manifest.json"
 PARTIAL_SUFFIX = ".partial"
 
@@ -128,12 +125,6 @@ def _read_words(path: Path) -> list[bytes]:
     """The non-empty lines of a word list or ban file."""
     with open(path, "rb") as fh:
         return [line for chunk in tsvio.line_chunks(fh) for line in tsvio.chunk_lines(chunk) if line]
-
-
-def _numeric_errors() -> tuple[type, ...]:
-    return tuple(
-        getattr(sys.modules[module], name) for module, name in NUMERIC_ERRORS if module in sys.modules
-    )
 
 
 def _ordering(args, index: list | None = None) -> crossguess.GuessOrdering | None:
@@ -533,7 +524,7 @@ def main(argv=None) -> int:
     except (ingest.CorpusError, OSError) as exc:
         _error_line("input", str(exc))
         return EXIT_INPUT
-    except _numeric_errors() as exc:
+    except tsvio.NumericError as exc:
         _error_line("numeric", str(exc))
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -22,7 +22,6 @@ and decoded in numpy. ``hashes.tsv`` is read by the same path as
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -91,22 +90,6 @@ def _fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     return h
 
 
-def _avalanche64(z: int) -> int:
-    # splitmix64 finaliser constants
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
-
-
-def _trunc8_mix64(salt: bytes, password: bytes) -> bytes:
-    """``trunc8-mix64`` of one pair: the reference the batch kernel must match."""
-    h = _fnv1a64(password[:8], _fnv1a64(salt))
-    return _avalanche64(h).to_bytes(8, "big")
-
-
 def _heads(column: PasswordColumn) -> tuple[np.ndarray, np.ndarray]:
     """Each row's first 8 bytes, the bytes the hash reads, and how many there are.
 
@@ -128,8 +111,8 @@ def _fold_heads(state: np.ndarray, heads: np.ndarray, lengths: np.ndarray) -> np
     ``lengths`` bytes of each head, then the splitmix64 finaliser.
 
     The arguments broadcast. A length mask leaves a state alone once its
-    password has run out; uint64 multiplication wraps, which is the
-    ``& _MASK64`` of the scalar code.
+    password has run out; uint64 multiplication wraps modulo 2**64, as
+    FNV-1a's does.
     """
     h = np.array(np.broadcast_to(state, np.broadcast_shapes(state.shape, heads.shape)))
     prime = np.uint64(_FNV_PRIME)
@@ -230,13 +213,11 @@ def hash_corpus(
 
 
 @dataclass(eq=False)
-class CrackedRows(Sequence[tuple[bytes, bytes]]):
+class CrackedRows:
     """The ``(user, truncated guess)`` rows a replay cracked, in order, as two columns.
 
     ``users`` and ``guesses`` are :class:`PasswordColumn` s of one row per
-    cracked user. It reads like a list of byte pairs: ``len``, an int index
-    gives a pair, a slice gives rows, iteration, and ``==`` against a list
-    or another ``CrackedRows``.
+    cracked user; ``len`` gives the rows.
     """
 
     users: PasswordColumn
@@ -245,23 +226,8 @@ class CrackedRows(Sequence[tuple[bytes, bytes]]):
     def __len__(self) -> int:
         return len(self.users)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return CrackedRows(self.users[key], self.guesses[key])
-        return self.users[key], self.guesses[key]
 
-    def __iter__(self):
-        return zip(self.users, self.guesses)
-
-    def __eq__(self, other):
-        if isinstance(other, CrackedRows):
-            return self.users == other.users and self.guesses == other.guesses
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-
-@dataclass
+@dataclass(eq=False)
 class CrackReport:
     """Recovery curves plus who got cracked.
 
@@ -273,7 +239,10 @@ class CrackReport:
     curve_users: GuessCurve
     curve_distinct: GuessCurve
     cracked: CrackedRows
-    uncracked_count: int
+
+    @property
+    def uncracked_count(self) -> int:
+        return self.curve_users.denominator - len(self.cracked)
 
 
 def crack(corpus: HashedCorpus, ordering: GuessOrdering) -> CrackReport:
@@ -345,14 +314,12 @@ def crack(corpus: HashedCorpus, ordering: GuessOrdering) -> CrackReport:
     users_inc = np.bincount(fresh_at[by], minlength=len(ordering.guesses))
     distinct_inc = (users_inc > 0).astype(np.int64)
     distinct_recovered = int(distinct_inc.sum())
-    uncracked_count = n - len(at)
     return CrackReport(
         curve_users=curve_from_increments(users_inc, n, METRIC_USERS),
         curve_distinct=curve_from_increments(
-            distinct_inc, distinct_recovered + uncracked_count, METRIC_DISTINCT
+            distinct_inc, distinct_recovered + n - len(at), METRIC_DISTINCT
         ),
         cracked=CrackedRows(corpus.users.take(order[at]), fresh.take(by)),
-        uncracked_count=uncracked_count,
     )
 
 

@@ -51,14 +51,13 @@ class RankFrequencyTable:
     built from any sequence of bytes given) and their ``counts`` (int64).
     ``total_users`` is the number of observations (sum of counts) and
     ``distinct_count`` the number of distinct passwords; the two play
-    different roles downstream, so both are always available. A stage that
-    needs only the counts sets ``passwords`` to ``None`` once the table is
-    validated, which frees the password bytes.
+    different roles downstream, and both are computed from the counts. A
+    stage that needs only the counts sets ``passwords`` to ``None`` once the
+    table is validated, which frees the password bytes.
     """
 
     passwords: PasswordColumn
     counts: np.ndarray
-    total_users: int
 
     def __post_init__(self):
         self.passwords = as_column(self.passwords)
@@ -68,14 +67,23 @@ class RankFrequencyTable:
     def distinct_count(self) -> int:
         return len(self.counts)
 
+    @property
+    def total_users(self) -> int:
+        """The sum of the counts; a sum past 2**63 - 1 raises :class:`CorpusError`."""
+        counts = self.counts
+        # The counts are non-increasing, so rank 1's count times the rows
+        # bounds their sum; only a bound past int64 needs the exact sum.
+        if int(counts[0]) * len(counts) <= _INT64_MAX:
+            return int(counts.sum())
+        total = sum(counts.tolist())
+        if total > _INT64_MAX:
+            raise CorpusError("table counts sum past 2**63 - 1")
+        return total
+
     def __eq__(self, other):
         if not isinstance(other, RankFrequencyTable):
             return NotImplemented
-        return (
-            self.passwords == other.passwords
-            and np.array_equal(self.counts, other.counts)
-            and self.total_users == other.total_users
-        )
+        return self.passwords == other.passwords and np.array_equal(self.counts, other.counts)
 
     def validate(self, order: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """Check the table's invariants; raises :class:`CorpusError`.
@@ -96,16 +104,7 @@ class RankFrequencyTable:
         index = self.passwords.hash_index(order)
         if self.passwords.has_duplicates(index):
             raise CorpusError("table contains a duplicate password")
-        # The counts are non-increasing, so rank 1's count times the rows
-        # bounds their sum; only a bound past int64 needs the exact sum.
-        if int(counts[0]) * len(counts) <= _INT64_MAX:
-            total = int(counts.sum())
-        else:
-            total = sum(counts.tolist())
-            if total > _INT64_MAX:
-                raise CorpusError("table counts sum past 2**63 - 1")
-        if total != self.total_users:
-            raise CorpusError("table counts do not sum to total_users")
+        self.total_users  # raises if the counts sum past int64
         return index
 
 
@@ -148,11 +147,7 @@ def rank_passwords(
         map(passwords.__getitem__, order[start : start + JOIN_BLOCK].tolist())
         for start in range(0, len(order), JOIN_BLOCK)
     )
-    return RankFrequencyTable(
-        passwords=PasswordColumn(ranked),
-        counts=ranked_values,
-        total_users=int(values.sum()),
-    )
+    return RankFrequencyTable(passwords=PasswordColumn(ranked), counts=ranked_values)
 
 
 def table_from_counts(counts: Iterable[int], tie_break_seed: int = 0) -> RankFrequencyTable:
@@ -246,20 +241,14 @@ def stream_table(
 def cap_ranks(table: RankFrequencyTable, max_ranks: int) -> RankFrequencyTable:
     """Keep only the top max_ranks ranks as a self-consistent sub-table.
 
-    total_users becomes the retained sum, so the result still satisfies
-    the table invariants; use it to bound output size on corpus-scale
-    inputs when only head behaviour is of interest.
+    total_users becomes the retained sum; use it to bound output size on
+    corpus-scale inputs when only head behaviour is of interest.
     """
     if max_ranks < 1:
         raise ValueError("max_ranks must be >= 1")
     if max_ranks >= table.distinct_count:
         return table
-    counts = table.counts[:max_ranks]
-    return RankFrequencyTable(
-        passwords=table.passwords[:max_ranks],
-        counts=counts,
-        total_users=int(counts.sum()),
-    )
+    return RankFrequencyTable(passwords=table.passwords[:max_ranks], counts=table.counts[:max_ranks])
 
 
 def count_of_counts(table: RankFrequencyTable) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +330,7 @@ def read_table_tsv(path, index: list | None = None) -> RankFrequencyTable:
     order]``, so that a join against the table need not hash it again.
     """
     column, (counts,) = tsvio.read_rows(path, TABLE_HEADER, "table", 2, _table_block)
-    table = RankFrequencyTable(passwords=column, counts=counts, total_users=int(counts.sum()))
+    table = RankFrequencyTable(passwords=column, counts=counts)
     found = table.validate(order=index is not None)
     if index is not None:
         index[:] = found

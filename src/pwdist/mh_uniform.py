@@ -47,7 +47,7 @@ MARKED = 4
 MAX_COUNTERS = 2**31 - 1
 
 
-class BannedExhaustionError(Exception):
+class BannedExhaustionError(tsvio.NumericError):
     """A session hit the retry cap without an acceptable proposal."""
 
 

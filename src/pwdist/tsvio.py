@@ -10,7 +10,9 @@ time, in numpy with no ``bytes`` object per row: :func:`fixed_fields` and
 three-field file apart by :func:`cut_rows` and :func:`gather`, with no step
 per row for CRLF rows or blank lines either.
 Only rows that hold a byte to escape, or a backslash to unescape, are
-rewritten one at a time.
+rewritten one at a time. The two error types that every stage raises for
+the CLI to map to an exit code, :class:`CorpusError` and
+:class:`NumericError`, are defined here.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ class CorpusError(Exception):
     def __init__(self, message: str, byte_offset: int | None = None):
         super().__init__(message)
         self.byte_offset = byte_offset
+
+
+class NumericError(Exception):
+    """A computation on valid input that has no result, such as a fit that finds no maximum."""
 
 
 def escape_field(raw: bytes) -> bytes:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import RankFrequencyTable
+from .tsvio import NumericError
 
 METHOD_LS_RAW = "ls-raw"
 METHOD_LS_BINNED = "ls-binned"
@@ -56,7 +57,7 @@ _CORRECTION_SIMS_FINAL = 24
 _STAT_BLOCK = 1 << 13
 
 
-class FitError(Exception):
+class FitError(NumericError):
     """No fit can be produced from the given data."""
 
 
@@ -88,6 +89,13 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(xc @ yc) / denom
 
 
+def _rank_slope_fit(slope: float, method: str, n: int) -> ZipfFit:
+    """The fit s = -slope of a rank-frequency slope, flagged and held at 0 when not positive."""
+    s = -slope
+    flag = FLAG_FLAT_SLOPE if s <= 0.0 else None
+    return ZipfFit(s=max(s, 0.0), method=method, truncation_N=n, flag=flag)
+
+
 def ls_raw_rank(table: RankFrequencyTable) -> ZipfFit:
     """Least squares of log2 f_i against log2 i over every rank."""
     counts = table.counts.astype(np.float64)
@@ -95,9 +103,7 @@ def ls_raw_rank(table: RankFrequencyTable) -> ZipfFit:
     if n < 2:
         raise FitError("need at least 2 ranks for a least-squares fit")
     slope = _ols_slope(np.log2(np.arange(1, n + 1, dtype=np.float64)), np.log2(counts))
-    s = -slope
-    flag = FLAG_FLAT_SLOPE if s <= 0.0 else None
-    return ZipfFit(s=max(s, 0.0), method=METHOD_LS_RAW, truncation_N=n, flag=flag)
+    return _rank_slope_fit(slope, METHOD_LS_RAW, n)
 
 
 def _bin_dyadic(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,12 +143,7 @@ def ls_binned_rank(table: RankFrequencyTable) -> ZipfFit:
     x, y = bin_dyadic_rank(table)
     if len(x) < 2:
         raise FitError("need at least 2 complete dyadic bins")
-    slope = _ols_slope(np.log2(x), np.log2(y))
-    s = -slope
-    flag = FLAG_FLAT_SLOPE if s <= 0.0 else None
-    return ZipfFit(
-        s=max(s, 0.0), method=METHOD_LS_BINNED, truncation_N=table.distinct_count, flag=flag
-    )
+    return _rank_slope_fit(_ols_slope(np.log2(x), np.log2(y)), METHOD_LS_BINNED, table.distinct_count)
 
 
 def bin_dyadic_k(cc: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +160,8 @@ def ls_nk(cc: tuple[np.ndarray, np.ndarray], binned: bool = False) -> ZipfFit:
     """Fit the count-of-counts view ``cc = (k, n_k)``: log2 n_k against log2 k.
 
     Under Zipf the slope is m = -(1 + 1/s); a slope at or above -1 has no
-    corresponding positive s and is rejected.
+    corresponding positive s, and one that gives an s above the MLE's cap
+    of 64 is as flat as a slope of -1 to rounding. Both are rejected.
     """
     x, y = bin_dyadic_k(cc) if binned else (c.astype(np.float64) for c in cc)
     if len(x) < 2:
@@ -168,8 +170,11 @@ def ls_nk(cc: tuple[np.ndarray, np.ndarray], binned: bool = False) -> ZipfFit:
     slope_m = _ols_slope(np.log2(x), np.log2(y))
     if slope_m >= -1.0:
         raise FitError(f"slope {slope_m:.4g} incompatible with Zipf (needs m < -1)")
+    s = 1.0 / (-slope_m - 1.0)
+    if s > _S_CAP:
+        raise FitError(f"slope {slope_m:.17g} gives s = {s:.4g}, above {_S_CAP:g}")
     return ZipfFit(
-        s=1.0 / (-slope_m - 1.0),
+        s=s,
         method=METHOD_NK_BINNED if binned else METHOD_NK_RAW,
         truncation_N=int(cc[1].sum()),
         slope_m=slope_m,
@@ -397,6 +402,8 @@ def _indirect_inference(counts: np.ndarray, seed: int) -> float:
             rep = _sorted_table(rng.multinomial(m, p))
             fit_sum += _golden_s(rep, ranks, s)
             distinct_sum += len(rep)
+            # Let the draw go before the next one is made.
+            del rep
         s = max(s + (s_naive - fit_sum / sims), 0.0)
         n = max(int(round(n + (n_obs - distinct_sum / sims))), n_obs)
     return s
@@ -434,7 +441,8 @@ def _ad_ks_statistic(counts: np.ndarray, s: float, ranks: _LogRanks) -> float:
 
     Sup over ranks of |empirical - model| / sqrt(model * (1 - model)),
     which weights tail discrepancies as heavily as the middle. The last
-    rank, where both CDFs are exactly 1, is excluded. The survival term
+    rank, where both CDFs are exactly 1, is excluded, so counts on one
+    rank have no rank left to differ on and give 0. The survival term
     is accumulated from the tail to dodge cancellation. ``ranks`` covers
     at least ``len(counts)`` ranks; the weights go into its buffer.
 
@@ -445,6 +453,8 @@ def _ad_ks_statistic(counts: np.ndarray, s: float, ranks: _LogRanks) -> float:
     ranks gives.
     """
     n = len(counts)
+    if n < 2:
+        return 0.0
     w = _rank_weights(s, ranks[:n])
     h = w.sum()
     total = counts.sum()
@@ -510,6 +520,8 @@ def bootstrap_p_value(
         s_rep, _, _ = _mle_core(rep, ranks, s)
         if _ad_ks_statistic(rep, s_rep, ranks) > observed:
             exceed += 1
+        # Let the draw go before the next one is made.
+        del rep
     return exceed / replicates
 
 

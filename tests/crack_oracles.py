@@ -19,10 +19,34 @@ from typing import Sequence
 
 import numpy as np
 
-from pwdist.crack import HASHES_HEADER, CrackReport, HashedCorpus, _trunc8_mix64, generate_salts
+from pwdist.crack import HASHES_HEADER, CrackedRows, CrackReport, HashedCorpus, generate_salts
 from pwdist.tsvio import CorpusError, escape_field, unescape_field
 
 _MASK64 = (1 << 64) - 1
+
+
+def _avalanche64(z: int) -> int:
+    # splitmix64 finaliser constants
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    z ^= z >> 31
+    return z
+
+
+def _trunc8_mix64(salt: bytes, password: bytes) -> bytes:
+    """``trunc8-mix64`` of one pair: 64-bit FNV-1a over the salt, then the
+    password's first 8 bytes, finished by the splitmix64 avalanche, big-endian."""
+    h = 0xCBF29CE484222325
+    for b in salt + password[:8]:
+        h = ((h ^ b) * 0x100000001B3) & _MASK64
+    return _avalanche64(h).to_bytes(8, "big")
+
+
+def pairs(cracked: CrackedRows) -> list[tuple[bytes, bytes]]:
+    """The ``(user, truncated guess)`` rows of ``cracked``, in order."""
+    return list(zip(cracked.users, cracked.guesses))
 
 
 @dataclass(frozen=True)
@@ -96,7 +120,7 @@ def write_cracked_tsv(report: CrackReport, path) -> None:
     """``user<TAB>password`` rows, escaped one field at a time."""
     with open(path, "wb") as fh:
         fh.write(b"user\tpassword\n")
-        fh.write(b"".join([b"%s\t%s\n" % (escape_field(u), escape_field(p)) for u, p in report.cracked]))
+        fh.write(b"".join([b"%s\t%s\n" % (escape_field(u), escape_field(p)) for u, p in pairs(report.cracked)]))
 
 
 _HEX = re.compile(rb"[0-9a-fA-F]*")

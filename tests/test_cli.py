@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -290,6 +291,21 @@ class TestFit:
         assert p_values["plain"] != ""
         assert p_values["debias"] == p_values["plain"]
 
+    @pytest.mark.parametrize("counts, replicates, seeds", [((2, 1), 20, range(4)), ((5, 3, 1), 100, [0])])
+    def test_replicate_on_one_rank_gives_a_p_value(self, tmp_path, counts, replicates, seeds):
+        # These seeds draw a replicate whose users all land on rank 1; its statistic is 0.
+        table = tmp_path / "table.tsv"
+        write_table_tsv(table_from_counts(counts), table)
+        for seed in seeds:
+            out = tmp_path / f"fit-{seed}"
+            argv = ["fit", "--table", str(table), "--replicates", str(replicates), "--seed", str(seed)]
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+            rows = {
+                line.split("\t")[0]: line.split("\t")
+                for line in (out / "fit.tsv").read_text().splitlines()[1:]
+            }
+            assert rows["mle"][4] != ""
+
     def test_replicates_zero_skips_p_value(self, tmp_path, corpus):
         table = ingest_table(tmp_path, corpus)
         out = tmp_path / "fit0"
@@ -307,6 +323,48 @@ class TestFit:
         assert code == EXIT_USAGE
         assert "pwdist-error\tusage\t" in capsys.readouterr().err
         assert not (out / "fit.tsv").exists()
+
+
+def test_tiny_tables_keep_the_exit_contract(tmp_path, capsys):
+    """Every table of 1-4 rows with counts 1-5 through each stage that reads a table.
+
+    Every run exits 0, but for ``fit`` and ``stats`` on one row, which have
+    no exponent to fit: they exit 3 with one numeric error line and leave
+    no manifest. Every exponent written is finite and at most 64.
+    """
+    commands = {
+        "fit": ["fit", "--replicates", "30", "--table", "{t}"],
+        "fit-debias": ["fit", "--replicates", "30", "--debias", "--table", "{t}"],
+        "stats": ["stats", "--table", "{t}"],
+        "curve": ["curve", "--target", "{t}", "--reference", "{t}"],
+        "mh-sim": ["mh-sim", "--source", "table", "--n-users", "50", "--table", "{t}"],
+    }
+    tables = [
+        counts
+        for rows in range(1, 5)
+        for counts in itertools.combinations_with_replacement(range(5, 0, -1), rows)
+    ]
+    assert len(tables) == 125
+    wrong = []
+    for counts in tables:
+        name = "-".join(map(str, counts))
+        table = tmp_path / f"{name}.tsv"
+        write_table_tsv(table_from_counts(counts), table)
+        for command, argv in commands.items():
+            out = tmp_path / command / name
+            code = main([a.format(t=table) for a in argv] + ["--out-dir", str(out)])
+            errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("pwdist-error")]
+            if len(counts) == 1 and command in ("fit", "fit-debias", "stats"):
+                ok = code == EXIT_NUMERIC and len(errors) == 1 and errors[0].startswith("pwdist-error\tnumeric\t")
+                ok = ok and not (out / "manifest.json").exists()
+            else:
+                ok = code == EXIT_OK and not errors
+            if ok and code == EXIT_OK and command.startswith("fit"):
+                s = [float(line.split("\t")[1]) for line in (out / "fit.tsv").read_text().splitlines()[1:]]
+                ok = all(math.isfinite(v) and v <= 64.0 for v in s)
+            if not ok:
+                wrong.append((counts, command, code, errors))
+    assert wrong == []
 
 
 class TestStats:

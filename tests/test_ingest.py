@@ -570,9 +570,7 @@ def _digit_boundary_table(top: int) -> RankFrequencyTable:
     steps = {c for k in range(1, 19) for c in (10**k - 1, 10**k) if c <= top}
     counts = [*sorted({top, *steps}, reverse=True), *[1] * 1000]
     return RankFrequencyTable(
-        passwords=[b"pw%04d" % i for i in range(len(counts))],
-        counts=np.array(counts, dtype=np.int64),
-        total_users=sum(counts),
+        passwords=[b"pw%04d" % i for i in range(len(counts))], counts=np.array(counts, dtype=np.int64)
     )
 
 
@@ -605,7 +603,7 @@ class TestTableCodecEdges:
                 assert read_table_tsv(tmp_path / "crlf.tsv") == table
 
     def test_negative_count_is_refused(self, tmp_path):
-        table = RankFrequencyTable(passwords=[b"a"], counts=np.array([-1]), total_users=-1)
+        table = RankFrequencyTable(passwords=[b"a"], counts=np.array([-1]))
         with pytest.raises(ValueError):
             write_table_tsv(table, tmp_path / "t.tsv")
 
@@ -693,7 +691,7 @@ class TestColumns:
 
     def test_validate_rejects_ragged_columns(self):
         # The password column is read-only, so the extra row is given at construction.
-        table = RankFrequencyTable(passwords=[b"a", b"b", b"c"], counts=[2, 1], total_users=3)
+        table = RankFrequencyTable(passwords=[b"a", b"b", b"c"], counts=[2, 1])
         with pytest.raises(CorpusError):
             table.validate()
 

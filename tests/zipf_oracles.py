@@ -175,9 +175,9 @@ def ad_ks_statistic(counts: np.ndarray, s: float, lr: np.ndarray) -> float:
 
     Sup over ranks of |empirical - model| / sqrt(model * (1 - model)),
     which weights tail discrepancies as heavily as the middle. The last
-    rank, where both CDFs are exactly 1, is excluded. The survival term
-    is accumulated from the tail to dodge cancellation. ``lr`` holds at
-    least ``len(counts)`` ln ranks.
+    rank, where both CDFs are exactly 1, is excluded, so one rank gives 0.
+    The survival term is accumulated from the tail to dodge cancellation.
+    ``lr`` holds at least ``len(counts)`` ln ranks.
     """
     w = rank_weights(s, lr[: len(counts)])
     h = w.sum()
@@ -186,4 +186,4 @@ def ad_ks_statistic(counts: np.ndarray, s: float, lr: np.ndarray) -> float:
     emp = np.cumsum(counts) / counts.sum()
     num = np.abs(emp[:-1] - cdf[:-1])
     den = np.sqrt(cdf[:-1] * surv[1:])
-    return float(np.max(num / den))
+    return float(np.max(num / den, initial=0.0))
