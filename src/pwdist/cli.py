@@ -371,16 +371,13 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
     return parameters, counters
 
 
-# The mh-sim flags a config file may set, and the short names it may use for some.
-_CONFIG_KEYS = frozenset(
-    {"source", "s", "n-ranks", "table", "n-users", "backend", "width", "depth", "seed",
-     "retry-cap", "ban-file"}
-)
+# The short names a config file may use for some mh-sim flags.
 _CONFIG_ALIASES = {"w": "width", "d": "depth", "ban-list": "ban-file"}
 
 
-def _config_tokens(path: Path) -> list[str]:
-    """The ``--key=value`` flags that the ``key = value`` lines of ``path`` stand for."""
+def _config_tokens(path: Path, keys: frozenset[str]) -> list[str]:
+    """The ``--key=value`` flags that the ``key = value`` lines of ``path`` stand for;
+    ``keys`` are the flags, without ``--``, that a line may set."""
     try:
         text = path.read_bytes().decode()
     except UnicodeDecodeError as exc:
@@ -395,7 +392,7 @@ def _config_tokens(path: Path) -> list[str]:
         raw_key, value = line.split("=", 1)
         key = raw_key.strip().replace("_", "-")
         key = _CONFIG_ALIASES.get(key, key)
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ValueError(f"unknown config key {raw_key.strip()!r} in {path.name}")
         tokens.append(f"--{key}={value.strip()}")
     return tokens
@@ -493,6 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--retry-cap", type=int, default=MH_RETRY_CAP, help="asks per session")
     p.add_argument("--ban-file", default=None, help="passwords never accepted")
+    flags = {flag[2:] for action in p._actions for flag in action.option_strings if flag[:2] == "--"}
+    p.set_defaults(config_keys=frozenset(flags - {"help", "config", "out-dir"}))
 
     return parser
 
@@ -515,7 +514,8 @@ def main(argv=None) -> int:
             # The file's lines go before the command line's flags, so the flags override them.
             inputs.append(Path(args.config))
             at = argv.index(args.subcommand) + 1
-            args = parser.parse_args([*argv[:at], *_config_tokens(inputs[0]), *argv[at:]])
+            tokens = _config_tokens(inputs[0], args.config_keys)
+            args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
         args.staged, args.inputs = staged, inputs
         parameters, counters = args.func(args)
         _finish(args, parameters, counters)

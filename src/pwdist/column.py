@@ -79,17 +79,16 @@ def _joined(pieces: list[bytes], lengths: Sequence[np.ndarray]) -> tuple[bytes, 
     return data, offsets
 
 
-class PasswordColumn(Sequence[bytes]):
+class PasswordColumn:
     """Byte strings held as one buffer: row i is ``data[offsets[i]:offsets[i + 1]]``.
 
     A table's passwords and an ordering's guesses cost their bytes plus an
-    int64 offset each, with no Python object per row. The column is a
-    read-only sequence of ``bytes``: ``len``, an int index gives ``bytes``,
-    a slice gives a column that shares the buffer, iteration, and ``==``
-    against a list or another column. ``PasswordColumn(rows)`` builds one
-    from any iterable of bytes, joining ``JOIN_BLOCK`` rows at a time. The
-    buffer ends in 8 NUL bytes past the last row, so each row can be read
-    8 bytes at a time as words.
+    int64 offset each, with no Python object per row. The column has a
+    ``len``, an int index gives ``bytes``, a contiguous slice gives a column
+    that shares the buffer, and iteration gives each row's ``bytes``.
+    ``PasswordColumn(rows)`` builds one from any iterable of bytes, joining
+    ``JOIN_BLOCK`` rows at a time. The buffer ends in 8 NUL bytes past the
+    last row, so each row can be read 8 bytes at a time as words.
 
     Duplicates are found by sorting a 64-bit hash of each row
     (:func:`row_hashes`) and comparing bytes only where hashes are equal.
@@ -129,7 +128,7 @@ class PasswordColumn(Sequence[bytes]):
         if isinstance(key, slice):
             start, stop, step = key.indices(len(self))
             if step != 1:
-                return PasswordColumn(map(self.__getitem__, range(start, stop, step)))
+                raise ValueError("a password column takes only contiguous slices")
             column = PasswordColumn.__new__(PasswordColumn)
             column._set(self.data, self.offsets[start : max(start, stop) + 1])
             return column
@@ -147,22 +146,6 @@ class PasswordColumn(Sequence[bytes]):
             bounds = self.offsets[start : start + JOIN_BLOCK + 1].tolist()
             for a, b in zip(bounds, islice(bounds, 1, None)):
                 yield data[a:b]
-
-    def __eq__(self, other):
-        if isinstance(other, PasswordColumn):
-            return (
-                len(self) == len(other)
-                and np.array_equal(np.diff(self.offsets), np.diff(other.offsets))
-                and self.view() == other.view()
-            )
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"PasswordColumn({list(self)!r})"
 
     def view(self) -> memoryview:
         """The rows' bytes, joined."""
@@ -223,15 +206,12 @@ class PasswordColumn(Sequence[bytes]):
         again with it, which happens only when two hashes are equal.
         """
         sorted_hashes, order = self.hash_index() if index is None else index
-        equal = np.flatnonzero(sorted_hashes[1:] == sorted_hashes[:-1])
-        if not len(equal):
+        runs = equal_runs(sorted_hashes[1:] == sorted_hashes[:-1])
+        if not runs:
             return False
         if order is None:
             order = self.hash_index(order=True)[1]
-        gap = np.diff(equal) > 1
-        starts = equal[np.concatenate(([True], gap))]
-        stops = equal[np.concatenate((gap, [True]))] + 2
-        for a, b in zip(starts.tolist(), stops.tolist()):
+        for a, b in runs:
             run = [self[i] for i in order[a:b].tolist()]
             if len(set(run)) < len(run):
                 return True
@@ -270,6 +250,18 @@ class PasswordColumn(Sequence[bytes]):
                     if self[j] == probe:
                         yield rows[k : k + 1], np.array([j])
                         break
+
+
+def equal_runs(same: np.ndarray) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` bounds of each run of equal sorted keys, given
+    ``same[k]``: whether key k equals key k + 1."""
+    at = np.flatnonzero(same)
+    if not len(at):
+        return []
+    gap = np.diff(at) > 1
+    starts = at[np.concatenate(([True], gap))]
+    stops = at[np.concatenate((gap, [True]))] + 2
+    return list(zip(starts.tolist(), stops.tolist()))
 
 
 def keyed_hashes(rows: Sequence[bytes], key: int) -> np.ndarray:

@@ -54,11 +54,10 @@ PREFILTER_BITS = 20
 class HashedCorpus:
     """A salted hashed corpus held as columns, one row per user.
 
-    Row i is user ``users[i]`` (a :class:`PasswordColumn`, built from any
-    sequence of bytes given), hashed under ``salts[salt_index[i]]`` to the
-    8-byte digest ``digests[i]`` (a big-endian digest read as a
-    ``uint64``). ``salts`` holds each salt once, in the order of the first
-    row that uses it.
+    Row i is user ``users[i]`` (a :class:`PasswordColumn`), hashed under
+    ``salts[salt_index[i]]`` to the 8-byte digest ``digests[i]`` (a
+    big-endian digest read as a ``uint64``). ``salts`` holds each salt
+    once, in the order of the first row that uses it.
     """
 
     users: PasswordColumn
@@ -66,21 +65,8 @@ class HashedCorpus:
     salt_index: np.ndarray
     digests: np.ndarray
 
-    def __post_init__(self):
-        self.users = as_column(self.users)
-
     def __len__(self) -> int:
         return len(self.users)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HashedCorpus):
-            return NotImplemented
-        return (
-            self.users == other.users
-            and self.salts == other.salts
-            and np.array_equal(self.salt_index, other.salt_index)
-            and np.array_equal(self.digests, other.digests)
-        )
 
 
 def _fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
@@ -127,13 +113,13 @@ def _salt_states(salts: Sequence[bytes]) -> np.ndarray:
     return np.array([_fnv1a64(salt) for salt in salts], dtype=np.uint64)
 
 
-def _trunc8_mix64_many(salts: Sequence[bytes], passwords: Sequence[bytes]) -> np.ndarray:
+def _trunc8_mix64_many(salts: Sequence[bytes], passwords: PasswordColumn) -> np.ndarray:
     """``trunc8-mix64`` of every (password, salt) pair as a ``(passwords, salts)`` uint64 array.
 
     The FNV state after each salt is computed once, and the passwords'
     heads are folded into it in one numpy pass per byte position.
     """
-    heads, lengths = _heads(as_column(passwords))
+    heads, lengths = _heads(passwords)
     return _fold_heads(_salt_states(salts)[None, :], heads[:, None], lengths[:, None])
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tsvio
-from .column import PasswordColumn, as_column
+from .column import PasswordColumn
 from .ingest import RankFrequencyTable, table_from_counter
 
 METRIC_USERS = "users"
@@ -32,31 +32,17 @@ METRIC_DISTINCT = "distinct-passwords"
 METRICS = (METRIC_USERS, METRIC_DISTINCT)
 
 
-@dataclass
+@dataclass(eq=False)
 class GuessOrdering:
-    """Unique password guesses in order, as a :class:`PasswordColumn`.
-
-    Built from any sequence of bytes; a duplicate guess is refused.
-    """
+    """Password guesses in order, as a :class:`PasswordColumn`."""
 
     guesses: PasswordColumn
     source_label: str = ""
 
-    def __post_init__(self):
-        self.guesses = as_column(self.guesses)
-        if self.guesses.has_duplicates():
-            raise ValueError("guess ordering contains duplicate passwords")
-
     @classmethod
     def from_table(cls, table: RankFrequencyTable, label: str = "table") -> "GuessOrdering":
-        """The table's passwords in rank order, sharing its column.
-
-        The table's own ``validate()`` has already refused duplicates, so no
-        second check is made.
-        """
-        ordering = cls.__new__(cls)
-        ordering.guesses, ordering.source_label = table.passwords, label
-        return ordering
+        """The table's passwords in rank order, sharing its column."""
+        return cls(table.passwords, label)
 
 
 @dataclass(eq=False)
@@ -126,7 +112,8 @@ def cross_curve(
     distinct metric adds one whenever the password is present. Each index,
     the :meth:`~pwdist.column.PasswordColumn.hash_index` with order of the
     guesses or of the target's passwords, is built here if not given, as
-    :func:`~pwdist.ingest.read_table_tsv` hands it back.
+    :func:`~pwdist.ingest.read_table_tsv` hands it back. A repeated guess
+    would count its users twice, so a reference holding one is refused.
     """
     if not len(reference.guesses):
         raise ValueError("reference ordering is empty")
@@ -135,6 +122,8 @@ def cross_curve(
     guesses, passwords = reference.guesses, target.passwords
     if reference_index is None:
         reference_index = guesses.hash_index(order=True)
+    if guesses.has_duplicates(reference_index):
+        raise ValueError("guess ordering contains duplicate passwords")
     if target_index is None:
         target_index = passwords.hash_index(order=True)
     # Each guess's increment goes in place, and the curve is summed over them in place.
@@ -147,14 +136,8 @@ def cross_curve(
 
 
 def dictionary_ordering(words: Iterable[bytes], label: str = "dictionary") -> GuessOrdering:
-    """Deduplicated words in byte-wise lexical order.
-
-    The words are distinct by construction, so no duplicate check is made,
-    and a join hashes them only once.
-    """
-    ordering = GuessOrdering.__new__(GuessOrdering)
-    ordering.guesses, ordering.source_label = PasswordColumn(sorted(set(words))), label
-    return ordering
+    """Deduplicated words in byte-wise lexical order."""
+    return GuessOrdering(PasswordColumn(sorted(set(words))), label)
 
 
 def truncate_reaggregate(

@@ -32,7 +32,7 @@ from typing import BinaryIO, Iterable, Mapping
 import numpy as np
 
 from . import tsvio
-from .column import JOIN_BLOCK, PasswordColumn, as_column, keyed_hashes
+from .column import JOIN_BLOCK, PasswordColumn, equal_runs, keyed_hashes
 from .tsvio import CorpusError
 
 FORMAT_USER_TAB_PASSWORD = "user-tab-password"
@@ -47,8 +47,8 @@ _INT64_MAX = 2**63 - 1
 class RankFrequencyTable:
     """Passwords ranked by descending use count; rank 1 is the most used.
 
-    Two columns in rank order: ``passwords`` (a :class:`PasswordColumn`,
-    built from any sequence of bytes given) and their ``counts`` (int64).
+    Two columns in rank order: ``passwords`` (a :class:`PasswordColumn`)
+    and their ``counts`` (int64), stored as given.
     ``total_users`` is the number of observations (sum of counts) and
     ``distinct_count`` the number of distinct passwords; the two play
     different roles downstream, and both are computed from the counts. A
@@ -58,10 +58,6 @@ class RankFrequencyTable:
 
     passwords: PasswordColumn
     counts: np.ndarray
-
-    def __post_init__(self):
-        self.passwords = as_column(self.passwords)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
 
     @property
     def distinct_count(self) -> int:
@@ -79,11 +75,6 @@ class RankFrequencyTable:
         if total > _INT64_MAX:
             raise CorpusError("table counts sum past 2**63 - 1")
         return total
-
-    def __eq__(self, other):
-        if not isinstance(other, RankFrequencyTable):
-            return NotImplemented
-        return self.passwords == other.passwords and np.array_equal(self.counts, other.counts)
 
     def validate(self, order: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """Check the table's invariants; raises :class:`CorpusError`.
@@ -135,14 +126,10 @@ def rank_passwords(
     order = np.lexsort((keys, -values))
     keys = keys[order]
     ranked_values = values[order]
-    clash = np.flatnonzero((keys[1:] == keys[:-1]) & (ranked_values[1:] == ranked_values[:-1]))
+    clashes = equal_runs((keys[1:] == keys[:-1]) & (ranked_values[1:] == ranked_values[:-1]))
     del keys
-    if len(clash):
-        gap = np.diff(clash) > 1
-        starts = clash[np.concatenate(([True], gap))]
-        stops = clash[np.concatenate((gap, [True]))] + 2
-        for a, b in zip(starts.tolist(), stops.tolist()):
-            order[a:b] = sorted(order[a:b].tolist(), key=passwords.__getitem__)
+    for a, b in clashes:
+        order[a:b] = sorted(order[a:b].tolist(), key=passwords.__getitem__)
     ranked = chain.from_iterable(
         map(passwords.__getitem__, order[start : start + JOIN_BLOCK].tolist())
         for start in range(0, len(order), JOIN_BLOCK)

@@ -82,11 +82,12 @@ def alpha_guesswork(p: np.ndarray, alpha: float) -> tuple[int, float]:
 
 def shannon_entropy(p: np.ndarray) -> float:
     nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    # 0.0 - x, not -x: a one-password distribution has entropy +0, not -0.
+    return float(0.0 - (nz * np.log2(nz)).sum())
 
 
 def min_entropy(p: np.ndarray) -> float:
-    return float(-np.log2(p.max()))
+    return float(0.0 - np.log2(p.max()))
 
 
 def renyi_half_entropy(p: np.ndarray) -> float:

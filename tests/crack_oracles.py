@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from pwdist.column import PasswordColumn
 from pwdist.crack import HASHES_HEADER, CrackedRows, CrackReport, HashedCorpus, generate_salts
 from pwdist.tsvio import CorpusError, escape_field, unescape_field
 
@@ -47,6 +48,11 @@ def _trunc8_mix64(salt: bytes, password: bytes) -> bytes:
 def pairs(cracked: CrackedRows) -> list[tuple[bytes, bytes]]:
     """The ``(user, truncated guess)`` rows of ``cracked``, in order."""
     return list(zip(cracked.users, cracked.guesses))
+
+
+def columns(corpus: HashedCorpus) -> tuple[list[bytes], list[bytes], list[int], list[int]]:
+    """The users, salts, salt index and digests of ``corpus`` as lists, to compare two corpora."""
+    return list(corpus.users), corpus.salts, corpus.salt_index.tolist(), corpus.digests.tolist()
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,7 @@ def read_hashes(path) -> HashedCorpus:
             salt_index.append(salt_ids.setdefault(salt, len(salt_ids)))
             digests.append(digest)
     return HashedCorpus(
-        users=users,
+        users=PasswordColumn(users),
         salts=list(salt_ids),
         salt_index=np.array(salt_index, dtype=np.int64),
         digests=np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64),

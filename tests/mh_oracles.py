@@ -32,6 +32,13 @@ from pwdist.mh_uniform import (
 )
 
 
+def report_fields(report: SimulationReport) -> tuple:
+    """Both tables of ``report`` as (password, count) rows, then its ask statistics,
+    to compare two reports."""
+    tables = [list(zip(t.passwords, t.counts.tolist())) for t in (report.accepted_table, report.free_table)]
+    return (*tables, report.mean_asks, report.var_asks, report.rejected_total)
+
+
 class RawStream:
     """The draws of a fresh PCG64 ``Generator``, replayed from its raw output.
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -374,6 +375,18 @@ class TestStats:
         assert main(["stats", "--table", str(table), "--out-dir", str(out)]) == EXIT_OK
         lines = (out / "stats.tsv").read_text().splitlines()
         assert [line.split("\t")[0] for line in lines] == ["model", "uniform", "empirical", "zipf"]
+
+    def test_one_row_table_has_zero_entropy_not_minus_zero(self, tmp_path, capsys):
+        table = tmp_path / "one.tsv"
+        table.write_bytes(b"rank\tcount\tpassword\n1\t3\tpw\n")
+        out = tmp_path / "stats"
+        assert main(["stats", "--table", str(table), "--s", "0.8", "--out-dir", str(out)]) == EXIT_OK
+        header, *rows = [line.split("\t") for line in (out / "stats.tsv").read_text().splitlines()]
+        entropies = [row[header.index(name)] for row in rows for name in ("shannon_H", "min_entropy")]
+        assert entropies == ["0"] * 6
+        assert capsys.readouterr().out.count("H = 0\n") == 3
+        # Without --s the zipf row's MLE needs 2 ranks.
+        assert main(["stats", "--table", str(table), "--out-dir", str(tmp_path / "mle")]) == EXIT_NUMERIC
 
 
 class TestCurve:
@@ -791,6 +804,31 @@ class TestMhSim:
         assert main(argv) == EXIT_USAGE
         assert "pwdist-error\tusage\twidth * depth must be <= 2**31 - 1" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_every_flag_is_a_config_key(self, tmp_path, corpus, capsys):
+        # Each mh-sim option but --config and --out-dir, set by a config line,
+        # gives the run that its flag gives.
+        assert main(["mh-sim", "--help"]) == EXIT_OK
+        options = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out)) - {"help", "config", "out-dir"}
+        ban = tmp_path / "ban.txt"
+        ban.write_bytes(b"p00000001\n")
+        runs = [
+            {"source": "zipf", "s": "0.9", "n-ranks": "50", "n-users": "300", "backend": "count-min",
+             "width": "64", "depth": "3", "seed": "5", "retry-cap": "60", "ban-file": str(ban)},
+            {"source": "table", "table": str(ingest_table(tmp_path, corpus)), "n-users": "200"},
+        ]
+        assert set().union(*runs) == options
+        for k, run in enumerate(runs):
+            config = tmp_path / f"sim{k}.cfg"
+            config.write_text("".join(f"{key} = {value}\n" for key, value in run.items()))
+            by_config, by_flags = tmp_path / f"config{k}", tmp_path / f"flags{k}"
+            assert main(["mh-sim", "--config", str(config), "--out-dir", str(by_config)]) == EXIT_OK
+            flags = [f"--{key}={value}" for key, value in run.items()]
+            assert main(["mh-sim", *flags, "--out-dir", str(by_flags)]) == EXIT_OK
+            for name in ("accepted.tsv", "free.tsv", "summary.tsv"):
+                assert (by_config / name).read_bytes() == (by_flags / name).read_bytes()
+            manifests = [json.loads((d / "manifest.json").read_text()) for d in (by_config, by_flags)]
+            assert manifests[0]["parameters"] == manifests[1]["parameters"]
 
     @pytest.mark.parametrize(
         "line", ["bogus-key = 3", "n-user = 100000", "out-dir = x", "config = y"]

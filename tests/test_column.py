@@ -1,4 +1,4 @@
-"""The password column: the sequence protocol, row hashes, duplicates and joins.
+"""The password column: length, indexing, slices and iteration, row hashes, duplicates and joins.
 
 The row hash is also replaced by a constant, so that every pair of rows
 collides and only the byte comparisons can tell rows apart.
@@ -56,25 +56,25 @@ def _positions(col: PasswordColumn, probes: PasswordColumn) -> list[int]:
 
 class TestPasswordColumn:
     @given(st.lists(awkward_rows, max_size=30), st.data())
-    def test_behaves_as_a_list(self, items, data):
+    def test_len_index_slice_and_iteration(self, items, data):
         col = PasswordColumn(items)
         assert len(col) == len(items)
-        assert col == items and items == col
         assert list(col) == items
-        assert col == PasswordColumn(iter(items))
+        assert list(PasswordColumn(iter(items))) == items
         if items:
             i = data.draw(st.integers(-len(items), len(items) - 1))
             assert col[i] == items[i]
             assert type(col[i]) is bytes
         start = data.draw(st.integers(-3, len(items) + 3))
         stop = data.draw(st.integers(-3, len(items) + 3))
-        step = data.draw(st.sampled_from([None, 1, 2, -1]))
+        step = data.draw(st.sampled_from([None, 1]))
         part = col[start:stop:step]
-        assert isinstance(part, PasswordColumn)
-        assert part == items[start:stop:step]
-        assert col != items + [b"x"]
+        assert isinstance(part, PasswordColumn) and part.data is col.data
+        assert list(part) == items[start:stop]
         with pytest.raises(IndexError):
             col[len(items)]
+        with pytest.raises(ValueError, match="contiguous"):
+            col[::2]
 
     @given(st.lists(awkward_rows, max_size=30), st.data())
     def test_take_gathers_rows(self, items, data):
@@ -83,7 +83,7 @@ class TestPasswordColumn:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(column, "JOIN_BLOCK", data.draw(st.sampled_from([1, 3, column.JOIN_BLOCK])))
             taken = col.take(np.array(rows, dtype=np.int64))
-        assert taken == [items[1:][i] for i in rows]
+        assert list(taken) == [items[1:][i] for i in rows]
 
     @given(st.lists(awkward_rows, min_size=1, max_size=30))
     def test_row_hash_depends_only_on_the_row(self, items):
@@ -115,9 +115,7 @@ class TestPasswordColumn:
             mp.setattr(tsvio, "READ_BLOCK", read_block)
             write_table_tsv(table, path)
             loaded = read_table_tsv(path)
-        assert loaded.passwords == PasswordColumn(pw for pw, _ in oracle.read_table(path))
-        assert rows(loaded) == oracle.rank_rows(counts, seed) == rows(table)
-        assert loaded.passwords == table.passwords
+        assert rows(loaded) == oracle.read_table(path) == oracle.rank_rows(counts, seed) == rows(table)
 
     def test_long_rows_with_a_shared_prefix(self):
         prefix = b"p" * column.WORD_PASS_MAX_LEN
@@ -162,5 +160,5 @@ class TestTakeMemory:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert taken == list(col)[::-1]
+        assert list(taken) == list(col)[::-1]
         assert (peak - kept) / len(taken.view()) < 9

@@ -30,6 +30,7 @@ from pwdist.crossguess import (
     self_curve,
     truncate_reaggregate,
 )
+from pwdist.column import PasswordColumn
 from pwdist.ingest import CorpusError, table_from_counter
 
 import crack_oracles as oracle
@@ -67,7 +68,7 @@ class TestBuiltinScheme:
         assert _trunc8_mix64(b"aa", b"pw") != _trunc8_mix64(b"ab", b"pw")
 
     def test_batch_kernel_frozen_vectors(self):
-        digests = _trunc8_mix64_many([b"", b"ab"], [b"", b"xy"])
+        digests = _trunc8_mix64_many([b"", b"ab"], PasswordColumn([b"", b"xy"]))
         assert digests.shape == (2, 2) and digests.dtype == np.uint64
         assert int(digests[0, 0]).to_bytes(8, "big") == EMPTY_DIGEST
         assert int(digests[1, 1]).to_bytes(8, "big") == AB_XY_DIGEST
@@ -78,7 +79,7 @@ class TestBuiltinScheme:
         passwords=st.lists(st.binary(max_size=16), max_size=12),
     )
     def test_batch_kernel_equals_scalar_reference(self, salts, passwords):
-        digests = _trunc8_mix64_many(salts, passwords)
+        digests = _trunc8_mix64_many(salts, PasswordColumn(passwords))
         assert digests.shape == (len(passwords), len(salts))
         for i, pw in enumerate(passwords):
             for j, salt in enumerate(salts):
@@ -142,7 +143,7 @@ class TestHashCorpus:
         credentials = [(b"u%d" % i, b"pw%d" % i) for i in range(30)]
         a = hashed(credentials, salt_seed=9, salt_count=8)
         b = hashed(credentials, salt_seed=9, salt_count=8)
-        assert a == b
+        assert oracle.columns(a) == oracle.columns(b)
 
     @pytest.mark.parametrize("salt_count", [1, 3, 64, 100])
     def test_matches_entry_oracle(self, salt_count):
@@ -160,26 +161,26 @@ class TestCrack:
     def test_hand_trace(self):
         credentials = [(b"u1", b"x"), (b"u2", b"x"), (b"u3", b"y")]
         corpus = hashed(credentials, salt_seed=0, salt_count=2)
-        report = crack(corpus, GuessOrdering(guesses=[b"x"]))
+        report = crack(corpus, GuessOrdering(PasswordColumn([b"x"])))
         assert report.curve_users.cumulative_at(1) == 2
         assert sorted(u for u, _ in pairs(report.cracked)) == [b"u1", b"u2"]
         assert report.uncracked_count == 1
 
     def test_empty_ordering(self):
         corpus = hashed([(b"u1", b"x")], salt_seed=0, salt_count=1)
-        report = crack(corpus, GuessOrdering(guesses=[]))
+        report = crack(corpus, GuessOrdering(PasswordColumn([])))
         assert pairs(report.cracked) == []
         assert report.uncracked_count == 1
 
     def test_empty_corpus(self):
         corpus = hashed([], salt_seed=0, salt_count=3)
-        report = crack(corpus, GuessOrdering(guesses=[b"x", b"y"]))
+        report = crack(corpus, GuessOrdering(PasswordColumn([b"x", b"y"])))
         assert pairs(report.cracked) == [] and report.uncracked_count == 0
 
     def test_exhaustive_ordering_cracks_everyone(self):
         credentials = [(b"u%d" % i, b"pw%d" % (i % 5)) for i in range(20)]
         corpus = hashed(credentials, salt_seed=1, salt_count=4)
-        ordering = GuessOrdering(guesses=[b"pw%d" % i for i in range(5)])
+        ordering = GuessOrdering(PasswordColumn([b"pw%d" % i for i in range(5)]))
         report = crack(corpus, ordering)
         assert report.uncracked_count == 0
         assert report.curve_users.final_cumulative == 20
@@ -187,7 +188,7 @@ class TestCrack:
 
     def test_guess_colliding_after_truncation_adds_nothing(self):
         corpus = hashed([(b"u1", b"longpassword")], salt_seed=2, salt_count=1)
-        ordering = GuessOrdering(guesses=[b"longpassword", b"longpassXXX"])
+        ordering = GuessOrdering(PasswordColumn([b"longpassword", b"longpassXXX"]))
         report = crack(corpus, ordering)
         assert report.curve_users.cumulative_at(1) == 1
         assert report.curve_users.cumulative_at(2) == 1
@@ -196,7 +197,7 @@ class TestCrack:
     def test_distinct_denominator_upper_bounds_unseen(self):
         credentials = [(b"u1", b"hit"), (b"u2", b"miss1"), (b"u3", b"miss2")]
         corpus = hashed(credentials, salt_seed=5, salt_count=2)
-        report = crack(corpus, GuessOrdering(guesses=[b"hit"]))
+        report = crack(corpus, GuessOrdering(PasswordColumn([b"hit"])))
         # one recovered plus two uncracked assumed unique
         assert report.curve_distinct.denominator == 3
 
@@ -222,7 +223,7 @@ class TestCrack:
             return _trunc8_mix64_many(salts, passwords)
 
         monkeypatch.setattr(crack_mod, "_trunc8_mix64_many", counting)
-        ordering = GuessOrdering(guesses=[b"pw0", b"pw1", b"pw0XXXXXXXX", b"pw2"])
+        ordering = GuessOrdering(PasswordColumn([b"pw0", b"pw1", b"pw0XXXXXXXX", b"pw2"]))
         crack(corpus, ordering)
         assert calls and len(calls) == len(set(calls))
 
@@ -231,7 +232,7 @@ class TestCrack:
         pool = [b"pw%02d" % i for i in range(40)] + [b"longpassword%02d" % i for i in range(5)]
         credentials = [(b"u%d" % i, pool[int(rng.integers(0, len(pool)))]) for i in range(300)]
         corpus = hashed(credentials, salt_seed=6, salt_count=12)
-        ordering = GuessOrdering(guesses=[p for p in pool if p != b"pw07"] + [b"pw07"])
+        ordering = GuessOrdering(PasswordColumn([p for p in pool if p != b"pw07"] + [b"pw07"]))
         whole = crack(corpus, ordering)
         monkeypatch.setattr(crack_mod, "GUESS_BLOCK", 4)
         blocked = crack(corpus, ordering)
@@ -243,7 +244,7 @@ class TestCrack:
     def test_rows_within_a_guess_follow_first_seen_salt_order(self):
         credentials = [(b"u%d" % i, b"same") for i in range(40)]
         corpus = hashed(credentials, salt_seed=2, salt_count=16)
-        report = crack(corpus, GuessOrdering(guesses=[b"same"]))
+        report = crack(corpus, GuessOrdering(PasswordColumn([b"same"])))
         salt_of = {e.user: e.salt for e in oracle.entries_of(corpus)}
         first_seen = list(dict.fromkeys(e.salt for e in oracle.entries_of(corpus)))
         order = [first_seen.index(salt_of[u]) for u, _ in pairs(report.cracked)]
@@ -253,12 +254,12 @@ class TestCrack:
         # Two rows with one digest under different salts: a hit under one
         # salt must not crack the row of the other.
         corpus = crack_mod.HashedCorpus(
-            users=[b"a", b"b"],
+            users=PasswordColumn([b"a", b"b"]),
             salts=[b"s1", b"s2"],
             salt_index=np.array([0, 1]),
             digests=np.array([int.from_bytes(_trunc8_mix64(b"s2", b"pw"), "big")] * 2, dtype=np.uint64),
         )
-        report = crack(corpus, GuessOrdering(guesses=[b"pw"]))
+        report = crack(corpus, GuessOrdering(PasswordColumn([b"pw"])))
         assert pairs(report.cracked) == [(b"b", b"pw")] and report.uncracked_count == 1
 
 
@@ -283,7 +284,7 @@ class TestCrackOracle:
         increments, cracked = oracle.crack(entries, guesses)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(crack_mod, "GUESS_BLOCK", block)
-            report = crack(corpus, GuessOrdering(guesses=guesses))
+            report = crack(corpus, GuessOrdering(PasswordColumn(guesses)))
         assert pairs(report.cracked) == cracked
         expected = curve_from_increments(np.array(increments, dtype=np.int64), len(entries), METRIC_USERS)
         assert report.curve_users == expected
@@ -319,7 +320,7 @@ class TestCrackSharedDigestRuns:
         """
         used = list(dict.fromkeys(j for j, _, _ in rows))
         return HashedCorpus(
-            users=[b"u%d" % i for i in range(len(rows))],
+            users=PasswordColumn([b"u%d" % i for i in range(len(rows))]),
             salts=[cls.SALTS[j] for j in used],
             salt_index=np.array([used.index(j) for j, _, _ in rows], dtype=np.int64),
             digests=np.array(
@@ -331,7 +332,7 @@ class TestCrackSharedDigestRuns:
         increments, cracked = oracle.crack(oracle.entries_of(corpus), guesses)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(crack_mod, "GUESS_BLOCK", block)
-            report = crack(corpus, GuessOrdering(guesses=guesses))
+            report = crack(corpus, GuessOrdering(PasswordColumn(guesses)))
         assert pairs(report.cracked) == cracked
         expected = curve_from_increments(np.array(increments, dtype=np.int64), len(corpus), METRIC_USERS)
         assert report.curve_users == expected
@@ -375,7 +376,7 @@ class TestColumnWriters:
     )
     def test_match_row_oracles(self, tmp_path_factory, credentials, salt_count, salt_seed, block):
         corpus = hashed(credentials, salt_seed, salt_count)
-        report = crack(corpus, GuessOrdering(guesses=list(dict.fromkeys(pw for _, pw in credentials))))
+        report = crack(corpus, GuessOrdering(PasswordColumn(dict.fromkeys(pw for _, pw in credentials))))
         d = tmp_path_factory.mktemp("writers")
         oracle.write_hashes_tsv(corpus, d / "expected-hashes.tsv")
         oracle.write_cracked_tsv(report, d / "expected-cracked.tsv")
@@ -385,11 +386,11 @@ class TestColumnWriters:
             write_cracked_tsv(report, d / "cracked.tsv")
         assert (d / "hashes.tsv").read_bytes() == (d / "expected-hashes.tsv").read_bytes()
         assert (d / "cracked.tsv").read_bytes() == (d / "expected-cracked.tsv").read_bytes()
-        assert read_hashes_tsv(d / "hashes.tsv") == corpus
+        assert oracle.columns(read_hashes_tsv(d / "hashes.tsv")) == oracle.columns(corpus)
 
     def test_salts_of_any_length(self, tmp_path):
         corpus = HashedCorpus(
-            users=[b"a", b"b\\", b"", b"d"],
+            users=PasswordColumn([b"a", b"b\\", b"", b"d"]),
             salts=[b"", b"\x00", b"abc"],
             salt_index=np.array([0, 1, 2, 1]),
             digests=np.array([0, 1, 2**64 - 1, 0x0123456789ABCDEF], dtype=np.uint64),
@@ -397,7 +398,7 @@ class TestColumnWriters:
         write_hashes_tsv(corpus, tmp_path / "hashes.tsv")
         oracle.write_hashes_tsv(corpus, tmp_path / "expected.tsv")
         assert (tmp_path / "hashes.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
-        assert read_hashes_tsv(tmp_path / "hashes.tsv") == corpus
+        assert oracle.columns(read_hashes_tsv(tmp_path / "hashes.tsv")) == oracle.columns(corpus)
 
 
 class TestHashesTsv:
@@ -406,7 +407,7 @@ class TestHashesTsv:
         corpus = hashed(credentials, salt_seed=11, salt_count=2)
         path = tmp_path / "hashes.tsv"
         write_hashes_tsv(corpus, path)
-        assert read_hashes_tsv(path) == corpus
+        assert oracle.columns(read_hashes_tsv(path)) == oracle.columns(corpus)
 
     def test_round_trip_across_write_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tsvio, "WRITE_BLOCK", 3)
@@ -414,7 +415,7 @@ class TestHashesTsv:
         corpus = hashed(credentials, salt_seed=1, salt_count=5)
         path = tmp_path / "hashes.tsv"
         write_hashes_tsv(corpus, path)
-        assert read_hashes_tsv(path) == corpus
+        assert oracle.columns(read_hashes_tsv(path)) == oracle.columns(corpus)
         rows = path.read_bytes().splitlines()[1:]
         assert rows == [
             b"%s\t%s\t%s" % (e.user, e.salt.hex().encode(), e.digest.hex().encode())
@@ -451,7 +452,7 @@ class TestHashesTsv:
         path = tmp_path / "hashes.tsv"
         write_hashes_tsv(corpus, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
-        assert read_hashes_tsv(path) == corpus
+        assert oracle.columns(read_hashes_tsv(path)) == oracle.columns(corpus)
 
 
 @st.composite
@@ -498,7 +499,7 @@ class TestReadHashesBlocks:
                     read_hashes_tsv(path)
                 return
             corpus = read_hashes_tsv(path)
-        assert corpus == expected
+        assert oracle.columns(corpus) == oracle.columns(expected)
 
     def test_plain_rows_are_cut_without_a_row_loop(self, tmp_path, monkeypatch):
         corpus = hashed([(b"u%d" % i, b"pw%d" % i) for i in range(50)], salt_seed=2, salt_count=4)
@@ -508,9 +509,9 @@ class TestReadHashesBlocks:
             raise AssertionError("a chunk was split into lines")
 
         monkeypatch.setattr(tsvio, "chunk_lines", refuse)
-        assert read_hashes_tsv(tmp_path / "hashes.tsv") == corpus
+        assert oracle.columns(read_hashes_tsv(tmp_path / "hashes.tsv")) == oracle.columns(corpus)
         for data in crlf_forms((tmp_path / "hashes.tsv").read_bytes()):
             (tmp_path / "crlf.tsv").write_bytes(data)
             for block in (7, tsvio.READ_BLOCK):
                 monkeypatch.setattr(tsvio, "READ_BLOCK", block)
-                assert read_hashes_tsv(tmp_path / "crlf.tsv") == corpus
+                assert oracle.columns(read_hashes_tsv(tmp_path / "crlf.tsv")) == oracle.columns(corpus)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import table_oracles as oracle
 from pwdist import column, tsvio
+from pwdist.column import PasswordColumn
 from pwdist.crossguess import (
     GuessCurve,
     GuessOrdering,
@@ -74,23 +75,23 @@ class TestCrossCurve:
 
     def test_disjoint_vocabularies_flat_zero(self):
         target = table_of({b"a": 3, b"b": 1})
-        reference = GuessOrdering(guesses=[b"x", b"y", b"z"])
+        reference = GuessOrdering(PasswordColumn([b"x", b"y", b"z"]))
         curve = cross_curve(reference, target, METRIC_USERS)
         assert curve.final_cumulative == 0
         assert all(curve.cumulative_at(t) == 0 for t in range(1, 4))
 
     def test_hand_traced_reference(self):
         target = table_of({b"b": 3, b"a": 1})
-        curve = cross_curve(GuessOrdering(guesses=[b"a", b"b"]), target, METRIC_USERS)
+        curve = cross_curve(GuessOrdering(PasswordColumn([b"a", b"b"])), target, METRIC_USERS)
         assert [(t, curve.cumulative_at(t)) for t in (1, 2)] == [(1, 1), (2, 4)]
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
-            cross_curve(GuessOrdering(guesses=[]), table_of({b"a": 1}), METRIC_USERS)
+            cross_curve(GuessOrdering(PasswordColumn([])), table_of({b"a": 1}), METRIC_USERS)
 
     def test_distinct_bounded_by_t(self):
         target = table_of({b"a": 3, b"b": 2, b"c": 1})
-        reference = GuessOrdering(guesses=[b"z", b"a", b"b", b"q", b"c"])
+        reference = GuessOrdering(PasswordColumn([b"z", b"a", b"b", b"q", b"c"]))
         curve = cross_curve(reference, target, METRIC_DISTINCT)
         for t in range(1, 6):
             assert curve.cumulative_at(t) <= t
@@ -137,7 +138,7 @@ class TestCrossCurveJoin:
         with pytest.MonkeyPatch.context() as mp:
             if constant:
                 mp.setattr(column, "row_hashes", lambda column: np.zeros(len(column), np.uint64))
-            curve = cross_curve(GuessOrdering(guesses=reference), target, metric)
+            curve = cross_curve(GuessOrdering(PasswordColumn(reference)), target, metric)
         assert curve.cumulative.tolist() == _dict_join_cumulative(reference, target, metric)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -178,20 +179,30 @@ class TestCrossCurveJoin:
 
 
 class TestOrdering:
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            GuessOrdering(guesses=[b"a", b"a"])
+    def test_duplicates_rejected(self, monkeypatch):
+        # An ordering holds the guesses it is given; a cross curve would
+        # count a repeated guess's users twice, so it refuses one, also
+        # where every row hash collides.
+        reference = GuessOrdering(PasswordColumn([b"a", b"b", b"a"]))
+        target = table_of({b"a": 2, b"b": 1})
+        for constant in (False, True):
+            if constant:
+                monkeypatch.setattr(column, "row_hashes", lambda column: np.zeros(len(column), np.uint64))
+            for metric in (METRIC_USERS, METRIC_DISTINCT):
+                with pytest.raises(ValueError, match="duplicate"):
+                    cross_curve(reference, target, metric)
+            assert cross_curve(GuessOrdering(PasswordColumn([b"a", b"b"])), target).final_cumulative == 3
 
     def test_dictionary_dedupe_and_sort(self):
         ordering = dictionary_ordering([b"b", b"a", b"a"])
-        assert ordering.guesses == [b"a", b"b"]
+        assert list(ordering.guesses) == [b"a", b"b"]
 
     def test_dictionary_empty(self):
-        assert dictionary_ordering([]).guesses == []
+        assert list(dictionary_ordering([]).guesses) == []
 
     def test_dictionary_byte_order_uppercase_first(self):
         ordering = dictionary_ordering([b"zebra", b"Apple"])
-        assert ordering.guesses == [b"Apple", b"zebra"]
+        assert list(ordering.guesses) == [b"Apple", b"zebra"]
 
 
 class TestTruncateReaggregate:
@@ -284,15 +295,23 @@ class TestCurveExport:
 
     @settings(deadline=None)
     @given(
-        st.lists(st.tuples(st.integers(1, 3000), st.integers(0, 40)), max_size=10),
+        # A run of up to 10 steps of width 300 spans 1,000 blocks of 3 rows;
+        # only whole-block writes take steps of up to 3000.
+        st.sampled_from([1, 3, tsvio.WRITE_BLOCK]).flatmap(
+            lambda block: st.tuples(
+                st.just(block),
+                st.lists(
+                    st.tuples(st.integers(1, 3000 if block == tsvio.WRITE_BLOCK else 300), st.integers(0, 40)),
+                    max_size=10,
+                ),
+            )
+        ),
         st.sampled_from([0, 1, 7, 99_991, 10**6, 123_456_789, 10**12]),
         st.booleans(),
-        st.sampled_from([1, 3, tsvio.WRITE_BLOCK]),
     )
-    def test_bytes_match_percent_format(
-        self, tmp_path_factory, steps, denominator, log_spaced, block
-    ):
+    def test_bytes_match_percent_format(self, tmp_path_factory, block_and_steps, denominator, log_spaced):
         # Large denominators give fractions below 1e-4, which %.8g writes in exponent form.
+        block, steps = block_and_steps
         points, t, cum = [], 0, 0
         for dt, inc in steps:
             t, cum = t + dt, cum + inc

@@ -31,6 +31,7 @@ from mh_oracles import (
     RawStream,
     mh_session,
     reference_simulate,
+    report_fields,
 )
 
 
@@ -196,7 +197,7 @@ class TestWeights:
         probs = zipf_model(0.9, 200)
         passwords = [b"p%03d" % i for i in range(200)]
         weighted = simulate(probs, passwords, 2000, weights=np.ones(200), seed=3)
-        assert weighted == simulate(probs, passwords, 2000, seed=3)
+        assert report_fields(weighted) == report_fields(simulate(probs, passwords, 2000, seed=3))
 
     def test_bans_and_soft_bans(self):
         probs = zipf_model(1.0, 50)
@@ -207,7 +208,7 @@ class TestWeights:
         expected, _ = reference_simulate(
             probs, passwords, 3000, store=ExactCounter(), weights=weights, seed=4
         )
-        assert report == expected
+        assert report_fields(report) == report_fields(expected)
         accepted = dict(rows(report.accepted_table))
         assert b"p00" not in accepted
         # A weight of 1/4 on rank 2 cuts its accepted share well below its free share.
@@ -425,7 +426,7 @@ class TestCountType:
             _, store = _stores(sketch)
             with patch.object(mh_uniform, "count_type", lambda n_users, retry_cap: typecode):
                 reports.append(simulate(probs, passwords, 3000, store=store, seed=8))
-        assert reports[0] == reports[1]
+        assert report_fields(reports[0]) == report_fields(reports[1])
 
 
 def _traced_peak(probs, passwords, n_users, store, seed):
@@ -662,7 +663,7 @@ class TestSimulateMatchesSessionReference:
                 report = None
             else:
                 report = simulate(**case, store=store)
-                assert report == expected
+                assert report_fields(report) == report_fields(expected)
         _assert_counted(report, case["n_users"], counter, store, seen)
 
     def test_hash_evaluations_are_depth_per_distinct_rank(self):
@@ -672,7 +673,7 @@ class TestSimulateMatchesSessionReference:
         ref_report, seen = reference_simulate(probs, passwords, 3000, store=reference, seed=7)
         store = CountMinStore(width=1 << 12, depth=4, master_seed=7)
         report = simulate(probs, passwords, 3000, store=store, seed=7)
-        assert report == ref_report
+        assert report_fields(report) == report_fields(ref_report)
         assert store.hash_evaluations == 4 * seen.distinct_count
         # the bytes-keyed path hashes on every ask and every comparison query
         assert reference.hash_evaluations == 4 * (3000 + report.rejected_total + 3000 - 1)
@@ -705,7 +706,7 @@ class TestSimulateMatchesSessionReference:
         else:
             expected, _ = reference_simulate(probs, passwords, 3000, store=counter, seen=seen, **case)
             report = simulate(probs, passwords, 3000, store=store, **case)
-            assert report == expected
+            assert report_fields(report) == report_fields(expected)
         _assert_counted(report, 3000, counter, store, seen)
         # The seen ranks' counters: a rank is clean if, in some row, no other
         # seen rank shares its counter.
@@ -739,7 +740,7 @@ class TestSimulateMatchesSessionReference:
             store.offsets = offsets
         with patch.object(mh_uniform, "PROPOSAL_BATCH", batch):
             report = simulate(probs, passwords, n, store=store, weights=weights, seed=13)
-        assert report == expected
+        assert report_fields(report) == report_fields(expected)
         _assert_counted(report, n, counter, store, seen)
         if store is not None:
             # Counters went live in several batches, not all in the first.
