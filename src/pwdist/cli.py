@@ -254,8 +254,11 @@ def cmd_crack(args) -> tuple[dict, dict]:
     if args.corpus:
         corpus_format = args.format or ingest.FORMAT_PASSWORD_PER_LINE
         salt_count = CRACK_SALT_COUNT if args.salt_count is None else args.salt_count
-        with open(_input(args, args.corpus), "rb") as fh:
+        path = _input(args, args.corpus)
+        with open(path, "rb") as fh:
             latest, read_stats = ingest.read_credentials(fh, corpus_format)
+        if not latest:
+            raise ingest.CorpusError(f"corpus {path.name} has no usable line")
         # The credential dict is let go before the hashing, and the password
         # column once the corpus is hashed: the replay needs only the digests.
         users, passwords = PasswordColumn(latest), PasswordColumn(latest.values())
@@ -274,7 +277,10 @@ def cmd_crack(args) -> tuple[dict, dict]:
         for option, value in (("salt-count", args.salt_count), ("format", args.format)):
             if value is not None:
                 raise ValueError(f"{option} is read only with --corpus")
-        corpus = crack_mod.read_hashes_tsv(_input(args, args.hashes))
+        path = _input(args, args.hashes)
+        corpus = crack_mod.read_hashes_tsv(path)
+        if not len(corpus):
+            raise ingest.CorpusError(f"hashes file {path.name} has no rows")
     ordering = _ordering(args)
     if ordering is not None:
         report = crack_mod.crack(corpus, ordering)
@@ -317,7 +323,8 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
         s = MH_ZIPF_S if args.s is None else args.s
         n_ranks = MH_ZIPF_RANKS if args.n_ranks is None else args.n_ranks
         probs = stats.zipf_model(s, n_ranks)
-        passwords = mh_uniform.zipf_labels(np.arange(1, n_ranks + 1))
+        # simulate makes the Zipf labels of the ranks it reads.
+        passwords = None
         source_desc = {"source": "zipf", "s": s, "n_ranks": n_ranks}
     else:
         if not args.table:
@@ -336,9 +343,9 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
     if args.ban_file:
         # A banned rank weighs 0 and every other rank 1; a ban word that labels no rank is ignored.
         banned = frozenset(_read_words(_input(args, args.ban_file)))
-        weights = np.fromiter(
-            (pw not in banned for pw in passwords), dtype=np.float64, count=len(passwords)
-        )
+        labels = mh_uniform.zipf_labels(np.arange(1, len(probs) + 1)) if passwords is None else passwords
+        weights = np.fromiter((pw not in banned for pw in labels), dtype=np.float64, count=len(labels))
+        del labels
 
     report = mh_uniform.simulate(
         probs, passwords, args.n_users, store=store, weights=weights, seed=args.seed,

@@ -113,12 +113,13 @@ def table_from_counter(counts: Mapping[bytes, int], tie_break_seed: int = 0) -> 
 
 
 def rank_passwords(
-    passwords: list[bytes], values: np.ndarray, tie_break_seed: int = 0
+    passwords: list[bytes] | PasswordColumn, values: np.ndarray, tie_break_seed: int = 0
 ) -> RankFrequencyTable:
     """Distinct ``passwords``, ``passwords[i]`` used ``values[i]`` times, ranked as
     :func:`table_from_counter` ranks them.
 
-    The ranked column is joined one ``JOIN_BLOCK`` of rows at a time.
+    A column's ranked rows are gathered by :meth:`~PasswordColumn.take`; a
+    list's are joined one ``JOIN_BLOCK`` of rows at a time.
     """
     if not passwords:
         raise CorpusError("cannot rank an empty corpus")
@@ -130,6 +131,8 @@ def rank_passwords(
     del keys
     for a, b in clashes:
         order[a:b] = sorted(order[a:b].tolist(), key=passwords.__getitem__)
+    if isinstance(passwords, PasswordColumn):
+        return RankFrequencyTable(passwords=passwords.take(order), counts=ranked_values)
     ranked = chain.from_iterable(
         map(passwords.__getitem__, order[start : start + JOIN_BLOCK].tolist())
         for start in range(0, len(order), JOIN_BLOCK)

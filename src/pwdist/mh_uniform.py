@@ -113,6 +113,11 @@ def zipf_labels(ranks: np.ndarray) -> PasswordColumn:
     return PasswordColumn.from_pieces(pieces, lengths)
 
 
+def _zipf_labels_of_indices(ranks: np.ndarray) -> PasswordColumn:
+    """The :func:`zipf_labels` of rank indices: ``b"p%08d" % (r + 1)`` for each r."""
+    return zipf_labels(ranks + 1)
+
+
 def _raw_words(rng: np.random.Generator) -> tuple[Callable[[], int], Callable[[int], np.ndarray]]:
     """The raw 64-bit words of a fresh PCG64 ``Generator``, read in blocks.
 
@@ -192,7 +197,7 @@ def count_type(n_users: int, retry_cap: int) -> str:
 
 def simulate(
     probs: np.ndarray,
-    passwords: Sequence[bytes],
+    passwords: Sequence[bytes] | None,
     n_users: int,
     *,
     store: CountMinStore | None = None,
@@ -221,10 +226,13 @@ def simulate(
 
     ``passwords`` is any sequence of distinct labels, one per rank; that
     they are distinct is not checked. A ``PasswordColumn`` is used as
-    given, and any other sequence is joined into one. Sessions run over
-    rank indices, a rank standing for its label, and labels are read only
-    to hash a batch's fresh ranks into the sketch and to build the two
-    tables. The per-rank counts are sized by ``count_type``, which raises
+    given, and any other sequence is joined into one. ``None`` labels rank
+    index r ``b"p%08d" % (r + 1)``, the labels of :func:`zipf_labels`, made
+    only for the ranks that are read. Sessions run over rank indices, a
+    rank standing for its label, and labels are read only to hash a
+    batch's fresh ranks into the sketch and to build the two tables, both
+    through one function of rank indices. The per-rank counts are sized
+    by ``count_type``, which raises
     ``ValueError`` for a run whose counts could pass 2**63 - 1, and at most
     2**32 ranks are taken. F is exact with ``store=None``, else the
     count-min estimate of the sketch laid out by ``store``, whose
@@ -234,9 +242,13 @@ def simulate(
     counts_type = count_type(n_users, retry_cap)
     if len(probs) > 2**32:
         raise ValueError("simulate takes at most 2**32 ranks")
-    passwords = as_column(passwords)
-    if len(passwords) != len(probs):
-        raise ValueError("need exactly one password label per rank")
+    if passwords is None:
+        labels = _zipf_labels_of_indices
+    else:
+        passwords = as_column(passwords)
+        if len(passwords) != len(probs):
+            raise ValueError("need exactly one password label per rank")
+        labels = passwords.take
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(probs),):
@@ -246,13 +258,13 @@ def simulate(
         # The sessions read a rank's weight per ask as a float, with no copy.
         weights = memoryview(weights)
     accepted, free, asks_total, asks_sq = _run_sessions(
-        probs, passwords, n_users, store, weights, seed, retry_cap, counts_type
+        probs, labels, n_users, store, weights, seed, retry_cap, counts_type
     )
     mean = asks_total / n_users
     var = asks_sq / n_users - mean * mean
     return SimulationReport(
-        accepted_table=_table(accepted, passwords, seed),
-        free_table=_table(free, passwords, seed),
+        accepted_table=_table(accepted, labels, seed),
+        free_table=_table(free, labels, seed),
         mean_asks=mean,
         var_asks=max(var, 0.0),
         rejected_total=asks_total - n_users,
@@ -261,7 +273,7 @@ def simulate(
 
 def _run_sessions(
     probs: np.ndarray,
-    passwords: PasswordColumn,
+    labels: Callable[[np.ndarray], PasswordColumn],
     n_users: int,
     store: CountMinStore | None,
     weights: memoryview | None,
@@ -344,7 +356,7 @@ def _run_sessions(
             if not fresh.size:
                 return
             # A list: the sketch iterates the labels once per row.
-            fresh_offsets = store.offsets(list(passwords.take(fresh)))
+            fresh_offsets = store.offsets(list(labels(fresh)))
             old = len(hashed)
             hashed.extend(fresh.tolist())
             hashed_offsets.frombytes(fresh_offsets.tobytes())
@@ -454,11 +466,13 @@ def _run_sessions(
     return accepted, free, asks_total, asks_sq
 
 
-def _table(rank_counts: array, passwords: PasswordColumn, seed: int) -> RankFrequencyTable:
+def _table(
+    rank_counts: array, labels: Callable[[np.ndarray], PasswordColumn], seed: int
+) -> RankFrequencyTable:
     counts = np.frombuffer(rank_counts, dtype=rank_counts.typecode)
     ranks = np.flatnonzero(counts)
     # simulate's labels are distinct, so the counted ranks' labels are too.
-    return rank_passwords(list(passwords.take(ranks)), counts[ranks].astype(np.int64), seed)
+    return rank_passwords(labels(ranks), counts[ranks].astype(np.int64), seed)
 
 
 def write_summary_tsv(report: SimulationReport, path) -> None:

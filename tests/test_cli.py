@@ -481,6 +481,42 @@ class TestCrack:
     def test_crack_without_inputs_is_usage_error(self, tmp_path):
         assert main(["crack", "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "raw, corpus_format",
+        [
+            pytest.param(b"", "password-per-line", id="empty"),
+            pytest.param(b"\n \n\t\r\n", "password-per-line", id="blank-lines"),
+            pytest.param(b"alice\t \nbob\n", "user-tab-password", id="blank-and-malformed"),
+        ],
+    )
+    @pytest.mark.parametrize("wordlist", [False, True], ids=["hash-only", "wordlist"])
+    def test_corpus_without_usable_line_is_input_error(self, tmp_path, capsys, raw, corpus_format, wordlist):
+        blank = tmp_path / "blank.txt"
+        blank.write_bytes(raw)
+        words = tmp_path / "w.txt"
+        words.write_bytes(b"pw\n")
+        out = tmp_path / "out"
+        argv = ["crack", "--corpus", str(blank), "--format", corpus_format, "--out-dir", str(out)]
+        assert main(argv + ["--wordlist", str(words)] * wordlist) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("pwdist-error") == 1
+        assert "pwdist-error\tinput\tcorpus blank.txt has no usable line" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("rows", [b"", b"\n\r\n"], ids=["header-only", "blank-rows"])
+    def test_hashes_without_rows_is_input_error(self, tmp_path, capsys, rows):
+        hashes = tmp_path / "hashes.tsv"
+        hashes.write_bytes(b"user\tsalt-hex\tdigest-hex\n" + rows)
+        words = tmp_path / "w.txt"
+        words.write_bytes(b"pw\n")
+        out = tmp_path / "out"
+        code = main(["crack", "--hashes", str(hashes), "--wordlist", str(words), "--out-dir", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("pwdist-error") == 1
+        assert "pwdist-error\tinput\thashes file hashes.tsv has no rows" in err
+        assert list(out.iterdir()) == []
+
     def test_ordering_with_wordlist_is_usage_error(self, tmp_path, corpus, capsys):
         table = ingest_table(tmp_path, corpus)
         words = tmp_path / "words.txt"

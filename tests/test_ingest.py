@@ -21,6 +21,7 @@ from pwdist.ingest import (
     RankFrequencyTable,
     cap_ranks,
     count_of_counts,
+    rank_passwords,
     read_credentials,
     read_table_tsv,
     stream_table,
@@ -344,15 +345,22 @@ class TestTableTsv:
             read_table_tsv(path)
 
 
+def ranked_both_ways(counts: dict[bytes, int], seed: int = 0) -> list[RankFrequencyTable]:
+    """``counts`` ranked from a list of its passwords, by ``table_from_counter``,
+    and from a column of them, which ``rank_passwords`` gathers by ``take``."""
+    values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    return [table_from_counter(counts, seed), rank_passwords(PasswordColumn(counts), values, seed)]
+
+
 class TestTableFromCounter:
     @given(
         st.dictionaries(st.binary(max_size=4), st.integers(1, 5), min_size=1, max_size=40),
         st.integers(-5, 2**65),
     )
     def test_matches_tuple_sort(self, counts, seed):
-        table = table_from_counter(counts, tie_break_seed=seed)
-        assert rows(table) == oracle.rank_rows(counts, seed)
-        assert table.total_users == sum(counts.values())
+        for table in ranked_both_ways(counts, seed):
+            assert rows(table) == oracle.rank_rows(counts, seed)
+            assert table.total_users == sum(counts.values())
 
     @given(
         st.dictionaries(st.binary(max_size=4), st.integers(1, 5), min_size=1, max_size=40),
@@ -363,15 +371,26 @@ class TestTableFromCounter:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(column, "JOIN_BLOCK", block)
             mp.setattr(tsvio, "WRITE_BLOCK", block)
-            table = table_from_counter(counts, tie_break_seed=9)
-        assert rows(table) == oracle.rank_rows(counts, 9)
+            tables = ranked_both_ways(counts, 9)
+        for table in tables:
+            assert rows(table) == oracle.rank_rows(counts, 9)
 
     def test_equal_tie_keys_fall_back_to_password_bytes(self, monkeypatch):
         monkeypatch.setattr(
             ingest, "keyed_hashes", lambda passwords, seed: np.zeros(len(passwords), dtype=np.uint64)
         )
-        table = table_from_counter({b"b": 1, b"a": 1, b"c": 2, b"d": 1, b"e": 2})
-        assert rows(table) == [(b"c", 2), (b"e", 2), (b"a", 1), (b"b", 1), (b"d", 1)]
+        for table in ranked_both_ways({b"b": 1, b"a": 1, b"c": 2, b"d": 1, b"e": 2}):
+            assert rows(table) == [(b"c", 2), (b"e", 2), (b"a", 1), (b"b", 1), (b"d", 1)]
+
+    @given(st.dictionaries(st.binary(max_size=4), st.integers(1, 3), min_size=1, max_size=40))
+    def test_column_ranks_as_list_under_constant_tie_keys(self, counts):
+        # Every tie run is sorted by password bytes, read from the column by row.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                ingest, "keyed_hashes", lambda passwords, seed: np.zeros(len(passwords), dtype=np.uint64)
+            )
+            listed, columned = ranked_both_ways(counts)
+        assert rows(columned) == rows(listed) == oracle.rank_rows(counts, key=lambda password, seed: 0)
 
     @given(st.dictionaries(st.binary(max_size=3), st.integers(1, 3), min_size=1, max_size=30))
     def test_partly_equal_tie_keys_match_tuple_sort(self, counts):
@@ -384,8 +403,9 @@ class TestTableFromCounter:
                 "keyed_hashes",
                 lambda passwords, seed: np.array([len(p) % 2 for p in passwords], dtype=np.uint64),
             )
-            table = table_from_counter(counts)
-        assert rows(table) == oracle.rank_rows(counts, key=parity)
+            tables = ranked_both_ways(counts)
+        for table in tables:
+            assert rows(table) == oracle.rank_rows(counts, key=parity)
 
 
 class TestLineRule:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwdist import mh_uniform
+from pwdist.cli import main
 from pwdist.mh_uniform import (
     DEFAULT_RETRY_CAP,
     MAX_COUNTERS,
@@ -388,6 +389,62 @@ class TestZipfLabels:
         assert len(zipf_labels(np.arange(0))) == 0
         with pytest.raises(ValueError):
             zipf_labels(np.array([3, -1]))
+
+
+class TestZipfLabelsOnDemand:
+    """``simulate(probs, None, ...)`` makes the Zipf label of a rank only when it reads it."""
+
+    @pytest.mark.parametrize(
+        "banned, retry_cap",
+        [
+            pytest.param(0, DEFAULT_RETRY_CAP, id="no-weights"),
+            pytest.param(3, DEFAULT_RETRY_CAP, id="weights"),
+            pytest.param(20, 5, id="banned-exhaustion"),
+        ],
+    )
+    @pytest.mark.parametrize("sketch", [None, {"width": 1 << 11, "depth": 3, "master_seed": 3}])
+    def test_same_report_as_every_label_laid_out(self, sketch, banned, retry_cap):
+        n = 4000
+        probs = zipf_model(0.7, n)
+        labels = zipf_labels(np.arange(1, n + 1))
+        weights = ban_weights(labels, banned=set(labels[:banned])) if banned else None
+        outcomes = []
+        for passwords in (labels, None):
+            _, store = _stores(sketch)
+            try:
+                report = simulate(
+                    probs, passwords, 3000, store=store, weights=weights, seed=5, retry_cap=retry_cap
+                )
+                fields = report_fields(report)
+            except BannedExhaustionError:
+                fields = None
+            outcomes.append((fields, None if store is None else store.hash_evaluations))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] is None) == (retry_cap == 5)
+
+    @pytest.mark.parametrize(
+        "backend, simulate_bound",
+        [pytest.param("exact", 24.0, id="exact"), pytest.param("count-min", 30.0, id="count-min")],
+    )
+    def test_no_label_bytes_per_rank(self, tmp_path, backend, simulate_bound):
+        # 10**6 ranks that 3,000 users barely touch, traced through the
+        # mh-sim stage and then through simulate alone. A label for every
+        # rank costs 17 B/rank: 9 bytes and an 8-byte offset. The stage,
+        # whose peak also holds the probabilities, measured 30.4 (exact) and
+        # 32.8 B/rank (count-min), against 49.3 and 49.8 when it laid out
+        # every label; simulate measured 21.4 and 26.6 B/rank (2**12 x 4).
+        n_ranks = 10**6
+        argv = ["mh-sim", "--backend", backend, "--n-ranks", str(n_ranks), "--n-users", "3000"]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n_ranks < 40.0
+        probs = zipf_model(0.78, n_ranks)
+        store = CountMinStore(1 << 12, 4, 1) if backend == "count-min" else None
+        assert _traced_peak(probs, None, 3000, store, seed=1) / n_ranks < simulate_bound
 
 
 class TestCountType:
