@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, ingest, tsvio
 
 EXIT_OK = 0
@@ -339,16 +337,9 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
         del table
         source_desc = {"source": "table", "table": table_path.name}
 
-    weights = None
-    if args.ban_file:
-        # A banned rank weighs 0 and every other rank 1; a ban word that labels no rank is ignored.
-        banned = frozenset(_read_words(_input(args, args.ban_file)))
-        labels = mh_uniform.zipf_labels(np.arange(1, len(probs) + 1)) if passwords is None else passwords
-        weights = np.fromiter((pw not in banned for pw in labels), dtype=np.float64, count=len(labels))
-        del labels
-
+    banned = _read_words(_input(args, args.ban_file)) if args.ban_file else ()
     report = mh_uniform.simulate(
-        probs, passwords, args.n_users, store=store, weights=weights, seed=args.seed,
+        probs, passwords, args.n_users, store=store, banned=banned, seed=args.seed,
         retry_cap=args.retry_cap,
     )
     ingest.write_table_tsv(report.accepted_table, _stage(args, "accepted.tsv"))

@@ -15,17 +15,17 @@ number of counters; ``CountMinStore`` is the sketch's layout. Either way
 ``simulate`` counts each rank's proposals exactly, for the length of the
 run, and keeps sketch counters only for the few ranks that share a
 counter in every row.
-Per-rank weights in [0, 1] generalise the rule to banned (weight 0) and
-soft-banned (weight below 1) passwords via the usual acceptance ratio;
-with no weights, which is all ones, the rule is exactly u <= F(x).
+A set of banned passwords extends the rule: a banned proposal is never
+accepted, and a banned comparison password accepts every proposal that is
+not banned; with no bans the rule is exactly u <= F(x).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Callable, Iterator, Sequence
+from itertools import chain, compress, islice
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def simulate(
     n_users: int,
     *,
     store: CountMinStore | None = None,
-    weights: np.ndarray | Sequence[float] | None = None,
+    banned: Collection[bytes] = (),
     seed: int = 0,
     retry_cap: int = DEFAULT_RETRY_CAP,
 ) -> SimulationReport:
@@ -220,22 +220,23 @@ def simulate(
     flatten, rather than only cap, the head. x and F(x) are fixed for the
     session. Each proposal x' is counted whether or not it is accepted; u
     is uniform on [0, F(x')] from before the increment, and x' is accepted
-    when u * w(x) <= F(x) * w(x'), w being ``weights``, one per rank in
-    [0, 1], or 1 for every rank if None. A session that reaches
-    ``retry_cap`` asks raises ``BannedExhaustionError``.
+    when u <= F(x). A password in ``banned``, any collection of bytes, is
+    never accepted and draws no u; a session whose x is banned accepts its
+    first x' that is not. A session that reaches ``retry_cap`` asks raises
+    ``BannedExhaustionError``.
 
     ``passwords`` is any sequence of distinct labels, one per rank; that
     they are distinct is not checked. A ``PasswordColumn`` is used as
     given, and any other sequence is joined into one. ``None`` labels rank
     index r ``b"p%08d" % (r + 1)``, the labels of :func:`zipf_labels`, made
     only for the ranks that are read. Sessions run over rank indices, a
-    rank standing for its label, and labels are read only to hash a
-    batch's fresh ranks into the sketch and to build the two tables, both
-    through one function of rank indices. The per-rank counts are sized
-    by ``count_type``, which raises
-    ``ValueError`` for a run whose counts could pass 2**63 - 1, and at most
-    2**32 ranks are taken. F is exact with ``store=None``, else the
-    count-min estimate of the sketch laid out by ``store``, whose
+    rank standing for its label, and labels are read only for a batch's
+    fresh ranks, to check them against ``banned`` and to hash them into
+    the sketch, and to build the two tables, all through one function of
+    rank indices. The per-rank counts are sized by ``count_type``, which
+    raises ``ValueError`` for a run whose counts could pass 2**63 - 1, and
+    at most 2**32 ranks are taken. F is exact with ``store=None``, else
+    the count-min estimate of the sketch laid out by ``store``, whose
     ``hash_evaluations`` grows by its depth per distinct proposed rank,
     also when a session raises.
     """
@@ -249,16 +250,8 @@ def simulate(
         if len(passwords) != len(probs):
             raise ValueError("need exactly one password label per rank")
         labels = passwords.take
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (len(probs),):
-            raise ValueError("need exactly one weight per rank")
-        if not np.all((weights >= 0.0) & (weights <= 1.0)):
-            raise ValueError("weights must be in [0, 1]")
-        # The sessions read a rank's weight per ask as a float, with no copy.
-        weights = memoryview(weights)
     accepted, free, asks_total, asks_sq = _run_sessions(
-        probs, labels, n_users, store, weights, seed, retry_cap, counts_type
+        probs, labels, n_users, store, frozenset(banned), seed, retry_cap, counts_type
     )
     mean = asks_total / n_users
     var = asks_sq / n_users - mean * mean
@@ -276,7 +269,7 @@ def _run_sessions(
     labels: Callable[[np.ndarray], PasswordColumn],
     n_users: int,
     store: CountMinStore | None,
-    weights: memoryview | None,
+    banned: frozenset[bytes],
     seed: int,
     retry_cap: int,
     counts_type: str,
@@ -293,10 +286,12 @@ def _run_sessions(
     draws, the low half of a fresh word first and its high half kept for
     the next one.
 
-    With a sketch, each rank's key is hashed once, with the other new
-    ranks of the first proposal batch that holds it. All counters start at
-    0, so a rank that is alone on a counter in some row is estimated by its
-    own count, as that row's counter would give; counters are kept only
+    A rank is labelled once, with the other fresh (never proposed) ranks
+    of the first proposal batch that holds it, before any of them is
+    proposed: its label is checked against ``banned`` and, with a sketch,
+    hashed into it. All sketch counters start at 0, so a rank that is
+    alone on a counter in some row is estimated by its own count, as that
+    row's counter would give; counters are kept only
     for the other ranks, which take the min over their rows. The layout
     costs one byte per counter, its state: no hashed rank is on it, one
     is, several are, or several are and it is kept (live). The hashed
@@ -314,7 +309,7 @@ def _run_sessions(
     seen = array("I")
     is_seen = bytearray(n_ranks)
     counts = array(counts_type, [0]) * n_ranks
-    on_batch = None
+    banned_ranks: set[int] = set()
     if sketch:
         depth = store.depth
         # Each counter's state: EMPTY, ONE, SEVERAL or LIVE.
@@ -331,7 +326,6 @@ def _run_sessions(
         reads: dict[int, list[int]] = {}
         live: list[int] = []
         live_index: dict[int, int] = {}
-        seen_flags = np.frombuffer(is_seen, dtype=np.uint8)  # a view: is_seen as it stands
 
         def join(ranks: np.ndarray, counters: np.ndarray) -> None:
             """Put each rank on the live counter beside it in ``counters``."""
@@ -348,15 +342,8 @@ def _run_sessions(
                 hits = np.flatnonzero(state.take(block) >= MARKED)
                 yield start + hits // depth, block[hits]
 
-        def on_batch(ranks: np.ndarray) -> None:
-            # Every rank of the earlier batches has been proposed by now, so
-            # the ranks not seen yet are the ones not hashed yet.
-            fresh = np.sort(ranks[seen_flags[ranks] == 0])
-            fresh = fresh[np.diff(fresh, prepend=-1) != 0]
-            if not fresh.size:
-                return
-            # A list: the sketch iterates the labels once per row.
-            fresh_offsets = store.offsets(list(labels(fresh)))
+        def hash_fresh(fresh: np.ndarray, fresh_labels: list[bytes]) -> None:
+            fresh_offsets = store.offsets(fresh_labels)
             old = len(hashed)
             hashed.extend(fresh.tolist())
             hashed_offsets.frombytes(fresh_offsets.tobytes())
@@ -399,6 +386,24 @@ def _run_sessions(
                     join(ranks_at[positions], went_live)
                 state[counters] = LIVE
 
+    on_batch = None
+    if sketch or banned:
+        seen_flags = np.frombuffer(is_seen, dtype=np.uint8)  # a view: is_seen as it stands
+
+        def on_batch(ranks: np.ndarray) -> None:
+            # Every rank of the earlier batches has been proposed by now, so
+            # the ranks not seen yet are the ones not labelled yet.
+            fresh = np.sort(ranks[seen_flags[ranks] == 0])
+            fresh = fresh[np.diff(fresh, prepend=-1) != 0]
+            if not fresh.size:
+                return
+            # A list: the sketch iterates the labels once per row.
+            fresh_labels = list(labels(fresh))
+            if banned:
+                banned_ranks.update(compress(fresh.tolist(), map(banned.__contains__, fresh_labels)))
+            if sketch:
+                hash_fresh(fresh, fresh_labels)
+
     take = _proposal_ranks(probs, randoms, PROPOSAL_BATCH, on_batch).__next__
     accepted = array(counts_type, [0]) * n_ranks
     free = array(counts_type, [0]) * n_ranks
@@ -431,7 +436,7 @@ def _run_sessions(
                     fx = min(map(live.__getitem__, reads[x]))
                 else:
                     fx = counts[x]
-                wx = 1.0 if weights is None else weights[x]
+                wx = 0.0 if x in banned_ranks else 1.0
             else:
                 fx = 0
                 wx = 1.0
@@ -450,7 +455,7 @@ def _run_sessions(
                             f_prop = min(map(live.__getitem__, row_reads))
                         for i in row_reads:
                             live[i] += 1
-                w_prop = 1.0 if weights is None else weights[rank]
+                w_prop = 0.0 if rank in banned_ranks else 1.0
                 if w_prop > 0.0 and (next_word() >> 11) * 2.0**-53 * f_prop * wx <= fx * w_prop:
                     break
                 if asks >= retry_cap:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import RankFrequencyTable
+from .tsvio import NumericError
 
 KIND_EMPIRICAL = "empirical"
 KIND_UNIFORM = "uniform"
@@ -52,11 +53,13 @@ def zipf_model(s: float, n: int) -> np.ndarray:
     """P_i = K * i^-s over ranks 1..n, K the normalising constant."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not s >= 0.0:
-        raise ValueError("s must be >= 0")
+    if not 0.0 <= s < np.inf:
+        raise ValueError("s must be >= 0 and finite")
     probs = np.arange(1, n + 1, dtype=np.float64)
     np.power(probs, -s, out=probs)
     probs *= 1.0 / float(probs.sum())
+    if not probs[-1] > 0.0:
+        raise NumericError(f"Zipf probabilities underflow to 0 at s={s}, n={n}")
     return check_probs(probs)
 
 

@@ -7,7 +7,7 @@ row. These are the straightforward versions it must match draw for draw:
 frequency counters keyed by password bytes with one ``increment`` per ask
 and one ``query`` per comparison, a proposal log of the distinct passwords
 seen, and one ``mh_session`` per user that calls the ``Generator`` itself,
-looking weights up by password. ``RawStream`` is the replay of the
+looking bans up by password. ``RawStream`` is the replay of the
 ``Generator``'s draws from its raw words, one method per kind of draw,
 that ``simulate``'s session loop does inline.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Mapping
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -188,7 +188,7 @@ def mh_session(
     proposals: Iterator[bytes],
     rng: np.random.Generator,
     *,
-    weights: Mapping[bytes, float] | None = None,
+    banned: Collection[bytes] = (),
     retry_cap: int = DEFAULT_RETRY_CAP,
 ) -> SessionOutcome:
     """Run one user's enrolment until a proposal is accepted.
@@ -196,25 +196,22 @@ def mh_session(
     The comparison password x and its frequency snapshot are fixed for the
     whole session; each proposal x' is recorded and counted whether or not
     it is accepted. The acceptance draw u is uniform on [0, F(x')] taken
-    before the increment, and the weighted rule accepts when
-    u * w(x) <= F(x) * w(x'), w(x) being ``weights[x]``, or 1 if x has
-    no entry or ``weights`` is None. A fresh store accepts the first
-    proposal in one ask (u = 0 <= 0).
+    before the increment, and the rule accepts when u * w(x) <= F(x) * w(x'),
+    w(x) being 0 if x is in ``banned`` and 1 if not. A fresh store accepts
+    the first proposal in one ask (u = 0 <= 0).
 
     Raises BannedExhaustionError after ``retry_cap`` asks, or when the
     proposals run out.
     """
-    if weights is None:
-        weights = {}
     x = seen.sample_distinct(rng)
     fx = store.query(x) if x is not None else 0
-    wx = weights.get(x, 1.0) if x is not None else 1.0
+    wx = 0.0 if x in banned else 1.0
     asks = 0
     for proposal in proposals:
         asks += 1
         f_prop = store.increment(proposal)
         seen.record(proposal)
-        w_prop = weights.get(proposal, 1.0)
+        w_prop = 0.0 if proposal in banned else 1.0
         if w_prop > 0.0:
             u = rng.random() * f_prop
             if u * wx <= fx * w_prop:
@@ -233,19 +230,17 @@ def reference_proposals(probs, passwords, rng, batch):
             yield passwords[rank]
 
 
-def reference_simulate(probs, passwords, n_users, *, store, weights=None, seed=0,
+def reference_simulate(probs, passwords, n_users, *, store, banned=(), seed=0,
                        retry_cap=DEFAULT_RETRY_CAP, batch=PROPOSAL_BATCH, seen=None):
     """``mh_session`` per user over a bytes-keyed counter: what ``simulate`` must match.
 
-    ``weights``, one per rank or None, are looked up by password. Returns
+    ``banned`` is any collection of passwords, looked up by password. Returns
     the report and the proposal log; ``seen``, if given, is the log to
     record into, which a caller can read after a ``BannedExhaustionError``.
     """
     rng = np.random.default_rng(seed)
     if seen is None:
         seen = ProposalLog()
-    if weights is not None:
-        weights = dict(zip(passwords, np.asarray(weights, dtype=np.float64).tolist()))
     proposals = reference_proposals(probs, passwords, rng, batch)
     accepted: Counter[bytes] = Counter()
     free: Counter[bytes] = Counter()
@@ -255,7 +250,7 @@ def reference_simulate(probs, passwords, n_users, *, store, weights=None, seed=0
         first = next(proposals)
         free[first] += 1
         outcome = mh_session(
-            store, seen, chain((first,), proposals), rng, weights=weights, retry_cap=retry_cap
+            store, seen, chain((first,), proposals), rng, banned=banned, retry_cap=retry_cap
         )
         accepted[outcome.accepted_password] += 1
         asks_total += outcome.asks

@@ -40,6 +40,19 @@ def ingest_table(tmp_path, corpus, name="t"):
     return out / "table.tsv"
 
 
+def _exponent_argv(tmp_path, corpus, argv, config_line, out):
+    """``argv`` with a source for its stage, ``config_line`` as a config file if given, and ``out``."""
+    if argv[0] == "stats":
+        argv = [*argv, "--table", str(ingest_table(tmp_path, corpus))]
+    else:
+        argv = [*argv, "--n-users", "100", "--n-ranks", "50"]
+    if config_line is not None:
+        config = tmp_path / "sim.cfg"
+        config.write_text(config_line + "\n")
+        argv += ["--config", str(config)]
+    return [*argv, "--out-dir", str(out)]
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -84,17 +97,31 @@ class TestExitCodes:
     )
     def test_nan_exponent_is_usage_error(self, tmp_path, corpus, capsys, argv, config_line):
         # Every comparison with NaN is false, so the range checks must be written to fail on it.
-        if argv[0] == "stats":
-            argv = [*argv, "--table", str(ingest_table(tmp_path, corpus))]
-        else:
-            argv = [*argv, "--n-users", "100", "--n-ranks", "50"]
-        if config_line is not None:
-            config = tmp_path / "sim.cfg"
-            config.write_text(config_line + "\n")
-            argv += ["--config", str(config)]
         out = tmp_path / "out"
-        assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE
+        assert main(_exponent_argv(tmp_path, corpus, argv, config_line, out)) == EXIT_USAGE
         assert "pwdist-error\tusage\ts must be >= 0" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "s, code, message",
+        [
+            ("inf", EXIT_USAGE, "usage\ts must be >= 0 and finite"),
+            # 50**-2000 is far below the smallest double.
+            ("2000", EXIT_NUMERIC, "numeric\tZipf probabilities underflow to 0 at s=2000.0, n="),
+        ],
+        ids=["inf", "underflow"],
+    )
+    @pytest.mark.parametrize("where", ["stats-flag", "mh-sim-flag", "mh-sim-config"])
+    def test_exponent_out_of_range(self, tmp_path, corpus, capsys, s, code, message, where):
+        argv, config_line = {
+            "stats-flag": (["stats", "--s", s], None),
+            "mh-sim-flag": (["mh-sim", "--s", s], None),
+            "mh-sim-config": (["mh-sim"], f"s = {s}"),
+        }[where]
+        out = tmp_path / "out"
+        assert main(_exponent_argv(tmp_path, corpus, argv, config_line, out)) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"pwdist-error\t{message}") and err.count("\n") == 1
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
@@ -790,21 +817,28 @@ class TestMhSim:
     def test_ban_file(self, tmp_path):
         ban = tmp_path / "banned.txt"
         ban.write_bytes(b"p00000001\n")
-        out = tmp_path / "sim"
-        code = main(
-            [
-                "mh-sim",
-                "--source", "zipf",
-                "--s", "1.0",
-                "--n-ranks", "50",
-                "--n-users", "800",
-                "--ban-file", str(ban),
-                "--out-dir", str(out),
-                "--seed", "2",
-            ]
-        )
-        assert code == EXIT_OK
-        assert b"\tp00000001" not in (out / "accepted.tsv").read_bytes()
+        # A word listed twice, or one that labels no rank, changes nothing.
+        ban_twice = tmp_path / "banned-twice.txt"
+        ban_twice.write_bytes(b"p00000001\nnot-a-label\np00000001\np00000051\n")
+        outputs = []
+        for path in (ban, ban_twice):
+            out = tmp_path / path.stem
+            code = main(
+                [
+                    "mh-sim",
+                    "--source", "zipf",
+                    "--s", "1.0",
+                    "--n-ranks", "50",
+                    "--n-users", "800",
+                    "--ban-file", str(path),
+                    "--out-dir", str(out),
+                    "--seed", "2",
+                ]
+            )
+            assert code == EXIT_OK
+            assert b"\tp00000001" not in (out / "accepted.tsv").read_bytes()
+            outputs.append([(out / name).read_bytes() for name in ("accepted.tsv", "free.tsv", "summary.tsv")])
+        assert outputs[0] == outputs[1]
 
     def test_retry_cap_below_one_is_usage_error(self, tmp_path, capsys):
         args = ["mh-sim", "--source", "zipf", "--s", "1.0", "--n-ranks", "50", "--n-users", "800"]

@@ -172,49 +172,32 @@ class TestIncrementReturnsPriorEstimate:
         assert int(store.counters.sum()) == store.depth
 
 
-def ban_weights(passwords, banned=(), soft=None):
-    """One weight per rank: 0 for a banned label, else its ``soft`` weight, else 1."""
-    soft = soft or {}
-    return np.array([0.0 if pw in banned else soft.get(pw, 1.0) for pw in passwords])
+class TestBans:
+    """``simulate`` takes the banned passwords, any collection of bytes."""
 
-
-class TestWeights:
-    """``simulate`` takes one weight per rank, each in [0, 1]."""
-
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            pytest.param([1.0, 1.0], id="wrong-length"),
-            pytest.param([1.0, 1.5, 1.0], id="above-one"),
-            pytest.param([1.0, -0.5, 1.0], id="below-zero"),
-            pytest.param([1.0, np.nan, 1.0], id="nan"),
-        ],
-    )
-    def test_bad_weights_rejected(self, weights):
-        with pytest.raises(ValueError, match="weight"):
-            simulate(uniform_model(3), [b"a", b"b", b"c"], 10, weights=np.array(weights))
-
-    def test_all_ones_is_no_weights(self):
+    def test_empty_ban_set_is_no_ban(self):
         probs = zipf_model(0.9, 200)
         passwords = [b"p%03d" % i for i in range(200)]
-        weighted = simulate(probs, passwords, 2000, weights=np.ones(200), seed=3)
-        assert report_fields(weighted) == report_fields(simulate(probs, passwords, 2000, seed=3))
+        expected = report_fields(simulate(probs, passwords, 2000, seed=3))
+        for banned in ([], frozenset()):
+            assert report_fields(simulate(probs, passwords, 2000, banned=banned, seed=3)) == expected
 
-    def test_bans_and_soft_bans(self):
+    def test_bans_match_reference(self):
+        # Repeated words and words that label no rank change nothing.
         probs = zipf_model(1.0, 50)
         passwords = [b"p%02d" % i for i in range(50)]
-        weights = ban_weights(passwords, banned=[b"p00"], soft={b"p01": 0.25})
-        assert weights[:3].tolist() == [0.0, 0.25, 1.0]
-        report = simulate(probs, passwords, 3000, weights=weights, seed=4)
+        banned = [b"p00", b"p03", b"p00", b"p99", b""]
+        report = simulate(probs, passwords, 3000, banned=banned, seed=4)
         expected, _ = reference_simulate(
-            probs, passwords, 3000, store=ExactCounter(), weights=weights, seed=4
+            probs, passwords, 3000, store=ExactCounter(), banned=banned, seed=4
         )
         assert report_fields(report) == report_fields(expected)
+        assert report_fields(report) == report_fields(
+            simulate(probs, passwords, 3000, banned={b"p03", b"p00"}, seed=4)
+        )
         accepted = dict(rows(report.accepted_table))
-        assert b"p00" not in accepted
-        # A weight of 1/4 on rank 2 cuts its accepted share well below its free share.
-        free = dict(rows(report.free_table))
-        assert accepted[b"p01"] / accepted[b"p02"] < free[b"p01"] / free[b"p02"]
+        assert b"p00" not in accepted and b"p03" not in accepted
+        assert b"p02" in accepted and b"p04" in accepted
 
 
 class TestProposalLog:
@@ -282,8 +265,7 @@ class TestSession:
         store = ExactCounter()
         log = ProposalLog()
         rng = np.random.default_rng(3)
-        weights = {b"banned": 0.0}
-        outcome = mh_session(store, log, iter([b"banned", b"ok"]), rng, weights=weights)
+        outcome = mh_session(store, log, iter([b"banned", b"ok"]), rng, banned={b"banned"})
         assert outcome.accepted_password == b"ok"
         assert outcome.asks == 2
 
@@ -291,10 +273,9 @@ class TestSession:
         store = ExactCounter()
         log = ProposalLog()
         rng = np.random.default_rng(3)
-        weights = {b"bad": 0.0}
         stream = iter(lambda: b"bad", None)  # endless banned proposals
         with pytest.raises(BannedExhaustionError):
-            mh_session(store, log, stream, rng, weights=weights, retry_cap=10)
+            mh_session(store, log, stream, rng, banned={b"bad"}, retry_cap=10)
         assert store.query(b"bad") == 10  # every ask recorded before rejection
 
     def test_exhausted_stream_raises(self):
@@ -357,8 +338,7 @@ class TestSimulate:
     def test_banned_password_absent_from_accepted_table(self):
         probs = zipf_model(1.0, 50)
         passwords = [b"p%02d" % i for i in range(50)]
-        weights = ban_weights(passwords, banned=[passwords[0]])
-        report = simulate(probs, passwords, 3000, weights=weights, seed=4)
+        report = simulate(probs, passwords, 3000, banned=[passwords[0]], seed=4)
         accepted = dict(rows(report.accepted_table))
         assert passwords[0] not in accepted
         assert passwords[0] in dict(rows(report.free_table))
@@ -407,13 +387,12 @@ class TestZipfLabelsOnDemand:
         n = 4000
         probs = zipf_model(0.7, n)
         labels = zipf_labels(np.arange(1, n + 1))
-        weights = ban_weights(labels, banned=set(labels[:banned])) if banned else None
         outcomes = []
         for passwords in (labels, None):
             _, store = _stores(sketch)
             try:
                 report = simulate(
-                    probs, passwords, 3000, store=store, weights=weights, seed=5, retry_cap=retry_cap
+                    probs, passwords, 3000, store=store, banned=labels[:banned], seed=5, retry_cap=retry_cap
                 )
                 fields = report_fields(report)
             except BannedExhaustionError:
@@ -428,20 +407,26 @@ class TestZipfLabelsOnDemand:
     )
     def test_no_label_bytes_per_rank(self, tmp_path, backend, simulate_bound):
         # 10**6 ranks that 3,000 users barely touch, traced through the
-        # mh-sim stage and then through simulate alone. A label for every
-        # rank costs 17 B/rank: 9 bytes and an 8-byte offset. The stage,
-        # whose peak also holds the probabilities, measured 30.4 (exact) and
-        # 32.8 B/rank (count-min), against 49.3 and 49.8 when it laid out
-        # every label; simulate measured 21.4 and 26.6 B/rank (2**12 x 4).
+        # mh-sim stage, without and with a one-word ban file, and then
+        # through simulate alone. A label for every rank costs 17 B/rank: 9
+        # bytes and an 8-byte offset. The stage, whose peak also holds the
+        # probabilities, measured 30.4 (exact) and 32.8 B/rank (count-min)
+        # either way, against 49.3 and 49.8 when it laid out every label,
+        # and 49.1 with the ban when a ban laid out every label and a
+        # float64 weight per rank; simulate measured 21.4 and 26.6 B/rank
+        # (2**12 x 4).
         n_ranks = 10**6
+        ban = tmp_path / "ban.txt"
+        ban.write_bytes(b"p00000001\n")
         argv = ["mh-sim", "--backend", backend, "--n-ranks", str(n_ranks), "--n-users", "3000"]
-        tracemalloc.start()
-        try:
-            assert main([*argv, "--seed", "1", "--out-dir", str(tmp_path)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / n_ranks < 40.0
+        for extra in ([], ["--ban-file", str(ban)]):
+            tracemalloc.start()
+            try:
+                assert main([*argv, *extra, "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / n_ranks < 40.0, extra
         probs = zipf_model(0.78, n_ranks)
         store = CountMinStore(1 << 12, 4, 1) if backend == "count-min" else None
         assert _traced_peak(probs, None, 3000, store, seed=1) / n_ranks < simulate_bound
@@ -556,19 +541,8 @@ def simulations(draw):
     probs = draw(
         st.sampled_from([zipf_model(1.1, n_ranks), zipf_model(0.5, n_ranks), uniform_model(n_ranks)])
     )
-    labels = st.lists(st.sampled_from(LABELS), max_size=3)
-    weights = draw(
-        st.one_of(
-            st.none(),
-            st.builds(ban_weights, st.just(passwords), banned=labels),
-            st.builds(
-                ban_weights,
-                st.just(passwords),
-                banned=labels,
-                soft=st.dictionaries(st.sampled_from(LABELS), st.sampled_from([0.1, 0.5, 0.9])),
-            ),
-        )
-    )
+    # Bans from all the labels, so a ban may repeat a word or name one that labels no rank.
+    banned = draw(st.lists(st.sampled_from(LABELS), max_size=4))
     sketch = draw(
         st.one_of(
             st.none(),
@@ -585,7 +559,7 @@ def simulations(draw):
         probs=probs,
         passwords=passwords,
         n_users=draw(st.integers(1, 80)),
-        weights=weights,
+        banned=banned,
         seed=draw(st.integers(0, 2**32 - 1)),
         retry_cap=draw(st.sampled_from([1, 2, 3, 5, DEFAULT_RETRY_CAP])),
         batch=draw(st.sampled_from([1, 2, 3, 7, PROPOSAL_BATCH])),
@@ -750,8 +724,7 @@ class TestSimulateMatchesSessionReference:
         probs = zipf_model(0.7, n)
         passwords = [b"p%08d" % i for i in range(n)]
         counter, store = _stores({"width": 1 << 11, "depth": 3, "master_seed": 3})
-        weights = ban_weights(passwords, banned=passwords[:banned]) if banned else None
-        case = dict(weights=weights, seed=5, retry_cap=retry_cap)
+        case = dict(banned=passwords[:banned], seed=5, retry_cap=retry_cap)
         seen = ProposalLog()
         if banned:
             with pytest.raises(BannedExhaustionError):
@@ -780,10 +753,10 @@ class TestSimulateMatchesSessionReference:
         n = 20000
         probs = zipf_model(0.7, n)
         passwords = [b"p%08d" % i for i in range(n)]
-        weights = ban_weights(passwords, banned=[b"p00000000"], soft={b"p00000001": 0.5})
+        banned = {b"p00000000", b"p00000002"}
         counter, store = _stores(sketch)
         expected, seen = reference_simulate(
-            probs, passwords, n, store=counter, weights=weights, seed=13, batch=batch
+            probs, passwords, n, store=counter, banned=banned, seed=13, batch=batch
         )
         hashed: list[np.ndarray] = []
         if store is not None:
@@ -796,7 +769,7 @@ class TestSimulateMatchesSessionReference:
 
             store.offsets = offsets
         with patch.object(mh_uniform, "PROPOSAL_BATCH", batch):
-            report = simulate(probs, passwords, n, store=store, weights=weights, seed=13)
+            report = simulate(probs, passwords, n, store=store, banned=banned, seed=13)
         assert report_fields(report) == report_fields(expected)
         _assert_counted(report, n, counter, store, seen)
         if store is not None:
