@@ -320,6 +320,8 @@ def cmd_mhsim(args) -> tuple[dict, dict]:
             raise ValueError("table is read only with source=table")
         s = MH_ZIPF_S if args.s is None else args.s
         n_ranks = MH_ZIPF_RANKS if args.n_ranks is None else args.n_ranks
+        # Checked before the model is built, which costs memory per rank.
+        mh_uniform.check_ranks(n_ranks)
         probs = stats.zipf_model(s, n_ranks)
         # simulate makes the Zipf labels of the ranks it reads.
         passwords = None
@@ -396,6 +398,13 @@ def _config_tokens(path: Path, keys: frozenset[str]) -> list[str]:
     return tokens
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer from 0 to 2**64 - 1, got {value}")
+    return value
+
+
 def _replicates(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -410,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, summary):
         p = sub.add_parser(name, help=summary, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for every random choice")
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="seed for every random choice")
         p.add_argument("--out-dir", default=".", help="directory for outputs and the manifest")
         p.set_defaults(func=func)
         return p

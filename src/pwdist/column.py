@@ -5,7 +5,9 @@ corpora their users as a :class:`PasswordColumn`, so that a row costs its
 bytes plus an 8-byte offset instead of a Python ``bytes`` object.
 Duplicates are found, and two columns joined, by sorting a vectorised
 64-bit hash of each row (:func:`row_hashes`) and comparing bytes only
-where hashes are equal. A column is hashed once into its
+where hashes are equal; a join compares each probe with every row of its
+run of equal hashes, a block of probes per numpy pass. A column is hashed
+once into its
 :meth:`~PasswordColumn.hash_index`, which its caller keeps for as long as
 it needs it: a table's read hands it back for a join.
 """
@@ -230,26 +232,19 @@ class PasswordColumn:
         the bytes of ``self[rows[k]]``. The rows of this column must be
         distinct. The probes are searched in ascending hash order, so the
         searches stay in cache, and bytes are compared only where the hashes
-        match.
+        match: each probe against every row of its hash run, in one pass.
         """
         sorted_hashes, order = index
         probe_hashes, probe_order = probe_index
         for start in range(0, len(probes), JOIN_BLOCK):
             block = probe_hashes[start : start + JOIN_BLOCK]
-            rows = probe_order[start : start + JOIN_BLOCK]
             lo = np.searchsorted(sorted_hashes, block, side="left")
-            hi = np.searchsorted(sorted_hashes, block, side="right")
-            single = np.flatnonzero(hi - lo == 1)
-            found, candidates = rows[single], order[lo[single]]
+            run = np.searchsorted(sorted_hashes, block, side="right") - lo
+            # A probe's i-th pair is with the row at lo + i of the index.
+            at = np.repeat(lo - (np.cumsum(run) - run), run) + np.arange(run.sum())
+            found, candidates = np.repeat(probe_order[start : start + JOIN_BLOCK], run), order[at]
             same = _same_rows(probes, found, self, candidates)
             yield found[same], candidates[same]
-            # Probes whose hash is shared by several rows here.
-            for k in np.flatnonzero(hi - lo > 1).tolist():
-                probe = probes[rows[k]]
-                for j in order[lo[k] : hi[k]].tolist():
-                    if self[j] == probe:
-                        yield rows[k : k + 1], np.array([j])
-                        break
 
 
 def equal_runs(same: np.ndarray) -> list[tuple[int, int]]:

@@ -49,16 +49,13 @@ class GuessOrdering:
 class GuessCurve:
     """Cumulative recovery per guess: ``cumulative[t - 1]`` after guess t.
 
-    One int64 entry for every guess, the form ``write_curve_tsv`` writes.
+    An int64 entry for every guess, stored as given: what ``write_curve_tsv`` writes.
     ``cumulative_at`` is 0 before the first guess and clamps past the end.
     """
 
     cumulative: np.ndarray
     denominator: int
     metric: str
-
-    def __post_init__(self):
-        self.cumulative = np.asarray(self.cumulative, dtype=np.int64)
 
     def __eq__(self, other):
         if not isinstance(other, GuessCurve):

@@ -3,11 +3,12 @@
 Raw leak files come in two shapes: one password per line, or
 ``user<TAB>password`` pairs. Passwords stay raw bytes throughout; leak
 files mix encodings freely and any normalisation would merge passwords
-that users actually typed differently. Both are read a block of lines at
-a time, split by the one line rule of :func:`~pwdist.tsvio.chunk_lines`:
-``read_credentials`` keeps each user's last non-whitespace entry,
-and ``stream_table`` ranks the kept passwords by descending use count with
-a seeded pseudo-random tie-break so runs are reproducible.
+that users actually typed differently. Both are read from a binary stream
+a block of lines at a time, split by the one line rule of
+:func:`~pwdist.tsvio.chunk_lines`: ``read_credentials`` keeps each user's
+last non-whitespace entry, and ``stream_table`` ranks the kept passwords by
+descending use count with a seeded pseudo-random tie-break so runs are
+reproducible.
 
 A ranked table holds its passwords as a
 :class:`~pwdist.column.PasswordColumn`: one bytes buffer and an int64
@@ -23,7 +24,6 @@ caller that joins against the table.
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -154,16 +154,8 @@ class StreamStats:
     malformed: int
 
 
-def _corpus_stream(raw: bytes | BinaryIO, corpus_format: str) -> BinaryIO:
-    if corpus_format not in CORPUS_FORMATS:
-        raise ValueError(f"unknown corpus format {corpus_format!r}")
-    return io.BytesIO(raw) if isinstance(raw, (bytes, bytearray)) else raw
-
-
-def read_credentials(
-    raw: bytes | BinaryIO, corpus_format: str
-) -> tuple[dict[bytes, bytes], StreamStats]:
-    """Each user's last usable password, keyed by the user's bytes.
+def read_credentials(stream: BinaryIO, corpus_format: str) -> tuple[dict[bytes, bytes], StreamStats]:
+    """Each user's last usable password in the binary ``stream``, keyed by the user's bytes.
 
     ``user-tab-password`` lines split at the first TAB (the password may
     contain further TABs); a line without a TAB is counted as malformed and
@@ -172,9 +164,11 @@ def read_credentials(
     passwords are skipped, then a user's later entry replaces an earlier
     one, so a user whose entries are all blank is left out. The entries are
     in the line order of the ones kept: an accepted line deletes its user's
-    key before inserting it again.
+    key before inserting it again. An unknown ``corpus_format`` raises
+    ``ValueError``.
     """
-    stream = _corpus_stream(raw, corpus_format)
+    if corpus_format not in CORPUS_FORMATS:
+        raise ValueError(f"unknown corpus format {corpus_format!r}")
     per_line = corpus_format == FORMAT_PASSWORD_PER_LINE
     latest: dict[bytes, bytes] = {}
     n_lines = 0
@@ -197,9 +191,9 @@ def read_credentials(
 
 
 def stream_table(
-    raw: bytes | BinaryIO, corpus_format: str, tie_break_seed: int = 0
+    stream: BinaryIO, corpus_format: str, tie_break_seed: int = 0
 ) -> tuple[RankFrequencyTable, StreamStats]:
-    """Read, clean and rank a corpus a block of lines at a time.
+    """Read, clean and rank the corpus in the binary ``stream`` a block of lines at a time.
 
     A ``user-tab-password`` corpus is ranked from the entry per user of
     :func:`read_credentials`. A ``password-per-line`` corpus has one user
@@ -209,13 +203,13 @@ def stream_table(
     keeps.
     """
     if corpus_format != FORMAT_PASSWORD_PER_LINE:
-        latest, stats = read_credentials(raw, corpus_format)
+        latest, stats = read_credentials(stream, corpus_format)
         counts = Counter(latest.values())
         del latest
     else:
         counts = Counter()
         n_lines = 0
-        for lines in map(tsvio.chunk_lines, tsvio.line_chunks(_corpus_stream(raw, corpus_format))):
+        for lines in map(tsvio.chunk_lines, tsvio.line_chunks(stream)):
             n_lines += len(lines)
             counts.update(lines)
         for line in [k for k in counts if not k.strip()]:

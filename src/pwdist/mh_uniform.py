@@ -45,6 +45,8 @@ EMPTY, ONE, SEVERAL, LIVE = 0, 1, 2, 3
 MARKED = 4
 # The most counters a sketch may have; every counter's offset, below it, is an int32.
 MAX_COUNTERS = 2**31 - 1
+# The most ranks ``simulate`` takes; every rank index, below it, is a uint32.
+MAX_RANKS = 2**32
 
 
 class BannedExhaustionError(tsvio.NumericError):
@@ -195,6 +197,12 @@ def count_type(n_users: int, retry_cap: int) -> str:
     return "I" if asks < 2**32 else "Q"
 
 
+def check_ranks(n_ranks: int) -> None:
+    """Raise ``ValueError`` for a run of more than ``MAX_RANKS`` ranks."""
+    if n_ranks > MAX_RANKS:
+        raise ValueError(f"simulate takes at most 2**32 ranks, got {n_ranks}")
+
+
 def simulate(
     probs: np.ndarray,
     passwords: Sequence[bytes] | None,
@@ -241,8 +249,7 @@ def simulate(
     also when a session raises.
     """
     counts_type = count_type(n_users, retry_cap)
-    if len(probs) > 2**32:
-        raise ValueError("simulate takes at most 2**32 ranks")
+    check_ranks(len(probs))
     if passwords is None:
         labels = _zipf_labels_of_indices
     else:
@@ -436,10 +443,10 @@ def _run_sessions(
                     fx = min(map(live.__getitem__, reads[x]))
                 else:
                     fx = counts[x]
-                wx = 0.0 if x in banned_ranks else 1.0
+                x_banned = x in banned_ranks
             else:
                 fx = 0
-                wx = 1.0
+                x_banned = False
             asks = 0
             while True:
                 asks += 1
@@ -455,8 +462,8 @@ def _run_sessions(
                             f_prop = min(map(live.__getitem__, row_reads))
                         for i in row_reads:
                             live[i] += 1
-                w_prop = 0.0 if rank in banned_ranks else 1.0
-                if w_prop > 0.0 and (next_word() >> 11) * 2.0**-53 * f_prop * wx <= fx * w_prop:
+                # u is drawn for every proposal that is not banned, also where x is banned.
+                if rank not in banned_ranks and ((next_word() >> 11) * 2.0**-53 * f_prop <= fx or x_banned):
                     break
                 if asks >= retry_cap:
                     raise BannedExhaustionError(f"no acceptable proposal after {retry_cap} asks")

@@ -7,8 +7,8 @@ the last LF; corpora, word lists and ban files are split into lines by
 :func:`chunk_lines`. :func:`write_rows` writes ``WRITE_BLOCK`` rows at a
 time, in numpy with no ``bytes`` object per row: :func:`fixed_fields` and
 :func:`lay_out` write a block of fields, and :func:`read_rows` takes a
-three-field file apart by :func:`cut_rows` and :func:`gather`, with no step
-per row for CRLF rows or blank lines either.
+three-field file apart by :func:`cut_rows` and :func:`gather`, normalising a
+block of CRLF rows or blank lines in numpy first, with no step per row.
 Only rows that hold a byte to escape, or a backslash to unescape, are
 rewritten one at a time. The two error types that every stage raises for
 the CLI to map to an exit code, :class:`CorpusError` and
@@ -279,9 +279,9 @@ def read_rows(
     column, and each array ``decode`` returns, joined over the blocks.
 
     Lines are taken by :func:`chunk_lines`' rules with no step per row. A
-    block is cut by :func:`cut_rows`, and a CR just before an LF is cut off
-    the last field of its row. A block that does not cut (blank lines, no
-    final LF) is normalised in numpy and cut again.
+    block is cut by :func:`cut_rows`. A block that holds a CR, or that does
+    not cut (blank lines, no final LF), is first normalised in numpy by
+    :func:`_normalised` and then cut.
     ``decode(raw, fields, first_row)`` gets a block's bytes, its fields'
     bounds from :func:`cut_rows` and the number of rows before it. A wrong
     header, a row without three fields, a bad escape, or a ``ValueError``
@@ -297,17 +297,13 @@ def read_rows(
         # An empty block first gives each joined array its dtype in a file of no rows.
         for chunk in chain([b""], line_chunks(fh)):
             raw = np.frombuffer(chunk, dtype=np.uint8)
-            fields = cut_rows(raw, b"\t\t\n")
+            fields = None if b"\r" in chunk else cut_rows(raw, b"\t\t\n")
             if fields is None:
                 raw = _normalised(raw)
                 fields = cut_rows(raw, b"\t\t\n")
                 if fields is None:
                     bad = next(line for line in raw.tobytes().split(b"\n") if line.count(b"\t") != 2)
                     raise CorpusError(f"malformed {kind} row: {bad!r}")
-            elif b"\r" in chunk:
-                # The CR of a CRLF row is the last byte of its last field.
-                stop = fields[-1][1]
-                stop -= raw[stop - 1] == 0x0D
             try:
                 joined, length = gather(raw, *fields[text])
                 blocks.append(decode(raw, fields, rows))

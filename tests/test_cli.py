@@ -124,6 +124,50 @@ class TestExitCodes:
         assert err.startswith(f"pwdist-error\t{message}") and err.count("\n") == 1
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize(
+        "stage", ["ingest", "fit", "stats", "curve", "crack", "mh-sim", "mh-sim-config"]
+    )
+    def test_seed_out_of_range(self, tmp_path, corpus, capsys, stage, seed):
+        # A seed is 0 to 2**64 - 1 in every stage; outside that range seeds would alias.
+        table = str(ingest_table(tmp_path, corpus))
+        argv = {
+            "ingest": ["ingest", str(corpus)],
+            "fit": ["fit", "--table", table, "--replicates", "2"],
+            "stats": ["stats", "--table", table],
+            "curve": ["curve", "--target", table],
+            "crack": ["crack", "--corpus", str(corpus)],
+            "mh-sim": ["mh-sim", "--n-users", "100", "--n-ranks", "50"],
+            "mh-sim-config": ["mh-sim", "--n-users", "100", "--n-ranks", "50"],
+        }[stage]
+        if stage == "mh-sim-config":
+            config = tmp_path / "sim.cfg"
+            config.write_text(f"seed = {seed}\n")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--seed", seed]
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("pwdist-error")]
+        assert len(errors) == 1 and errors[0].startswith("pwdist-error\tusage\t") and "--seed" in errors[0]
+        assert not (out / "manifest.json").exists()
+
+    def test_largest_seed_is_taken(self, tmp_path, corpus):
+        top = str(2**64 - 1)
+        assert main(["ingest", str(corpus), "--seed", top, "--out-dir", str(tmp_path / "i")]) == EXIT_OK
+        argv = ["mh-sim", "--n-users", "100", "--n-ranks", "50", "--backend", "count-min", "--seed", top]
+        assert main([*argv, "--out-dir", str(tmp_path / "m")]) == EXIT_OK
+
+    @pytest.mark.parametrize("n_ranks", [10**12, 10**20])
+    def test_too_many_ranks_is_usage_error(self, tmp_path, capsys, n_ranks):
+        # Rejected before the Zipf model, 8 bytes a rank, is built.
+        out = tmp_path / "out"
+        argv = ["mh-sim", "--n-ranks", str(n_ranks), "--n-users", "10", "--out-dir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"pwdist-error\tusage\tsimulate takes at most 2**32 ranks, got {n_ranks}\n"
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize(
         "bad_row", [b"1\tmany\tpw", b"x\t3\tpw", b"1\t3\tbad\\q", b"1\t3\tdangling\\"]
     )
@@ -679,13 +723,13 @@ def test_hashing_before_the_manifest_does_not_load_openssl():
     ranking leave ``_hashlib`` unloaded.
     """
     script = (
-        "import sys\n"
+        "import io, sys\n"
         "import pwdist.cli\n"
         "from pwdist import column, ingest\n"
         "column.keyed_hashes([b'alice', b'bob'], 7)\n"
         "column.row_hashes(column.PasswordColumn([b'x' * (column.WORD_PASS_MAX_LEN + 1), b'y']))\n"
-        "ingest.stream_table(b'pw1\\npw2\\npw1\\n', ingest.FORMAT_PASSWORD_PER_LINE)\n"
-        "ingest.stream_table(b'u1\\tpw1\\nu2\\tpw2\\n', ingest.FORMAT_USER_TAB_PASSWORD)\n"
+        "ingest.stream_table(io.BytesIO(b'pw1\\npw2\\npw1\\n'), ingest.FORMAT_PASSWORD_PER_LINE)\n"
+        "ingest.stream_table(io.BytesIO(b'u1\\tpw1\\nu2\\tpw2\\n'), ingest.FORMAT_USER_TAB_PASSWORD)\n"
         "print('_hashlib' in sys.modules)\n"
     )
     out = subprocess.run(

@@ -1,7 +1,8 @@
 """The password column: length, indexing, slices and iteration, row hashes, duplicates and joins.
 
 The row hash is also replaced by a constant, so that every pair of rows
-collides and only the byte comparisons can tell rows apart.
+collides and only the byte comparisons can tell rows apart, and by the
+row's length mod 2, so that rows fall in two runs of equal hashes.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import table_oracles as oracle
 from pwdist import column, tsvio
@@ -43,6 +44,15 @@ awkward_rows = st.one_of(
 
 def _constant_hashes(column):
     return np.zeros(len(column), dtype=np.uint64)
+
+
+def _parity_hashes(column):
+    return (column.lengths() % 2).astype(np.uint64)
+
+
+# The real row hash, and two that make every row share its hash with others.
+ROW_HASHES = [None, _constant_hashes, _parity_hashes]
+ROW_HASH_IDS = ["row-hash", "constant-hash", "parity-hash"]
 
 
 def _positions(col: PasswordColumn, probes: PasswordColumn) -> list[int]:
@@ -91,12 +101,32 @@ class TestPasswordColumn:
         alone = [int(row_hashes(PasswordColumn([row]))[0]) for row in items]
         assert hashes.tolist() == alone
 
-    @given(st.lists(awkward_rows, max_size=30), st.booleans())
-    def test_duplicates_match_a_set(self, items, constant):
+    @given(st.lists(awkward_rows, max_size=30), st.sampled_from(ROW_HASHES))
+    def test_duplicates_match_a_set(self, items, hashes):
         with pytest.MonkeyPatch.context() as mp:
-            if constant:
-                mp.setattr(column, "row_hashes", _constant_hashes)
+            if hashes:
+                mp.setattr(column, "row_hashes", hashes)
             assert PasswordColumn(items).has_duplicates() == (len(set(items)) < len(items))
+
+    @given(
+        st.lists(awkward_rows, max_size=30, unique=True),
+        st.lists(awkward_rows, max_size=30),
+        st.sampled_from(ROW_HASHES),
+        st.sampled_from([1, 3, column.JOIN_BLOCK]),
+    )
+    # Two runs of rows, lengths odd and even, each probed at every row and with a row it lacks.
+    @example([b"a", b"bb", b"c", b"dd", b"e", b"ff", b"g"], [b"h", b"ii"], _parity_hashes, column.JOIN_BLOCK)
+    def test_join_matches_a_dict(self, items, absent, hashes, block):
+        # A probe is compared with every row of its hash run: it may match the
+        # run's first row, a middle one, its last one or none.
+        probes = absent + items[::-1]
+        lookup = {row: i for i, row in enumerate(items)}
+        with pytest.MonkeyPatch.context() as mp:
+            if hashes:
+                mp.setattr(column, "row_hashes", hashes)
+            mp.setattr(column, "JOIN_BLOCK", block)
+            found = _positions(PasswordColumn(items), PasswordColumn(probes))
+        assert found == [lookup.get(probe, -1) for probe in probes]
 
     @given(
         st.lists(awkward_rows, min_size=1, max_size=40, unique=True),
@@ -126,10 +156,10 @@ class TestPasswordColumn:
         probes = PasswordColumn([prefix + b"3", prefix + b"x", prefix[:-1], b"p"])
         assert _positions(col, probes) == [3, -1, 21, -1]
 
-    @pytest.mark.parametrize("constant", [False, True], ids=["row-hash", "constant-hash"])
-    def test_duplicate_password_is_an_input_error(self, tmp_path, monkeypatch, constant):
-        if constant:
-            monkeypatch.setattr(column, "row_hashes", _constant_hashes)
+    @pytest.mark.parametrize("hashes", ROW_HASHES, ids=ROW_HASH_IDS)
+    def test_duplicate_password_is_an_input_error(self, tmp_path, monkeypatch, hashes):
+        if hashes:
+            monkeypatch.setattr(column, "row_hashes", hashes)
         good = tmp_path / "good.tsv"
         good.write_bytes(TABLE_HEADER + b"\n1\t3\tpw\n2\t2\tpw\\t\n3\t1\tp\n")
         bad = tmp_path / "bad.tsv"

@@ -59,9 +59,9 @@ class TestCurveFromIncrements:
 
     def test_arrays_compare_by_value(self):
         a = curve_from_increments(np.array([2, 0, 1]), 3, METRIC_USERS)
-        assert a == GuessCurve(cumulative=[2, 2, 3], denominator=3, metric=METRIC_USERS)
-        assert a != GuessCurve(cumulative=[2, 2, 3], denominator=4, metric=METRIC_USERS)
-        assert a != GuessCurve(cumulative=[2, 3], denominator=3, metric=METRIC_USERS)
+        assert a == GuessCurve(cumulative=np.int64([2, 2, 3]), denominator=3, metric=METRIC_USERS)
+        assert a != GuessCurve(cumulative=np.int64([2, 2, 3]), denominator=4, metric=METRIC_USERS)
+        assert a != GuessCurve(cumulative=np.int64([2, 3]), denominator=3, metric=METRIC_USERS)
         assert a.cumulative.dtype == np.int64
 
 
@@ -131,13 +131,17 @@ class TestCrossCurveJoin:
         st.lists(guess_bytes, min_size=1, max_size=25, unique=True),
         st.dictionaries(guess_bytes, st.integers(1, 9), min_size=1, max_size=25),
         st.sampled_from([METRIC_USERS, METRIC_DISTINCT]),
-        st.booleans(),
+        st.sampled_from(["row", "constant", "parity"]),
     )
-    def test_matches_dict_join(self, reference, counts, metric, constant):
+    def test_matches_dict_join(self, reference, counts, metric, hashes):
+        # With a constant or a two-valued row hash, a guess's hash run holds
+        # several target rows, and the guess may match any of them or none.
         target = table_from_counter(counts)
         with pytest.MonkeyPatch.context() as mp:
-            if constant:
+            if hashes == "constant":
                 mp.setattr(column, "row_hashes", lambda column: np.zeros(len(column), np.uint64))
+            elif hashes == "parity":
+                mp.setattr(column, "row_hashes", lambda column: (column.lengths() % 2).astype(np.uint64))
             curve = cross_curve(GuessOrdering(PasswordColumn(reference)), target, metric)
         assert curve.cumulative.tolist() == _dict_join_cumulative(reference, target, metric)
 
@@ -242,7 +246,7 @@ def _step_curve(points: list[tuple[int, int]], denominator: int) -> GuessCurve:
     cumulative = []
     for t, cum in points:
         cumulative += [cumulative[-1] if cumulative else 0] * (t - 1 - len(cumulative)) + [cum]
-    return GuessCurve(cumulative=cumulative, denominator=denominator, metric=METRIC_USERS)
+    return GuessCurve(cumulative=np.int64(cumulative), denominator=denominator, metric=METRIC_USERS)
 
 
 class TestCurveExport:
@@ -336,7 +340,7 @@ class TestCurveExport:
         assert path.read_bytes() == b"".join(expected)
 
     def test_exponent_form_fractions(self, tmp_path):
-        curve = GuessCurve(cumulative=[1, 3, 3, 3, 3], denominator=10**7, metric=METRIC_USERS)
+        curve = GuessCurve(cumulative=np.int64([1, 3, 3, 3, 3]), denominator=10**7, metric=METRIC_USERS)
         path = tmp_path / "curve.tsv"
         write_curve_tsv(curve, path)
         assert path.read_bytes().splitlines()[1:] == [

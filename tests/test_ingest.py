@@ -43,19 +43,19 @@ def user_tab(*pairs: tuple[bytes, bytes]) -> bytes:
 
 def credentials(raw: bytes, corpus_format: str = FORMAT_USER_TAB_PASSWORD) -> list[tuple]:
     """What ``read_credentials`` keeps, as (user, password) pairs in order."""
-    latest, _ = read_credentials(raw, corpus_format)
+    latest, _ = read_credentials(io.BytesIO(raw), corpus_format)
     return list(latest.items())
 
 
 def ranked(pairs, seed: int = 0):
     """The table of a user-tab-password corpus of ``pairs``."""
-    table, _ = stream_table(user_tab(*pairs), FORMAT_USER_TAB_PASSWORD, tie_break_seed=seed)
+    table, _ = stream_table(io.BytesIO(user_tab(*pairs)), FORMAT_USER_TAB_PASSWORD, tie_break_seed=seed)
     return table
 
 
 class TestParseCorpus:
     def test_empty_input(self):
-        latest, read_stats = read_credentials(b"", FORMAT_USER_TAB_PASSWORD)
+        latest, read_stats = read_credentials(io.BytesIO(b""), FORMAT_USER_TAB_PASSWORD)
         assert latest == {}
         assert read_stats.lines == read_stats.malformed == 0
 
@@ -81,7 +81,7 @@ class TestParseCorpus:
 
     def test_malformed_lines_counted_and_skipped(self):
         latest, read_stats = read_credentials(
-            b"ok\tpw\nno-tab-here\nalso bad\nbob\tx\n", FORMAT_USER_TAB_PASSWORD
+            io.BytesIO(b"ok\tpw\nno-tab-here\nalso bad\nbob\tx\n"), FORMAT_USER_TAB_PASSWORD
         )
         assert list(latest) == [b"ok", b"bob"]
         assert read_stats.malformed == 2
@@ -96,7 +96,7 @@ class TestParseCorpus:
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            read_credentials(b"", "csv")
+            read_credentials(io.BytesIO(b""), "csv")
 
     def test_unreadable_stream_reports_offset(self):
         class Broken(io.RawIOBase):
@@ -203,7 +203,7 @@ class TestBuildTable:
     def test_empty_records_rejected(self):
         for corpus_format in CORPUS_FORMATS:
             with pytest.raises(CorpusError):
-                stream_table(b"\n \n\t\n", corpus_format)
+                stream_table(io.BytesIO(b"\n \n\t\n"), corpus_format)
 
     def test_same_seed_same_order(self):
         pairs = [(b"u%d" % i, b"pw%d" % i) for i in range(8)]
@@ -282,9 +282,9 @@ class TestStreamTable:
             expected = oracle.build_table(records, tie_break_seed=5)
         except CorpusError:
             with pytest.raises(CorpusError):
-                stream_table(raw, FORMAT_USER_TAB_PASSWORD, tie_break_seed=5)
+                stream_table(io.BytesIO(raw), FORMAT_USER_TAB_PASSWORD, tie_break_seed=5)
             return
-        streamed, _ = stream_table(raw, FORMAT_USER_TAB_PASSWORD, tie_break_seed=5)
+        streamed, _ = stream_table(io.BytesIO(raw), FORMAT_USER_TAB_PASSWORD, tie_break_seed=5)
         assert rows(streamed) == rows(expected)
         assert streamed.total_users == expected.total_users
 
@@ -292,13 +292,13 @@ class TestStreamTable:
         raw = b"aaa\n\nbbb\naaa\n   \nccc\n"
         records = oracle.cleanup(oracle.parse_corpus(raw, FORMAT_PASSWORD_PER_LINE).records)
         expected = oracle.build_table(records, tie_break_seed=2)
-        streamed, parse_stats = stream_table(raw, FORMAT_PASSWORD_PER_LINE, tie_break_seed=2)
+        streamed, parse_stats = stream_table(io.BytesIO(raw), FORMAT_PASSWORD_PER_LINE, tie_break_seed=2)
         assert rows(streamed) == rows(expected)
         assert parse_stats.lines == 6
         assert streamed.total_users == 4
 
     def test_counts_malformed(self):
-        streamed, parse_stats = stream_table(b"ok\tpw\nnotab\n", FORMAT_USER_TAB_PASSWORD)
+        streamed, parse_stats = stream_table(io.BytesIO(b"ok\tpw\nnotab\n"), FORMAT_USER_TAB_PASSWORD)
         assert parse_stats.malformed == 1
         assert streamed.total_users == 1
 
